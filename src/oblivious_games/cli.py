@@ -199,11 +199,12 @@ def _cmd_optimize(args) -> int:
         seed=seed,
         tolerance=args.tolerance,
     )
-    result = optimizer.search(game, cfg, threads=args.threads)
+    result = optimizer.search(game, cfg)
     results = {
         "value": result.value,
         "feasibility_residual": result.feasibility_residual,
         "iterations_used": result.iterations_used,
+        "stop_reason": result.stop_reason,
         "feasible": result.feasible,
         "restart_index": result.restart_index,
         "dim": args.dim,
@@ -260,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--iters", type=int, default=500)
     p_opt.add_argument("--seed", type=int, default=None)
     p_opt.add_argument("--tolerance", type=float, default=1e-8)
-    p_opt.add_argument("--threads", type=int, default=1)
     return parser
 
 

@@ -121,6 +121,9 @@ def test_optimize_small(capsys):
     assert code == 0
     assert report["results"]["feasible"] is True
     assert report["results"]["value"] > 0.7
+    results = report["results"]
+    assert results["stop_reason"] in ("window", "stalled", "max_iters")
+    assert (results["stop_reason"] == "max_iters") == (results["iterations_used"] == 60)
 
 
 def test_validation_error_exit_code(capsys):

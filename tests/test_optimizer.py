@@ -3,7 +3,13 @@ import pytest
 
 from oblivious_games import cglmp
 from oblivious_games.games import make_cglmp3_game, make_rac_game, obliviousness_residual_quantum
-from oblivious_games.optimizer import SearchConfig, search
+from oblivious_games.optimizer import (
+    SearchConfig,
+    _certificate_gap,
+    _jrf_update,
+    _random_povm,
+    search,
+)
 
 A3 = (3 + np.sqrt(33)) / 12
 
@@ -20,6 +26,57 @@ class TestConfig:
     def test_schedule_must_increase(self):
         with pytest.raises(ValueError):
             SearchConfig(dim=3, penalty_schedule=(4.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"max_iters": 0},
+            {"penalty_period": 0},
+            {"tolerance": 0.0},
+            {"tolerance": -1e-8},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+            {"penalty_schedule": ()},
+            {"penalty_schedule": (1.0, float("inf"))},
+            {"penalty_schedule": (float("nan"), 1.0)},
+        ],
+    )
+    def test_settings_that_break_search_rejected(self, field):
+        with pytest.raises(ValueError):
+            SearchConfig(dim=3, **field)
+
+
+def _random_scores(rng, n_out, dim):
+    a = rng.normal(size=(n_out, dim, dim)) + 1j * rng.normal(size=(n_out, dim, dim))
+    return (a + np.conj(np.swapaxes(a, 1, 2))) / 2
+
+
+def _score(gram, effects):
+    return float(np.einsum("bij,bji->", effects, gram).real)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bounds_every_povm(self, seed):
+        rng = np.random.default_rng(seed)
+        n_out, dim = 2 + seed % 3, 2 + seed % 3
+        gram = _random_scores(rng, n_out, dim)
+        effects = _random_povm(rng, n_out, dim)
+        current = _score(gram, effects)
+        gap = _certificate_gap(gram, effects, current)
+        assert gap >= -1e-12
+        for _ in range(50):
+            other = _random_povm(rng, n_out, dim)
+            assert _score(gram, other) <= current + gap + 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closes_at_jrf_fixed_point(self, seed):
+        rng = np.random.default_rng(seed)
+        n_out, dim = 2 + seed % 2, 2 + seed % 3
+        gram = _random_scores(rng, n_out, dim)
+        effects = _jrf_update(gram, _random_povm(rng, n_out, dim), 2000)
+        gap = _certificate_gap(gram, effects, _score(gram, effects))
+        assert -1e-12 <= gap < 1e-12
 
 
 class TestSeededStart:
@@ -93,13 +150,30 @@ class TestDeterminism:
         for pa, pb in zip(a.strategy.preparations, b.strategy.preparations):
             assert np.array_equal(pa.matrix, pb.matrix)
 
-    def test_thread_pool_reduction_deterministic(self):
-        game = make_rac_game(2, 2)
-        cfg = SearchConfig(dim=2, restarts=4, max_iters=40, seed=13)
-        serial = search(game, cfg, threads=1)
-        threaded = search(game, cfg, threads=2)
-        assert serial.value == threaded.value
-        assert serial.restart_index == threaded.restart_index
+
+class TestStopping:
+    def test_stall_stop_only_truncates_the_path(self):
+        game = make_rac_game(2, 3)
+        stopped = search(game, SearchConfig(dim=3, restarts=1, max_iters=500, seed=0))
+        assert stopped.stop_reason == "stalled"
+        assert stopped.iterations_used < 500
+        capped = search(
+            game,
+            SearchConfig(dim=3, restarts=1, max_iters=stopped.iterations_used, seed=0),
+        )
+        assert capped.stop_reason == "max_iters"
+        assert capped.iterations_used == stopped.iterations_used
+        assert capped.value == stopped.value
+        for pa, pb in zip(capped.strategy.preparations, stopped.strategy.preparations):
+            assert np.array_equal(pa.matrix, pb.matrix)
+        for ma, mb in zip(capped.strategy.measurements, stopped.strategy.measurements):
+            for ea, eb in zip(ma.elements, mb.elements):
+                assert np.array_equal(ea, eb)
+
+    def test_cglmp3_stops_on_window(self):
+        result = search(make_cglmp3_game(), SearchConfig(dim=3, restarts=1, seed=0))
+        assert result.stop_reason == "window"
+        assert result.iterations_used < 500
 
 
 def test_game_without_partitions_rejected():
