@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .games import Behavior, ObliviousGame, _check_distribution, _readonly
-from .qmath import DensityMatrix
+from .games import Behavior, ObliviousGame, check_distribution
+from .qmath import DensityMatrix, readonly
 
 NS_TOL = 1e-10
 ZERO_MARGINAL_TOL = 1e-14
@@ -35,15 +35,17 @@ class BellFunctional:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 4 or c.shape[2] != c.shape[3]:
             raise ValueError("coefficients must have shape (m_A, m_B, d, d)")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         pa = np.asarray(self.p_alice, dtype=float).reshape(-1)
         pb = np.asarray(self.p_bob, dtype=float).reshape(-1)
         if pa.shape != (c.shape[0],) or pb.shape != (c.shape[1],):
             raise ValueError("priors do not match the input counts")
-        _check_distribution(pa, 1e-12, "p_alice")
-        _check_distribution(pb, 1e-12, "p_bob")
-        object.__setattr__(self, "coeffs", _readonly(c))
-        object.__setattr__(self, "p_alice", _readonly(pa))
-        object.__setattr__(self, "p_bob", _readonly(pb))
+        check_distribution(pa, 1e-12, "p_alice")
+        check_distribution(pb, 1e-12, "p_bob")
+        object.__setattr__(self, "coeffs", readonly(c))
+        object.__setattr__(self, "p_alice", readonly(pa))
+        object.__setattr__(self, "p_bob", readonly(pb))
 
     @property
     def m_alice(self) -> int:
@@ -88,6 +90,8 @@ class NoSignalingBox:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 4:
             raise ValueError("box table must have shape (m_A, m_B, d, d)")
+        if not np.isfinite(t).all():
+            raise ValueError("box has non-finite probabilities")
         if np.min(t) < -NS_TOL:
             raise ValueError("box has negative probabilities")
         sums = t.sum(axis=(2, 3))
@@ -96,7 +100,7 @@ class NoSignalingBox:
         resid = _no_signaling_residual(t)
         if resid >= NS_TOL:
             raise ValueError(f"box signals: residual {resid:.3e} >= {NS_TOL}")
-        object.__setattr__(self, "table", _readonly(t))
+        object.__setattr__(self, "table", readonly(t))
 
     @property
     def m_alice(self) -> int:
@@ -224,7 +228,7 @@ def game_from_bell(bell: BellFunctional, p_g) -> ObliviousGame:
     if pg.shape != (ma, d):
         raise ValueError(f"p_g must have shape ({ma}, {d})")
     for x in range(ma):
-        _check_distribution(pg[x], 1e-10, f"p_g row {x}")
+        check_distribution(pg[x], 1e-10, f"p_g row {x}")
         if bell.p_alice[x] <= 0.0:
             raise ValueError(f"input {x} has zero prior; its partition set would vanish")
     alice = game_alice_inputs(d, ma)

@@ -78,29 +78,6 @@ def pnc_bound_bellgame(bell: BellFunctional) -> BoundResult:
     return local_bound(bell)
 
 
-def _oblivious_encoding_constraints(game: ObliviousGame, n_messages: int):
-    """Equality rows forcing message statistics to be identical across each family."""
-    na = game.n_alice
-    rows = []
-    for family in game.partitions:
-        weights = []
-        for subset in family:
-            w = np.zeros(na)
-            q = game.set_weight(subset)
-            for i in subset:
-                w[i] = game.p_alice[i] / q
-            weights.append(w)
-        for k in range(1, len(weights)):
-            rows.append(weights[0] - weights[k])
-    out = []
-    for m in range(n_messages):
-        for row in rows:
-            full = np.zeros(na * n_messages)
-            full[m::n_messages] = row
-            out.append(full)
-    return out
-
-
 def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     """Bound for an arbitrary oblivious game via decoder enumeration plus LPs.
 
@@ -123,19 +100,13 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
         [weighted[:, np.arange(nb), list(fn)].sum(axis=1) for fn in decode_fns]
     )  # (n_fns, na): score of decoding with fn given Alice holds x
 
-    constraints = _oblivious_encoding_constraints(game, message_count)
+    # Variable x * message_count + m is p(m|x): each encoding row is a
+    # distribution, then the obliviousness rows act on p(m|.) for each m.
     n_vars = na * message_count
-    a_rows = []
-    b_vals = []
-    for x in range(na):  # each encoding row is a distribution over messages
-        row = np.zeros(n_vars)
-        row[x * message_count : (x + 1) * message_count] = 1.0
-        a_rows.append(row)
-        b_vals.append(1.0)
-    a_rows.extend(constraints)
-    b_vals.extend([0.0] * len(constraints))
-    a_eq = np.asarray(a_rows)
-    b_eq = np.asarray(b_vals)
+    eye = np.eye(message_count)
+    oblivious = np.einsum("rx,mn->mrxn", game.constraint_rows(), eye).reshape(-1, n_vars)
+    a_eq = np.vstack([np.kron(np.eye(na), np.ones(message_count)), oblivious])
+    b_eq = np.concatenate([np.ones(na), np.zeros(len(oblivious))])
 
     best = -np.inf
     witness = None

@@ -10,7 +10,10 @@ as printed and renormalized before any analysis.
 The correspondence between lab labels (state psi_jk, basis, projector) and
 game labels ((x0, x), y, b) is not part of the data.  It is recovered by an
 exhaustive fit against the ideal closed-form distribution and pinned in
-``data/mapping.json``; ``pinned_mapping()`` returns the same mapping.
+``data/mapping.json``; ``pinned_mapping()`` returns the same mapping.  A
+mapping gathers the lab tables into a behavior of ``make_cglmp3_game()``,
+which ``games.performance`` scores; the obliviousness rows of the
+secondary-data program come from the same game.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ import numpy as np
 
 from . import lp
 from .cglmp import closed_form_prob
-from .games import cglmp3_targets
+from .games import Behavior, make_cglmp3_game, obliviousness_residual_behavior, performance
 
 ROW_SUM_TOL = 2e-3
 
 STATES = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
 PROTOCOL_BASES = (1, 2)
 AUX_BASES = (3, 4, 5)
+
+_GAME = make_cglmp3_game()
 
 # Lab-to-game correspondence fitted against the ideal model and frozen:
 # psi_jk prepares (x0, x) = (k-1, j-1), bases and projectors map in order.
@@ -59,6 +64,8 @@ class PrimaryData:
         s = np.asarray(self.sigmas, dtype=float)
         if p.shape != (6, 2, 3) or s.shape != (6, 2, 3):
             raise ValueError("protocol tables must have shape (6, 2, 3)")
+        if not (np.isfinite(p).all() and np.isfinite(s).all()):
+            raise ValueError("protocol tables must be finite")
         if np.min(p) < 0.0 or np.max(p) > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
         if np.min(s) < 0.0:
@@ -98,8 +105,8 @@ def _parse_rows(path):
                 raise ValueError(f"{path}:{lineno}: projector must be 1..3")
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"{path}:{lineno}: probability {prob} outside [0, 1]")
-            if sigma < 0.0:
-                raise ValueError(f"{path}:{lineno}: negative sigma {sigma}")
+            if not (np.isfinite(sigma) and sigma >= 0.0):
+                raise ValueError(f"{path}:{lineno}: sigma {sigma} is not a nonnegative number")
             yield path, lineno, (j, k), basis, proj, prob, sigma
 
 
@@ -149,8 +156,9 @@ class LabelMapping:
     outcome_map: dict
 
     def __post_init__(self):
-        if set(self.state_map) != set(STATES) or len(set(self.state_map.values())) != 6:
-            raise ValueError("state map must be a bijection over the six states")
+        game_states = set(self.state_map.values())
+        if set(self.state_map) != set(STATES) or game_states != set(_GAME.alice_inputs):
+            raise ValueError("state map must be a bijection onto the six game inputs")
         if set(self.basis_map) != {1, 2} or set(self.basis_map.values()) != {0, 1}:
             raise ValueError("basis map must be a bijection {1,2} -> {0,1}")
         for basis in (1, 2):
@@ -158,23 +166,17 @@ class LabelMapping:
             if om is None or set(om) != {1, 2, 3} or set(om.values()) != {0, 1, 2}:
                 raise ValueError(f"outcome map for basis {basis} must be a bijection")
 
-    def state_of(self, x0: int, x: int):
-        for lab, game in self.state_map.items():
-            if tuple(game) == (x0, x):
-                return lab
-        raise KeyError((x0, x))
-
-    def lab_basis_of(self, y: int) -> int:
-        for lab, game in self.basis_map.items():
-            if game == y:
-                return lab
-        raise KeyError(y)
-
-    def projector_of(self, lab_basis: int, b: int) -> int:
-        for proj, game in self.outcome_map[lab_basis].items():
-            if game == b:
-                return proj
-        raise KeyError((lab_basis, b))
+    def game_index(self) -> tuple:
+        """Index gathering a lab table [state, basis, projector] into the
+        [(x0, x), y, b] order of ``make_cglmp3_game``."""
+        state = {game: STATES.index(lab) for lab, game in self.state_map.items()}
+        basis = {y: lab for lab, y in self.basis_map.items()}
+        proj = {y: {b: p for p, b in self.outcome_map[basis[y]].items()} for y in basis}
+        return (
+            np.array([state[a] for a in _GAME.alice_inputs])[:, None, None],
+            np.array([basis[y] - 1 for y in _GAME.bob_inputs])[None, :, None],
+            np.array([[proj[y][b] - 1 for b in _GAME.outcomes] for y in _GAME.bob_inputs])[None],
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -265,25 +267,14 @@ def fit_label_mapping(data: PrimaryData) -> tuple:
     return mapping, best_res
 
 
-def _a3_from_matrices(tables: np.ndarray, mapping: LabelMapping) -> float:
-    """Score (1/12) sum of signed mapped probabilities over all inputs."""
-    state_index = {s: i for i, s in enumerate(STATES)}
-    total = 0.0
-    for x0 in range(3):
-        for x in range(2):
-            s = state_index[mapping.state_of(x0, x)]
-            for y in range(2):
-                lab_basis = mapping.lab_basis_of(y)
-                t0, t1 = cglmp3_targets(x0, x, y)
-                p0 = tables[s, lab_basis - 1, mapping.projector_of(lab_basis, t0) - 1]
-                p1 = tables[s, lab_basis - 1, mapping.projector_of(lab_basis, t1) - 1]
-                total += p0 - p1
-    return total / 12.0
+def _score(tables: np.ndarray, index: tuple) -> float:
+    """Game score of lab-ordered tables, through ``games.performance``."""
+    return performance(_GAME, Behavior(tables[index]))
 
 
 def a3_primary(data: PrimaryData, mapping: LabelMapping) -> float:
     """Game score computed from the measured (renormalized) tables."""
-    return _a3_from_matrices(data.normalized(), mapping)
+    return _score(data.normalized(), mapping.game_index())
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,70 +283,70 @@ class SecondaryData:
 
     ``weights[t, s]`` is the convex weight of source table s in target table
     t (each target row is a distribution over sources); ``s`` is the average
-    diagonal weight, the LP objective.
+    diagonal weight, the LP objective.  Tables are in lab-state order;
+    ``mapping`` takes them to the game.
     """
 
     weights: np.ndarray
     p_prime: np.ndarray
     s: float
-    groups: tuple
+    mapping: LabelMapping
 
     def constraint_residual(self) -> float:
-        g0 = [i for i, g in enumerate(self.groups) if g == 0]
-        g1 = [i for i, g in enumerate(self.groups) if g == 1]
-        return float(np.max(np.abs(self.p_prime[g0].sum(axis=0) - self.p_prime[g1].sum(axis=0))))
+        """Set-average obliviousness residual of the secondary tables in the game."""
+        return obliviousness_residual_behavior(
+            _GAME, Behavior(self.p_prime[self.mapping.game_index()])
+        )
 
 
-def _secondary_from_matrices(tables: np.ndarray, groups) -> SecondaryData:
-    """Maximize the average self-weight subject to equal group sums of the mixtures."""
-    n = 6
-    objective = np.zeros(n * n)
-    for t in range(n):
-        objective[t * n + t] = 1.0 / n
-    rows = []
-    rhs = []
-    for t in range(n):  # each target's weights form a distribution
-        row = np.zeros(n * n)
-        row[t * n : (t + 1) * n] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for i in range(2):  # entrywise equality of the two group sums
-        for p in range(3):
-            row = np.zeros(n * n)
-            for t in range(n):
-                sign = 1.0 if groups[t] == 0 else -1.0
-                row[t * n : (t + 1) * n] += sign * tables[:, i, p]
-            rows.append(row)
-            rhs.append(0.0)
-    solution = lp.solve(lp.LinearProgram(objective, np.asarray(rows), np.asarray(rhs)))
+def secondary_weights(tables: np.ndarray, rows: np.ndarray) -> tuple:
+    """Secondary procedure of Mazurek et al., Nat. Commun. 7, 11780 (2016).
+
+    Over tables indexed by input on the first axis, finds convex weights ``W``
+    maximizing ``s = tr(W) / n`` such that the constraint rows annihilate
+    ``p_prime[t] = sum_s W[t, s] tables[s]`` entrywise.  Returns ``(W, p_prime, s)``.
+    """
+    n = tables.shape[0]
+    # Variable t * n + s is W[t, s]; one equality per constraint row and
+    # table entry, ordered by row, then by entry.
+    mixed = np.einsum("rt,se->rets", rows, tables.reshape(n, -1)).reshape(-1, n * n)
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(n)), mixed])
+    b_eq = np.concatenate([np.ones(n), np.zeros(len(mixed))])
+    solution = lp.solve(lp.LinearProgram(np.eye(n).ravel() / n, a_eq, b_eq))
     if solution.status != "optimal":  # pragma: no cover - uniform weights are feasible
         raise RuntimeError(f"secondary-data program reported {solution.status}")
     weights = solution.values.reshape(n, n)
-    p_prime = np.einsum("ts,sip->tip", weights, tables)
-    return SecondaryData(
-        weights=weights,
-        p_prime=p_prime,
-        s=float(solution.objective_value),
-        groups=tuple(groups),
-    )
+    p_prime = np.einsum("ts,s...->t...", weights, tables)
+    return weights, p_prime, float(solution.objective_value)
+
+
+def _lab_rows(index: tuple) -> np.ndarray:
+    """The game's constraint rows with their columns in lab-state order.
+
+    The secondary program runs over the tables in lab order: in game order
+    Bland's rule takes about a third more pivots per program and can stop
+    on another optimal vertex of the same objective value.
+    """
+    return _GAME.constraint_rows()[:, np.argsort(index[0].ravel())]
 
 
 def secondary_data(data: PrimaryData, mapping: LabelMapping | None = None) -> SecondaryData:
     """Project the measured tables onto obliviousness-satisfying secondary data.
 
-    The grouping of lab states by game input x is taken from ``mapping``;
-    without one, states are grouped by their j label (the pinned convention).
+    The obliviousness rows come from the game through ``mapping``, by default
+    ``pinned_mapping()``.
     """
     if mapping is None:
-        groups = tuple(j - 1 for (j, _) in STATES)
-    else:
-        groups = tuple(mapping.state_map[s][1] for s in STATES)
-    return _secondary_from_matrices(data.normalized(), groups)
+        mapping = pinned_mapping()
+    weights, p_prime, s = secondary_weights(
+        data.normalized(), _lab_rows(mapping.game_index())
+    )
+    return SecondaryData(weights=weights, p_prime=p_prime, s=s, mapping=mapping)
 
 
 def a3_secondary(secondary: SecondaryData, mapping: LabelMapping) -> float:
     """Game score on the secondary tables."""
-    return _a3_from_matrices(secondary.p_prime, mapping)
+    return _score(secondary.p_prime, mapping.game_index())
 
 
 def mc_uncertainty(
@@ -374,7 +365,8 @@ def mc_uncertainty(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     rng = np.random.default_rng(seed)
-    groups = tuple(mapping.state_map[s][1] for s in STATES)
+    index = mapping.game_index()
+    rows = _lab_rows(index)
     a3_pri = np.empty(samples)
     a3_sec = np.empty(samples)
     for i in range(samples):
@@ -383,7 +375,7 @@ def mc_uncertainty(
         sums = draw.sum(axis=2, keepdims=True)
         sums[sums <= 0.0] = 1.0
         tables = draw / sums
-        a3_pri[i] = _a3_from_matrices(tables, mapping)
-        sec = _secondary_from_matrices(tables, groups)
-        a3_sec[i] = _a3_from_matrices(sec.p_prime, mapping)
+        a3_pri[i] = _score(tables, index)
+        _, p_prime, _ = secondary_weights(tables, rows)
+        a3_sec[i] = _score(p_prime, index)
     return float(np.std(a3_pri)), float(np.std(a3_sec))

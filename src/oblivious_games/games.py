@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
-from .qmath import born_prob
+from .qmath import born_prob, readonly
 
 DIST_TOL = 1e-12
 BEHAVIOR_TOL = 1e-10
@@ -38,18 +38,15 @@ def is_prime(k: int) -> bool:
     return True
 
 
-def _check_distribution(p: np.ndarray, tol: float, name: str) -> None:
+def check_distribution(p: np.ndarray, tol: float, name: str) -> None:
+    """Reject a probability vector that is non-finite, negative or not normalized."""
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} has non-finite entries")
     if np.min(p) < -tol:
         raise ValueError(f"{name} has negative entries")
     s = float(np.sum(p))
     if abs(s - 1.0) >= tol:
         raise ValueError(f"{name} sums to {s!r}, not 1")
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +68,10 @@ class ObliviousGame:
         pay = np.asarray(self.payoff, dtype=float)
         if pa.shape != (na,) or pb.shape != (nb,) or pay.shape != (na, nb, no):
             raise ValueError("game arrays do not match the alphabet sizes")
-        _check_distribution(pa, DIST_TOL, "p_alice")
-        _check_distribution(pb, DIST_TOL, "p_bob")
+        check_distribution(pa, DIST_TOL, "p_alice")
+        check_distribution(pb, DIST_TOL, "p_bob")
+        if not np.isfinite(pay).all():
+            raise ValueError("payoff has non-finite entries")
         families = tuple(
             tuple(tuple(int(i) for i in subset) for subset in family)
             for family in self.partitions
@@ -95,9 +94,9 @@ class ObliviousGame:
         object.__setattr__(self, "alice_inputs", tuple(self.alice_inputs))
         object.__setattr__(self, "bob_inputs", tuple(self.bob_inputs))
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        object.__setattr__(self, "p_alice", _readonly(pa))
-        object.__setattr__(self, "p_bob", _readonly(pb))
-        object.__setattr__(self, "payoff", _readonly(pay))
+        object.__setattr__(self, "p_alice", readonly(pa))
+        object.__setattr__(self, "p_bob", readonly(pb))
+        object.__setattr__(self, "payoff", readonly(pay))
         object.__setattr__(self, "partitions", families)
 
     @property
@@ -115,6 +114,24 @@ class ObliviousGame:
     def set_weight(self, subset) -> float:
         """Prior weight q of one partition set."""
         return float(np.sum(self.p_alice[list(subset)]))
+
+    def set_averages(self) -> tuple:
+        """Per family, a (sets, n_alice) array whose row k is ``p_alice[i] / q_k`` on
+        the members i of set k: applied to per-input data it gives the set averages."""
+        out = []
+        for family in self.partitions:
+            w = np.zeros((len(family), self.n_alice))
+            for k, subset in enumerate(family):
+                idx = list(subset)
+                w[k, idx] = self.p_alice[idx] / self.set_weight(subset)
+            out.append(w)
+        return tuple(out)
+
+    def constraint_rows(self) -> np.ndarray:
+        """Rows ``w_0 - w_k`` (k >= 1) of every family; per-input data satisfies
+        every obliviousness equality exactly when they annihilate it."""
+        rows = [w[0] - w[1:] for w in self.set_averages()]
+        return np.concatenate(rows) if rows else np.zeros((0, self.n_alice))
 
     def to_dict(self) -> dict:
         return {
@@ -163,12 +180,14 @@ class Behavior:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 3:
             raise ValueError("behavior table must have shape (inputs_A, inputs_B, outcomes)")
+        if not np.isfinite(t).all():
+            raise ValueError("behavior has non-finite probabilities")
         if np.min(t) < -BEHAVIOR_TOL:
             raise ValueError("behavior has negative probabilities")
         sums = t.sum(axis=2)
         if np.max(np.abs(sums - 1.0)) >= BEHAVIOR_TOL:
             raise ValueError("behavior rows do not sum to 1")
-        object.__setattr__(self, "table", _readonly(t))
+        object.__setattr__(self, "table", readonly(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,12 +233,12 @@ class ClassicalStrategy:
         if enc.ndim != 2 or dec.ndim != 3 or enc.shape[1] != dec.shape[0]:
             raise ValueError("encoding (x, m) and decoding (m, y, b) shapes disagree")
         for row in enc:
-            _check_distribution(row, DIST_TOL, "encoding row")
+            check_distribution(row, DIST_TOL, "encoding row")
         for m in range(dec.shape[0]):
             for y in range(dec.shape[1]):
-                _check_distribution(dec[m, y], DIST_TOL, "decoding row")
-        object.__setattr__(self, "encoding", _readonly(enc))
-        object.__setattr__(self, "decoding", _readonly(dec))
+                check_distribution(dec[m, y], DIST_TOL, "decoding row")
+        object.__setattr__(self, "encoding", readonly(enc))
+        object.__setattr__(self, "decoding", readonly(dec))
 
 
 def performance(game: ObliviousGame, behavior: Behavior) -> float:
@@ -250,13 +269,14 @@ def behavior_from_classical(strategy: ClassicalStrategy) -> Behavior:
     return Behavior(np.einsum("xm,myb->xyb", strategy.encoding, strategy.decoding))
 
 
-def _family_averages_behavior(game, behavior, family):
-    out = []
-    for subset in family:
-        idx = list(subset)
-        q = game.set_weight(subset)
-        out.append(np.einsum("ayb,a->yb", behavior.table[idx], game.p_alice[idx]) / q)
-    return out
+def _set_average_gap(game: ObliviousGame, per_input: np.ndarray) -> float:
+    """Largest entrywise gap between any two set averages of one family of
+    ``per_input``, which is indexed by Alice's input along its first axis."""
+    worst = 0.0
+    for w in game.set_averages():
+        avgs = np.tensordot(w, per_input, axes=1)
+        worst = max(worst, float(np.max(np.abs(avgs[:, None] - avgs[None, :]))))
+    return worst
 
 
 def obliviousness_residual_behavior(game: ObliviousGame, behavior: Behavior) -> float:
@@ -267,14 +287,7 @@ def obliviousness_residual_behavior(game: ObliviousGame, behavior: Behavior) -> 
     """
     if behavior.table.shape != game.payoff.shape:
         raise ValueError("behavior shape does not match game")
-    worst = 0.0
-    for family in game.partitions:
-        if not family:
-            raise ValueError("empty partition family")
-        avgs = _family_averages_behavior(game, behavior, family)
-        for a, b in combinations(avgs, 2):
-            worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+    return _set_average_gap(game, behavior.table)
 
 
 def obliviousness_residual_quantum(game: ObliviousGame, strategy: QuantumStrategy) -> float:
@@ -286,20 +299,7 @@ def obliviousness_residual_quantum(game: ObliviousGame, strategy: QuantumStrateg
     """
     if len(strategy.preparations) != game.n_alice:
         raise ValueError("strategy has wrong number of preparations")
-    worst = 0.0
-    for family in game.partitions:
-        if not family:
-            raise ValueError("empty partition family")
-        avgs = []
-        for subset in family:
-            q = game.set_weight(subset)
-            acc = sum(
-                strategy.preparations[i].matrix * (game.p_alice[i] / q) for i in subset
-            )
-            avgs.append(acc)
-        for a, b in combinations(avgs, 2):
-            worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+    return _set_average_gap(game, np.stack([p.matrix for p in strategy.preparations]))
 
 
 def cglmp3_targets(x0: int, x: int, y: int) -> tuple:

@@ -40,11 +40,16 @@ class LinearProgram:
             )
         if c.size > MAX_VARS or b.size > MAX_ROWS:
             raise ValueError("program exceeds the supported desk scale")
+        if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("objective, matrix and rhs must be finite")
         u = self.upper_bounds
         if u is not None:
             u = np.asarray(u, dtype=float).reshape(-1)
             if u.shape != c.shape:
                 raise ValueError("upper bounds do not match the variable count")
+            # solve() drops every non-finite bound, which is right only for +inf
+            if np.any(np.isnan(u) | np.isneginf(u)):
+                raise ValueError("upper bounds must be numbers or +inf")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", a)
         object.__setattr__(self, "eq_rhs", b)

@@ -24,9 +24,6 @@ whole window (``"stalled"``), and otherwise after ``max_iters`` iterations
 (``"max_iters"``).  Both rules only truncate the path: a run stopped at
 iteration ``n`` returns exactly what a run capped at ``max_iters=n`` returns.
 
-Restarts run one after another.  A thread pool was measured slower than the
-serial loop on a 2-core host and was removed.
-
 Accepted values are non-decreasing within a restart, so results are honest
 lower bounds on the quantum optimum; nothing here certifies optimality.
 """
@@ -102,22 +99,6 @@ class SearchResult:
     restart_index: int = 0
 
 
-def _constraint_rows(game: ObliviousGame) -> np.ndarray:
-    """Input-space rows whose vanishing encodes every obliviousness equality."""
-    rows = []
-    for family in game.partitions:
-        weights = []
-        for subset in family:
-            w = np.zeros(game.n_alice)
-            q = game.set_weight(subset)
-            for i in subset:
-                w[i] = game.p_alice[i] / q
-            weights.append(w)
-        for k in range(1, len(weights)):
-            rows.append(weights[0] - weights[k])
-    return np.asarray(rows) if rows else np.zeros((0, game.n_alice))
-
-
 def _null_projector(rows: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the null space of the constraint rows."""
     n = rows.shape[1]
@@ -144,7 +125,7 @@ class _Projector:
     """Alternating projection onto {trace one, oblivious} intersect PSD."""
 
     def __init__(self, game: ObliviousGame, dim: int):
-        self.rows = _constraint_rows(game)
+        self.rows = game.constraint_rows()
         self.null_p = _null_projector(self.rows)
         self.dim = dim
         self.eye = np.eye(dim)

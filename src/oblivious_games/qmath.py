@@ -37,7 +37,8 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Write-protected copy of an array, for the fields of frozen records."""
     a = a.copy()
     a.setflags(write=False)
     return a
@@ -53,10 +54,12 @@ class Ket:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.size == 0:
             raise ValueError("ket needs at least one amplitude")
+        if not np.isfinite(amp).all():
+            raise ValueError("ket has non-finite amplitudes")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) >= HERM_TOL:
             raise ValueError(f"ket is not normalized: sum |amp|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", _readonly(amp))
+        object.__setattr__(self, "amplitudes", readonly(amp))
 
     @property
     def dim(self) -> int:
@@ -85,7 +88,7 @@ class DensityMatrix:
         lo = float(np.linalg.eigvalsh(m).min())
         if lo < -PSD_TOL:
             raise ValueError(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", readonly(m))
 
     @classmethod
     def from_ket(cls, ket: Ket) -> "DensityMatrix":
@@ -121,7 +124,7 @@ class Povm:
             total = total + e
         if np.max(np.abs(total - np.eye(d))) >= HERM_TOL:
             raise ValueError("effects do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(_readonly(e) for e in elems))
+        object.__setattr__(self, "elements", tuple(readonly(e) for e in elems))
 
     @classmethod
     def from_kets(cls, kets) -> "Povm":

@@ -72,6 +72,20 @@ class TestCglmp3Functional:
         assert abs(max(values) - 0.5) < 1e-15  # equality achievable
 
 
+def test_nan_coefficients_rejected():
+    coeffs = cglmp3().coeffs.copy()
+    coeffs[0, 1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        BellFunctional(coeffs, np.full(2, 0.5), np.full(2, 0.5))
+
+
+def test_nan_p_g_rejected():
+    p_g = np.full((2, 3), 1 / 3)
+    p_g[1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        game_from_bell(cglmp3(), p_g)
+
+
 class TestNoSignalingBox:
     def test_signaling_table_rejected(self):
         table = np.full((2, 2, 2, 2), 0.25)
@@ -79,6 +93,10 @@ class TestNoSignalingBox:
         table[1, 0] = [[0.5, 0.25], [0.25, 0.0]]
         with pytest.raises(ValueError):
             NoSignalingBox(table)
+
+    def test_nan_box_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            NoSignalingBox(np.full((2, 2, 3, 3), np.nan))
 
     def test_quantum_box_passes(self):
         box = cglmp.optimal_box()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oblivious_games import bellmap, cglmp
+from oblivious_games import bellmap, cglmp, games
 from oblivious_games.cli import run
 
 
@@ -130,6 +130,16 @@ def test_validation_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "bound", "--game", "rac:2,4")
     assert code == 2
     assert "error" in err
+
+
+def test_nan_game_file_exit_code(capsys, tmp_path):
+    spec = games.make_rac_game(2, 2).to_dict()
+    spec["p_alice"][0] = float("nan")
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, "bound", "--game", str(path))
+    assert code == 2
+    assert "non-finite" in err
 
 
 def test_missing_file_exit_code(capsys):

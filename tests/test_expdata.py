@@ -3,6 +3,13 @@ import pytest
 
 from oblivious_games import expdata
 from oblivious_games.cglmp import closed_form_prob
+from oblivious_games.games import (
+    Behavior,
+    ClassicalStrategy,
+    behavior_from_classical,
+    make_rac_game,
+    obliviousness_residual_behavior,
+)
 from oblivious_games.expdata import (
     LabelMapping,
     PrimaryData,
@@ -14,6 +21,7 @@ from oblivious_games.expdata import (
     mc_uncertainty,
     pinned_mapping,
     secondary_data,
+    secondary_weights,
 )
 
 A3 = (3 + np.sqrt(33)) / 12
@@ -38,6 +46,17 @@ def ideal_tables(mapping: LabelMapping) -> np.ndarray:
                 b = mapping.outcome_map[lab_basis][proj]
                 tables[s, lab_basis - 1, proj - 1] = closed_form_prob(x0, x, y, b)
     return tables
+
+
+def scrambled_mapping() -> LabelMapping:
+    """A mapping with every lab label permuted away from the pinned one."""
+    pin = pinned_mapping()
+    states = list(pin.state_map)
+    return LabelMapping(
+        state_map={lab: pin.state_map[states[(i + 2) % 6]] for i, lab in enumerate(states)},
+        basis_map={1: 1, 2: 0},
+        outcome_map={1: {1: 2, 2: 0, 3: 1}, 2: {1: 1, 2: 2, 3: 0}},
+    )
 
 
 class TestLoading:
@@ -72,6 +91,16 @@ class TestLoading:
         )
         with pytest.raises(ValueError, match="malformed"):
             load_primary(bad)
+
+    def test_nan_sigma_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "state_j,state_k,basis,projector,probability,sigma\n1,1,1,1,0.5,nan\n"
+        )
+        with pytest.raises(ValueError, match="sigma"):
+            load_primary(bad)
+        with pytest.raises(ValueError, match="finite"):
+            PrimaryData(probabilities=np.full((6, 2, 3), 1 / 3), sigmas=np.full((6, 2, 3), np.nan))
 
     def test_incomplete_table_rejected(self, tmp_path):
         bad = tmp_path / "partial.csv"
@@ -155,6 +184,13 @@ class TestMappingFit:
                 basis_map={1: 0, 2: 0},
                 outcome_map=pin.outcome_map,
             )
+        # six distinct targets, but (0, 2) is not an input of the game
+        with pytest.raises(ValueError):
+            LabelMapping(
+                state_map={**pin.state_map, (2, 3): (0, 2)},
+                basis_map=pin.basis_map,
+                outcome_map=pin.outcome_map,
+            )
 
 
 class TestPrimaryScore:
@@ -162,9 +198,11 @@ class TestPrimaryScore:
         assert abs(a3_primary(bundled, pinned_mapping()) - 0.7172) < 2e-3
 
     def test_ideal_synthetic_data(self):
-        pin = pinned_mapping()
-        data = PrimaryData(probabilities=ideal_tables(pin), sigmas=np.zeros((6, 2, 3)))
-        assert abs(a3_primary(data, pin) - A3) < 1e-12
+        for mapping in (pinned_mapping(), scrambled_mapping()):
+            data = PrimaryData(
+                probabilities=ideal_tables(mapping), sigmas=np.zeros((6, 2, 3))
+            )
+            assert abs(a3_primary(data, mapping) - A3) < 1e-12
 
     def test_uniform_data_scores_zero(self):
         data = PrimaryData(
@@ -175,11 +213,13 @@ class TestPrimaryScore:
 
 class TestSecondaryData:
     def test_already_consistent_data_untouched(self):
-        pin = pinned_mapping()
-        data = PrimaryData(probabilities=ideal_tables(pin), sigmas=np.zeros((6, 2, 3)))
-        sec = secondary_data(data, pin)
-        assert abs(sec.s - 1.0) < 1e-9
-        assert np.max(np.abs(sec.p_prime - data.normalized())) < 1e-8
+        for mapping in (pinned_mapping(), scrambled_mapping()):
+            data = PrimaryData(
+                probabilities=ideal_tables(mapping), sigmas=np.zeros((6, 2, 3))
+            )
+            sec = secondary_data(data, mapping)
+            assert abs(sec.s - 1.0) < 1e-9
+            assert np.max(np.abs(sec.p_prime - data.normalized())) < 1e-8
 
     def test_bundled_values(self, bundled):
         pin = pinned_mapping()
@@ -195,6 +235,47 @@ class TestSecondaryData:
 
     def test_default_grouping_matches_pinned(self, bundled):
         assert abs(secondary_data(bundled).s - secondary_data(bundled, pinned_mapping()).s) < 1e-12
+
+    def test_constraint_residual_is_set_average_gap(self):
+        rng = np.random.default_rng(4)
+        tables = rng.random((6, 2, 3))
+        tables /= tables.sum(axis=2, keepdims=True)
+        for mapping in (pinned_mapping(), scrambled_mapping()):
+            sec = expdata.SecondaryData(
+                weights=np.eye(6), p_prime=tables, s=1.0, mapping=mapping
+            )
+            # average over the three lab states of each game x, per game (y, b)
+            gap = 0.0
+            group_sum_gap = 0.0
+            for lab_basis, y in mapping.basis_map.items():
+                for proj, b in mapping.outcome_map[lab_basis].items():
+                    sums = [0.0, 0.0]
+                    for i, lab in enumerate(expdata.STATES):
+                        sums[mapping.state_map[lab][1]] += tables[i, lab_basis - 1, proj - 1]
+                    gap = max(gap, abs(sums[0] / 3 - sums[1] / 3))
+                    group_sum_gap = max(group_sum_gap, abs(sums[0] - sums[1]))
+            assert gap > 0.05
+            assert abs(sec.constraint_residual() - gap) < 1e-15
+            assert abs(sec.constraint_residual() - group_sum_gap / 3) < 1e-15
+
+    def test_generic_program_on_parity_leaking_rac22(self):
+        # message = parity of the two bits, decoded as a guess of either bit:
+        # the behavior reveals exactly the parity that rac:2,2 must hide
+        game = make_rac_game(2, 2)
+        enc = np.zeros((4, 2))
+        for i, (x1, x2) in enumerate(game.alice_inputs):
+            enc[i, (x1 + x2) % 2] = 1.0
+        dec = np.zeros((2, 2, 2))
+        for m in range(2):
+            dec[m, :, m] = 1.0
+        behavior = behavior_from_classical(ClassicalStrategy(enc, dec))
+        assert obliviousness_residual_behavior(game, behavior) > 0.5
+        weights, p_prime, s = secondary_weights(behavior.table, game.constraint_rows())
+        assert np.min(weights) >= 0.0
+        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-9
+        assert s <= 1.0 + 1e-12
+        assert abs(s - np.trace(weights) / 4) < 1e-12
+        assert obliviousness_residual_behavior(game, Behavior(p_prime)) < 1e-8
 
     def test_s_equals_one_iff_untouched(self, bundled):
         sec = secondary_data(bundled, pinned_mapping())

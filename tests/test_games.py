@@ -146,6 +146,21 @@ class TestResiduals:
         strategy = QuantumStrategy(preps, (cglmp.bob_povm(0), cglmp.bob_povm(1)))
         assert obliviousness_residual_quantum(game, strategy) > 1e-3
 
+    def test_residual_compares_every_pair_of_sets(self):
+        # set 0 sits halfway between sets 1 and 2, so comparing only against
+        # set 0 would report half of the true gap
+        game = ObliviousGame(
+            alice_inputs=(0, 1, 2),
+            bob_inputs=(0,),
+            outcomes=(0, 1),
+            p_alice=np.full(3, 1 / 3),
+            p_bob=[1.0],
+            payoff=np.zeros((3, 1, 2)),
+            partitions=(((0,), (1,), (2,)),),
+        )
+        table = np.array([[[0.5, 0.5]], [[1.0, 0.0]], [[0.0, 1.0]]])
+        assert obliviousness_residual_behavior(game, Behavior(table)) == 1.0
+
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             ObliviousGame(
@@ -228,6 +243,56 @@ def test_behavior_residual_bounded_by_operator_residual(seed, dim):
     lhs = obliviousness_residual_behavior(game, behavior_from_quantum(strategy))
     rhs = dim * obliviousness_residual_quantum(game, strategy)
     assert lhs <= rhs + 1e-10
+
+
+def test_constraint_rows_rac23():
+    game = make_rac_game(2, 3)
+    rows = game.constraint_rows()
+    assert rows.shape == (4 * (3 - 1), 9)  # families x (sets - 1), inputs
+    # reference: the loop the quantum search projected with before
+    expected = []
+    for family in game.partitions:
+        weights = []
+        for subset in family:
+            w = np.zeros(game.n_alice)
+            q = game.set_weight(subset)
+            for i in subset:
+                w[i] = game.p_alice[i] / q
+            weights.append(w)
+        for k in range(1, len(weights)):
+            expected.append(weights[0] - weights[k])
+    assert np.array_equal(rows, np.asarray(expected))
+
+
+def _valid_game_fields():
+    return dict(
+        alice_inputs=(0, 1),
+        bob_inputs=(0,),
+        outcomes=(0, 1),
+        p_alice=np.array([0.5, 0.5]),
+        p_bob=np.array([1.0]),
+        payoff=np.ones((2, 1, 2)),
+        partitions=(((0,), (1,)),),
+    )
+
+
+def test_nan_prior_rejected():
+    fields = _valid_game_fields()
+    fields["p_alice"] = np.array([np.nan, 0.5])
+    with pytest.raises(ValueError, match="non-finite"):
+        ObliviousGame(**fields)
+
+
+def test_infinite_payoff_rejected():
+    fields = _valid_game_fields()
+    fields["payoff"][1, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        ObliviousGame(**fields)
+
+
+def test_nan_behavior_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        Behavior(np.full((2, 2, 3), np.nan))
 
 
 def test_is_prime():

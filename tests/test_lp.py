@@ -55,6 +55,24 @@ def test_upper_bound_binds():
     assert abs(sol.objective_value - 1.4) < 1e-12
 
 
+@pytest.mark.parametrize("part", ["objective", "eq_matrix", "eq_rhs", "upper_bounds"])
+def test_nan_program_rejected(part):
+    fields = dict(
+        objective=[1.0, 2.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0], upper_bounds=[1.0, 1.0]
+    )
+    fields[part] = np.full(np.shape(fields[part]), np.nan)
+    with pytest.raises(ValueError):
+        LinearProgram(**fields)
+
+
+def test_infinite_upper_bound_means_unbounded_variable():
+    sol = solve(LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], upper_bounds=[np.inf, 0.25]))
+    assert sol.status == "optimal"
+    assert abs(sol.objective_value - 1.25) < 1e-12
+    with pytest.raises(ValueError):
+        LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], upper_bounds=[-np.inf, 0.25])
+
+
 def test_size_guard():
     with pytest.raises(ValueError):
         LinearProgram(np.ones(501), np.ones((1, 501)), [1.0])

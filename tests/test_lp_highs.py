@@ -1,0 +1,121 @@
+"""Cross-check of the Bland-rule simplex against scipy's HiGHS solver."""
+
+import numpy as np
+import pytest
+
+from oblivious_games import expdata
+from oblivious_games.lp import LinearProgram, solve
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def assert_agrees(c, a, b, upper=None):
+    """Same status as HiGHS and, when optimal, the same optimum to 1e-8."""
+    ours = solve(LinearProgram(c, a, b, upper))
+    caps = np.full(len(c), np.inf) if upper is None else np.asarray(upper)
+    bounds = [(0.0, None if np.isinf(u) else u) for u in caps]
+    ref = linprog(
+        -np.asarray(c),
+        A_eq=np.asarray(a) if len(b) else None,
+        b_eq=np.asarray(b) if len(b) else None,
+        bounds=bounds,
+        method="highs",
+    )
+    assert ours.status == STATUS[ref.status]
+    if ours.status == "optimal":
+        assert abs(ours.objective_value - (-ref.fun)) < 1e-8 * max(1.0, abs(ref.fun))
+    return ours
+
+
+def feasible_program(rng, m, n, support=None):
+    """Random equalities through a nonnegative point, bounded by a sum row."""
+    x0 = rng.random(n)
+    if support is not None:
+        x0[rng.permutation(n)[support:]] = 0.0
+    a = np.vstack([rng.normal(size=(m, n)), np.ones(n)])
+    return rng.normal(size=n), a, a @ x0, x0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_feasible(seed):
+    rng = np.random.default_rng(seed)
+    c, a, b, _ = feasible_program(rng, 3 + seed % 4, 8 + seed)
+    assert assert_agrees(c, a, b).status == "optimal"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_infeasible(seed):
+    # positive rows cannot reach a negative right-hand side with v >= 0
+    rng = np.random.default_rng(100 + seed)
+    n = 5 + seed
+    a = rng.random((3, n)) + 0.1
+    b = np.concatenate([rng.random(2), [-0.5 - rng.random()]])
+    assert assert_agrees(rng.normal(size=n), a, b).status == "infeasible"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_unbounded(seed):
+    # v = (u, w) with B u - B w = b: the ray u = w = t 1 stays feasible and
+    # gains with a positive objective
+    rng = np.random.default_rng(200 + seed)
+    k = 3 + seed
+    bmat = rng.normal(size=(2, k))
+    a = np.hstack([bmat, -bmat])
+    b = a @ rng.random(2 * k)
+    c = rng.random(2 * k) + 0.1
+    assert assert_agrees(c, a, b).status == "unbounded"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_degenerate(seed):
+    # a sparse feasible point, a duplicated row and zero right-hand sides
+    # give vertices with many zero basic variables
+    rng = np.random.default_rng(300 + seed)
+    n = 10
+    c, a, b, _ = feasible_program(rng, 4, n, support=2)
+    a = np.vstack([a, a[0], 2.0 * a[1]])
+    b = np.concatenate([b, b[:1], 2.0 * b[1:2]])
+    zero_rows = rng.normal(size=(2, n))
+    zero_rows[:, rng.permutation(n)[:5]] = 0.0
+    assert assert_agrees(c, a, b).status == "optimal"
+    assert_agrees(c, np.vstack([np.ones((1, n)), np.abs(zero_rows)]), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_upper_bounded(seed):
+    rng = np.random.default_rng(400 + seed)
+    n = 9
+    c, a, b, x0 = feasible_program(rng, 3, n)
+    upper = x0 + rng.random(n)
+    upper[rng.permutation(n)[:3]] = np.inf
+    assert assert_agrees(c, a, b, upper).status == "optimal"
+    # upper bounds alone, no equalities
+    assert_agrees(rng.normal(size=n), np.zeros((0, n)), [], rng.random(n))
+
+
+def test_secondary_optimum_on_bundled_tables(data_dir):
+    data = expdata.load_primary(
+        data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
+    )
+    mapping = expdata.pinned_mapping()
+    tables = data.normalized()
+    # the program written out independently: W[t, s] at t * 6 + s, unit row
+    # sums, and equal sums of the mixed tables over the two values of x
+    sign = [1.0 if mapping.state_map[lab][1] == 0 else -1.0 for lab in expdata.STATES]
+    rows = []
+    for t in range(6):
+        row = np.zeros(36)
+        row[6 * t : 6 * t + 6] = 1.0
+        rows.append(row)
+    for i in range(2):
+        for p in range(3):
+            row = np.zeros(36)
+            for t in range(6):
+                row[6 * t : 6 * t + 6] = sign[t] * tables[:, i, p]
+            rows.append(row)
+    objective = np.eye(6).ravel() / 6
+    b = np.concatenate([np.ones(6), np.zeros(6)])
+    ours = assert_agrees(objective, np.asarray(rows), b)
+    assert abs(expdata.secondary_data(data, mapping).s - ours.objective_value) < 1e-12

@@ -148,6 +148,10 @@ class TestInvariantValidation:
         with pytest.raises(ValueError):
             Ket([1.0, 1.0])
 
+    def test_ket_nan_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Ket([np.nan, 1.0])
+
     def test_density_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2))
