@@ -32,7 +32,7 @@ def main() -> None:
         cfg = SearchConfig(
             dim=dim, restarts=args.restarts, max_iters=args.iters, seed=args.seed
         )
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = search(game, cfg)
         rows.append(
             {
@@ -40,7 +40,9 @@ def main() -> None:
                 "value": result.value,
                 "violation": result.value - bound,
                 "residual": result.feasibility_residual,
-                "seconds": round(time.time() - t0, 1),
+                "iterations_used": result.iterations_used,
+                "stop_reason": result.stop_reason,
+                "seconds": round(time.perf_counter() - t0, 1),
             }
         )
         print(json.dumps(rows[-1]))

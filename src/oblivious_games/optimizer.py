@@ -15,7 +15,14 @@ Each restart alternates two steps:
   penalty-augmented gradient step is taken and the iterate is projected back
   onto the feasible set by alternating an exact affine projection (trace one
   plus all obliviousness equalities, which factor over the input index) with
-  the eigenvalue-simplex projection onto unit-trace positive matrices.
+  the eigenvalue-simplex projection onto unit-trace positive matrices.  The
+  alternation is Anderson-mixed (Walker and Ni, SIAM J. Numer. Anal. 49,
+  1715 (2011)): each sweep feeds the next eigenvalue projection a real
+  least-squares combination of the last three affine outputs rather than
+  the last one alone, and a mix that does not lower the residual falls back
+  to a plain sweep.  Each sweep ends with the eigenvalue projection and the
+  loop stops once that output's residual is below the tolerance, so the
+  states returned are always positive with unit trace.
 
 A restart ends at the first window boundary (every 30 iterations) where
 either the value gained less than 1e-8 over the window (``"window"``) or the
@@ -31,6 +38,7 @@ lower bounds on the quantum optimum; nothing here certifies optimality.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +61,8 @@ _STEP_GROW = 1.4
 # From the floor the step can grow at most twice before a rejected trial
 # sends it back: a window spent at or below this level is a stall.
 _STALL_STEP = _STEP_FLOOR * _STEP_GROW**2
+# Differences kept by the Anderson mixing of the feasibility projection.
+_ANDERSON_MEMORY = 2
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,10 @@ class SearchConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        for name in ("dim", "restarts", "max_iters", "penalty_period"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
         if self.dim > 8:
@@ -111,14 +125,16 @@ def _null_projector(rows: np.ndarray) -> np.ndarray:
 
 
 def _simplex_project(eigvals: np.ndarray) -> np.ndarray:
-    """Rowwise Euclidean projection onto the probability simplex."""
+    """Rowwise Euclidean projection onto the probability simplex.
+
+    With the values sorted in decreasing order, the partial means
+    ``(u_1 + ... + u_k - 1) / k`` rise up to the support size of the
+    projection and fall after it, so the threshold is their maximum.
+    """
     u = np.sort(eigvals, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
     ks = np.arange(1, eigvals.shape[-1] + 1)
-    valid = u - css / ks > 0
-    k = np.maximum(valid.sum(axis=-1), 1)
-    tau = np.take_along_axis(css, (k - 1)[..., None], axis=-1) / k[..., None]
-    return np.clip(eigvals - tau, 0.0, None)
+    tau = np.max((np.cumsum(u, axis=-1) - 1.0) / ks, axis=-1)
+    return np.clip(eigvals - tau[..., None], 0.0, None)
 
 
 class _Projector:
@@ -131,39 +147,61 @@ class _Projector:
         self.eye = np.eye(dim)
 
     def affine(self, rhos: np.ndarray) -> np.ndarray:
-        # Trace coefficients are orthogonal to the traceless parts, and the
-        # obliviousness rows annihilate constant trace shifts, so the exact
-        # projection splits: pin every trace to one, then project the
-        # traceless components along the input index.
-        traces = np.einsum("xii->x", rhos).real
-        theta = rhos - traces[:, None, None] * self.eye / self.dim
-        theta = np.einsum("xz,zij->xij", self.null_p, theta)
-        return theta + self.eye / self.dim
+        # The obliviousness rows annihilate constant trace shifts, so the
+        # exact projection splits: project every entry along the input index,
+        # then pin every trace back to one.
+        out = (self.null_p @ rhos.reshape(len(rhos), -1)).reshape(rhos.shape)
+        traces = np.trace(out, axis1=1, axis2=2).real
+        return out + ((1.0 - traces) / self.dim)[:, None, None] * self.eye
 
     def psd(self, rhos: np.ndarray) -> np.ndarray:
         herm = (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2
         w, v = np.linalg.eigh(herm)
-        return np.einsum("xik,xk,xjk->xij", v, _simplex_project(w), np.conj(v))
+        return (v * _simplex_project(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
 
     def residual(self, rhos: np.ndarray) -> float:
         if self.rows.shape[0] == 0:
             return 0.0
-        viol = np.einsum("rx,xij->rij", self.rows, rhos)
-        return float(np.max(np.abs(viol)))
+        return float(np.max(np.abs(self.rows @ rhos.reshape(len(rhos), -1))))
 
     def feasible(self, rhos: np.ndarray, tol: float, max_sweeps: int = 200) -> np.ndarray:
-        out = rhos
+        """Anderson-mixed alternating projection.
+
+        Iterates the map ``affine(psd(.))`` and mixes its last outputs with
+        real least-squares coefficients over the stacked real and imaginary
+        parts, so every iterate stays Hermitian.  The returned states are a
+        ``psd`` output, the first whose residual is below ``tol`` or the one
+        after ``max_sweeps`` sweeps.  A mixed step that does not lower the
+        residual clears the history, so the next step is a plain sweep.
+        """
+        y = self.affine(rhos)
+        fs, gs = [], []
+        last = math.inf
         for _ in range(max_sweeps):
-            out = self.psd(self.affine(out))
-            if self.residual(out) < tol:
+            out = self.psd(y)
+            res = self.residual(out)
+            if res < tol:
                 break
+            if res >= last:
+                fs, gs = [], []
+            last = res
+            g = self.affine(out).reshape(-1).view(float)
+            f = g - y.reshape(-1).view(float)
+            if fs:
+                gamma = np.linalg.lstsq(f[:, None] - np.array(fs).T, f, rcond=None)[0]
+                mixed = g - (g[:, None] - np.array(gs).T) @ gamma
+            else:
+                mixed = g
+            fs = [f, *fs][:_ANDERSON_MEMORY]
+            gs = [g, *gs][:_ANDERSON_MEMORY]
+            y = mixed.view(complex).reshape(rhos.shape)
         return out
 
     def penalty_gradient(self, rhos: np.ndarray) -> np.ndarray:
         if self.rows.shape[0] == 0:
             return np.zeros_like(rhos)
-        viol = np.einsum("rx,xij->rij", self.rows, rhos)
-        return np.einsum("rx,rij->xij", self.rows, viol)
+        flat = rhos.reshape(len(rhos), -1)
+        return (self.rows.T @ (self.rows @ flat)).reshape(rhos.shape)
 
 
 def _objective(weighted: np.ndarray, rhos: np.ndarray, effects: np.ndarray) -> float:
@@ -216,7 +254,7 @@ def _jrf_update(gram: np.ndarray, effects: np.ndarray, steps: int) -> np.ndarray
     multiple of the identity to all of them shifts the objective by a
     constant, so the operators are shifted positive first.
     """
-    shift = min(0.0, float(min(np.linalg.eigvalsh(g).min() for g in gram)))
+    shift = min(0.0, float(np.linalg.eigvalsh(gram).min()))
     g = gram - (shift - 1e-9) * np.eye(gram.shape[-1])
     m = effects
     for _ in range(steps):
@@ -264,6 +302,7 @@ def _run_restart(game, cfg, weighted, projector, restart, initial):
     step = 0.5
     window_anchor = value
     window_peak_step = 0.0
+    uniform = np.stack([np.eye(dim) / n_out] * n_out)
     iterations = 0
     stop_reason = "max_iters"
     for it in range(cfg.max_iters):
@@ -278,7 +317,6 @@ def _run_restart(game, cfg, weighted, projector, restart, initial):
             if _certificate_gap(gram, effects[y], current) < _ACCEPT_MARGIN:
                 continue
             best_cand, best_val = None, current
-            uniform = np.stack([np.eye(dim) / n_out] * n_out)
             for start in (effects[y], uniform):
                 cand = _jrf_update(gram, start, _JRF_STEPS)
                 cand_val = float(np.einsum("bij,bji->", cand, gram).real)

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -159,6 +159,67 @@ class TestLpOracle:
         game = make_cglmp3_game()
         result = pnc_bound_lp_oracle(game, 3)
         assert abs(result.value - 0.5) < 1e-9
+
+
+def _encoding_vertices(game, messages):
+    """Vertices of the oblivious encoding polytope by basis enumeration.
+
+    Variable ``x * messages + m`` is p(m|x).  Each input's row sums to one,
+    and for every family and message the prior-weighted average of p(m|.)
+    over each set equals the one over the family's first set.
+    """
+    na = game.n_alice
+    rows, rhs = [], []
+    for x in range(na):
+        row = np.zeros(na * messages)
+        row[x * messages : (x + 1) * messages] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    for family in game.partitions:
+        averages = []
+        for members in family:
+            avg = np.zeros(na)
+            avg[list(members)] = game.p_alice[list(members)]
+            averages.append(avg / avg.sum())
+        for avg in averages[1:]:
+            for m in range(messages):
+                row = np.zeros(na * messages)
+                row[m::messages] = avg - averages[0]
+                rows.append(row)
+                rhs.append(0.0)
+    a, b = np.array(rows), np.array(rhs)
+    # Keep an independent set of equations, so every basis is square.
+    u, sv, _ = np.linalg.svd(a)
+    rank = int(np.sum(sv > 1e-10 * sv[0]))
+    a, b = u[:, :rank].T @ a, u[:, :rank].T @ b
+    vertices = []
+    for basis in combinations(range(a.shape[1]), rank):
+        sub = a[:, basis]
+        if abs(np.linalg.det(sub)) < 1e-9:
+            continue
+        p = np.zeros(a.shape[1])
+        p[list(basis)] = np.linalg.solve(sub, b)
+        if p.min() > -1e-12:
+            vertices.append(p.reshape(na, messages))
+    return np.array(vertices)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3)])
+def test_lp_oracle_matches_vertex_enumeration(n, d):
+    game = make_rac_game(n, d)
+    vertices = _encoding_vertices(game, 2)
+    weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
+    # score[f, x]: expected payoff at input x of the deterministic decoder f
+    score = np.array(
+        [
+            [sum(weighted[x, y, f[y]] for y in range(game.n_bob)) for x in range(game.n_alice)]
+            for f in product(range(game.n_outcomes), repeat=game.n_bob)
+        ]
+    )
+    # per vertex, each message takes its best decoder on its own
+    per_message = np.einsum("vxm,fx->vmf", vertices, score).max(axis=2)
+    brute = float(per_message.sum(axis=1).max())
+    assert abs(pnc_bound_lp_oracle(game, 2).value - brute) < 1e-9
 
 
 def test_bound_result_rejects_nan():

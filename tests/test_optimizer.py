@@ -7,7 +7,9 @@ from oblivious_games.optimizer import (
     SearchConfig,
     _certificate_gap,
     _jrf_update,
+    _Projector,
     _random_povm,
+    _random_rhos,
     search,
 )
 
@@ -39,11 +41,19 @@ class TestConfig:
             {"penalty_schedule": ()},
             {"penalty_schedule": (1.0, float("inf"))},
             {"penalty_schedule": (float("nan"), 1.0)},
+            {"dim": 3.5},
+            {"dim": True},
+            {"restarts": 1.5},
+            {"restarts": True},
+            {"max_iters": 2.5},
+            {"max_iters": False},
+            {"penalty_period": 50.0},
+            {"penalty_period": True},
         ],
     )
     def test_settings_that_break_search_rejected(self, field):
         with pytest.raises(ValueError):
-            SearchConfig(dim=3, **field)
+            SearchConfig(**{"dim": 3, **field})
 
 
 def _random_scores(rng, n_out, dim):
@@ -77,6 +87,124 @@ class TestCertificate:
         effects = _jrf_update(gram, _random_povm(rng, n_out, dim), 2000)
         gap = _certificate_gap(gram, effects, _score(gram, effects))
         assert -1e-12 <= gap < 1e-12
+
+
+PROJECTOR_CASES = [
+    pytest.param(make_rac_game(2, 2), 4, id="rac22-d4"),
+    pytest.param(make_rac_game(2, 3), 4, id="rac23-d4"),
+    pytest.param(make_cglmp3_game(), 3, id="cglmp3-d3"),
+]
+
+
+def _count_sweeps(projector):
+    """Wrap ``psd`` on one projector and return the list that counts its calls."""
+    calls = []
+    psd = projector.psd
+
+    def counted(rhos):
+        calls.append(1)
+        return psd(rhos)
+
+    projector.psd = counted
+    return calls
+
+
+def _trial_states(game, projector, rng):
+    """A feasible point plus a Hermitian step, like the search's trial states."""
+    base = projector.feasible(_random_rhos(rng, game.n_alice, projector.dim), 1e-12)
+    return base + 0.3 * _random_scores(rng, game.n_alice, projector.dim)
+
+
+def _simplex_reference(values):
+    """Sort-based projection onto the probability simplex, one value at a time."""
+    u = sorted(values, reverse=True)
+    total, tau = 0.0, 0.0
+    for k, uk in enumerate(u, start=1):
+        total += uk
+        if uk - (total - 1.0) / k > 0:
+            tau = (total - 1.0) / k
+    return [max(v - tau, 0.0) for v in values]
+
+
+@pytest.mark.parametrize("game,dim", PROJECTOR_CASES)
+class TestProjector:
+    def test_feasible_states_are_valid(self, game, dim):
+        projector = _Projector(game, dim)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            out = projector.feasible(_trial_states(game, projector, rng), 1e-9)
+            assert projector.residual(out) < 1e-9
+            for rho in out:
+                assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+                assert abs(np.trace(rho) - 1.0) < 1e-12
+                assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() > -1e-12
+
+    def test_feasible_input_returns_after_one_sweep(self, game, dim):
+        projector = _Projector(game, dim)
+        rng = np.random.default_rng(1)
+        rhos = projector.feasible(_random_rhos(rng, game.n_alice, dim), 1e-13)
+        sweeps = _count_sweeps(projector)
+        out = projector.feasible(rhos, 1e-9)
+        assert len(sweeps) == 1
+        assert np.max(np.abs(out - rhos)) < 1e-12
+
+    def test_affine_is_an_oblivious_idempotent(self, game, dim):
+        projector = _Projector(game, dim)
+        rng = np.random.default_rng(2)
+        once = projector.affine(_trial_states(game, projector, rng))
+        assert np.max(np.abs(projector.affine(once) - once)) < 1e-12
+        flat = once.reshape(len(once), -1)
+        assert np.max(np.abs(game.constraint_rows() @ flat)) < 1e-12
+        assert np.max(np.abs(np.trace(once, axis1=1, axis2=2) - 1.0)) < 1e-12
+
+    def test_psd_matches_eigenvalue_simplex_reference(self, game, dim):
+        projector = _Projector(game, dim)
+        rng = np.random.default_rng(3)
+        rhos = _trial_states(game, projector, rng)
+        for rho, got in zip(rhos, projector.psd(rhos)):
+            w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+            p = _simplex_reference(list(w))
+            want = sum(p[k] * np.outer(v[:, k], v[:, k].conj()) for k in range(dim))
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("max_sweeps", [1, 3, 7])
+    def test_sweep_cap_holds(self, game, dim, max_sweeps):
+        projector = _Projector(game, dim)
+        rhos = _trial_states(game, projector, np.random.default_rng(4))
+        sweeps = _count_sweeps(projector)
+        out = projector.feasible(rhos, 0.0, max_sweeps=max_sweeps)
+        assert len(sweeps) == max_sweeps
+        assert np.max(np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)) < 1e-12
+        sweeps.clear()
+        projector.feasible(rhos, 1e-9, max_sweeps=max_sweeps)
+        assert len(sweeps) <= max_sweeps
+
+    def test_mixing_halves_the_plain_sweeps(self, game, dim):
+        projector = _Projector(game, dim)
+        rng = np.random.default_rng(6)
+        trials = [_trial_states(game, projector, rng) for _ in range(10)]
+        sweeps = _count_sweeps(projector)
+        for rhos in trials:
+            projector.feasible(rhos, 1e-9)
+        mixed = len(sweeps)
+        sweeps.clear()
+        for rhos in trials:  # the plain alternating projection, as reference
+            out = rhos
+            for _ in range(500):
+                out = projector.psd(projector.affine(out))
+                if projector.residual(out) < 1e-9:
+                    break
+        assert mixed <= len(sweeps) / 2
+
+    def test_penalty_gradient_matches_row_loop(self, game, dim):
+        projector = _Projector(game, dim)
+        rhos = _trial_states(game, projector, np.random.default_rng(5))
+        rows = game.constraint_rows()
+        want = np.zeros_like(rhos)
+        for row in rows:
+            viol = sum(c * rho for c, rho in zip(row, rhos))
+            want += row[:, None, None] * viol
+        assert np.max(np.abs(projector.penalty_gradient(rhos) - want)) < 1e-13
 
 
 class TestSeededStart:
