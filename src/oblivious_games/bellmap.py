@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .games import Behavior, ObliviousGame, check_distribution
+from .games import Behavior, ObliviousGame, check_distribution, load_record
 from .qmath import DensityMatrix, readonly
 
 NS_TOL = 1e-10
@@ -143,8 +143,7 @@ def save_functional(bell: BellFunctional, path) -> None:
 
 
 def load_functional(path) -> BellFunctional:
-    with open(path, "r", encoding="utf-8") as fh:
-        return BellFunctional.from_dict(json.load(fh))
+    return load_record(path, BellFunctional.from_dict)
 
 
 def save_box(box: NoSignalingBox, path) -> None:
@@ -153,8 +152,7 @@ def save_box(box: NoSignalingBox, path) -> None:
 
 
 def load_box(path) -> NoSignalingBox:
-    with open(path, "r", encoding="utf-8") as fh:
-        return NoSignalingBox.from_dict(json.load(fh))
+    return load_record(path, NoSignalingBox.from_dict)
 
 
 def bell_value(bell: BellFunctional, box: NoSignalingBox) -> float:

@@ -87,8 +87,8 @@ def _cmd_bound(args) -> int:
         result = bounds.pnc_bound_bellgame(bellmap.cglmp3())
         inputs = {"game": args.game, "oracle": False}
     elif args.game.startswith("rac:"):
-        n, d = (int(v) for v in args.game[4:].split(","))
-        result = bounds.BoundResult(value=bounds.rac_pnc_bound(n, d), method="formula")
+        value = bounds.rac_pnc_bound(game.n_bob, game.n_outcomes)
+        result = bounds.BoundResult(value=value, method="formula")
         inputs = {"game": args.game, "oracle": False}
     else:
         result = bounds.pnc_bound_lp_oracle(game, game.n_outcomes)

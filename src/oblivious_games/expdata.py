@@ -27,7 +27,13 @@ import numpy as np
 
 from . import lp
 from .cglmp import closed_form_prob
-from .games import Behavior, make_cglmp3_game, obliviousness_residual_behavior, performance
+from .games import (
+    Behavior,
+    load_record,
+    make_cglmp3_game,
+    obliviousness_residual_behavior,
+    performance,
+)
 
 ROW_SUM_TOL = 2e-3
 
@@ -208,8 +214,7 @@ def save_mapping(mapping: LabelMapping, path) -> None:
 
 
 def load_mapping(path) -> LabelMapping:
-    with open(path, "r", encoding="utf-8") as fh:
-        return LabelMapping.from_dict(json.load(fh))
+    return load_record(path, LabelMapping.from_dict)
 
 
 def _theory_table() -> np.ndarray:

@@ -16,6 +16,7 @@ average statistics of the sets in one family coincide.  Sets may overlap
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -49,6 +50,30 @@ def check_distribution(p: np.ndarray, tol: float, name: str) -> None:
         raise ValueError(f"{name} sums to {s!r}, not 1")
 
 
+def load_record(path, from_dict):
+    """Read a JSON object from ``path`` and build a record with ``from_dict``.
+
+    A file whose top level is not an object, that lacks a key, or whose
+    record is malformed or invalid raises ``ValueError`` naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, not {type(data).__name__}")
+    try:
+        return from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _partition_index(i) -> int:
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise ValueError(f"partition index {i!r} is not an integer")
+    return int(i)
+
+
 @dataclass(frozen=True, eq=False)
 class ObliviousGame:
     """Alphabets, priors, raw payoff coefficients, and obliviousness partitions."""
@@ -73,7 +98,7 @@ class ObliviousGame:
         if not np.isfinite(pay).all():
             raise ValueError("payoff has non-finite entries")
         families = tuple(
-            tuple(tuple(int(i) for i in subset) for subset in family)
+            tuple(tuple(_partition_index(i) for i in subset) for subset in family)
             for family in self.partitions
         )
         for family in families:
@@ -166,8 +191,7 @@ def save_game(game: ObliviousGame, path) -> None:
 
 
 def load_game(path) -> ObliviousGame:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ObliviousGame.from_dict(json.load(fh))
+    return load_record(path, ObliviousGame.from_dict)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,10 +12,10 @@ Each restart alternates two steps:
   when it does not exceed the current score by the acceptance margin no
   candidate could be accepted, so none is computed.
 * preparations: the objective is linear in the preparation operators, so a
-  penalty-augmented gradient step is taken and the iterate is projected back
-  onto the feasible set by alternating an exact affine projection (trace one
-  plus all obliviousness equalities, which factor over the input index) with
-  the eigenvalue-simplex projection onto unit-trace positive matrices.  The
+  plain gradient step is taken and the trial is projected back onto the
+  feasible set by alternating an exact affine projection (trace one plus all
+  obliviousness equalities, which factor over the input index) with the
+  eigenvalue-simplex projection onto unit-trace positive matrices.  The
   alternation is Anderson-mixed (Walker and Ni, SIAM J. Numer. Anal. 49,
   1715 (2011)): each sweep feeds the next eigenvalue projection a real
   least-squares combination of the last three affine outputs rather than
@@ -70,13 +70,11 @@ class SearchConfig:
     dim: int
     restarts: int = 64
     max_iters: int = 500
-    penalty_schedule: tuple = tuple(2.0**k for k in range(10))
-    penalty_period: int = 50
     seed: int = 0
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        for name in ("dim", "restarts", "max_iters", "penalty_period"):
+        for name in ("dim", "restarts", "max_iters"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
@@ -88,18 +86,8 @@ class SearchConfig:
             raise ValueError("need at least one restart")
         if self.max_iters < 1:
             raise ValueError("need at least one iteration")
-        if self.penalty_period < 1:
-            raise ValueError("penalty period must be at least 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive and finite")
-        if not self.penalty_schedule:
-            raise ValueError("penalty schedule must not be empty")
-        if not all(math.isfinite(mu) for mu in self.penalty_schedule):
-            raise ValueError("penalty schedule entries must be finite")
-        if any(
-            b < a for a, b in zip(self.penalty_schedule, self.penalty_schedule[1:])
-        ):
-            raise ValueError("penalty schedule must be non-decreasing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,12 +184,6 @@ class _Projector:
             gs = [g, *gs][:_ANDERSON_MEMORY]
             y = mixed.view(complex).reshape(rhos.shape)
         return out
-
-    def penalty_gradient(self, rhos: np.ndarray) -> np.ndarray:
-        if self.rows.shape[0] == 0:
-            return np.zeros_like(rhos)
-        flat = rhos.reshape(len(rhos), -1)
-        return (self.rows.T @ (self.rows @ flat)).reshape(rhos.shape)
 
 
 def _objective(weighted: np.ndarray, rhos: np.ndarray, effects: np.ndarray) -> float:
@@ -326,16 +308,12 @@ def _run_restart(game, cfg, weighted, projector, restart, initial):
                 effects[y] = best_cand
         value = _objective(weighted, rhos, effects)
 
-        # Preparation step: penalty-augmented ascent plus exact projection.
-        mu = cfg.penalty_schedule[
-            min(it // cfg.penalty_period, len(cfg.penalty_schedule) - 1)
-        ]
+        # Preparation step: gradient ascent plus exact projection.
         grad = np.einsum("xyb,ybij->xij", weighted, effects)
         grad = (grad + np.conj(np.swapaxes(grad, 1, 2))) / 2
         for _ in range(4):
             window_peak_step = max(window_peak_step, step)
-            direction = grad - mu * projector.penalty_gradient(rhos)
-            trial = projector.feasible(rhos + step * direction, cfg.tolerance / 10)
+            trial = projector.feasible(rhos + step * grad, cfg.tolerance / 10)
             trial_val = _objective(weighted, trial, effects)
             if trial_val > value + _ACCEPT_MARGIN:
                 rhos = trial

@@ -31,12 +31,6 @@ def is_hermitian(m, tol: float = HERM_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) < tol)
 
 
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``m``."""
-    m = as_matrix(m)
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-
-
 def readonly(a: np.ndarray) -> np.ndarray:
     """Write-protected copy of an array, for the fields of frozen records."""
     a = a.copy()

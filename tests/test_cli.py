@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oblivious_games import bellmap, cglmp, games
+from oblivious_games import bellmap, cglmp, expdata, games
 from oblivious_games.cli import run
 
 
@@ -132,14 +132,55 @@ def test_validation_error_exit_code(capsys):
     assert "error" in err
 
 
-def test_nan_game_file_exit_code(capsys, tmp_path):
-    spec = games.make_rac_game(2, 2).to_dict()
-    spec["p_alice"][0] = float("nan")
-    path = tmp_path / "game.json"
-    path.write_text(json.dumps(spec))
-    code, _, err = run_cli(capsys, "bound", "--game", str(path))
+def _rac22_spec(drop=None, **changes):
+    spec = {**games.make_rac_game(2, 2).to_dict(), **changes}
+    spec.pop(drop, None)
+    return spec
+
+
+def _mapping_without(key):
+    mapping = expdata.pinned_mapping().to_dict()
+    del mapping[key]
+    return mapping
+
+
+# "FILE" in the arguments stands for the malformed input file.
+@pytest.mark.parametrize(
+    "argv,content,message",
+    [
+        pytest.param(
+            ["bound", "--game", "FILE"],
+            _rac22_spec(p_alice=[float("nan"), 0.25, 0.25, 0.25]),
+            "non-finite",
+            id="nan-prior",
+        ),
+        pytest.param(
+            ["bound", "--game", "FILE"], _rac22_spec(drop="payoff"), "'payoff'", id="no-payoff"
+        ),
+        pytest.param(["bound", "--game", "FILE"], [1, 2], "JSON object", id="game-list"),
+        pytest.param(
+            ["bell", "--bell", "FILE", "--local-bound"], {"coeffs": []}, "'p_alice'",
+            id="functional-no-priors",
+        ),
+        pytest.param(
+            ["bell", "--value", "--box", "FILE"], {"tabl": []}, "'table'", id="box-typo"
+        ),
+        pytest.param(
+            ["exp", "--data", "DATA", "--mapping", "FILE"],
+            _mapping_without("basis_map"),
+            "'basis_map'",
+            id="mapping-no-basis-map",
+        ),
+    ],
+)
+def test_nan_game_file_exit_code(capsys, tmp_path, data_dir, argv, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    stand_in = {"FILE": str(path), "DATA": str(data_dir / "table2.csv")}
+    code, _, err = run_cli(capsys, *(stand_in.get(a, a) for a in argv))
     assert code == 2
-    assert "non-finite" in err
+    assert str(path) in err
+    assert message in err
 
 
 def test_missing_file_exit_code(capsys):

@@ -290,6 +290,16 @@ def test_infinite_payoff_rejected():
         ObliviousGame(**fields)
 
 
+def test_non_integer_partition_index_rejected():
+    fields = _valid_game_fields()
+    for bad in (1.5, True):
+        fields["partitions"] = (((0,), (bad,)),)
+        with pytest.raises(ValueError, match="not an integer"):
+            ObliviousGame(**fields)
+    fields["partitions"] = (((np.int64(0),), (np.int64(1),)),)
+    assert ObliviousGame(**fields).partitions == (((0,), (1,)),)
+
+
 def test_nan_behavior_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         Behavior(np.full((2, 2, 3), np.nan))
