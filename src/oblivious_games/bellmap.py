@@ -10,13 +10,12 @@ Bell value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
-from .games import Behavior, ObliviousGame, check_distribution, load_record
+from .games import Behavior, ObliviousGame, check_distribution, load_record, save_record
 from .qmath import DensityMatrix, readonly
 
 NS_TOL = 1e-10
@@ -138,8 +137,7 @@ def _no_signaling_residual(t: np.ndarray) -> float:
 
 
 def save_functional(bell: BellFunctional, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bell.to_dict(), fh, indent=1)
+    save_record(bell, path)
 
 
 def load_functional(path) -> BellFunctional:
@@ -147,8 +145,7 @@ def load_functional(path) -> BellFunctional:
 
 
 def save_box(box: NoSignalingBox, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(box.to_dict(), fh, indent=1)
+    save_record(box, path)
 
 
 def load_box(path) -> NoSignalingBox:

@@ -68,16 +68,6 @@ def local_bound(bell: BellFunctional) -> BoundResult:
     return BoundResult(value=best, method="bruteforce", witness=witness)
 
 
-def pnc_bound_bellgame(bell: BellFunctional) -> BoundResult:
-    """Noncontextual bound of the game built from a functional.
-
-    Coincides with the local bound: the obliviousness constraint turns
-    classical encodings into exactly the local deterministic models of the
-    correlation experiment.
-    """
-    return local_bound(bell)
-
-
 def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     """Bound for an arbitrary oblivious game via decoder enumeration plus LPs.
 

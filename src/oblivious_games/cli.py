@@ -77,22 +77,19 @@ def _cmd_cglmp(args) -> int:
 
 def _cmd_bound(args) -> int:
     game = _load_game_spec(args.game)
-    if args.oracle:
+    if args.oracle or not (args.game == "cglmp3" or args.game.startswith("rac:")):
         messages = args.messages
         if messages is None:
             messages = game.n_outcomes
         result = bounds.pnc_bound_lp_oracle(game, messages)
         inputs = {"game": args.game, "oracle": True, "messages": messages}
     elif args.game == "cglmp3":
-        result = bounds.pnc_bound_bellgame(bellmap.cglmp3())
+        result = bounds.local_bound(bellmap.cglmp3())
         inputs = {"game": args.game, "oracle": False}
-    elif args.game.startswith("rac:"):
+    else:
         value = bounds.rac_pnc_bound(game.n_bob, game.n_outcomes)
         result = bounds.BoundResult(value=value, method="formula")
         inputs = {"game": args.game, "oracle": False}
-    else:
-        result = bounds.pnc_bound_lp_oracle(game, game.n_outcomes)
-        inputs = {"game": args.game, "oracle": True, "messages": game.n_outcomes}
     results = {"value": result.value, "method": result.method}
     if args.witness and result.witness is not None:
         results["witness"] = result.witness

@@ -19,7 +19,6 @@ secondary-data program come from the same game.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -33,6 +32,7 @@ from .games import (
     make_cglmp3_game,
     obliviousness_residual_behavior,
     performance,
+    save_record,
 )
 
 ROW_SUM_TOL = 2e-3
@@ -209,8 +209,7 @@ def pinned_mapping() -> LabelMapping:
 
 
 def save_mapping(mapping: LabelMapping, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mapping.to_dict(), fh, indent=1)
+    save_record(mapping, path)
 
 
 def load_mapping(path) -> LabelMapping:

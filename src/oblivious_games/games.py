@@ -50,6 +50,12 @@ def check_distribution(p: np.ndarray, tol: float, name: str) -> None:
         raise ValueError(f"{name} sums to {s!r}, not 1")
 
 
+def save_record(record, path) -> None:
+    """Write ``record.to_dict()`` to ``path`` as JSON; the twin of ``load_record``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record.to_dict(), fh, indent=1)
+
+
 def load_record(path, from_dict):
     """Read a JSON object from ``path`` and build a record with ``from_dict``.
 
@@ -186,8 +192,7 @@ class ObliviousGame:
 
 
 def save_game(game: ObliviousGame, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game.to_dict(), fh, indent=1)
+    save_record(game, path)
 
 
 def load_game(path) -> ObliviousGame:

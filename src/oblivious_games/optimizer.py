@@ -4,13 +4,14 @@ Each restart alternates two steps:
 
 * measurements: for fixed preparations, each receiver measurement is
   improved by the Jezek-Rehacek-Fiurasek fixed-point exchange on the effect
-  operators (completeness is preserved by construction); candidates are only
-  accepted when they increase the objective.  Before trying any, the step
-  forms the Holevo / Yuen-Kennedy-Lax certificate ``Y = herm(sum_b G_b M_b)``
-  and ``lam = max(0, max_b lambda_max(G_b - Y))``: since ``G_b <= Y + lam I``
+  operators, warm-started from the current POVM (completeness is preserved
+  by construction); the candidate is only accepted when it increases the
+  objective.  Before every exchange the step forms the Holevo /
+  Yuen-Kennedy-Lax certificate ``Y = herm(sum_b G_b M_b)`` and
+  ``lam = max(0, max_b lambda_max(G_b - Y))``: since ``G_b <= Y + lam I``
   for every outcome, ``Tr Y + d lam`` bounds the score of every POVM, and
-  when it does not exceed the current score by the acceptance margin no
-  candidate could be accepted, so none is computed.
+  the exchange stops once that bound exceeds the current score by less
+  than the acceptance margin, so an optimal measurement is left as it is.
 * preparations: the objective is linear in the preparation operators, so a
   plain gradient step is taken and the trial is projected back onto the
   feasible set by alternating an exact affine projection (trace one plus all
@@ -52,7 +53,9 @@ from .games import (
 )
 from .qmath import DensityMatrix, Povm
 
-_JRF_STEPS = 15
+# Cap on the Jezek-Rehacek-Fiurasek steps of one call; the certificate
+# usually ends a call after a few steps.
+_JRF_MAX_STEPS = 60
 _CONVERGENCE_WINDOW = 30
 _CONVERGENCE_GAIN = 1e-8
 _ACCEPT_MARGIN = 1e-14
@@ -190,29 +193,33 @@ def _objective(weighted: np.ndarray, rhos: np.ndarray, effects: np.ndarray) -> f
     return float(np.einsum("xyb,ybij,xji->", weighted, effects, rhos).real)
 
 
-def _pinv_sqrt(total: np.ndarray):
-    """Pseudo-inverse square root restricted to the support, plus the complement."""
+def _complete(parts: np.ndarray) -> np.ndarray:
+    """Rescale positive operators so that they sum to the identity.
+
+    With ``L = sum_b parts_b``, each part becomes ``L^-1/2 parts_b L^-1/2``
+    with the pseudo-inverse square root restricted to the support of ``L``;
+    the complement of that support is shared uniformly over the outcomes so
+    completeness holds on the full space.
+    """
+    total = parts.sum(axis=0)
     w, v = np.linalg.eigh((total + total.conj().T) / 2)
     support = w > max(float(w.max()), 1.0) * 1e-12
     vs = v[:, support]
     inv_sqrt = (vs / np.sqrt(w[support])) @ vs.conj().T
     complement = np.eye(total.shape[0]) - vs @ vs.conj().T
-    return inv_sqrt, complement
+    out = np.einsum("ij,bjk,kl->bil", inv_sqrt, parts, inv_sqrt) + complement / len(parts)
+    return (out + np.conj(np.swapaxes(out, 1, 2))) / 2
 
 
 def _normalize_povm(effects: np.ndarray) -> np.ndarray:
-    """Clip effects to the positive cone and rescale them to sum to the identity.
-
-    Directions outside the joint support are distributed uniformly over the
-    outcomes so completeness holds on the full space.
-    """
+    """Clip effects to the positive cone and complete them to a POVM."""
     effects = (effects + np.conj(np.swapaxes(effects, 1, 2))) / 2
     w, v = np.linalg.eigh(effects)
-    effects = np.einsum("bik,bk,bjk->bij", v, np.clip(w, 0.0, None), np.conj(v))
-    inv_sqrt, complement = _pinv_sqrt(effects.sum(axis=0))
-    out = np.einsum("ij,bjk,kl->bil", inv_sqrt, effects, inv_sqrt)
-    out = out + complement / len(effects)
-    return (out + np.conj(np.swapaxes(out, 1, 2))) / 2
+    return _complete(np.einsum("bik,bk,bjk->bij", v, np.clip(w, 0.0, None), np.conj(v)))
+
+
+def _score(gram: np.ndarray, effects: np.ndarray) -> float:
+    return float(np.einsum("bij,bji->", effects, gram).real)
 
 
 def _certificate_gap(gram: np.ndarray, effects: np.ndarray, current: float) -> float:
@@ -229,23 +236,25 @@ def _certificate_gap(gram: np.ndarray, effects: np.ndarray, current: float) -> f
     return float(np.trace(y_op).real) + gram.shape[-1] * lam - current
 
 
-def _jrf_update(gram: np.ndarray, effects: np.ndarray, steps: int) -> np.ndarray:
+def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.ndarray:
     """Fixed-point iteration M_b <- L^-1/2 G_b M_b G_b L^-1/2 on shifted scores.
 
     ``gram`` holds one positive score operator per outcome; adding a common
     multiple of the identity to all of them shifts the objective by a
-    constant, so the operators are shifted positive first.
+    constant, so the operators are shifted positive first.  Every step
+    completes the effects to a POVM.  Before every step the certificate is
+    formed, and the iteration stops once its gap is below the acceptance
+    margin or after ``max_steps`` steps; the last iterate is returned, which
+    is ``effects`` itself when no step was taken.
     """
     shift = min(0.0, float(np.linalg.eigvalsh(gram).min()))
     g = gram - (shift - 1e-9) * np.eye(gram.shape[-1])
     m = effects
-    for _ in range(steps):
-        gmg = np.einsum("bij,bjk,bkl->bil", g, m, g)
-        inv_sqrt, complement = _pinv_sqrt(gmg.sum(axis=0))
-        m = np.einsum("ij,bjk,kl->bil", inv_sqrt, gmg, inv_sqrt)
-        m = m + complement / len(m)
-        m = (m + np.conj(np.swapaxes(m, 1, 2))) / 2
-    return _normalize_povm(m)
+    for _ in range(max_steps):
+        if _certificate_gap(gram, m, _score(gram, m)) < _ACCEPT_MARGIN:
+            break
+        m = _complete(np.einsum("bij,bjk,bkl->bil", g, m, g))
+    return m
 
 
 def _random_rhos(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -284,28 +293,18 @@ def _run_restart(game, cfg, weighted, projector, restart, initial):
     step = 0.5
     window_anchor = value
     window_peak_step = 0.0
-    uniform = np.stack([np.eye(dim) / n_out] * n_out)
     iterations = 0
     stop_reason = "max_iters"
     for it in range(cfg.max_iters):
         iterations = it + 1
 
-        # Measurement step: best accepted candidate per receiver input,
-        # unless the certificate shows that none can be accepted.
+        # Measurement step: one warm-started candidate per receiver input.
         for y in range(n_bob):
             gram = np.einsum("xb,xij->bij", weighted[:, y, :], rhos)
             gram = (gram + np.conj(np.swapaxes(gram, 1, 2))) / 2
-            current = float(np.einsum("bij,bji->", effects[y], gram).real)
-            if _certificate_gap(gram, effects[y], current) < _ACCEPT_MARGIN:
-                continue
-            best_cand, best_val = None, current
-            for start in (effects[y], uniform):
-                cand = _jrf_update(gram, start, _JRF_STEPS)
-                cand_val = float(np.einsum("bij,bji->", cand, gram).real)
-                if cand_val > best_val + _ACCEPT_MARGIN:
-                    best_cand, best_val = cand, cand_val
-            if best_cand is not None:
-                effects[y] = best_cand
+            cand = _jrf_update(gram, effects[y], _JRF_MAX_STEPS)
+            if _score(gram, cand) > _score(gram, effects[y]) + _ACCEPT_MARGIN:
+                effects[y] = cand
         value = _objective(weighted, rhos, effects)
 
         # Preparation step: gradient ascent plus exact projection.
@@ -365,11 +364,11 @@ def search(
 
     Restarts run in order and each ends on the first stop rule that fires
     (see the module docstring); ``SearchResult.stop_reason`` records which.
-    The measurement step skips its candidates whenever the optimality
-    certificate shows none could be accepted, which leaves the iterates
-    unchanged.  With a fixed seed the run is bit-reproducible, and the
-    reduction (largest value among feasible restarts, ties broken by the
-    lower restart index) is deterministic.
+    The measurement step runs each exchange until the optimality
+    certificate closes, so a measurement it already certifies costs one
+    certificate and is left unchanged.  With a fixed seed the run is
+    bit-reproducible, and the reduction (largest value among feasible
+    restarts, ties broken by the lower restart index) is deterministic.
     """
     if not game.partitions:
         raise ValueError("game has no obliviousness families to respect")

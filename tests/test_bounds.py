@@ -9,7 +9,6 @@ from oblivious_games.bellmap import BellFunctional, cglmp3
 from oblivious_games.bounds import (
     BoundResult,
     local_bound,
-    pnc_bound_bellgame,
     pnc_bound_lp_oracle,
     rac_pnc_bound,
 )
@@ -104,11 +103,11 @@ class TestLocalBound:
 
 class TestPncBellGame:
     def test_cglmp3_matches_game_bound(self):
-        assert pnc_bound_bellgame(cglmp3()).value == 0.5
+        assert local_bound(cglmp3()).value == 0.5
 
     def test_zero(self):
         bell = BellFunctional(np.zeros((2, 2, 2, 2)), [0.5, 0.5], [0.5, 0.5])
-        assert pnc_bound_bellgame(bell).value == 0.0
+        assert local_bound(bell).value == 0.0
 
 
 class TestLpOracle:

@@ -46,6 +46,18 @@ def test_bound_cglmp3(capsys):
     assert report["results"]["value"] == 0.5
 
 
+def test_bound_game_file_runs_the_oracle(capsys, tmp_path):
+    path = tmp_path / "rac22.json"
+    games.save_game(games.make_rac_game(2, 2), path)
+    code, plain, _ = run_cli(capsys, "bound", "--game", str(path), "--witness")
+    _, forced, _ = run_cli(capsys, "bound", "--game", str(path), "--oracle", "--witness")
+    assert code == 0
+    assert plain["inputs"] == forced["inputs"]
+    assert plain["results"] == forced["results"]
+    assert plain["results"]["method"] == "lp-oracle"
+    assert abs(plain["results"]["value"] - 0.75) < 1e-9
+
+
 def test_bell_local_bound(capsys):
     code, report, _ = run_cli(capsys, "bell", "--bell", "cglmp3", "--local-bound")
     assert code == 0

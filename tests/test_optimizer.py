@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oblivious_games import cglmp
+from oblivious_games import cglmp, optimizer
 from oblivious_games.games import make_cglmp3_game, make_rac_game, obliviousness_residual_quantum
 from oblivious_games.optimizer import (
     SearchConfig,
@@ -79,6 +79,32 @@ class TestCertificate:
         effects = _jrf_update(gram, _random_povm(rng, n_out, dim), 2000)
         gap = _certificate_gap(gram, effects, _score(gram, effects))
         assert -1e-12 <= gap < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_certified_povm_returned_unchanged(self, seed):
+        rng = np.random.default_rng(seed)
+        n_out, dim = 2 + seed % 2, 2 + seed % 3
+        gram = _random_scores(rng, n_out, dim)
+        fixed = _jrf_update(gram, _random_povm(rng, n_out, dim), 2000)
+        assert _jrf_update(gram, fixed, 60) is fixed
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stops_on_certificate_before_the_cap(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n_out, dim = 2 + seed % 2, 2 + seed % 3
+        gram = _random_scores(rng, n_out, dim)
+        steps = []
+        complete = optimizer._complete
+
+        def counted(parts):
+            steps.append(1)
+            return complete(parts)
+
+        monkeypatch.setattr(optimizer, "_complete", counted)
+        effects = _jrf_update(gram, _random_povm(rng, n_out, dim), 2000)
+        gap = _certificate_gap(gram, effects, _score(gram, effects))
+        assert gap < 1e-12
+        assert 0 < len(steps) < 2000
 
 
 PROJECTOR_CASES = [
