@@ -165,7 +165,7 @@ def _cmd_exp(args) -> int:
         results["s"] = sec.s
         results["a3_secondary"] = expdata.a3_secondary(sec, mapping)
         results["constraint_residual"] = sec.constraint_residual()
-    if args.mc:
+    if args.mc is not None:
         seed = args.seed if args.seed is not None else _default_seed()
         sigma_pri, sigma_sec = expdata.mc_uncertainty(data, mapping, args.mc, seed)
         results["sigma_primary"] = sigma_pri

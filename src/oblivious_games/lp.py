@@ -1,11 +1,21 @@
-"""Dense two-phase simplex solver for small equality-constrained programs.
+"""Dense two-phase simplex for small equality-constrained programs, run on stacks.
 
 Maximizes c.v subject to A v = b, v >= 0, and optional per-variable upper
 bounds.  Bland's anti-cycling rule is used throughout, so the pivot sequence
 is deterministic and terminates even on degenerate programs; rows are scaled
 to unit norm up front to keep mixed-magnitude probability constraints well
-behaved.  Problem sizes here stay well under a few hundred variables, so
-robustness is preferred over speed everywhere.
+behaved.
+
+``solve_many`` runs the simplex on a stack of programs of one shape in
+lockstep: each step picks every running program's entering column and
+leaving row with array reductions and pivots them all with one masked
+update.  A row update is skipped where its factor is zero, as a row loop
+would skip it, so every program takes the pivots, and rounds every entry,
+exactly as it would alone.  Empty and redundant rows are zeroed in place
+rather than deleted, which keeps the stack one shape.  ``solve`` is the
+stack of one.  A step costs a few dozen numpy calls whatever the stack
+holds, so the speed comes from stacking many programs and from tall
+tableaux; a single program of a dozen rows gains nothing.
 """
 
 from __future__ import annotations
@@ -61,143 +71,210 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: np.ndarray | None = None
     objective_value: float | None = None
+    pivots: int = 0  # over phase 1, the artificial drive-out and phase 2
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
-    basis[row] = col
+def _bounded(lp: LinearProgram) -> np.ndarray:
+    if lp.upper_bounds is None:
+        return np.zeros(lp.objective.size, dtype=bool)
+    return np.isfinite(lp.upper_bounds)
 
 
-def _bland_iterate(tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> str:
-    """Run simplex iterations with Bland's rule on the standard tableau.
+def _pivot(tableau: np.ndarray, basis: np.ndarray, k, row, col, column) -> None:
+    """Pivot program ``p`` of the stack on ``(row[p], col[p])``, for every ``p``.
+
+    ``k`` is ``arange(len(tableau))`` and ``column[p]`` is column ``col[p]`` of
+    program ``p``.
+    """
+    pivot_row = tableau[k, row] / column[k, row, None]
+    factor = column[..., None]
+    np.subtract(
+        tableau, factor * pivot_row[:, None, :], out=tableau, where=factor != 0.0
+    )
+    tableau[k, row] = pivot_row
+    basis[k, row] = col
+
+
+def _bland(tableau, basis, live, n_cols, pivots) -> np.ndarray:
+    """Bland's rule in lockstep on the live programs until each is optimal or
+    unbounded; returns the unbounded mask.
 
     The last row holds reduced costs of a MAXIMIZATION problem (entry > 0
     means the column improves the objective); the last column is the rhs.
+    The running programs form their own stack, which sheds each program as
+    it stops.
     """
-    m = tableau.shape[0] - 1
-    for _ in range(_MAX_PIVOTS):
-        enter = -1
-        for j in range(n_cols):
-            if tableau[-1, j] > PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        ratios = np.full(m, np.inf)
-        for i in range(m):
-            if tableau[i, enter] > PIVOT_TOL:
-                ratios[i] = tableau[i, -1] / tableau[i, enter]
-        best = float(np.min(ratios)) if m else np.inf
-        if not np.isfinite(best):
-            return "unbounded"
-        # Bland: among the minimum-ratio rows pick the smallest basic index.
-        leave = min(
-            (i for i in range(m) if ratios[i] <= best + PIVOT_TOL),
-            key=lambda i: basis[i],
-        )
-        _pivot(tableau, basis, leave, enter)
+    unbounded = np.zeros_like(live)
+    index = np.flatnonzero(live)
+    t, b = (tableau, basis) if index.size == live.size else (tableau[index], basis[index])
+    k = np.arange(index.size)
+    for step in range(_MAX_PIVOTS):
+        if not index.size:
+            return unbounded
+        improving = t[:, -1, :n_cols] > PIVOT_TOL
+        enter = improving.argmax(axis=1)
+        column = t[k, :, enter]
+        # rows that cannot bound the step get a NaN ratio, which fmin skips
+        bounding = column[:, :-1]
+        ratios = t[:, :-1, -1] / np.where(bounding > PIVOT_TOL, bounding, np.nan)
+        best = np.fmin.reduce(ratios, axis=1, initial=np.inf)
+        improves = column[:, -1] > PIVOT_TOL
+        going = improves & (best < np.inf)
+        if not going.all():
+            stop = index[~going]
+            tableau[stop], basis[stop] = t[~going], b[~going]
+            pivots[stop] += step
+            unbounded[stop] = improves[~going]
+            index, t, b, enter, column, ratios, best = (
+                x[going] for x in (index, t, b, enter, column, ratios, best)
+            )
+            k = np.arange(index.size)
+            if not index.size:
+                return unbounded
+        # Bland: among the minimum-ratio rows the smallest basic index leaves.
+        ties = ratios <= best[:, None] + PIVOT_TOL
+        _pivot(t, b, k, np.where(ties, b, tableau.shape[2]).argmin(axis=1), enter, column)
     raise RuntimeError("simplex failed to terminate")
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex; infeasible/unbounded programs are reported, never raised."""
-    c0 = lp.objective
-    n_orig = c0.size
-    a = lp.eq_matrix.copy()
-    b = lp.eq_rhs.copy()
+def _phase_one(programs: list, capped: np.ndarray) -> tuple:
+    """The phase-1 tableau of each program, and which are infeasible on sight.
 
-    # Fold finite upper bounds into equality rows x_j + s_j = u_j.
-    n = n_orig
-    if lp.upper_bounds is not None:
-        finite = [j for j in range(n_orig) if np.isfinite(lp.upper_bounds[j])]
-        if finite:
-            if np.min(lp.upper_bounds[finite]) < 0:
-                return LpSolution(status="infeasible")
-            extra = np.zeros((len(finite), n_orig + len(finite)))
-            a = np.hstack([a, np.zeros((a.shape[0], len(finite)))])
-            for r, j in enumerate(finite):
-                extra[r, j] = 1.0
-                extra[r, n_orig + r] = 1.0
-            a = np.vstack([a, extra])
-            b = np.concatenate([b, lp.upper_bounds[finite]])
-            n = n_orig + len(finite)
+    A tableau holds [a | artificials | b] over its reduced costs for
+    maximizing -sum(artificials), with the basic (artificial) columns
+    eliminated.  Finite upper bounds fold into equality rows x_j + s_j = u_j.
+    """
+    k = len(programs)
+    m0, n_orig = programs[0].eq_matrix.shape
+    n = n_orig + capped.size
+    m = m0 + capped.size
+    tableau = np.zeros((k, m + 1, n + m + 1))
+    a = tableau[:, :m, :n]
+    b = tableau[:, :m, -1]
+    a[:, :m0, :n_orig] = [lp.eq_matrix for lp in programs]
+    b[:, :m0] = [lp.eq_rhs for lp in programs]
+    infeasible = np.zeros(k, dtype=bool)
+    if capped.size:
+        upper = np.array([lp.upper_bounds[capped] for lp in programs])
+        infeasible |= upper.min(axis=1) < 0
+        a[:, m0:, capped] = np.eye(capped.size)
+        a[:, m0:, n_orig:] = np.eye(capped.size)
+        b[:, m0:] = upper
 
-    # Row scaling; empty rows are either redundant or inconsistent.
-    keep = []
-    for i in range(a.shape[0]):
-        norm = float(np.linalg.norm(a[i]))
-        if norm < 1e-14:
-            if abs(b[i]) > 1e-12:
-                return LpSolution(status="infeasible")
-            continue
-        a[i] /= norm
-        b[i] /= norm
-        keep.append(i)
-    a = a[keep]
-    b = b[keep]
-    m = a.shape[0]
-
+    # Row scaling; empty rows are either redundant or inconsistent, and are
+    # zeroed.  The stacked product reduces each row as np.linalg.norm does.
+    norms = np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
+    empty = norms < 1e-14
+    if empty.any():
+        infeasible |= (empty & (np.abs(b) > 1e-12)).any(axis=1)
+        norms[empty] = 1.0
+        a[empty] = 0.0
+        b[empty] = 0.0
+    b /= norms
+    # Rows with a negative rhs are negated: x / -y is exactly -(x / y).
     flip = b < 0
-    a[flip] *= -1.0
+    a /= np.where(flip, -norms, norms)[..., None]
     b[flip] *= -1.0
 
+    rows = np.arange(m)
+    tableau[:, rows, n + rows] = 1.0
+    tableau[:, -1, :n] = a.sum(axis=1)
+    tableau[:, -1, -1] = b.sum(axis=1)
+    for p in np.flatnonzero(empty.any(axis=1)):
+        # summed as a solver holding only the nonempty rows sums them
+        tableau[p, -1, -1] = b[p, ~empty[p]].sum()
+    return tableau, infeasible
+
+
+def solve_many(programs) -> list:
+    """Two-phase simplex on programs of one shape, in lockstep.
+
+    One shape means one equality-matrix shape and the same variables with a
+    finite upper bound.  Element ``p`` of the result equals ``solve`` of
+    program ``p``: same status, pivots and bit-equal values.
+    """
+    programs = list(programs)
+    if not programs:
+        return []
+    shape = programs[0].eq_matrix.shape
+    bounded = _bounded(programs[0])
+    for lp in programs[1:]:
+        if lp.eq_matrix.shape != shape or not np.array_equal(_bounded(lp), bounded):
+            raise ValueError("solve_many needs programs of one shape")
+    capped = np.flatnonzero(bounded)
+    tableau, infeasible = _phase_one(programs, capped)
+    k, m = len(programs), tableau.shape[1] - 1
+    n_orig = shape[1]
+    n = n_orig + capped.size
+    rows = np.arange(m)
+
     # Phase 1: drive artificial variables to zero.
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = np.arange(n, n + m)
-    # Reduced costs for maximizing -sum(artificials): eliminate basic columns.
-    tableau[-1, :n] = tableau[:m, :n].sum(axis=0)
-    tableau[-1, -1] = b.sum()
-    status = _bland_iterate(tableau, basis, n + m)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        raise RuntimeError("phase 1 simplex reported " + status)
-    if tableau[-1, -1] > PHASE1_TOL:
-        return LpSolution(status="infeasible")
+    basis = np.repeat(n + rows[None], k, axis=0)
+    live = ~infeasible
+    pivots = np.zeros(k, dtype=int)
+    if _bland(tableau, basis, live, n + m, pivots).any():  # pragma: no cover
+        raise RuntimeError("phase 1 simplex reported unbounded")
+    infeasible |= live & (tableau[:, -1, -1] > PHASE1_TOL)
+    live &= ~infeasible
 
-    # Pivot remaining artificials out of the basis; rows that cannot pivot are
-    # redundant constraints and get dropped.
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            piv = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > PIVOT_TOL:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(tableau, basis, i, piv)
-            else:
-                drop_rows.append(i)
-    if drop_rows:
-        rows = [i for i in range(m) if i not in drop_rows]
-        tableau = np.vstack([tableau[rows], tableau[-1:]])
-        basis = basis[rows]
-        m = len(rows)
+    # Pivot remaining artificials out of the basis, row by row; a row where no
+    # real column can pivot is a redundant constraint and is zeroed.  Rows
+    # change only when a pivot is made, so each round zeroes every row before
+    # the next pivot row at once.  Afterwards exactly the zeroed rows have an
+    # artificial basic variable.
+    pending = (basis >= n) & live[:, None]
+    while pending.any():
+        movable = np.abs(tableau[:, :m, :n]) > PIVOT_TOL
+        ready = pending & movable.any(axis=2)
+        turn = np.where(ready.any(axis=1), ready.argmax(axis=1), m)
+        redundant = pending & (rows < turn[:, None])
+        tableau[:, :m][redundant] = 0.0
+        pending &= ~redundant
+        (on,) = np.nonzero(turn < m)
+        if on.size:
+            pending[on, turn[on]] = False
+            col = movable[on, turn[on]].argmax(axis=1)
+            t, b, sub = tableau[on], basis[on], np.arange(on.size)
+            _pivot(t, b, sub, turn[on], col, t[sub, :, col])
+            tableau[on], basis[on] = t, b
+            pivots[on] += 1
 
-    # Phase 2 on the original objective (bound slacks cost nothing).
-    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    obj = np.zeros(n + 1)
-    obj[:n_orig] = c0
-    for i in range(m):
-        if abs(obj[basis[i]]) > 0.0:
-            obj -= obj[basis[i]] * tableau[i]
-    full = np.vstack([tableau[:m], obj])
-    status = _bland_iterate(full, basis, n)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
+    # Phase 2 on the original objective (bound slacks cost nothing).  Basic
+    # columns are exact unit vectors, so eliminating one row's basic cost
+    # leaves the others' as they were: the rows are subtracted in order in
+    # one reduction, a row with no cost adding an exact +0.
+    tableau = np.concatenate([tableau[:, :, :n], tableau[:, :, -1:]], axis=2)
+    cost = np.zeros((k, n + m + 1))
+    cost[:, :n_orig] = [lp.objective for lp in programs]
+    stack = np.arange(k)[:, None]
+    factor = cost[stack, basis][..., None]
+    tableau[:, -1] = np.subtract.reduce(
+        np.concatenate(
+            [cost[:, None, : n + 1], np.where(factor != 0.0, factor * tableau[:, :m], 0.0)],
+            axis=1,
+        ),
+        axis=1,
+    )
+    unbounded = _bland(tableau, basis, live, n, pivots)
 
-    values = np.zeros(n)
-    for i in range(m):
-        values[basis[i]] = full[i, -1]
-    values = values[:n_orig]
-    np.clip(values, 0.0, None, out=values)  # remove sub-tolerance pivot noise
+    values = np.zeros((k, n + m))
+    values[stack, basis] = tableau[:, :m, -1]
+    values = values[:, :n_orig]
+    np.maximum(values, 0.0, out=values)  # remove sub-tolerance pivot noise
 
-    # Solution contract: the vertex must satisfy the original system.
+    results = []
+    for p, lp in enumerate(programs):
+        if infeasible[p]:
+            results.append(LpSolution(status="infeasible", pivots=int(pivots[p])))
+        elif unbounded[p]:
+            results.append(LpSolution(status="unbounded", pivots=int(pivots[p])))
+        else:
+            results.append(_checked(lp, values[p], int(pivots[p])))
+    return results
+
+
+def _checked(lp: LinearProgram, values: np.ndarray, pivots: int) -> LpSolution:
+    """The optimal solution, once the vertex satisfies the original system."""
     if lp.eq_rhs.size:
         feas = float(np.max(np.abs(lp.eq_matrix @ values - lp.eq_rhs)))
         if feas >= 1e-8:  # pragma: no cover - simplex invariant
@@ -209,5 +286,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     return LpSolution(
         status="optimal",
         values=values,
-        objective_value=float(np.dot(c0, values)),
+        objective_value=float(np.dot(lp.objective, values)),
+        pivots=pivots,
     )
+
+
+def solve(lp: LinearProgram) -> LpSolution:
+    """Two-phase simplex; infeasible/unbounded programs are reported, never raised."""
+    return solve_many([lp])[0]

@@ -111,6 +111,16 @@ def test_exp_mc_seed_reproducible(capsys, data_dir):
     assert report1 == report2
 
 
+@pytest.mark.parametrize("samples", ["0", "50", "-1"])
+def test_exp_mc_below_floor_is_rejected(capsys, data_dir, samples):
+    code, report, err = run_cli(
+        capsys, "exp", "--data", str(data_dir / "table2.csv"), "--mc", samples
+    )
+    assert code == 2
+    assert report is None
+    assert "100 samples" in err
+
+
 def test_exp_env_seed(capsys, data_dir, monkeypatch):
     monkeypatch.setenv("OBLIVION_SEED", "123")
     code, report, _ = run_cli(

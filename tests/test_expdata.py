@@ -306,6 +306,25 @@ class TestMonteCarlo:
             bundled, pin, 100, seed=5
         )
 
-    def test_sample_floor(self, bundled):
+    @pytest.mark.parametrize("samples", [50, 0, -100, 99, True, 150.5, np.float64(200), "200"])
+    def test_sample_floor(self, bundled, samples):
         with pytest.raises(ValueError):
-            mc_uncertainty(bundled, pinned_mapping(), 50, seed=0)
+            mc_uncertainty(bundled, pinned_mapping(), samples, seed=0)
+
+    def test_numpy_integer_sample_count(self, bundled):
+        pin = pinned_mapping()
+        assert mc_uncertainty(bundled, pin, np.int64(100), seed=3) == mc_uncertainty(
+            bundled, pin, 100, seed=3
+        )
+
+    # Measured with the per-sample solver, before samples were solved in
+    # stacks; 333 is not a whole number of stacks.
+    @pytest.mark.parametrize(
+        "samples,seed,sigmas",
+        [
+            (500, 5, (0.000989304053539773, 0.0015892665184562573)),
+            (333, 7, (0.0009013683826709646, 0.0014903278153701532)),
+        ],
+    )
+    def test_sigmas_are_pinned(self, bundled, samples, seed, sigmas):
+        assert mc_uncertainty(bundled, pinned_mapping(), samples, seed=seed) == sigmas

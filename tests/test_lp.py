@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblivious_games.lp import LinearProgram, LpSolution, solve
+from oblivious_games import bounds, expdata, games, lp
+from oblivious_games.lp import LinearProgram, LpSolution, solve, solve_many
 
 
 def test_fixed_variable_with_bounds():
@@ -140,3 +141,94 @@ def test_deterministic_across_repeat_solves():
 def test_solution_dataclass_fields():
     sol = LpSolution(status="infeasible")
     assert sol.values is None and sol.objective_value is None
+
+
+def _mixed_stack():
+    """Programs of one shape (3 rows, 4 variables, only the last one capped)
+    that end in every way the solver distinguishes."""
+    rng = np.random.default_rng(7)
+
+    def cap(u):
+        return [np.inf, np.inf, np.inf, u]
+
+    a = rng.normal(size=(3, 4))
+    x0 = rng.random(4)
+    return [
+        # optimal, a random program through a nonnegative point
+        (LinearProgram(rng.normal(size=4), a, a @ x0, cap(5.0)), "optimal"),
+        # infeasible: two rows ask for different sums of the same variables
+        (LinearProgram([1, 0, 0, 0], [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]],
+                       [1.0, 2.0, 0.5], cap(5.0)), "infeasible"),
+        # infeasible: an all-zero row with a nonzero rhs
+        (LinearProgram([1, 0, 0, 0], [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+                       [1.0, 0.3, 0.5], cap(5.0)), "infeasible"),
+        # unbounded along x0 = x1 + t, with an all-zero row and zero rhs
+        (LinearProgram([1, 1, 0, 0], [[1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+                       [0.0, 1.0, 0.0], cap(5.0)), "unbounded"),
+        # a row repeated twice over, one of them scaled
+        (LinearProgram([1, 2, 0, 1], [[1, 1, 1, 0], [2, 2, 2, 0], [0, 0, 1, 1]],
+                       [1.0, 2.0, 0.5], cap(5.0)), "optimal"),
+        # every rhs negative
+        (LinearProgram([1, 0, 2, 0], -np.abs(a), -np.abs(a) @ x0, cap(5.0)), "optimal"),
+        # the upper bound binds
+        (LinearProgram([0, 0, 0, 1], [[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0]],
+                       [1.0, 0.1, 0.2], cap(0.3)), "optimal"),
+        # a negative upper bound
+        (LinearProgram([1, 0, 0, 0], a, a @ x0, cap(-1.0)), "infeasible"),
+    ]
+
+
+def test_stack_equals_each_program_alone():
+    programs, expected = zip(*_mixed_stack())
+    stacked = solve_many(programs)
+    assert [s.status for s in stacked] == list(expected)
+    for program, together in zip(programs, stacked):
+        alone = solve(program)
+        assert together.status == alone.status
+        assert together.pivots == alone.pivots
+        assert together.objective_value == alone.objective_value
+        if alone.values is None:
+            assert together.values is None
+        else:
+            assert together.values.tobytes() == alone.values.tobytes()
+    assert stacked[6].objective_value == 0.3
+
+
+def test_stack_needs_one_shape():
+    assert solve_many([]) == []
+    square = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0])
+    with pytest.raises(ValueError):
+        solve_many([square, LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0])])
+    with pytest.raises(ValueError):
+        solve_many([square, LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, np.inf])])
+
+
+def _solutions_of(monkeypatch, run):
+    """Every LpSolution returned while ``run()`` executes."""
+    solutions = []
+    original = lp.solve
+
+    def recording(program):
+        solutions.append(original(program))
+        return solutions[-1]
+
+    monkeypatch.setattr(lp, "solve", recording)
+    run()
+    return solutions
+
+
+# Pivot counts of the earlier solver, which pivoted one tableau row at a time,
+# counted as calls of its pivot routine: the lockstep solver takes the same
+# pivots.
+def test_pivots_of_the_bundled_secondary_program(monkeypatch, data_dir):
+    data = expdata.load_primary(
+        data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
+    )
+    solutions = _solutions_of(monkeypatch, lambda: expdata.secondary_data(data))
+    assert [s.pivots for s in solutions] == [38]
+
+
+def test_pivots_of_the_rac23_oracle_programs(monkeypatch):
+    game = games.make_rac_game(2, 3)
+    solutions = _solutions_of(monkeypatch, lambda: bounds.pnc_bound_lp_oracle(game, 3))
+    assert [s.pivots for s in solutions] == [20, 22, 25, 24, 24, 24, 26]

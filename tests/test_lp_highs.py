@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from oblivious_games import expdata
-from oblivious_games.lp import LinearProgram, solve
+from oblivious_games.lp import LinearProgram, solve, solve_many
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def assert_agrees(c, a, b, upper=None):
-    """Same status as HiGHS and, when optimal, the same optimum to 1e-8."""
-    ours = solve(LinearProgram(c, a, b, upper))
+def assert_agrees(c, a, b, upper=None, ours=None):
+    """Same status as HiGHS and, when optimal, the same optimum to 1e-8.
+
+    ``ours`` is the solver's result when it was solved elsewhere, in a stack.
+    """
+    if ours is None:
+        ours = solve(LinearProgram(c, a, b, upper))
     caps = np.full(len(c), np.inf) if upper is None else np.asarray(upper)
     bounds = [(0.0, None if np.isinf(u) else u) for u in caps]
     ref = linprog(
@@ -38,6 +42,37 @@ def feasible_program(rng, m, n, support=None):
     return rng.normal(size=n), a, a @ x0, x0
 
 
+def infeasible_program(rng, n):
+    """Positive rows cannot reach a negative right-hand side with v >= 0."""
+    a = rng.random((3, n)) + 0.1
+    b = np.concatenate([rng.random(2), [-0.5 - rng.random()]])
+    return rng.normal(size=n), a, b
+
+
+def unbounded_program(rng, k):
+    """v = (u, w) with B u - B w = b: the ray u = w = t 1 stays feasible and
+    gains with a positive objective."""
+    bmat = rng.normal(size=(2, k))
+    a = np.hstack([bmat, -bmat])
+    b = a @ rng.random(2 * k)
+    return rng.random(2 * k) + 0.1, a, b
+
+
+def degenerate_program(rng, n):
+    """A sparse feasible point, a duplicated row and zero right-hand sides
+    give vertices with many zero basic variables."""
+    c, a, b, _ = feasible_program(rng, 4, n, support=2)
+    return c, np.vstack([a, a[0], 2.0 * a[1]]), np.concatenate([b, b[:1], 2.0 * b[1:2]])
+
+
+def capped_program(rng, n, capped):
+    """A feasible program with upper bounds above its point on ``capped``."""
+    c, a, b, x0 = feasible_program(rng, 3, n)
+    upper = np.full(n, np.inf)
+    upper[capped] = x0[capped] + rng.random(len(capped))
+    return c, a, b, upper
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_feasible(seed):
     rng = np.random.default_rng(seed)
@@ -47,36 +82,21 @@ def test_random_feasible(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_infeasible(seed):
-    # positive rows cannot reach a negative right-hand side with v >= 0
-    rng = np.random.default_rng(100 + seed)
-    n = 5 + seed
-    a = rng.random((3, n)) + 0.1
-    b = np.concatenate([rng.random(2), [-0.5 - rng.random()]])
-    assert assert_agrees(rng.normal(size=n), a, b).status == "infeasible"
+    program = infeasible_program(np.random.default_rng(100 + seed), 5 + seed)
+    assert assert_agrees(*program).status == "infeasible"
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_unbounded(seed):
-    # v = (u, w) with B u - B w = b: the ray u = w = t 1 stays feasible and
-    # gains with a positive objective
-    rng = np.random.default_rng(200 + seed)
-    k = 3 + seed
-    bmat = rng.normal(size=(2, k))
-    a = np.hstack([bmat, -bmat])
-    b = a @ rng.random(2 * k)
-    c = rng.random(2 * k) + 0.1
-    assert assert_agrees(c, a, b).status == "unbounded"
+    program = unbounded_program(np.random.default_rng(200 + seed), 3 + seed)
+    assert assert_agrees(*program).status == "unbounded"
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_degenerate(seed):
-    # a sparse feasible point, a duplicated row and zero right-hand sides
-    # give vertices with many zero basic variables
     rng = np.random.default_rng(300 + seed)
     n = 10
-    c, a, b, _ = feasible_program(rng, 4, n, support=2)
-    a = np.vstack([a, a[0], 2.0 * a[1]])
-    b = np.concatenate([b, b[:1], 2.0 * b[1:2]])
+    c, a, b = degenerate_program(rng, n)
     zero_rows = rng.normal(size=(2, n))
     zero_rows[:, rng.permutation(n)[:5]] = 0.0
     assert assert_agrees(c, a, b).status == "optimal"
@@ -93,6 +113,25 @@ def test_random_upper_bounded(seed):
     assert assert_agrees(c, a, b, upper).status == "optimal"
     # upper bounds alone, no equalities
     assert_agrees(rng.normal(size=n), np.zeros((0, n)), [], rng.random(n))
+
+
+# Each category at one shape, so that its seeds form one stack.
+STACKS = {
+    "feasible": lambda rng: feasible_program(rng, 4, 10)[:3],
+    "infeasible": lambda rng: infeasible_program(rng, 7),
+    "unbounded": lambda rng: unbounded_program(rng, 4),
+    "degenerate": lambda rng: degenerate_program(rng, 10),
+    "upper-bounded": lambda rng: capped_program(rng, 9, [0, 2, 3, 5, 6, 8]),
+}
+
+
+@pytest.mark.parametrize("category", sorted(STACKS))
+def test_category_as_one_stack(category):
+    programs = [STACKS[category](np.random.default_rng(500 + seed)) for seed in range(8)]
+    stacked = solve_many(LinearProgram(*program) for program in programs)
+    for program, ours in zip(programs, stacked):
+        assert_agrees(*program, ours=ours)
+        assert ours.pivots == solve(LinearProgram(*program)).pivots
 
 
 def test_secondary_optimum_on_bundled_tables(data_dir):
