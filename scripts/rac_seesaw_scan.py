@@ -10,6 +10,7 @@ bounds from random restarts, not certified optima.
 import argparse
 import json
 import time
+from collections import Counter
 
 from oblivious_games.bounds import rac_pnc_bound
 from oblivious_games.games import make_rac_game
@@ -42,6 +43,8 @@ def main() -> None:
                 "residual": result.feasibility_residual,
                 "iterations_used": result.iterations_used,
                 "stop_reason": result.stop_reason,
+                "stop_reasons": dict(Counter(r.stop_reason for r in result.per_restart)),
+                "best_restart": result.restart_index,
                 "seconds": round(time.perf_counter() - t0, 1),
             }
         )

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 infeasibility flag.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -204,6 +205,7 @@ def _cmd_optimize(args) -> int:
         "stop_reason": result.stop_reason,
         "feasible": result.feasible,
         "restart_index": result.restart_index,
+        "per_restart": [dataclasses.asdict(r) for r in result.per_restart],
         "dim": args.dim,
         "restarts": args.restarts,
         "seed": seed,

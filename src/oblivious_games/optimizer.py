@@ -1,6 +1,9 @@
 """Alternating heuristic search for quantum values of oblivious games.
 
-Each restart alternates two steps:
+All restarts run as one stack in lockstep: every array carries a leading
+restart axis, so one numpy call serves every running restart, and a restart
+leaves the stack when its stop rule fires.  Each restart alternates two
+steps:
 
 * measurements: for fixed preparations, each receiver measurement is
   improved by the Jezek-Rehacek-Fiurasek fixed-point exchange on the effect
@@ -24,6 +27,11 @@ Each restart alternates two steps:
   to a plain sweep.  Each sweep ends with the eigenvalue projection and the
   loop stops once that output's residual is below the tolerance, so the
   states returned are always positive with unit trace.
+
+The measurement step solves every (restart, receiver input) problem of the
+stack in one call, each stopping on its own certificate, and the projection
+stops each restart on its own residual with its own mixing history, so a
+restart follows the path it would follow alone, up to rounding.
 
 A restart ends at the first window boundary (every 30 iterations) where
 either the value gained less than 1e-8 over the window (``"window"``) or the
@@ -64,7 +72,8 @@ _STEP_GROW = 1.4
 # From the floor the step can grow at most twice before a rejected trial
 # sends it back: a window spent at or below this level is a stall.
 _STALL_STEP = _STEP_FLOOR * _STEP_GROW**2
-# Differences kept by the Anderson mixing of the feasibility projection.
+# Differences kept by the Anderson mixing of the feasibility projection;
+# ``_mixing_weights`` solves for exactly two.
 _ANDERSON_MEMORY = 2
 
 
@@ -102,6 +111,19 @@ class SearchResult:
     feasible: bool
     stop_reason: str
     restart_index: int = 0
+    # One record per restart, in restart order.
+    per_restart: tuple = ()
+
+
+@dataclass(frozen=True)
+class RestartRecord:
+    """How one restart of a search ended."""
+
+    value: float
+    iterations_used: int
+    stop_reason: str
+    feasibility_residual: float
+    feasible: bool
 
 
 def _null_projector(rows: np.ndarray) -> np.ndarray:
@@ -118,18 +140,23 @@ def _null_projector(rows: np.ndarray) -> np.ndarray:
 def _simplex_project(eigvals: np.ndarray) -> np.ndarray:
     """Rowwise Euclidean projection onto the probability simplex.
 
-    With the values sorted in decreasing order, the partial means
+    Each row must be sorted in increasing order, as ``eigh`` returns it.
+    With the values in decreasing order, the partial means
     ``(u_1 + ... + u_k - 1) / k`` rise up to the support size of the
     projection and fall after it, so the threshold is their maximum.
     """
-    u = np.sort(eigvals, axis=-1)[..., ::-1]
+    u = eigvals[..., ::-1]
     ks = np.arange(1, eigvals.shape[-1] + 1)
     tau = np.max((np.cumsum(u, axis=-1) - 1.0) / ks, axis=-1)
     return np.clip(eigvals - tau[..., None], 0.0, None)
 
 
 class _Projector:
-    """Alternating projection onto {trace one, oblivious} intersect PSD."""
+    """Alternating projection onto {trace one, oblivious} intersect PSD.
+
+    Every method takes states of shape ``(..., n, d, d)``: the leading axes
+    hold a stack of restarts, and one ``(n, d, d)`` set is the stack of one.
+    """
 
     def __init__(self, game: ObliviousGame, dim: int):
         self.rows = game.constraint_rows()
@@ -141,99 +168,144 @@ class _Projector:
         # The obliviousness rows annihilate constant trace shifts, so the
         # exact projection splits: project every entry along the input index,
         # then pin every trace back to one.
-        out = (self.null_p @ rhos.reshape(len(rhos), -1)).reshape(rhos.shape)
-        traces = np.trace(out, axis1=1, axis2=2).real
-        return out + ((1.0 - traces) / self.dim)[:, None, None] * self.eye
+        out = (self.null_p @ rhos.reshape(*rhos.shape[:-2], -1)).reshape(rhos.shape)
+        traces = np.trace(out, axis1=-2, axis2=-1).real
+        return out + ((1.0 - traces) / self.dim)[..., None, None] * self.eye
 
     def psd(self, rhos: np.ndarray) -> np.ndarray:
-        herm = (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2
+        herm = (rhos + np.conj(np.swapaxes(rhos, -1, -2))) / 2
         w, v = np.linalg.eigh(herm)
-        return (v * _simplex_project(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+        return (v * _simplex_project(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
-    def residual(self, rhos: np.ndarray) -> float:
+    def residual(self, rhos: np.ndarray):
+        """Largest constraint violation of each set in the stack."""
         if self.rows.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.abs(self.rows @ rhos.reshape(len(rhos), -1))))
+            return np.zeros(rhos.shape[:-3])[()]
+        flat = rhos.reshape(*rhos.shape[:-2], -1)
+        return np.max(np.abs(self.rows @ flat), axis=(-2, -1))
 
     def feasible(self, rhos: np.ndarray, tol: float, max_sweeps: int = 200) -> np.ndarray:
-        """Anderson-mixed alternating projection.
+        """Anderson-mixed alternating projection, on each set of the stack.
 
         Iterates the map ``affine(psd(.))`` and mixes its last outputs with
         real least-squares coefficients over the stacked real and imaginary
-        parts, so every iterate stays Hermitian.  The returned states are a
-        ``psd`` output, the first whose residual is below ``tol`` or the one
-        after ``max_sweeps`` sweeps.  A mixed step that does not lower the
-        residual clears the history, so the next step is a plain sweep.
+        parts, so every iterate stays Hermitian.  Each set returns a ``psd``
+        output, the first whose residual is below ``tol`` or the one after
+        ``max_sweeps`` sweeps, and leaves the stack there.  A mixed step that
+        does not lower a set's residual clears that set's history, so its
+        next step is a plain sweep.  The sets share nothing but the calls:
+        each one ends where it would end alone, up to rounding.
         """
-        y = self.affine(rhos)
-        fs, gs = [], []
-        last = math.inf
+        shape = rhos.shape
+        stack = rhos.reshape(-1, *shape[-3:])
+        out = np.empty_like(stack)
+        index = np.arange(len(stack))
+        y = self.affine(stack)
+        size = y[0].size * 2
+        # Newest first; a set's slots past ``filled`` are empty.
+        hist_f = np.zeros((len(stack), _ANDERSON_MEMORY, size))
+        hist_g = np.zeros_like(hist_f)
+        filled = np.zeros(len(stack), dtype=int)
+        last = np.full(len(stack), math.inf)
+        slots = np.arange(_ANDERSON_MEMORY)
         for _ in range(max_sweeps):
-            out = self.psd(y)
-            res = self.residual(out)
-            if res < tol:
-                break
-            if res >= last:
-                fs, gs = [], []
+            sweep = self.psd(y)
+            res = self.residual(sweep)
+            going = res >= tol
+            if not going.all():
+                out[index[~going]] = sweep[~going]
+                index, y, sweep, res, hist_f, hist_g, filled, last = (
+                    a[going] for a in (index, y, sweep, res, hist_f, hist_g, filled, last)
+                )
+                if not index.size:
+                    return out.reshape(shape)
+            filled[res >= last] = 0
             last = res
-            g = self.affine(out).reshape(-1).view(float)
-            f = g - y.reshape(-1).view(float)
-            if fs:
-                gamma = np.linalg.lstsq(f[:, None] - np.array(fs).T, f, rcond=None)[0]
-                mixed = g - (g[:, None] - np.array(gs).T) @ gamma
-            else:
-                mixed = g
-            fs = [f, *fs][:_ANDERSON_MEMORY]
-            gs = [g, *gs][:_ANDERSON_MEMORY]
-            y = mixed.view(complex).reshape(rhos.shape)
-        return out
+            g = self.affine(sweep).reshape(len(index), -1).view(float)
+            f = g - y.reshape(len(index), -1).view(float)
+            gamma = _mixing_weights(f[:, None, :] - hist_f, f, slots < filled[:, None])
+            mixed = g - (gamma[:, None, :] @ (g[:, None, :] - hist_g))[:, 0]
+            hist_f = np.concatenate([f[:, None], hist_f[:, :-1]], axis=1)
+            hist_g = np.concatenate([g[:, None], hist_g[:, :-1]], axis=1)
+            filled = np.minimum(filled + 1, _ANDERSON_MEMORY)
+            y = mixed.view(complex).reshape(sweep.shape)
+        out[index] = sweep
+        return out.reshape(shape)
 
 
-def _objective(weighted: np.ndarray, rhos: np.ndarray, effects: np.ndarray) -> float:
-    return float(np.einsum("xyb,ybij,xji->", weighted, effects, rhos).real)
+def _mixing_weights(a: np.ndarray, f: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Least-squares ``gamma`` minimizing ``|f - gamma . a|`` for each stack entry.
+
+    ``a`` holds the two history differences, newest first, and ``used``
+    marks the slots in use; an empty slot gets weight zero.  The 2x2 normal
+    equations are solved in closed form.  Where the two differences are
+    parallel to within 1e-12 in the squared sine of their angle, or only
+    one is in use, the newest is used alone.
+    """
+    x = np.concatenate([a * used[..., None], f[:, None]], axis=1)
+    gram = x @ np.swapaxes(x, 1, 2)
+    a00, a01, a11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    b0, b1 = gram[:, 0, 2], gram[:, 1, 2]
+    det = a00 * a11 - a01 * a01
+    pair = det > 1e-12 * a00 * a11
+    num0 = np.where(pair, a11 * b0 - a01 * b1, b0)
+    num1 = np.where(pair, a00 * b1 - a01 * b0, 0.0)
+    den = np.where(pair, det, a00)
+    num = np.stack([num0, num1], axis=1)
+    return num / np.where(den > 0.0, den, np.inf)[:, None]
+
+
+def _objective(weighted: np.ndarray, rhos: np.ndarray, effects: np.ndarray):
+    return np.einsum("xyb,...ybij,...xji->...", weighted, effects, rhos).real
+
+
+def _herm(ops: np.ndarray) -> np.ndarray:
+    return (ops + np.conj(np.swapaxes(ops, -1, -2))) / 2
 
 
 def _complete(parts: np.ndarray) -> np.ndarray:
     """Rescale positive operators so that they sum to the identity.
 
-    With ``L = sum_b parts_b``, each part becomes ``L^-1/2 parts_b L^-1/2``
-    with the pseudo-inverse square root restricted to the support of ``L``;
-    the complement of that support is shared uniformly over the outcomes so
-    completeness holds on the full space.
+    ``parts`` has shape ``(..., outcomes, d, d)``, one problem per leading
+    index.  With ``L = sum_b parts_b``, each part becomes
+    ``L^-1/2 parts_b L^-1/2`` with the pseudo-inverse square root restricted
+    to the support of ``L``; the complement of that support is shared
+    uniformly over the outcomes so completeness holds on the full space.
     """
-    total = parts.sum(axis=0)
-    w, v = np.linalg.eigh((total + total.conj().T) / 2)
-    support = w > max(float(w.max()), 1.0) * 1e-12
-    vs = v[:, support]
-    inv_sqrt = (vs / np.sqrt(w[support])) @ vs.conj().T
-    complement = np.eye(total.shape[0]) - vs @ vs.conj().T
-    out = np.einsum("ij,bjk,kl->bil", inv_sqrt, parts, inv_sqrt) + complement / len(parts)
-    return (out + np.conj(np.swapaxes(out, 1, 2))) / 2
+    w, v = np.linalg.eigh(_herm(parts.sum(axis=-3)))
+    support = w > np.maximum(w.max(axis=-1, keepdims=True), 1.0) * 1e-12
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    scale = np.where(support, 1.0 / np.sqrt(np.where(support, w, 1.0)), 0.0)
+    inv_sqrt = ((v * scale[..., None, :]) @ vh)[..., None, :, :]
+    complement = np.eye(w.shape[-1]) - (v * support[..., None, :]) @ vh
+    out = inv_sqrt @ parts @ inv_sqrt + complement[..., None, :, :] / parts.shape[-3]
+    return _herm(out)
 
 
 def _normalize_povm(effects: np.ndarray) -> np.ndarray:
     """Clip effects to the positive cone and complete them to a POVM."""
-    effects = (effects + np.conj(np.swapaxes(effects, 1, 2))) / 2
-    w, v = np.linalg.eigh(effects)
-    return _complete(np.einsum("bik,bk,bjk->bij", v, np.clip(w, 0.0, None), np.conj(v)))
+    w, v = np.linalg.eigh(_herm(effects))
+    clipped = v * np.clip(w, 0.0, None)[..., None, :]
+    return _complete(clipped @ np.conj(np.swapaxes(v, -1, -2)))
 
 
-def _score(gram: np.ndarray, effects: np.ndarray) -> float:
-    return float(np.einsum("bij,bji->", effects, gram).real)
+def _score(gram: np.ndarray, effects: np.ndarray):
+    return np.einsum("...bij,...bji->...", effects, gram).real
 
 
-def _certificate_gap(gram: np.ndarray, effects: np.ndarray, current: float) -> float:
+def _certificate_gap(gram: np.ndarray, effects: np.ndarray, current):
     """How far ``Tr(Y + lam I)`` lies above the score ``current`` of ``effects``.
 
     With ``Y = herm(sum_b G_b M_b)`` and ``lam = max(0, max_b lambda_max(G_b - Y))``
     every ``G_b`` is below ``Y + lam I``, so ``Tr(Y) + d lam`` bounds
     ``sum_b Tr(G_b N_b)`` for every POVM ``N`` (Holevo; Yuen, Kennedy and
-    Lax).  The gap is zero exactly when ``effects`` is optimal.
+    Lax).  The gap is zero exactly when ``effects`` is optimal.  Leading axes
+    of ``gram`` and ``effects`` hold a stack of problems.
     """
-    y_op = np.einsum("bij,bjk->ik", gram, effects)
-    y_op = (y_op + y_op.conj().T) / 2
-    lam = max(0.0, float(np.linalg.eigvalsh(gram - y_op).max()))
-    return float(np.trace(y_op).real) + gram.shape[-1] * lam - current
+    y_op = _herm(np.einsum("...bij,...bjk->...ik", gram, effects))
+    top = np.linalg.eigvalsh(gram - y_op[..., None, :, :]).max(axis=(-2, -1))
+    lam = np.maximum(0.0, top)
+    return np.trace(y_op, axis1=-2, axis2=-1).real + gram.shape[-1] * lam - current
 
 
 def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.ndarray:
@@ -242,19 +314,30 @@ def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.nda
     ``gram`` holds one positive score operator per outcome; adding a common
     multiple of the identity to all of them shifts the objective by a
     constant, so the operators are shifted positive first.  Every step
-    completes the effects to a POVM.  Before every step the certificate is
-    formed, and the iteration stops once its gap is below the acceptance
-    margin or after ``max_steps`` steps; the last iterate is returned, which
-    is ``effects`` itself when no step was taken.
+    completes the effects to a POVM.  Leading axes hold a stack of problems
+    that step together: before every step each problem forms its
+    certificate and leaves the stack once its gap is below the acceptance
+    margin, and all stop after ``max_steps`` steps.  The last iterates are
+    returned, which is ``effects`` itself when no problem took a step.
     """
-    shift = min(0.0, float(np.linalg.eigvalsh(gram).min()))
-    g = gram - (shift - 1e-9) * np.eye(gram.shape[-1])
-    m = effects
+    shape = effects.shape
+    gram = gram.reshape(-1, *shape[-3:])
+    shift = np.minimum(0.0, np.linalg.eigvalsh(gram).min(axis=(-2, -1)))
+    g = gram - (shift - 1e-9)[:, None, None, None] * np.eye(shape[-1])
+    m = effects.reshape(gram.shape)
+    index = np.arange(len(gram))
+    out = None
     for _ in range(max_steps):
-        if _certificate_gap(gram, m, _score(gram, m)) < _ACCEPT_MARGIN:
-            break
-        m = _complete(np.einsum("bij,bjk,bkl->bil", g, m, g))
-    return m
+        going = _certificate_gap(gram, m, _score(gram, m)) >= _ACCEPT_MARGIN
+        if not going.all():
+            index, gram, g, m = index[going], gram[going], g[going], m[going]
+            if not index.size:
+                break
+        if out is None:
+            out = effects.reshape(-1, *shape[-3:]).copy()
+        m = _complete(g @ m @ g)
+        out[index] = m
+    return effects if out is None else out.reshape(shape)
 
 
 def _random_rhos(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -269,85 +352,100 @@ def _random_povm(rng: np.random.Generator, n_out: int, dim: int) -> np.ndarray:
     return _normalize_povm(effects)
 
 
-def _strategy_arrays(strategy: QuantumStrategy):
-    rhos = np.stack([p.matrix for p in strategy.preparations])
-    effects = [np.stack(m.elements) for m in strategy.measurements]
+def _check_initial(game: ObliviousGame, cfg: SearchConfig, initial: QuantumStrategy) -> None:
+    # A QuantumStrategy already has one dimension and one outcome count.
+    checks = (
+        (len(initial.preparations), game.n_alice, "preparations, the game has {} Alice inputs"),
+        (len(initial.measurements), game.n_bob, "measurements, the game has {} Bob inputs"),
+        (initial.n_outcomes, game.n_outcomes, "outcomes per measurement, the game has {}"),
+    )
+    for have, want, what in checks:
+        if have != want:
+            raise ValueError(f"initial strategy has {have} " + what.format(want))
+    if initial.dim != cfg.dim:
+        raise ValueError(f"initial strategy has dimension {initial.dim}, the config {cfg.dim}")
+
+
+def _start(game, cfg, projector, initial):
+    """The starting states and measurements of every restart, stacked.
+
+    Restart ``r`` draws from its own generator, seeded ``[seed, r]``; the
+    drawn states are projected as one stack.
+    """
+    d = cfg.dim
+    rhos = np.empty((cfg.restarts, game.n_alice, d, d), dtype=complex)
+    effects = np.empty((cfg.restarts, game.n_bob, game.n_outcomes, d, d), dtype=complex)
+    first = 0
+    if initial is not None:
+        rhos[0] = [p.matrix for p in initial.preparations]
+        effects[0] = [m.elements for m in initial.measurements]
+        first = 1
+    for restart in range(first, cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, restart])
+        rhos[restart] = _random_rhos(rng, game.n_alice, d)
+        effects[restart] = [_random_povm(rng, game.n_outcomes, d) for _ in range(game.n_bob)]
+    if first < cfg.restarts:
+        rhos[first:] = projector.feasible(rhos[first:], cfg.tolerance / 10)
     return rhos, effects
 
 
-def _run_restart(game, cfg, weighted, projector, restart, initial):
-    rng = np.random.default_rng([cfg.seed, restart])
-    n_alice, n_bob, n_out = weighted.shape
-    dim = cfg.dim
+def _ascend(weighted, projector, rhos, effects, cfg):
+    """Run every restart of the stack until its stop rule fires.
 
-    if initial is not None and restart == 0:
-        rhos, effect_list = _strategy_arrays(initial)
-        effects = np.stack(effect_list)
-        if rhos.shape[-1] != dim:
-            raise ValueError("initial strategy dimension disagrees with the config")
-    else:
-        rhos = projector.feasible(_random_rhos(rng, n_alice, dim), cfg.tolerance / 10)
-        effects = np.stack([_random_povm(rng, n_out, dim) for _ in range(n_bob)])
-
+    Returns the final states and measurements of each restart with its
+    iteration count and stop reason.  The running restarts form their own
+    stack, which sheds each restart as it stops.
+    """
+    tol = cfg.tolerance / 10
+    restarts = len(rhos)
+    iterations = np.full(restarts, cfg.max_iters)
+    reasons = np.full(restarts, "max_iters", dtype=object)
+    final_rhos, final_effects = rhos.copy(), effects.copy()
+    index = np.arange(restarts)
     value = _objective(weighted, rhos, effects)
-    step = 0.5
-    window_anchor = value
-    window_peak_step = 0.0
-    iterations = 0
-    stop_reason = "max_iters"
-    for it in range(cfg.max_iters):
-        iterations = it + 1
-
+    step = np.full(restarts, 0.5)
+    anchor = value
+    peak = np.zeros(restarts)
+    for it in range(1, cfg.max_iters + 1):
         # Measurement step: one warm-started candidate per receiver input.
-        for y in range(n_bob):
-            gram = np.einsum("xb,xij->bij", weighted[:, y, :], rhos)
-            gram = (gram + np.conj(np.swapaxes(gram, 1, 2))) / 2
-            cand = _jrf_update(gram, effects[y], _JRF_MAX_STEPS)
-            if _score(gram, cand) > _score(gram, effects[y]) + _ACCEPT_MARGIN:
-                effects[y] = cand
+        gram = _herm(np.einsum("xyb,rxij->rybij", weighted, rhos))
+        cand = _jrf_update(gram, effects, _JRF_MAX_STEPS)
+        if cand is not effects:
+            better = _score(gram, cand) > _score(gram, effects) + _ACCEPT_MARGIN
+            effects = np.where(better[..., None, None, None], cand, effects)
         value = _objective(weighted, rhos, effects)
 
         # Preparation step: gradient ascent plus exact projection.
-        grad = np.einsum("xyb,ybij->xij", weighted, effects)
-        grad = (grad + np.conj(np.swapaxes(grad, 1, 2))) / 2
+        grad = _herm(np.einsum("xyb,rybij->rxij", weighted, effects))
         for _ in range(4):
-            window_peak_step = max(window_peak_step, step)
-            trial = projector.feasible(rhos + step * grad, cfg.tolerance / 10)
+            peak = np.maximum(peak, step)
+            trial = projector.feasible(rhos + step[:, None, None, None] * grad, tol)
             trial_val = _objective(weighted, trial, effects)
-            if trial_val > value + _ACCEPT_MARGIN:
-                rhos = trial
-                value = trial_val
-                step = min(step * _STEP_GROW, 16.0)
-            else:
-                step = max(step * 0.4, _STEP_FLOOR)
+            better = trial_val > value + _ACCEPT_MARGIN
+            rhos = np.where(better[:, None, None, None], trial, rhos)
+            value = np.where(better, trial_val, value)
+            step = np.where(
+                better, np.minimum(step * _STEP_GROW, 16.0), np.maximum(step * 0.4, _STEP_FLOOR)
+            )
 
-        if iterations % _CONVERGENCE_WINDOW == 0 and iterations < cfg.max_iters:
-            if value - window_anchor < _CONVERGENCE_GAIN:
-                stop_reason = "window"
-                break
-            if window_peak_step <= _STALL_STEP:
-                stop_reason = "stalled"
-                break
-            window_anchor = value
-            window_peak_step = 0.0
-
-    # Final polish: land exactly inside the feasible set and report the value
-    # of the strategy actually returned.
-    rhos = projector.feasible(rhos, cfg.tolerance / 10, max_sweeps=500)
-    preparations = tuple(DensityMatrix(_unit_trace(r)) for r in rhos)
-    measurements = tuple(Povm(tuple(_normalize_povm(e))) for e in effects)
-    strategy = QuantumStrategy(preparations, measurements)
-    residual = obliviousness_residual_quantum(game, strategy)
-    value = performance(game, behavior_from_quantum(strategy))
-    return SearchResult(
-        value=value,
-        strategy=strategy,
-        feasibility_residual=residual,
-        iterations_used=iterations,
-        feasible=residual < cfg.tolerance,
-        stop_reason=stop_reason,
-        restart_index=restart,
-    )
+        if it % _CONVERGENCE_WINDOW == 0 and it < cfg.max_iters:
+            window = value - anchor < _CONVERGENCE_GAIN
+            stalled = ~window & (peak <= _STALL_STEP)
+            stop = window | stalled
+            if stop.any():
+                done = index[stop]
+                iterations[done] = it
+                reasons[done] = np.where(window[stop], "window", "stalled")
+                final_rhos[done], final_effects[done] = rhos[stop], effects[stop]
+                index, rhos, effects, value, step = (
+                    a[~stop] for a in (index, rhos, effects, value, step)
+                )
+                if not index.size:
+                    break
+            anchor = value
+            peak = np.zeros(index.size)
+    final_rhos[index], final_effects[index] = rhos, effects
+    return final_rhos, final_effects, iterations, reasons
 
 
 def _unit_trace(rho: np.ndarray) -> np.ndarray:
@@ -362,22 +460,55 @@ def search(
 ) -> SearchResult:
     """Best strategy over restarts; the value is a lower bound, never a claim.
 
-    Restarts run in order and each ends on the first stop rule that fires
-    (see the module docstring); ``SearchResult.stop_reason`` records which.
-    The measurement step runs each exchange until the optimality
-    certificate closes, so a measurement it already certifies costs one
-    certificate and is left unchanged.  With a fixed seed the run is
-    bit-reproducible, and the reduction (largest value among feasible
-    restarts, ties broken by the lower restart index) is deterministic.
+    All restarts run as one stack in lockstep, and each leaves the stack on
+    the first stop rule that fires for it (see the module docstring);
+    ``SearchResult.stop_reason`` records which, and ``per_restart`` keeps
+    every restart's record.  Each restart draws from its own generator and
+    follows the path it would follow alone, up to rounding.  The
+    measurement step runs each exchange until the optimality certificate
+    closes, so a measurement it already certifies costs one certificate and
+    is left unchanged.  With a fixed seed the run is bit-reproducible, and
+    the reduction (largest value among feasible restarts, ties broken by the
+    lower restart index) is deterministic.
     """
     if not game.partitions:
         raise ValueError("game has no obliviousness families to respect")
+    if initial is not None:
+        _check_initial(game, cfg, initial)
     weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
     projector = _Projector(game, cfg.dim)
-    results = [
-        _run_restart(game, cfg, weighted, projector, r, initial)
-        for r in range(cfg.restarts)
-    ]
-    feasible = [r for r in results if r.feasible]
-    pool = feasible if feasible else results
-    return max(pool, key=lambda r: (r.value, -r.restart_index))
+    rhos, effects = _start(game, cfg, projector, initial)
+    rhos, effects, iterations, reasons = _ascend(weighted, projector, rhos, effects, cfg)
+
+    # Final polish: land exactly inside the feasible set and report the value
+    # of the strategy actually returned.
+    rhos = projector.feasible(rhos, cfg.tolerance / 10, max_sweeps=500)
+    effects = _normalize_povm(effects)
+    records, strategies = [], []
+    for restart in range(cfg.restarts):
+        preparations = tuple(DensityMatrix(_unit_trace(r)) for r in rhos[restart])
+        measurements = tuple(Povm(tuple(e)) for e in effects[restart])
+        strategy = QuantumStrategy(preparations, measurements)
+        residual = obliviousness_residual_quantum(game, strategy)
+        strategies.append(strategy)
+        records.append(
+            RestartRecord(
+                value=performance(game, behavior_from_quantum(strategy)),
+                iterations_used=int(iterations[restart]),
+                stop_reason=str(reasons[restart]),
+                feasibility_residual=residual,
+                feasible=residual < cfg.tolerance,
+            )
+        )
+    pool = [r for r in range(cfg.restarts) if records[r].feasible] or range(cfg.restarts)
+    best = max(pool, key=lambda r: (records[r].value, -r))
+    return SearchResult(
+        value=records[best].value,
+        strategy=strategies[best],
+        feasibility_residual=records[best].feasibility_residual,
+        iterations_used=records[best].iterations_used,
+        feasible=records[best].feasible,
+        stop_reason=records[best].stop_reason,
+        restart_index=best,
+        per_restart=tuple(records),
+    )

@@ -146,6 +146,12 @@ def test_optimize_small(capsys):
     results = report["results"]
     assert results["stop_reason"] in ("window", "stalled", "max_iters")
     assert (results["stop_reason"] == "max_iters") == (results["iterations_used"] == 60)
+    per_restart = results["per_restart"]
+    assert len(per_restart) == 2
+    assert set(per_restart[0]) == {
+        "value", "iterations_used", "stop_reason", "feasibility_residual", "feasible"
+    }
+    assert per_restart[results["restart_index"]]["value"] == results["value"]
 
 
 def test_validation_error_exit_code(capsys):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from oblivious_games import cglmp, optimizer
-from oblivious_games.games import make_cglmp3_game, make_rac_game, obliviousness_residual_quantum
+from oblivious_games.games import (
+    QuantumStrategy,
+    make_cglmp3_game,
+    make_rac_game,
+    obliviousness_residual_quantum,
+)
 from oblivious_games.optimizer import (
     SearchConfig,
     _certificate_gap,
@@ -12,6 +17,7 @@ from oblivious_games.optimizer import (
     _random_rhos,
     search,
 )
+from oblivious_games.qmath import Povm
 
 A3 = (3 + np.sqrt(33)) / 12
 
@@ -105,6 +111,23 @@ class TestCertificate:
         gap = _certificate_gap(gram, effects, _score(gram, effects))
         assert gap < 1e-12
         assert 0 < len(steps) < 2000
+
+
+@pytest.mark.parametrize("n_out,dim", [(2, 2), (3, 3), (3, 4)])
+def test_jrf_stack_equals_each_problem_alone(n_out, dim):
+    rng = np.random.default_rng(n_out * 10 + dim)
+    grams = np.stack([_random_scores(rng, n_out, dim) for _ in range(6)])
+    starts = np.stack([_random_povm(rng, n_out, dim) for _ in range(6)])
+    # a certified problem leaves the stack before its first step
+    starts[4] = _jrf_update(grams[4], starts[4], 2000)
+    alone = np.stack([_jrf_update(g, m, 60) for g, m in zip(grams, starts)])
+    shape = (2, 3, n_out, dim, dim)
+    stacked = _jrf_update(grams.reshape(shape), starts.reshape(shape), 60)
+    assert stacked.shape == shape
+    assert np.max(np.abs(stacked.reshape(alone.shape) - alone)) < 1e-12
+    # a stack with no problem left to step returns its input
+    fixed = _jrf_update(grams, starts, 2000)
+    assert _jrf_update(grams, fixed, 60) is fixed
 
 
 PROJECTOR_CASES = [
@@ -205,6 +228,24 @@ class TestProjector:
         projector.feasible(rhos, 1e-9, max_sweeps=max_sweeps)
         assert len(sweeps) <= max_sweeps
 
+    def test_stack_equals_each_set_alone(self, game, dim):
+        projector = _Projector(game, dim)
+        rng = np.random.default_rng(7)
+        trials = np.stack([_trial_states(game, projector, rng) for _ in range(5)])
+        # one set that is already feasible leaves the stack after one sweep
+        trials[2] = projector.feasible(trials[2], 1e-13)
+        sweeps = _count_sweeps(projector)
+        alone, counts = [], []
+        for rhos in trials:
+            alone.append(projector.feasible(rhos, 1e-9))
+            counts.append(len(sweeps))
+            sweeps.clear()
+        stacked = projector.feasible(trials, 1e-9)
+        assert len(sweeps) == max(counts)
+        assert min(counts) == 1 < max(counts)
+        assert np.max(np.abs(stacked - np.stack(alone))) < 1e-12
+        assert (projector.residual(stacked) < 1e-9).all()
+
     def test_mixing_halves_the_plain_sweeps(self, game, dim):
         projector = _Projector(game, dim)
         rng = np.random.default_rng(6)
@@ -230,6 +271,34 @@ class TestSeededStart:
         assert result.value >= A3 - 1e-9
         assert result.feasible
         assert result.feasibility_residual < 1e-8
+
+
+class TestInitialStrategy:
+    """A warm start that does not fit the game or the config is named."""
+
+    def _search(self, strategy, dim=3):
+        search(make_cglmp3_game(), SearchConfig(dim=dim, restarts=1, max_iters=1), initial=strategy)
+
+    def test_preparation_count(self):
+        s = cglmp.game_strategy()
+        with pytest.raises(ValueError, match="5 preparations, the game has 6"):
+            self._search(QuantumStrategy(s.preparations[:5], s.measurements))
+
+    def test_measurement_count(self):
+        s = cglmp.game_strategy()
+        with pytest.raises(ValueError, match="1 measurements, the game has 2"):
+            self._search(QuantumStrategy(s.preparations, s.measurements[:1]))
+
+    def test_outcome_count(self):
+        s = cglmp.game_strategy()
+        proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        two = Povm((proj, np.eye(3) - proj))
+        with pytest.raises(ValueError, match="2 outcomes per measurement, the game has 3"):
+            self._search(QuantumStrategy(s.preparations, (two, two)))
+
+    def test_dimension(self):
+        with pytest.raises(ValueError, match="dimension 3, the config 4"):
+            self._search(cglmp.game_strategy(), dim=4)
 
 
 class TestRacSearch:
@@ -333,3 +402,45 @@ def test_game_without_partitions_rejected():
     )
     with pytest.raises(ValueError):
         search(bare, SearchConfig(dim=2, restarts=1))
+
+
+@pytest.fixture(scope="module")
+def cglmp3_eight():
+    return search(make_cglmp3_game(), SearchConfig(dim=3, restarts=8, seed=0))
+
+
+class TestRestartStack:
+    """Every restart of the lockstep stack follows the path it takes alone."""
+
+    def test_per_restart_records(self, cglmp3_eight):
+        records = cglmp3_eight.per_restart
+        assert len(records) == 8
+        best = records[cglmp3_eight.restart_index]
+        assert best.value == cglmp3_eight.value
+        assert best.feasibility_residual == cglmp3_eight.feasibility_residual
+        assert best.iterations_used == cglmp3_eight.iterations_used
+        assert best.stop_reason == cglmp3_eight.stop_reason
+        assert all(r.feasible and r.feasibility_residual < 1e-8 for r in records)
+        assert max(r.value for r in records) == cglmp3_eight.value
+
+    def test_cglmp3_stops_are_pinned(self, cglmp3_eight):
+        stops = [(r.stop_reason, r.iterations_used) for r in cglmp3_eight.per_restart]
+        assert stops == [("window", 60)] * 8
+
+    def test_rac23_d4_stops_are_pinned(self):
+        result = search(make_rac_game(2, 3), SearchConfig(dim=4, restarts=2, seed=0))
+        stops = [(r.stop_reason, r.iterations_used) for r in result.per_restart]
+        assert stops == [("stalled", 90)] * 2
+
+    @pytest.mark.parametrize(
+        "game,dim,restarts",
+        [(make_cglmp3_game(), 3, 8), (make_rac_game(2, 3), 3, 3)],
+        ids=["cglmp3-d3", "rac23-d3"],
+    )
+    def test_restart_zero_matches_a_single_restart(self, game, dim, restarts):
+        stacked = search(game, SearchConfig(dim=dim, restarts=restarts, seed=0))
+        alone = search(game, SearchConfig(dim=dim, restarts=1, seed=0))
+        first = stacked.per_restart[0]
+        assert first.iterations_used == alone.iterations_used
+        assert first.stop_reason == alone.stop_reason
+        assert abs(first.value - alone.value) < 1e-9
