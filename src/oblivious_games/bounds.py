@@ -7,15 +7,17 @@ Three routes to a preparation-noncontextual (or local-realist) bound:
 * ``local_bound`` -- exhaustive enumeration of deterministic assignments for
   a correlation functional;
 * ``pnc_bound_lp_oracle`` -- for a generic game, enumerate deterministic
-  decoders and solve one linear program over obliviousness-respecting
-  encodings per decoder.  Optimal decoding is deterministic by convexity,
-  which is what makes the decoder enumeration exhaustive.
+  decoders and maximize each one's score over the polytope of
+  obliviousness-respecting encodings (one ``lp.Polytope``, so phase 1 runs
+  once per call).  Optimal decoding is deterministic by convexity, which is
+  what makes the decoder enumeration exhaustive.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .games import ObliviousGame, is_prime
 
 ENUM_GUARD = 10**7
 DECODER_GUARD = 10**6
+_DECODER_BLOCK = 4096  # decoders whose pruning bounds are formed in one array
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,6 +35,8 @@ class BoundResult:
     value: float
     method: str  # "formula" | "bruteforce" | "lp-oracle"
     witness: dict | None = None
+    programs: int | None = None  # LP oracle: programs solved after pruning
+    pivots: int | None = None  # LP oracle: simplex pivots, its one phase 1 included
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -74,8 +79,13 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     Messages are interchangeable, so decoders are enumerated as unordered
     multisets of per-message decoding functions (lexicographically, which also
     fixes the witness on ties).  A cheap constraint-free upper bound prunes
-    decoders that cannot beat the incumbent.
+    decoders that cannot beat the incumbent.  Every decoder's program is over
+    the same encoding polytope, so phase 1 runs once and each surviving
+    decoder re-optimizes from the previous one's optimal basis.  The result
+    counts the programs solved and their pivots, phase 1 included.
     """
+    if isinstance(message_count, bool) or not isinstance(message_count, numbers.Integral):
+        raise ValueError(f"message count must be an integer, not {message_count!r}")
     if message_count < 1:
         raise ValueError("need at least one message")
     na, nb, no = game.n_alice, game.n_bob, game.n_outcomes
@@ -97,25 +107,32 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     oblivious = np.einsum("rx,mn->mrxn", game.constraint_rows(), eye).reshape(-1, n_vars)
     a_eq = np.vstack([np.kron(np.eye(na), np.ones(message_count)), oblivious])
     b_eq = np.concatenate([np.ones(na), np.zeros(len(oblivious))])
+    polytope = lp.Polytope(a_eq, b_eq)
 
     best = -np.inf
     witness = None
-    for combo in combinations_with_replacement(range(len(decode_fns)), message_count):
-        # objective coefficient of p(m|x) is the score of message m's decoder at x
-        coeff = np.empty(n_vars)
-        for m, fn_idx in enumerate(combo):
-            coeff[m::message_count] = fn_scores[fn_idx]
-        # constraint-free bound: best message per input
-        cap = float(sum(coeff[x * message_count : (x + 1) * message_count].max() for x in range(na)))
-        if cap <= best + 1e-12:
-            continue
-        solution = lp.solve(lp.LinearProgram(coeff, a_eq, b_eq))
-        if solution.status != "optimal":  # pragma: no cover - uniform encodings are feasible
-            raise RuntimeError(f"encoding program reported {solution.status}")
-        if solution.objective_value > best + 1e-12:
-            best = solution.objective_value
-            witness = {
-                "decoder": [list(decode_fns[i]) for i in combo],
-                "encoding": solution.values.reshape(na, message_count).tolist(),
-            }
-    return BoundResult(value=best, method="lp-oracle", witness=witness)
+    programs = pivots = 0
+    combos = combinations_with_replacement(range(len(decode_fns)), message_count)
+    while block := list(islice(combos, _DECODER_BLOCK)):
+        # scores[c, m, x]: message m's decoder score at x; the constraint-free
+        # bound sends each input its best message
+        scores = fn_scores[np.array(block)]
+        caps = scores.max(axis=1).sum(axis=1)
+        for c in np.flatnonzero(caps > best + 1e-12):
+            if caps[c] <= best + 1e-12:
+                continue
+            # objective coefficient of p(m|x) is the score of message m's decoder at x
+            solution = polytope.maximize(scores[c].T.ravel())
+            programs += 1
+            pivots += solution.pivots
+            if solution.status != "optimal":  # pragma: no cover - uniform encodings are feasible
+                raise RuntimeError(f"encoding program reported {solution.status}")
+            if solution.objective_value > best + 1e-12:
+                best = solution.objective_value
+                witness = {
+                    "decoder": [list(decode_fns[i]) for i in block[c]],
+                    "encoding": solution.values.reshape(na, message_count).tolist(),
+                }
+    return BoundResult(
+        value=best, method="lp-oracle", witness=witness, programs=programs, pivots=pivots
+    )

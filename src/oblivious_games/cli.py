@@ -92,6 +92,9 @@ def _cmd_bound(args) -> int:
         result = bounds.BoundResult(value=value, method="formula")
         inputs = {"game": args.game, "oracle": False}
     results = {"value": result.value, "method": result.method}
+    if result.programs is not None:
+        results["programs"] = result.programs
+        results["pivots"] = result.pivots
     if args.witness and result.witness is not None:
         results["witness"] = result.witness
     _emit(

@@ -12,10 +12,18 @@ leaving row with array reductions and pivots them all with one masked
 update.  A row update is skipped where its factor is zero, as a row loop
 would skip it, so every program takes the pivots, and rounds every entry,
 exactly as it would alone.  Empty and redundant rows are zeroed in place
-rather than deleted, which keeps the stack one shape.  ``solve`` is the
-stack of one.  A step costs a few dozen numpy calls whatever the stack
-holds, so the speed comes from stacking many programs and from tall
-tableaux; a single program of a dozen rows gains nothing.
+rather than deleted, which keeps the stack one shape.
+
+The simplex runs in two stages: ``_feasible`` (phase 1 and the drive-out
+of artificial variables) and ``_maximize`` (phase 2 from whatever basis it
+is given).  ``solve_many`` runs both on its stack.  A ``Polytope`` runs
+``_feasible`` once on a stack of one, and each ``maximize`` re-optimizes a
+new objective from the basis the last one ended in; ``solve`` is the first
+``maximize`` of a fresh polytope.  A step costs a few dozen numpy calls
+whatever the stack holds, which outweighs the arithmetic of a program of a
+dozen rows.  Such programs gain by taking fewer steps: a sequence of
+objectives over one polytope pays for phase 1 once, and a warm phase 2
+often takes a few pivots where a cold solve takes twenty.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ class LpSolution:
     values: np.ndarray | None = None
     objective_value: float | None = None
     pivots: int = 0  # over phase 1, the artificial drive-out and phase 2
+    phase1_pivots: int = 0  # the phase-1 and drive-out part of ``pivots``
 
 
 def _bounded(lp: LinearProgram) -> np.ndarray:
@@ -186,26 +195,16 @@ def _phase_one(programs: list, capped: np.ndarray) -> tuple:
     return tableau, infeasible
 
 
-def solve_many(programs) -> list:
-    """Two-phase simplex on programs of one shape, in lockstep.
+def _feasible(programs: list, capped: np.ndarray) -> tuple:
+    """Phase 1 and the artificial drive-out, in lockstep.
 
-    One shape means one equality-matrix shape and the same variables with a
-    finite upper bound.  Element ``p`` of the result equals ``solve`` of
-    program ``p``: same status, pivots and bit-equal values.
+    Returns the phase-2 tableau ([a | b] in the last feasible basis, over a
+    cost row that ``_maximize`` fills), the basis, the infeasible mask and
+    the pivots taken.
     """
-    programs = list(programs)
-    if not programs:
-        return []
-    shape = programs[0].eq_matrix.shape
-    bounded = _bounded(programs[0])
-    for lp in programs[1:]:
-        if lp.eq_matrix.shape != shape or not np.array_equal(_bounded(lp), bounded):
-            raise ValueError("solve_many needs programs of one shape")
-    capped = np.flatnonzero(bounded)
     tableau, infeasible = _phase_one(programs, capped)
     k, m = len(programs), tableau.shape[1] - 1
-    n_orig = shape[1]
-    n = n_orig + capped.size
+    n = programs[0].objective.size + capped.size
     rows = np.arange(m)
 
     # Phase 1: drive artificial variables to zero.
@@ -239,13 +238,26 @@ def solve_many(programs) -> list:
             tableau[on], basis[on] = t, b
             pivots[on] += 1
 
-    # Phase 2 on the original objective (bound slacks cost nothing).  Basic
-    # columns are exact unit vectors, so eliminating one row's basic cost
-    # leaves the others' as they were: the rows are subtracted in order in
-    # one reduction, a row with no cost adding an exact +0.
     tableau = np.concatenate([tableau[:, :, :n], tableau[:, :, -1:]], axis=2)
+    return tableau, basis, infeasible, pivots
+
+
+def _maximize(tableau, basis, infeasible, phase1, programs, objectives) -> list:
+    """Phase 2 from each program's current basis, to each one's solution.
+
+    ``tableau`` and ``basis`` come from ``_feasible`` or from an earlier
+    call; they are updated in place, so they end at the last basis, which is
+    feasible for any objective.  ``phase1`` is the pivots to count before
+    phase 2, and ``objectives`` holds one row per program.
+    """
+    k, m = basis.shape
+    n = tableau.shape[2] - 1
+    # Bound slacks cost nothing.  Basic columns are exact unit vectors, so
+    # eliminating one row's basic cost leaves the others' as they were: the
+    # rows are subtracted in order in one reduction, a row with no cost
+    # adding an exact +0.
     cost = np.zeros((k, n + m + 1))
-    cost[:, :n_orig] = [lp.objective for lp in programs]
+    cost[:, : objectives.shape[1]] = objectives
     stack = np.arange(k)[:, None]
     factor = cost[stack, basis][..., None]
     tableau[:, -1] = np.subtract.reduce(
@@ -255,25 +267,27 @@ def solve_many(programs) -> list:
         ),
         axis=1,
     )
-    unbounded = _bland(tableau, basis, live, n, pivots)
+    pivots = phase1.copy()
+    unbounded = _bland(tableau, basis, ~infeasible, n, pivots)
 
     values = np.zeros((k, n + m))
     values[stack, basis] = tableau[:, :m, -1]
-    values = values[:, :n_orig]
+    values = values[:, : objectives.shape[1]]
     np.maximum(values, 0.0, out=values)  # remove sub-tolerance pivot noise
 
     results = []
     for p, lp in enumerate(programs):
+        counts = {"pivots": int(pivots[p]), "phase1_pivots": int(phase1[p])}
         if infeasible[p]:
-            results.append(LpSolution(status="infeasible", pivots=int(pivots[p])))
+            results.append(LpSolution(status="infeasible", **counts))
         elif unbounded[p]:
-            results.append(LpSolution(status="unbounded", pivots=int(pivots[p])))
+            results.append(LpSolution(status="unbounded", **counts))
         else:
-            results.append(_checked(lp, values[p], int(pivots[p])))
+            results.append(_checked(lp, objectives[p], values[p], counts))
     return results
 
 
-def _checked(lp: LinearProgram, values: np.ndarray, pivots: int) -> LpSolution:
+def _checked(lp: LinearProgram, objective, values: np.ndarray, counts: dict) -> LpSolution:
     """The optimal solution, once the vertex satisfies the original system."""
     if lp.eq_rhs.size:
         feas = float(np.max(np.abs(lp.eq_matrix @ values - lp.eq_rhs)))
@@ -286,11 +300,71 @@ def _checked(lp: LinearProgram, values: np.ndarray, pivots: int) -> LpSolution:
     return LpSolution(
         status="optimal",
         values=values,
-        objective_value=float(np.dot(lp.objective, values)),
-        pivots=pivots,
+        objective_value=float(np.dot(objective, values)),
+        **counts,
     )
 
 
+def solve_many(programs) -> list:
+    """Two-phase simplex on programs of one shape, in lockstep.
+
+    One shape means one equality-matrix shape and the same variables with a
+    finite upper bound.  Element ``p`` of the result equals ``solve`` of
+    program ``p``: same status, pivots and bit-equal values.
+    """
+    programs = list(programs)
+    if not programs:
+        return []
+    shape = programs[0].eq_matrix.shape
+    bounded = _bounded(programs[0])
+    for lp in programs[1:]:
+        if lp.eq_matrix.shape != shape or not np.array_equal(_bounded(lp), bounded):
+            raise ValueError("solve_many needs programs of one shape")
+    tableau, basis, infeasible, pivots = _feasible(programs, np.flatnonzero(bounded))
+    objectives = np.array([lp.objective for lp in programs])
+    return _maximize(tableau, basis, infeasible, pivots, programs, objectives)
+
+
+class Polytope:
+    """The set {v : eq_matrix v = eq_rhs, 0 <= v <= upper_bounds}, maximized
+    over one objective after another.
+
+    Phase 1 runs once, in the constructor.  Each ``maximize`` runs phase 2
+    from the basis the previous call ended in: that basis is feasible for
+    every objective, and near-optimal for a similar one.  The first call
+    counts the phase-1 pivots in its ``pivots`` and ``phase1_pivots``; later
+    calls count only their own phase 2.  An infeasible polytope reports
+    ``infeasible`` for every objective.
+    """
+
+    def __init__(self, eq_matrix, eq_rhs, upper_bounds=None):
+        a = np.asarray(eq_matrix, dtype=float)
+        self._program = LinearProgram(np.zeros(a.shape[1:2]), a, eq_rhs, upper_bounds)
+        capped = np.flatnonzero(_bounded(self._program))
+        self._tableau, self._basis, self._infeasible, self._phase1 = _feasible(
+            [self._program], capped
+        )
+
+    def maximize(self, objective) -> LpSolution:
+        """Maximize ``objective . v`` over the polytope; infeasible and
+        unbounded results are reported, never raised."""
+        c = np.asarray(objective, dtype=float).reshape(-1)
+        if c.shape != self._program.objective.shape:
+            raise ValueError(
+                f"objective of {c.size} entries for {self._program.objective.size} variables"
+            )
+        if not np.isfinite(c).all():
+            raise ValueError("objective must be finite")
+        (solution,) = _maximize(
+            self._tableau, self._basis, self._infeasible, self._phase1, [self._program], c[None]
+        )
+        self._phase1 = np.zeros_like(self._phase1)
+        return solution
+
+
 def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex; infeasible/unbounded programs are reported, never raised."""
-    return solve_many([lp])[0]
+    """Two-phase simplex; infeasible/unbounded programs are reported, never raised.
+
+    This is the first ``maximize`` of a fresh ``Polytope``.
+    """
+    return Polytope(lp.eq_matrix, lp.eq_rhs, lp.upper_bounds).maximize(lp.objective)

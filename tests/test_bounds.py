@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -154,12 +155,22 @@ class TestLpOracle:
         with pytest.raises(ValueError):
             pnc_bound_lp_oracle(game, 25)
 
+    @pytest.mark.parametrize("count", [True, 2.0, 2.5, "2"])
+    def test_message_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match=re.escape(repr(count))):
+            pnc_bound_lp_oracle(make_rac_game(2, 2), count)
+
+    def test_numpy_integer_message_count(self):
+        game = make_rac_game(2, 2)
+        result = pnc_bound_lp_oracle(game, np.int64(2))
+        assert result.value == pnc_bound_lp_oracle(game, 2).value
+        assert (result.programs, result.pivots) == (2, 7)
+
     def test_rac33_two_messages(self):
         result = pnc_bound_lp_oracle(make_rac_game(3, 3), 2)
         assert abs(result.value - 4 / 9) < 1e-9
         assert result.witness["decoder"] == [[0, 0, 0], [0, 0, 1]]
 
-    @pytest.mark.slow
     def test_rac33_matches_formula(self):
         # the README's 5/9: three messages reach the closed form
         result = pnc_bound_lp_oracle(make_rac_game(3, 3), 3)

@@ -38,6 +38,7 @@ def test_bound_oracle(capsys):
     assert code == 0
     assert abs(report["results"]["value"] - 0.75) < 1e-9
     assert report["results"]["method"] == "lp-oracle"
+    assert (report["results"]["programs"], report["results"]["pivots"]) == (2, 7)
 
 
 def test_bound_cglmp3(capsys):

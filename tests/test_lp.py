@@ -1,10 +1,12 @@
+from itertools import combinations_with_replacement, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblivious_games import bounds, expdata, games, lp
-from oblivious_games.lp import LinearProgram, LpSolution, solve, solve_many
+from oblivious_games import bellmap, bounds, expdata, games, lp
+from oblivious_games.lp import LinearProgram, LpSolution, Polytope, solve, solve_many
 
 
 def test_fixed_variable_with_bounds():
@@ -228,7 +230,102 @@ def test_pivots_of_the_bundled_secondary_program(monkeypatch, data_dir):
     assert [s.pivots for s in solutions] == [38]
 
 
-def test_pivots_of_the_rac23_oracle_programs(monkeypatch):
-    game = games.make_rac_game(2, 3)
-    solutions = _solutions_of(monkeypatch, lambda: bounds.pnc_bound_lp_oracle(game, 3))
-    assert [s.pivots for s in solutions] == [20, 22, 25, 24, 24, 24, 26]
+def _cold_oracle(game, messages):
+    """The LP oracle written out with one cold ``solve`` per decoder.
+
+    Same decoder order, pruning bound and polytope as
+    ``bounds.pnc_bound_lp_oracle``; returns the best value and decoder, and
+    each solved program with its solution.
+    """
+    na, nb, no = game.n_alice, game.n_bob, game.n_outcomes
+    weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
+    fns = list(product(range(no), repeat=nb))
+    scores = np.array([[weighted[x, np.arange(nb), list(f)].sum() for x in range(na)] for f in fns])
+    rows = game.constraint_rows()
+    a = np.vstack(
+        [np.kron(np.eye(na), np.ones(messages))]
+        + [np.kron(row, np.eye(messages)[m]) for m in range(messages) for row in rows]
+    )
+    b = np.concatenate([np.ones(na), np.zeros(len(a) - na)])
+    best, decoder, solved = -np.inf, None, []
+    for combo in combinations_with_replacement(range(len(fns)), messages):
+        chosen = scores[list(combo)]
+        if chosen.max(axis=0).sum() <= best + 1e-12:
+            continue
+        program = LinearProgram(chosen.T.ravel(), a, b)
+        solved.append((program, solve(program)))
+        if solved[-1][1].objective_value > best + 1e-12:
+            best, decoder = solved[-1][1].objective_value, [list(fns[i]) for i in combo]
+    return best, decoder, solved
+
+
+def test_pivots_of_the_rac23_oracle_programs():
+    _, _, solved = _cold_oracle(games.make_rac_game(2, 3), 3)
+    assert [s.pivots for _, s in solved] == [20, 22, 25, 24, 24, 24, 26]
+
+
+def test_pivots_of_the_warm_rac23_oracle():
+    # one phase 1, then each decoder re-optimized from the last basis
+    result = bounds.pnc_bound_lp_oracle(games.make_rac_game(2, 3), 3)
+    assert result.programs == 7
+    assert result.pivots == 38
+
+
+ORACLE_GAMES = {
+    "rac22": (lambda: games.make_rac_game(2, 2), 2),
+    "rac23": (lambda: games.make_rac_game(2, 3), 3),
+    "rac32": (lambda: games.make_rac_game(3, 2), 2),
+    "cglmp3": (games.make_cglmp3_game, 3),
+    "bell-cglmp3": (lambda: bellmap.game_from_bell(bellmap.cglmp3(), np.full((2, 3), 1 / 3)), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GAMES))
+def test_warm_maximize_equals_cold_solve(name):
+    make, messages = ORACLE_GAMES[name]
+    game = make()
+    best, decoder, solved = _cold_oracle(game, messages)
+    polytope = Polytope(solved[0][0].eq_matrix, solved[0][0].eq_rhs)
+    for program, cold in solved:
+        warm = polytope.maximize(program.objective)
+        assert warm.status == cold.status == "optimal"
+        assert abs(warm.objective_value - cold.objective_value) < 1e-12
+    result = bounds.pnc_bound_lp_oracle(game, messages)
+    assert abs(result.value - best) < 1e-12
+    assert result.witness["decoder"] == decoder
+    assert result.programs == len(solved)
+
+
+def test_warm_pivots_after_the_first():
+    program = _mixed_stack()[0][0]
+    polytope = Polytope(program.eq_matrix, program.eq_rhs, program.upper_bounds)
+    first = polytope.maximize(program.objective)
+    cold = solve(program)
+    assert (first.pivots, first.phase1_pivots) == (cold.pivots, cold.phase1_pivots)
+    assert 0 < first.phase1_pivots <= first.pivots
+    assert first.values.tobytes() == cold.values.tobytes()
+    # the same objective again: the basis is already optimal
+    again = polytope.maximize(program.objective)
+    assert (again.pivots, again.phase1_pivots) == (0, 0)
+    assert again.objective_value == first.objective_value
+    assert again.values.tobytes() == first.values.tobytes()
+
+
+def test_infeasible_polytope_stays_infeasible():
+    program = _mixed_stack()[1][0]
+    polytope = Polytope(program.eq_matrix, program.eq_rhs, program.upper_bounds)
+    rng = np.random.default_rng(4)
+    for objective in [program.objective, rng.normal(size=4), np.zeros(4)]:
+        solution = polytope.maximize(objective)
+        assert solution.status == "infeasible"
+        assert solution.values is None
+
+
+def test_polytope_rejects_bad_objectives():
+    polytope = Polytope([[1.0, 1.0]], [1.0])
+    with pytest.raises(ValueError):
+        polytope.maximize([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        polytope.maximize([1.0, np.nan])
+    with pytest.raises(ValueError):
+        Polytope([1.0, 1.0], [1.0])

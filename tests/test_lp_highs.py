@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oblivious_games import expdata
-from oblivious_games.lp import LinearProgram, solve, solve_many
+from oblivious_games.lp import LinearProgram, Polytope, solve, solve_many
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -158,3 +158,21 @@ def test_secondary_optimum_on_bundled_tables(data_dir):
     b = np.concatenate([np.ones(6), np.zeros(6)])
     ours = assert_agrees(objective, np.asarray(rows), b)
     assert abs(expdata.secondary_data(data, mapping).s - ours.objective_value) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polytope_over_a_sequence_of_objectives(seed):
+    # a bounded polytope with one free column: an objective that gains on it
+    # is unbounded, and the next bounded one must re-optimize from there
+    rng = np.random.default_rng(600 + seed)
+    _, a, b, x0 = feasible_program(rng, 3, 8)
+    a = np.hstack([a, np.zeros((len(a), 1))])
+    upper = np.full(9, np.inf)
+    upper[[1, 4]] = x0[[1, 4]] + rng.random(2)
+    polytope = Polytope(a, b, upper)
+    statuses = []
+    for step in range(8):
+        c = rng.normal(size=9)
+        c[-1] = 1.0 if step == 3 else -abs(c[-1])
+        statuses.append(assert_agrees(c, a, b, upper, ours=polytope.maximize(c)).status)
+    assert statuses == ["optimal"] * 3 + ["unbounded"] + ["optimal"] * 4
