@@ -15,7 +15,6 @@ Three routes to a preparation-noncontextual (or local-realist) bound:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice, product
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import lp
 from .bellmap import BellFunctional
-from .games import ObliviousGame, is_prime
+from .games import ObliviousGame, check_integer, is_prime
 
 ENUM_GUARD = 10**7
 DECODER_GUARD = 10**6
@@ -63,13 +62,14 @@ def local_bound(bell: BellFunctional) -> BoundResult:
     best = -np.inf
     witness = None
     for f in product(range(d), repeat=ma):
-        # value as a function of g decomposes per Y once f is fixed
-        per_y = np.stack([weighted[np.arange(ma), Y, list(f), :].sum(axis=0) for Y in range(mb)])
-        for g in product(range(d), repeat=mb):
-            value = float(sum(per_y[Y, g[Y]] for Y in range(mb)))
-            if value > best:
-                best = value
-                witness = {"alice_assignment": list(f), "bob_assignment": list(g)}
+        # once f is fixed the value splits into one term per Y, so each Y
+        # takes its first best outcome
+        per_y = weighted[np.arange(ma), :, list(f), :].sum(axis=0)
+        g = per_y.argmax(axis=1)
+        value = float(sum(per_y[np.arange(mb), g]))
+        if value > best:
+            best = value
+            witness = {"alice_assignment": list(f), "bob_assignment": g.tolist()}
     return BoundResult(value=best, method="bruteforce", witness=witness)
 
 
@@ -84,8 +84,7 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     decoder re-optimizes from the previous one's optimal basis.  The result
     counts the programs solved and their pivots, phase 1 included.
     """
-    if isinstance(message_count, bool) or not isinstance(message_count, numbers.Integral):
-        raise ValueError(f"message count must be an integer, not {message_count!r}")
+    message_count = check_integer(message_count, "message count")
     if message_count < 1:
         raise ValueError("need at least one message")
     na, nb, no = game.n_alice, game.n_bob, game.n_outcomes

@@ -19,9 +19,8 @@ secondary-data program come from the same game.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from . import lp
 from .cglmp import closed_form_prob
 from .games import (
     Behavior,
+    check_integer,
     load_record,
     make_cglmp3_game,
     obliviousness_residual_behavior,
@@ -43,6 +43,10 @@ PROTOCOL_BASES = (1, 2)
 AUX_BASES = (3, 4, 5)
 
 _GAME = make_cglmp3_game()
+
+# Every bijection of the six lab states onto the six game inputs, in
+# lexicographic order: row i sends lab state s to game input _BIJECTIONS[i, s].
+_BIJECTIONS = np.fromiter(permutations(range(6)), dtype=(np.intp, 6), count=720)
 
 # Monte Carlo programs per lockstep stack.  Over 1000 samples of the bundled
 # data, 32 raise peak RSS by about 0.55 MB over one program at a time and 128
@@ -113,6 +117,8 @@ def _parse_rows(path):
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
             if (j, k) not in STATES:
                 raise ValueError(f"{path}:{lineno}: unknown state ({j},{k})")
+            if basis not in PROTOCOL_BASES + AUX_BASES:
+                raise ValueError(f"{path}:{lineno}: basis must be 1..5, got {basis}")
             if proj not in (1, 2, 3):
                 raise ValueError(f"{path}:{lineno}: projector must be 1..3")
             if not 0.0 <= prob <= 1.0:
@@ -132,18 +138,24 @@ def load_primary(*paths) -> PrimaryData:
     aux_sig = np.full((6, 3, 3), np.nan)
     state_index = {s: i for i, s in enumerate(STATES)}
     any_aux = False
+    seen = {}  # (state, basis, projector) -> file:line
     for path in paths:
         for path_, lineno, state, basis, proj, p, s in _parse_rows(path):
+            cell = (state, basis, proj)
+            if cell in seen:
+                raise ValueError(
+                    f"{path_}:{lineno}: state {state}, basis {basis}, projector {proj} "
+                    f"repeats the cell of {seen[cell]}"
+                )
+            seen[cell] = f"{path_}:{lineno}"
             si = state_index[state]
             if basis in PROTOCOL_BASES:
                 prob[si, basis - 1, proj - 1] = p
                 sig[si, basis - 1, proj - 1] = s
-            elif basis in AUX_BASES:
+            else:
                 aux_prob[si, basis - 3, proj - 1] = p
                 aux_sig[si, basis - 3, proj - 1] = s
                 any_aux = True
-            else:
-                raise ValueError(f"{path_}:{lineno}: basis must be 1..5, got {basis}")
     if np.any(np.isnan(prob)):
         missing = int(np.sum(np.isnan(prob)))
         raise ValueError(f"protocol table incomplete: {missing} of 36 cells missing")
@@ -223,63 +235,48 @@ def load_mapping(path) -> LabelMapping:
 
 
 def _theory_table() -> np.ndarray:
-    """Ideal p(b | (x0, x), y) indexed as [(x0, x) flat, y, b]."""
-    t = np.empty((6, 2, 3))
-    for i, (x0, x) in enumerate((x0, x) for x0 in range(3) for x in range(2)):
-        for y in range(2):
-            for b in range(3):
-                t[i, y, b] = closed_form_prob(x0, x, y, b)
-    return t
+    """Ideal p(b | (x0, x), y) indexed as [(x0, x), y, b] in the game's order."""
+    cells = product(_GAME.alice_inputs, _GAME.bob_inputs, _GAME.outcomes)
+    probs = [closed_form_prob(x0, x, y, b) for (x0, x), y, b in cells]
+    return np.array(probs).reshape(_GAME.payoff.shape)
 
 
 def fit_label_mapping(data: PrimaryData) -> tuple:
     """Exhaustive search for the mapping minimizing the L1 distance to theory.
 
-    All 2 basis assignments x 36 outcome assignments are scanned; for each,
-    per-state theory/lab cost matrices reduce the state search to the 720
-    bijections.  Deterministic: ties keep the first candidate in iteration
-    order.  Returns (mapping, residual).
+    All 2 basis assignments x 36 outcome assignments are scanned.  For each,
+    one broadcast ``|measured - relabelled theory|`` gives the (lab state,
+    game input) cost matrix, and the 720 state bijections are scored from it
+    at once; the first least-cost one is the assignment's candidate.  A later
+    candidate replaces the incumbent only when lower by more than 1e-15, so
+    near-ties keep the first in iteration order.  Returns (mapping, residual).
     """
     measured = data.normalized()
     theory = _theory_table()
-    game_states = [(x0, x) for x0 in range(3) for x in range(2)]
+    outcome_perms = list(permutations((0, 1, 2)))
     best_res = np.inf
-    best = None
-    for basis_perm in permutations((0, 1)):
-        for out0 in permutations((0, 1, 2)):
-            for out1 in permutations((0, 1, 2)):
-                outs = (out0, out1)
-                # cost[s, t]: L1 distance of lab state s to theory state t
-                cost = np.zeros((6, 6))
-                for s in range(6):
-                    for t in range(6):
-                        acc = 0.0
-                        for lab_basis in range(2):
-                            y = basis_perm[lab_basis]
-                            for proj in range(3):
-                                b = outs[lab_basis][proj]
-                                acc += abs(measured[s, lab_basis, proj] - theory[t, y, b])
-                        cost[s, t] = acc
-                for perm in permutations(range(6)):
-                    res = float(sum(cost[s, perm[s]] for s in range(6)))
-                    if res < best_res - 1e-15:
-                        best_res = res
-                        best = (basis_perm, outs, perm)
+    for basis_perm, *outs in product(permutations((0, 1)), outcome_perms, outcome_perms):
+        # relabelled[t, lab basis, projector] is the theory of game input t in
+        # lab labels; cost[s, t] is the L1 distance of lab state s to it
+        relabelled = theory[:, np.array(basis_perm)[:, None], np.array(outs)]
+        cost = np.abs(measured[:, None] - relabelled[None]).reshape(6, 6, 6).sum(axis=2)
+        residuals = cost[np.arange(6), _BIJECTIONS].sum(axis=1)
+        i = int(np.argmin(residuals))
+        if residuals[i] < best_res - 1e-15:
+            best_res = float(residuals[i])
+            best = (basis_perm, outs, _BIJECTIONS[i])
     basis_perm, outs, perm = best
     mapping = LabelMapping(
-        state_map={STATES[s]: game_states[perm[s]] for s in range(6)},
+        state_map={lab: _GAME.alice_inputs[t] for lab, t in zip(STATES, perm)},
         basis_map={1: basis_perm[0], 2: basis_perm[1]},
-        outcome_map={
-            1: {p + 1: outs[0][p] for p in range(3)},
-            2: {p + 1: outs[1][p] for p in range(3)},
-        },
+        outcome_map={lab: {p + 1: b for p, b in enumerate(outs[lab - 1])} for lab in (1, 2)},
     )
     return mapping, best_res
 
 
-def _score(tables: np.ndarray, index: tuple) -> float:
-    """Game score of lab-ordered tables, through ``games.performance``."""
-    return performance(_GAME, Behavior(tables[index]))
+def _score(tables: np.ndarray, index: tuple):
+    """Game score of lab-ordered tables (of each, for a stack), by ``games.performance``."""
+    return performance(_GAME, Behavior(tables[(..., *index)]))
 
 
 def a3_primary(data: PrimaryData, mapping: LabelMapping) -> float:
@@ -317,7 +314,8 @@ def secondary_weights(tables: np.ndarray, rows: np.ndarray) -> tuple:
     ``p_prime[t] = sum_s W[t, s] tables[s]`` entrywise.  Returns ``(W, p_prime, s)``.
     """
     (program,) = _secondary_programs(tables[None], rows)
-    return _secondary_result(lp.solve(program), tables)
+    weights, p_prime, s = _secondary_result([lp.solve(program)], tables[None])
+    return weights[0], p_prime[0], float(s[0])
 
 
 def _secondary_programs(stack: np.ndarray, rows: np.ndarray) -> list:
@@ -334,13 +332,16 @@ def _secondary_programs(stack: np.ndarray, rows: np.ndarray) -> list:
     return [lp.LinearProgram(objective, a, b_eq) for a in a_eq]
 
 
-def _secondary_result(solution: lp.LpSolution, tables: np.ndarray) -> tuple:
-    if solution.status != "optimal":  # pragma: no cover - uniform weights are feasible
-        raise RuntimeError(f"secondary-data program reported {solution.status}")
-    n = tables.shape[0]
-    weights = solution.values.reshape(n, n)
-    p_prime = np.einsum("ts,s...->t...", weights, tables)
-    return weights, p_prime, float(solution.objective_value)
+def _secondary_result(solutions: list, stack: np.ndarray) -> tuple:
+    """Weights, secondary tables and objective of each program's solution,
+    stacked like the sets of tables in ``stack``."""
+    for solution in solutions:
+        if solution.status != "optimal":  # pragma: no cover - uniform weights are feasible
+            raise RuntimeError(f"secondary-data program reported {solution.status}")
+    k, n = stack.shape[:2]
+    weights = np.stack([solution.values for solution in solutions]).reshape(k, n, n)
+    p_prime = np.einsum("kts,ks...->kt...", weights, stack)
+    return weights, p_prime, np.array([solution.objective_value for solution in solutions])
 
 
 def _lab_rows(index: tuple) -> np.ndarray:
@@ -383,12 +384,13 @@ def mc_uncertainty(
     Each sample perturbs every table entry by an independent zero-mean normal
     draw with the published sigma, clamps to [0, 1], renormalizes rows, and
     recomputes both scores.  Only the published per-entry uncertainties enter;
-    systematic components are not modeled.  Samples are drawn, and their
-    secondary-data programs solved as one stack, ``_MC_CHUNK`` at a time; the
-    draws continue one random stream, so the chunk does not change the result.
+    systematic components are not modeled.  Samples are drawn ``_MC_CHUNK`` at
+    a time as one stack of tables: their secondary-data programs are solved in
+    lockstep, and the chunk's primary and secondary scores are one
+    ``games.performance`` call each.  The draws continue one random stream, so
+    the chunk does not change the result.
     """
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
-        raise ValueError(f"sample count must be an integer, got {samples!r}")
+    samples = check_integer(samples, "sample count")
     if samples < 100:
         raise ValueError("need at least 100 samples")
     rng = np.random.default_rng(seed)
@@ -403,9 +405,7 @@ def mc_uncertainty(
         sums = draw.sum(axis=3, keepdims=True)
         sums[sums <= 0.0] = 1.0
         tables = draw / sums
-        solutions = lp.solve_many(_secondary_programs(tables, rows))
-        for i, t, solution in zip(range(start, start + size), tables, solutions):
-            a3_pri[i] = _score(t, index)
-            _, p_prime, _ = _secondary_result(solution, t)
-            a3_sec[i] = _score(p_prime, index)
+        _, p_prime, _ = _secondary_result(lp.solve_many(_secondary_programs(tables, rows)), tables)
+        a3_pri[start : start + size] = _score(tables, index)
+        a3_sec[start : start + size] = _score(p_prime, index)
     return float(np.std(a3_pri)), float(np.std(a3_sec))

@@ -74,10 +74,11 @@ def load_record(path, from_dict):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _partition_index(i) -> int:
-    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-        raise ValueError(f"partition index {i!r} is not an integer")
-    return int(i)
+def check_integer(value, name: str) -> int:
+    """``int(value)`` for an integral ``value``; a bool or any other value is a ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +105,7 @@ class ObliviousGame:
         if not np.isfinite(pay).all():
             raise ValueError("payoff has non-finite entries")
         families = tuple(
-            tuple(tuple(_partition_index(i) for i in subset) for subset in family)
+            tuple(tuple(check_integer(i, "partition index") for i in subset) for subset in family)
             for family in self.partitions
         )
         for family in families:
@@ -201,19 +202,19 @@ def load_game(path) -> ObliviousGame:
 
 @dataclass(frozen=True, eq=False)
 class Behavior:
-    """Conditional outcome table p[x, y, b]; every (x, y) row is a distribution."""
+    """Outcome table p[x, y, b], or a stack p[..., x, y, b]; every row is a distribution."""
 
     table: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
-        if t.ndim != 3:
-            raise ValueError("behavior table must have shape (inputs_A, inputs_B, outcomes)")
+        if t.ndim < 3:
+            raise ValueError("behavior table must have shape (..., inputs_A, inputs_B, outcomes)")
         if not np.isfinite(t).all():
             raise ValueError("behavior has non-finite probabilities")
         if np.min(t) < -BEHAVIOR_TOL:
             raise ValueError("behavior has negative probabilities")
-        sums = t.sum(axis=2)
+        sums = t.sum(axis=-1)
         if np.max(np.abs(sums - 1.0)) >= BEHAVIOR_TOL:
             raise ValueError("behavior rows do not sum to 1")
         object.__setattr__(self, "table", readonly(t))
@@ -270,15 +271,14 @@ class ClassicalStrategy:
         object.__setattr__(self, "decoding", readonly(dec))
 
 
-def performance(game: ObliviousGame, behavior: Behavior) -> float:
-    """Average payoff of a behavior in a game."""
-    if behavior.table.shape != game.payoff.shape:
+def performance(game: ObliviousGame, behavior: Behavior):
+    """Average payoff of a behavior in a game; one value per table of a stack."""
+    if behavior.table.shape[-3:] != game.payoff.shape:
         raise ValueError(
             f"behavior shape {behavior.table.shape} does not match game {game.payoff.shape}"
         )
-    return float(
-        np.einsum("ayb,a,y,ayb->", game.payoff, game.p_alice, game.p_bob, behavior.table)
-    )
+    value = np.einsum("ayb,a,y,...ayb->...", game.payoff, game.p_alice, game.p_bob, behavior.table)
+    return float(value) if behavior.table.ndim == 3 else value
 
 
 def behavior_from_quantum(strategy: QuantumStrategy) -> Behavior:

@@ -47,7 +47,6 @@ lower bounds on the quantum optimum; nothing here certifies optimality.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +55,7 @@ from .games import (
     ObliviousGame,
     QuantumStrategy,
     behavior_from_quantum,
+    check_integer,
     obliviousness_residual_quantum,
     performance,
 )
@@ -87,9 +87,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("dim", "restarts", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            check_integer(getattr(self, name), name)
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
         if self.dim > 8:

@@ -212,6 +212,14 @@ def test_nan_game_file_exit_code(capsys, tmp_path, data_dir, argv, content, mess
     assert message in err
 
 
+def test_exp_same_file_twice_exit_code(capsys, data_dir):
+    path = str(data_dir / "table2.csv")
+    code, report, err = run_cli(capsys, "exp", "--data", path, path)
+    assert code == 2
+    assert report is None
+    assert f"{path}:2" in err and "repeats" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, _ = run_cli(capsys, "exp", "--data", "no_such_file.csv")
     assert code == 2

@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,38 @@ def ideal_tables(mapping: LabelMapping) -> np.ndarray:
                 b = mapping.outcome_map[lab_basis][proj]
                 tables[s, lab_basis - 1, proj - 1] = closed_form_prob(x0, x, y, b)
     return tables
+
+
+def loop_fit(measured: np.ndarray) -> tuple:
+    """The label-mapping fit written out cell by cell and bijection by bijection.
+
+    Same sums in the same order as ``fit_label_mapping``; a candidate replaces
+    the incumbent only when lower by more than 1e-15.
+    """
+    game_states = [(x0, x) for x0 in range(3) for x in range(2)]
+    best_res, best = np.inf, None
+    for basis_perm, out0, out1 in product(
+        permutations((0, 1)), permutations((0, 1, 2)), permutations((0, 1, 2))
+    ):
+        outs = (out0, out1)
+        cost = np.zeros((6, 6))
+        for s, (t, (x0, x)) in product(range(6), enumerate(game_states)):
+            acc = 0.0
+            for lab_basis, proj in product(range(2), range(3)):
+                ideal = closed_form_prob(x0, x, basis_perm[lab_basis], outs[lab_basis][proj])
+                acc += abs(measured[s, lab_basis, proj] - ideal)
+            cost[s, t] = acc
+        for perm in permutations(range(6)):
+            res = float(sum(cost[s, perm[s]] for s in range(6)))
+            if res < best_res - 1e-15:
+                best_res, best = res, (basis_perm, outs, perm)
+    basis_perm, outs, perm = best
+    mapping = LabelMapping(
+        state_map={expdata.STATES[s]: game_states[perm[s]] for s in range(6)},
+        basis_map={1: basis_perm[0], 2: basis_perm[1]},
+        outcome_map={i + 1: {p + 1: outs[i][p] for p in range(3)} for i in range(2)},
+    )
+    return mapping, best_res
 
 
 def scrambled_mapping() -> LabelMapping:
@@ -102,6 +136,28 @@ class TestLoading:
         with pytest.raises(ValueError, match="finite"):
             PrimaryData(probabilities=np.full((6, 2, 3), 1 / 3), sigmas=np.full((6, 2, 3), np.nan))
 
+    def test_repeated_cell_in_one_file_rejected(self, tmp_path, data_dir):
+        bad = tmp_path / "repeat.csv"
+        lines = (data_dir / "table2.csv").read_text().splitlines()
+        bad.write_text("\n".join(lines + [lines[5]]) + "\n")
+        with pytest.raises(ValueError, match="repeats") as exc:
+            load_primary(bad)
+        assert f"{bad}:{len(lines) + 1}" in str(exc.value)
+        assert f"{bad}:6" in str(exc.value)
+
+    def test_repeated_tomography_cell_rejected(self, tmp_path, data_dir):
+        bad = tmp_path / "repeat.csv"
+        lines = (data_dir / "table4.csv").read_text().splitlines()
+        bad.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        with pytest.raises(ValueError, match="repeats"):
+            load_primary(data_dir / "table2.csv", bad)
+
+    def test_same_file_twice_rejected(self, data_dir):
+        path = data_dir / "table2.csv"
+        with pytest.raises(ValueError, match="repeats") as exc:
+            load_primary(path, path)
+        assert f"{path}:2" in str(exc.value)
+
     def test_incomplete_table_rejected(self, tmp_path):
         bad = tmp_path / "partial.csv"
         bad.write_text(
@@ -143,6 +199,16 @@ class TestMappingFit:
         fitted, residual = fit_label_mapping(bundled)
         assert fitted.to_dict() == pinned_mapping().to_dict()
         assert residual < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_equals_loop_reference(self, bundled, seed):
+        rng = np.random.default_rng(seed)
+        p = np.clip(bundled.probabilities + 0.05 * rng.normal(size=(6, 2, 3)), 0.0, 1.0)
+        data = PrimaryData(p / p.sum(axis=2, keepdims=True), np.zeros((6, 2, 3)))
+        fitted, residual = fit_label_mapping(data)
+        ref, ref_residual = loop_fit(data.normalized())
+        assert residual == ref_residual
+        assert fitted.to_dict() == ref.to_dict()
 
     def test_fit_beats_random_mappings(self, bundled):
         rng = np.random.default_rng(99)

@@ -305,6 +305,53 @@ def test_nan_behavior_rejected():
         Behavior(np.full((2, 2, 3), np.nan))
 
 
+def _random_tables(rng, shape):
+    t = rng.random(shape)
+    return t / t.sum(axis=-1, keepdims=True)
+
+
+class TestBehaviorStacks:
+    @pytest.mark.parametrize("k", [1, 2, 33])
+    def test_stacked_performance_equals_each_table_alone(self, k):
+        game = make_cglmp3_game()
+        tables = _random_tables(np.random.default_rng(k), (k, 6, 2, 3))
+        values = performance(game, Behavior(tables))
+        assert values.shape == (k,)
+        alone = [performance(game, Behavior(t)) for t in tables]
+        assert all(type(v) is float for v in alone)
+        assert values.tolist() == alone
+
+    def test_two_leading_axes(self):
+        game = make_rac_game(2, 2)
+        tables = _random_tables(np.random.default_rng(4), (3, 2, 4, 2, 2))
+        values = performance(game, Behavior(tables))
+        assert values.shape == (3, 2)
+        assert values[2, 1] == performance(game, Behavior(tables[2, 1]))
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [(1e-3, "do not sum to 1"), (-1.0, "negative"), (np.nan, "non-finite")],
+    )
+    def test_one_bad_row_rejects_the_stack(self, fault, message):
+        tables = np.full((5, 6, 2, 3), 1 / 3)
+        tables[3, 4, 1, 2] += fault
+        with pytest.raises(ValueError, match=message):
+            Behavior(tables)
+
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            performance(make_cglmp3_game(), Behavior(np.full((2, 4, 2, 3), 1 / 3)))
+
+    def test_too_few_axes_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Behavior(np.full((2, 3), 1 / 3))
+
+    def test_residual_rejects_a_stack(self):
+        game = make_cglmp3_game()
+        with pytest.raises(ValueError, match="does not match"):
+            obliviousness_residual_behavior(game, Behavior(np.full((2, 6, 2, 3), 1 / 3)))
+
+
 def test_is_prime():
     assert [k for k in range(14) if is_prime(k)] == [2, 3, 5, 7, 11, 13]
 
