@@ -44,6 +44,7 @@ class BoundResult:
 
 def rac_pnc_bound(n: int, d: int) -> float:
     """Noncontextual bound (n + d - 1)/(n d) of the random access family."""
+    n, d = check_integer(n, "symbol count"), check_integer(d, "alphabet size")
     if n < 1:
         raise ValueError("need at least one symbol")
     if not is_prime(d):

@@ -66,8 +66,8 @@ _PINNED_MAPPING_DICT = {
 class PrimaryData:
     """Protocol probabilities (6 states x 2 bases x 3 projectors) plus sigmas.
 
-    ``aux_probabilities`` holds the tomography rows (6 x 3 x 3), NaN where a
-    cell was not present in the input files.
+    ``aux_probabilities`` and ``aux_sigmas`` hold the tomography rows (6 x 3
+    x 3), NaN where a cell was not present in the input files.
     """
 
     probabilities: np.ndarray
@@ -93,6 +93,23 @@ class PrimaryData:
             )
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "sigmas", s)
+        for name, high in (("aux_probabilities", 1.0), ("aux_sigmas", np.inf)):
+            aux = getattr(self, name)
+            if aux is None:
+                continue
+            aux = np.asarray(aux, dtype=float)
+            if aux.shape != (6, 3, 3):
+                raise ValueError(f"{name} must have shape (6, 3, 3)")
+            # NaN marks a missing cell; a present one is a finite number in range
+            if np.isinf(aux).any() or np.any((aux < 0.0) | (aux > high)):
+                raise ValueError(f"{name} must lie in [0, {high}], NaN where missing")
+            object.__setattr__(self, name, aux)
+        if not (
+            self.aux_probabilities is None
+            or self.aux_sigmas is None
+            or np.array_equal(np.isnan(self.aux_probabilities), np.isnan(self.aux_sigmas))
+        ):
+            raise ValueError("a tomography cell must miss its probability and its sigma together")
 
     def normalized(self) -> np.ndarray:
         """Protocol rows rescaled to exact unit sum."""
@@ -313,13 +330,13 @@ def secondary_weights(tables: np.ndarray, rows: np.ndarray) -> tuple:
     maximizing ``s = tr(W) / n`` such that the constraint rows annihilate
     ``p_prime[t] = sum_s W[t, s] tables[s]`` entrywise.  Returns ``(W, p_prime, s)``.
     """
-    (program,) = _secondary_programs(tables[None], rows)
+    program = _secondary_programs(tables[None], rows)
     weights, p_prime, s = _secondary_result([lp.solve(program)], tables[None])
     return weights[0], p_prime[0], float(s[0])
 
 
-def _secondary_programs(stack: np.ndarray, rows: np.ndarray) -> list:
-    """The secondary-data program of each set of tables in ``stack``."""
+def _secondary_programs(stack: np.ndarray, rows: np.ndarray) -> lp.LinearProgram:
+    """The secondary-data programs of the sets of tables in ``stack``, as one stack."""
     k, n = stack.shape[:2]
     # Variable t * n + s is W[t, s]; n unit-sum rows, then one equality per
     # constraint row and table entry, ordered by row, then by entry.
@@ -329,7 +346,9 @@ def _secondary_programs(stack: np.ndarray, rows: np.ndarray) -> list:
     a_eq[:, n:] = mixed
     objective = np.eye(n).ravel() / n
     b_eq = np.concatenate([np.ones(n), np.zeros(mixed.shape[1])])
-    return [lp.LinearProgram(objective, a, b_eq) for a in a_eq]
+    return lp.LinearProgram(
+        np.broadcast_to(objective, (k, n * n)), a_eq, np.broadcast_to(b_eq, a_eq.shape[:2])
+    )
 
 
 def _secondary_result(solutions: list, stack: np.ndarray) -> tuple:

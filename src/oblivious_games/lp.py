@@ -6,13 +6,17 @@ is deterministic and terminates even on degenerate programs; rows are scaled
 to unit norm up front to keep mixed-magnitude probability constraints well
 behaved.
 
-``solve_many`` runs the simplex on a stack of programs of one shape in
-lockstep: each step picks every running program's entering column and
-leaving row with array reductions and pivots them all with one masked
-update.  A row update is skipped where its factor is zero, as a row loop
-would skip it, so every program takes the pivots, and rounds every entry,
-exactly as it would alone.  Empty and redundant rows are zeroed in place
-rather than deleted, which keeps the stack one shape.
+A ``LinearProgram`` is a stack of programs of one shape: every field
+carries a leading stack axis, and a program given without one is the stack
+of one.  It is validated once per stack.  ``solve_many`` runs the simplex
+on a stack in lockstep: each step picks every running program's entering
+column and leaving row with array reductions and pivots them all with one
+outer-product update.  On a row whose factor is zero that update subtracts
+an exact zero, so every program takes the pivots, and rounds every nonzero
+entry, exactly as it would alone; only the sign of a zero can differ, and
+the final clamp at zero removes it.  Empty and redundant rows are zeroed in
+place rather than deleted, which keeps the stack one shape.  One stacked
+residual checks every optimal vertex against its original system.
 
 The simplex runs in two stages: ``_feasible`` (phase 1 and the drive-out
 of artificial variables) and ``_maximize`` (phase 2 from whatever basis it
@@ -41,7 +45,13 @@ _MAX_PIVOTS = 200_000
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize objective . v  s.t.  eq_matrix v = eq_rhs, 0 <= v <= upper_bounds."""
+    """maximize objective . v  s.t.  eq_matrix v = eq_rhs, 0 <= v <= upper_bounds.
+
+    A stack of such programs: ``objective`` is (k, n), ``eq_matrix`` (k, m, n),
+    ``eq_rhs`` (k, m) and ``upper_bounds`` None or (k, n), and every program
+    caps the same variables.  A 2-D ``eq_matrix`` is one program, stored as
+    the stack of one.
+    """
 
     objective: np.ndarray
     eq_matrix: np.ndarray
@@ -49,25 +59,29 @@ class LinearProgram:
     upper_bounds: np.ndarray | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float).reshape(-1)
+        c = np.asarray(self.objective, dtype=float)
         a = np.asarray(self.eq_matrix, dtype=float)
-        b = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
-        if a.ndim != 2 or a.shape != (b.size, c.size):
-            raise ValueError(
-                f"inconsistent program: A {a.shape}, b ({b.size},), c ({c.size},)"
-            )
-        if c.size > MAX_VARS or b.size > MAX_ROWS:
+        b = np.asarray(self.eq_rhs, dtype=float)
+        u = self.upper_bounds
+        u = None if u is None else np.asarray(u, dtype=float)
+        if a.ndim == 2:
+            a, c, b = a[None], c.reshape(1, -1), b.reshape(1, -1)
+            u = None if u is None else u.reshape(1, -1)
+        if a.ndim != 3 or c.shape != (len(a), a.shape[2]) or b.shape != a.shape[:2]:
+            raise ValueError(f"inconsistent program: A {a.shape}, b {b.shape}, c {c.shape}")
+        if c.shape[1] > MAX_VARS or b.shape[1] > MAX_ROWS:
             raise ValueError("program exceeds the supported desk scale")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("objective, matrix and rhs must be finite")
-        u = self.upper_bounds
         if u is not None:
-            u = np.asarray(u, dtype=float).reshape(-1)
             if u.shape != c.shape:
                 raise ValueError("upper bounds do not match the variable count")
-            # solve() drops every non-finite bound, which is right only for +inf
+            # the solver drops every non-finite bound, which is right only for +inf
             if np.any(np.isnan(u) | np.isneginf(u)):
                 raise ValueError("upper bounds must be numbers or +inf")
+            capped = np.isfinite(u)
+            if (capped != capped[:1]).any():
+                raise ValueError("every program of a stack must cap the same variables")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", a)
         object.__setattr__(self, "eq_rhs", b)
@@ -83,10 +97,11 @@ class LpSolution:
     phase1_pivots: int = 0  # the phase-1 and drive-out part of ``pivots``
 
 
-def _bounded(lp: LinearProgram) -> np.ndarray:
+def _capped(lp: LinearProgram) -> np.ndarray:
+    """The variables with a finite upper bound, the same in every program."""
     if lp.upper_bounds is None:
-        return np.zeros(lp.objective.size, dtype=bool)
-    return np.isfinite(lp.upper_bounds)
+        return np.zeros(0, dtype=int)
+    return np.flatnonzero(np.isfinite(lp.upper_bounds[0]))
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, k, row, col, column) -> None:
@@ -96,10 +111,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, k, row, col, column) -> None:
     program ``p``.
     """
     pivot_row = tableau[k, row] / column[k, row, None]
-    factor = column[..., None]
-    np.subtract(
-        tableau, factor * pivot_row[:, None, :], out=tableau, where=factor != 0.0
-    )
+    tableau -= np.einsum("ki,kj->kij", column, pivot_row)
     tableau[k, row] = pivot_row
     basis[k, row] = col
 
@@ -146,25 +158,24 @@ def _bland(tableau, basis, live, n_cols, pivots) -> np.ndarray:
     raise RuntimeError("simplex failed to terminate")
 
 
-def _phase_one(programs: list, capped: np.ndarray) -> tuple:
+def _phase_one(lp: LinearProgram, capped: np.ndarray) -> tuple:
     """The phase-1 tableau of each program, and which are infeasible on sight.
 
     A tableau holds [a | artificials | b] over its reduced costs for
     maximizing -sum(artificials), with the basic (artificial) columns
     eliminated.  Finite upper bounds fold into equality rows x_j + s_j = u_j.
     """
-    k = len(programs)
-    m0, n_orig = programs[0].eq_matrix.shape
+    k, m0, n_orig = lp.eq_matrix.shape
     n = n_orig + capped.size
     m = m0 + capped.size
     tableau = np.zeros((k, m + 1, n + m + 1))
     a = tableau[:, :m, :n]
     b = tableau[:, :m, -1]
-    a[:, :m0, :n_orig] = [lp.eq_matrix for lp in programs]
-    b[:, :m0] = [lp.eq_rhs for lp in programs]
+    a[:, :m0, :n_orig] = lp.eq_matrix
+    b[:, :m0] = lp.eq_rhs
     infeasible = np.zeros(k, dtype=bool)
     if capped.size:
-        upper = np.array([lp.upper_bounds[capped] for lp in programs])
+        upper = lp.upper_bounds[:, capped]
         infeasible |= upper.min(axis=1) < 0
         a[:, m0:, capped] = np.eye(capped.size)
         a[:, m0:, n_orig:] = np.eye(capped.size)
@@ -195,16 +206,16 @@ def _phase_one(programs: list, capped: np.ndarray) -> tuple:
     return tableau, infeasible
 
 
-def _feasible(programs: list, capped: np.ndarray) -> tuple:
+def _feasible(lp: LinearProgram, capped: np.ndarray) -> tuple:
     """Phase 1 and the artificial drive-out, in lockstep.
 
     Returns the phase-2 tableau ([a | b] in the last feasible basis, over a
     cost row that ``_maximize`` fills), the basis, the infeasible mask and
     the pivots taken.
     """
-    tableau, infeasible = _phase_one(programs, capped)
-    k, m = len(programs), tableau.shape[1] - 1
-    n = programs[0].objective.size + capped.size
+    tableau, infeasible = _phase_one(lp, capped)
+    k, m = len(tableau), tableau.shape[1] - 1
+    n = lp.objective.shape[1] + capped.size
     rows = np.arange(m)
 
     # Phase 1: drive artificial variables to zero.
@@ -242,13 +253,13 @@ def _feasible(programs: list, capped: np.ndarray) -> tuple:
     return tableau, basis, infeasible, pivots
 
 
-def _maximize(tableau, basis, infeasible, phase1, programs, objectives) -> list:
+def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> list:
     """Phase 2 from each program's current basis, to each one's solution.
 
     ``tableau`` and ``basis`` come from ``_feasible`` or from an earlier
     call; they are updated in place, so they end at the last basis, which is
     feasible for any objective.  ``phase1`` is the pivots to count before
-    phase 2, and ``objectives`` holds one row per program.
+    phase 2, and ``objectives`` holds one row per program of ``lp``.
     """
     k, m = basis.shape
     n = tableau.shape[2] - 1
@@ -274,55 +285,69 @@ def _maximize(tableau, basis, infeasible, phase1, programs, objectives) -> list:
     values[stack, basis] = tableau[:, :m, -1]
     values = values[:, : objectives.shape[1]]
     np.maximum(values, 0.0, out=values)  # remove sub-tolerance pivot noise
+    optimal = ~(infeasible | unbounded)
+    value = _checked(lp, objectives, values, optimal)
 
     results = []
-    for p, lp in enumerate(programs):
+    for p in range(k):
         counts = {"pivots": int(pivots[p]), "phase1_pivots": int(phase1[p])}
         if infeasible[p]:
             results.append(LpSolution(status="infeasible", **counts))
         elif unbounded[p]:
             results.append(LpSolution(status="unbounded", **counts))
         else:
-            results.append(_checked(lp, objectives[p], values[p], counts))
+            results.append(LpSolution("optimal", values[p], float(value[p]), **counts))
     return results
 
 
-def _checked(lp: LinearProgram, objective, values: np.ndarray, counts: dict) -> LpSolution:
-    """The optimal solution, once the vertex satisfies the original system."""
-    if lp.eq_rhs.size:
-        feas = float(np.max(np.abs(lp.eq_matrix @ values - lp.eq_rhs)))
+def _checked(lp: LinearProgram, objectives, values, optimal) -> np.ndarray:
+    """Each program's objective value, once every optimal vertex satisfies
+    its original system.
+
+    The stacked product reduces each program as ``np.dot`` does.
+    """
+    if lp.eq_rhs.shape[1]:
+        residual = np.abs((lp.eq_matrix @ values[..., None])[..., 0] - lp.eq_rhs)
+        feas = float(np.max(residual[optimal], initial=0.0))
         if feas >= 1e-8:  # pragma: no cover - simplex invariant
             raise RuntimeError(f"vertex violates equalities by {feas:.2e}")
     if lp.upper_bounds is not None and np.any(
-        values > lp.upper_bounds + 1e-10
+        (values > lp.upper_bounds + 1e-10)[optimal]
     ):  # pragma: no cover - simplex invariant
         raise RuntimeError("vertex violates an upper bound")
-    return LpSolution(
-        status="optimal",
-        values=values,
-        objective_value=float(np.dot(objective, values)),
-        **counts,
+    return (objectives[:, None, :] @ values[..., None])[:, 0, 0]
+
+
+def _stacked(programs) -> LinearProgram:
+    """One stack of programs of one shape; one without upper bounds gets +inf ones."""
+    free = [lp.upper_bounds is None for lp in programs]
+    upper = None if all(free) else np.concatenate(
+        [np.full(lp.objective.shape, np.inf) if f else lp.upper_bounds
+         for lp, f in zip(programs, free)]
     )
+    fields = ("objective", "eq_matrix", "eq_rhs")
+    stack = [np.concatenate([getattr(lp, f) for lp in programs]) for f in fields]
+    return LinearProgram(*stack, upper)
 
 
 def solve_many(programs) -> list:
-    """Two-phase simplex on programs of one shape, in lockstep.
+    """Two-phase simplex on a stack of programs, in lockstep.
 
-    One shape means one equality-matrix shape and the same variables with a
-    finite upper bound.  Element ``p`` of the result equals ``solve`` of
-    program ``p``: same status, pivots and bit-equal values.
+    ``programs`` is one stacked ``LinearProgram`` or an iterable of programs
+    of one shape, which is stacked first: one equality-matrix shape and the
+    same variables with a finite upper bound.  Element ``p`` of the result
+    equals ``solve`` of program ``p``: same status, pivots and bit-equal
+    values.
     """
-    programs = list(programs)
-    if not programs:
+    if not isinstance(programs, LinearProgram):
+        programs = list(programs)
+        if not programs:
+            return []
+        programs = _stacked(programs)
+    if not len(programs.objective):
         return []
-    shape = programs[0].eq_matrix.shape
-    bounded = _bounded(programs[0])
-    for lp in programs[1:]:
-        if lp.eq_matrix.shape != shape or not np.array_equal(_bounded(lp), bounded):
-            raise ValueError("solve_many needs programs of one shape")
-    tableau, basis, infeasible, pivots = _feasible(programs, np.flatnonzero(bounded))
-    objectives = np.array([lp.objective for lp in programs])
-    return _maximize(tableau, basis, infeasible, pivots, programs, objectives)
+    tableau, basis, infeasible, pivots = _feasible(programs, _capped(programs))
+    return _maximize(tableau, basis, infeasible, pivots, programs, programs.objective)
 
 
 class Polytope:
@@ -339,16 +364,18 @@ class Polytope:
 
     def __init__(self, eq_matrix, eq_rhs, upper_bounds=None):
         a = np.asarray(eq_matrix, dtype=float)
-        self._program = LinearProgram(np.zeros(a.shape[1:2]), a, eq_rhs, upper_bounds)
-        capped = np.flatnonzero(_bounded(self._program))
+        objective = np.zeros(a.shape[:-2] + a.shape[-1:])
+        self._program = LinearProgram(objective, a, eq_rhs, upper_bounds)
+        if len(self._program.objective) != 1:
+            raise ValueError("a polytope is one program, not a stack")
         self._tableau, self._basis, self._infeasible, self._phase1 = _feasible(
-            [self._program], capped
+            self._program, _capped(self._program)
         )
 
     def maximize(self, objective) -> LpSolution:
         """Maximize ``objective . v`` over the polytope; infeasible and
         unbounded results are reported, never raised."""
-        c = np.asarray(objective, dtype=float).reshape(-1)
+        c = np.asarray(objective, dtype=float).reshape(1, -1)
         if c.shape != self._program.objective.shape:
             raise ValueError(
                 f"objective of {c.size} entries for {self._program.objective.size} variables"
@@ -356,14 +383,15 @@ class Polytope:
         if not np.isfinite(c).all():
             raise ValueError("objective must be finite")
         (solution,) = _maximize(
-            self._tableau, self._basis, self._infeasible, self._phase1, [self._program], c[None]
+            self._tableau, self._basis, self._infeasible, self._phase1, self._program, c
         )
         self._phase1 = np.zeros_like(self._phase1)
         return solution
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex; infeasible/unbounded programs are reported, never raised.
+    """Two-phase simplex on one program (a stack of one); infeasible/unbounded
+    programs are reported, never raised.
 
     This is the first ``maximize`` of a fresh ``Polytope``.
     """

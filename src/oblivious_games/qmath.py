@@ -163,7 +163,9 @@ def born_prob(state, effect) -> float:
     rho = state.matrix if isinstance(state, DensityMatrix) else as_matrix(state)
     eff = as_matrix(effect)
     p = complex(np.trace(eff @ rho))
-    if abs(p.imag) > PROB_TOL or p.real < -PROB_TOL or p.real > 1 + PROB_TOL:
+    # Every entry of either matrix enters the trace, so a NaN or an infinity
+    # makes it NaN or infinite, which fails these comparisons.
+    if not (abs(p.imag) <= PROB_TOL and -PROB_TOL <= p.real <= 1 + PROB_TOL):
         raise ValueError(f"invalid effect/state pair: Tr(E rho) = {p!r}")
     return min(max(p.real, 0.0), 1.0)
 
@@ -175,6 +177,8 @@ def fidelity(a, b) -> float:
     if ra.shape != rb.shape:
         raise ValueError("fidelity needs equal dimensions")
     for m in (ra, rb):
+        if not np.isfinite(m).all():
+            raise ValueError("fidelity input is not finite")
         if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < -PSD_TOL:
             raise ValueError("fidelity input is not positive semidefinite")
     wa, va = np.linalg.eigh((ra + ra.conj().T) / 2)

@@ -46,6 +46,14 @@ class TestRacFormula:
         with pytest.raises(ValueError):
             rac_pnc_bound(0, 3)
 
+    @pytest.mark.parametrize("n,d", [(2, 2.5), (2.5, 3), (2.0, 3), (2, 3.0), (True, 3), (2, True)])
+    def test_non_integer_sizes_rejected(self, n, d):
+        with pytest.raises(ValueError, match="not an integer"):
+            rac_pnc_bound(n, d)
+
+    def test_numpy_integers_accepted(self):
+        assert rac_pnc_bound(np.int64(2), np.int32(3)) == 2 / 3
+
 
 class TestLocalBound:
     def test_cglmp3_is_half(self):

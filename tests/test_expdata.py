@@ -172,6 +172,29 @@ class TestLoading:
         with pytest.raises(ValueError):
             PrimaryData(probabilities=p, sigmas=np.zeros((6, 2, 3)))
 
+    def test_aux_tables_checked(self, bundled):
+        def with_aux(probabilities, sigmas):
+            return PrimaryData(bundled.probabilities, bundled.sigmas, probabilities, sigmas)
+
+        aux_p, aux_s = bundled.aux_probabilities, bundled.aux_sigmas
+        with pytest.raises(ValueError, match="shape"):
+            with_aux(np.full((2, 2), 0.5), aux_s)
+        with pytest.raises(ValueError, match="shape"):
+            with_aux(aux_p, np.zeros((6, 2, 3)))
+        bad = [(1.5, 0.01), (-0.1, 0.01), (np.inf, 0.01), (0.5, -0.01), (0.5, np.inf)]
+        for bad_p, bad_s in bad:
+            p, s = aux_p.copy(), aux_s.copy()
+            p[2, 1, 0], s[2, 1, 0] = bad_p, bad_s
+            with pytest.raises(ValueError, match="must lie in"):
+                with_aux(p, s)
+        # NaN marks a missing cell, in both tables at once
+        p, s = aux_p.copy(), aux_s.copy()
+        p[2, 1], s[2, 1] = np.nan, np.nan
+        assert np.isnan(with_aux(p, s).aux_sigmas[2, 1]).all()
+        assert with_aux(p, None).aux_sigmas is None
+        with pytest.raises(ValueError, match="together"):
+            with_aux(p, aux_s)
+
 
 class TestMappingFit:
     def test_identity_synthetic_data_recovered(self):

@@ -205,6 +205,67 @@ def test_stack_needs_one_shape():
         solve_many([square, LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, np.inf])])
 
 
+FIELDS = ("objective", "eq_matrix", "eq_rhs", "upper_bounds")
+
+
+def _one_stack(programs):
+    """The programs as one stacked LinearProgram."""
+    return LinearProgram(*(np.concatenate([getattr(p, f) for p in programs]) for f in FIELDS))
+
+
+def test_one_program_is_the_stack_of_one():
+    program = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], [1.0, np.inf])
+    assert program.objective.shape == (1, 2)
+    assert program.eq_matrix.shape == (1, 1, 2)
+    assert program.eq_rhs.shape == (1, 1)
+    assert program.upper_bounds.shape == (1, 2)
+
+
+def test_stacked_program_equals_list_and_each_layer():
+    programs, expected = zip(*_mixed_stack())
+    stacked = solve_many(_one_stack(programs))
+    listed = solve_many(programs)
+    assert [s.status for s in stacked] == list(expected)
+    for p, (together, in_list) in enumerate(zip(stacked, listed)):
+        alone = solve(LinearProgram(*(getattr(programs[p], f)[0] for f in FIELDS)))
+        for other in (in_list, alone):
+            assert together.status == other.status
+            assert together.pivots == other.pivots
+            assert together.phase1_pivots == other.phase1_pivots
+            assert together.objective_value == other.objective_value
+            if other.values is None:
+                assert together.values is None
+            else:
+                assert together.values.tobytes() == other.values.tobytes()
+
+
+@pytest.mark.parametrize("part", FIELDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_in_one_layer_rejected(part, bad):
+    fields = {f: np.concatenate([getattr(p, f) for p, _ in _mixed_stack()]) for f in FIELDS}
+    # layer 3's first entry; in the upper bounds, its one capped variable
+    index = (3, 3) if part == "upper_bounds" else (3,) + (0,) * (fields[part].ndim - 1)
+    fields[part][index] = bad
+    with pytest.raises(ValueError):
+        LinearProgram(**fields)
+
+
+def test_mismatched_stack_axes_rejected():
+    stack = _one_stack([p for p, _ in _mixed_stack()])
+    fields = {f: getattr(stack, f) for f in FIELDS}
+    for part in FIELDS:
+        with pytest.raises(ValueError):
+            LinearProgram(**{**fields, part: fields[part][:-1]})
+    capped = fields["upper_bounds"].copy()
+    capped[2, 0] = 5.0  # one layer caps a variable the others leave free
+    with pytest.raises(ValueError, match="same variables"):
+        LinearProgram(**{**fields, "upper_bounds": capped})
+    with pytest.raises(ValueError):
+        solve(stack)
+    with pytest.raises(ValueError):
+        Polytope(stack.eq_matrix, stack.eq_rhs, stack.upper_bounds)
+
+
 def _solutions_of(monkeypatch, run):
     """Every LpSolution returned while ``run()`` executes."""
     solutions = []

@@ -112,6 +112,16 @@ class TestBornProb:
         with pytest.raises(ValueError):
             born_prob(state, 3.0 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        state = DensityMatrix(np.diag([1.0, 0.0]))
+        effect = np.diag([1.0, 0.0]).astype(complex)
+        effect[0, 1] = bad  # meets a zero of the state
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            born_prob(state, effect)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            born_prob(np.where(np.eye(2) > 0, 0.5, bad), np.eye(2))
+
 
 class TestFidelity:
     def test_identical_pure(self):
@@ -141,6 +151,15 @@ class TestFidelity:
         bad = np.diag([1.5, -0.5])
         with pytest.raises(ValueError):
             fidelity(bad, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError):
+            fidelity(m, np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            fidelity(np.eye(2) / 2, m)
 
 
 class TestInvariantValidation:
