@@ -48,10 +48,19 @@ _GAME = make_cglmp3_game()
 # lexicographic order: row i sends lab state s to game input _BIJECTIONS[i, s].
 _BIJECTIONS = np.fromiter(permutations(range(6)), dtype=(np.intp, 6), count=720)
 
-# Monte Carlo programs per lockstep stack.  Over 1000 samples of the bundled
-# data, 32 raise peak RSS by about 0.55 MB over one program at a time and 128
-# by 3 MB; 16 raise it by 0.25 MB but run about a fifth slower than 32.
-_MC_CHUNK = 32
+# Monte Carlo programs per lockstep stack.  Each lockstep step pays a fixed
+# set of numpy calls in lp._bland and lp._pivot for the whole stack, so a
+# larger stack takes fewer steps: 5000 samples at seed 5 take 6450 steps at
+# 32 and 1676 at 128.  One perfbench exp-mc operation (5000 samples of the
+# bundled data, 2-core host) takes 0.60 s at 32, 0.46 s at 64, 0.42 s at 96,
+# 0.37 s at 128, 0.37 s at 192 and 0.37 s at 256, while peak RSS rises from
+# 40.3 MB at 32 through 42.6 MB at 128 to 45.2 MB at 256.  Time stops falling
+# after 128; memory does not.
+_MC_CHUNK = 128
+
+# Round-off leaves a secondary weight row within about 1e-14 of unit sum
+# (worst 1.2e-14 over 5000 Monte Carlo samples at seed 5).
+_WEIGHT_SUM_TOL = 1e-12
 
 # Lab-to-game correspondence fitted against the ideal model and frozen:
 # psi_jk prepares (x0, x) = (k-1, j-1), bases and projectors map in order.
@@ -359,6 +368,13 @@ def _secondary_result(solutions: list, stack: np.ndarray) -> tuple:
             raise RuntimeError(f"secondary-data program reported {solution.status}")
     k, n = stack.shape[:2]
     weights = np.stack([solution.values for solution in solutions]).reshape(k, n, n)
+    # Bland's tie tolerance can leave a basic weight near -1e-9, which the
+    # solver's clamp at zero sets to zero; its target row then misses unit
+    # sum by as much, which the solver's 1e-8 vertex check allows and a
+    # Behavior does not.  Such a row is rescaled to unit sum; a row within
+    # round-off of it is left bit for bit.
+    sums = weights.sum(axis=2, keepdims=True)
+    weights = np.where(np.abs(sums - 1.0) > _WEIGHT_SUM_TOL, weights / sums, weights)
     p_prime = np.einsum("kts,ks...->kt...", weights, stack)
     return weights, p_prime, np.array([solution.objective_value for solution in solutions])
 
@@ -406,12 +422,17 @@ def mc_uncertainty(
     systematic components are not modeled.  Samples are drawn ``_MC_CHUNK`` at
     a time as one stack of tables: their secondary-data programs are solved in
     lockstep, and the chunk's primary and secondary scores are one
-    ``games.performance`` call each.  The draws continue one random stream, so
-    the chunk does not change the result.
+    ``games.performance`` call each.  The draws continue one random stream and
+    the lockstep solver keeps each program on the pivot path it takes alone,
+    so the chunk size does not change the result: the sigmas are equal bit for
+    bit at any chunk size.  ``seed`` is None (fresh entropy) or a non-negative
+    integer; anything else is a ``ValueError``.
     """
     samples = check_integer(samples, "sample count")
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    if seed is not None and check_integer(seed, "seed") < 0:
+        raise ValueError(f"seed {seed!r} is negative")
     rng = np.random.default_rng(seed)
     index = mapping.game_index()
     rows = _lab_rows(index)

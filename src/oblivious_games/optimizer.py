@@ -47,6 +47,7 @@ lower bounds on the quantum optimum; nothing here certifies optimality.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,10 @@ class SearchConfig:
             raise ValueError("need at least one restart")
         if self.max_iters < 1:
             raise ValueError("need at least one iteration")
+        if check_integer(self.seed, "seed") < 0:
+            raise ValueError(f"seed {self.seed!r} is negative")
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise ValueError(f"tolerance {self.tolerance!r} is not a real number")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive and finite")
 

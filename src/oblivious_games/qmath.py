@@ -74,6 +74,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
         if not is_hermitian(m):
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
@@ -111,6 +113,8 @@ class Povm:
         for i, e in enumerate(elems):
             if e.shape != (d, d):
                 raise ValueError("measurement effects have mixed dimensions")
+            if not np.isfinite(e).all():
+                raise ValueError(f"effect {i} has non-finite entries")
             if not is_hermitian(e):
                 raise ValueError(f"effect {i} is not Hermitian")
             if float(np.linalg.eigvalsh(e).min()) < -PSD_TOL:

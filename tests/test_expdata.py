@@ -406,6 +406,32 @@ class TestMonteCarlo:
             bundled, pin, 100, seed=3
         )
 
+    @pytest.mark.parametrize("seed", [1.5, True, "5", -1, np.float64(5.0)])
+    def test_seed_checked(self, bundled, seed):
+        with pytest.raises(ValueError, match="seed"):
+            mc_uncertainty(bundled, pinned_mapping(), 100, seed=seed)
+
+    def test_numpy_integer_seed(self, bundled):
+        pin = pinned_mapping()
+        assert mc_uncertainty(bundled, pin, 100, seed=np.int64(3)) == mc_uncertainty(
+            bundled, pin, 100, seed=3
+        )
+
+    def test_result_does_not_depend_on_chunk(self, bundled, monkeypatch):
+        pin = pinned_mapping()
+        results = {}
+        for chunk in (1, 7, 32, 128, 1000):
+            monkeypatch.setattr(expdata, "_MC_CHUNK", chunk)
+            results[chunk] = mc_uncertainty(bundled, pin, 300, seed=13)
+        assert all(r == results[1] for r in results.values()), results
+
+    # At seed 501013 the secondary program of sample 1086 ends on a basic
+    # weight of -1.7e-9, which the solver clamps to zero; its target row then
+    # missed unit sum by 1.7e-9, and scoring it raised.
+    def test_clamped_weight_row_is_rescaled(self, bundled):
+        sp, ss = mc_uncertainty(bundled, pinned_mapping(), 1100, seed=501013)
+        assert 0.0 < sp < ss < 0.01
+
     # Measured with the per-sample solver, before samples were solved in
     # stacks; 333 is not a whole number of stacks.
     @pytest.mark.parametrize(

@@ -53,6 +53,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(**{"dim": 3, **field})
 
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            ({"seed": 1.5}, "seed 1.5 is not an integer"),
+            ({"seed": True}, "seed True is not an integer"),
+            ({"seed": "0"}, "seed '0' is not an integer"),
+            ({"seed": -1}, "seed -1 is negative"),
+            ({"tolerance": True}, "tolerance True is not a real number"),
+            ({"tolerance": "1e-8"}, "tolerance '1e-8' is not a real number"),
+            ({"tolerance": 1j}, "tolerance 1j is not a real number"),
+        ],
+    )
+    def test_seed_and_tolerance_checked_before_search(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(**{"dim": 3, **field})
+
+    def test_numpy_seed_and_integer_tolerance_accepted(self):
+        SearchConfig(dim=3, seed=np.int64(7), tolerance=np.float64(1e-6))
+        SearchConfig(dim=3, seed=0, tolerance=1)
+
 
 def _random_scores(rng, n_out, dim):
     a = rng.normal(size=(n_out, dim, dim)) + 1j * rng.normal(size=(n_out, dim, dim))

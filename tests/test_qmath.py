@@ -192,6 +192,17 @@ class TestInvariantValidation:
         with pytest.raises(ValueError):
             Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_density_non_finite_rejected(self, bad):
+        m = np.array([[0.5, bad], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_povm_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="effect 1 has non-finite entries"):
+            Povm((np.diag([1.0, 0.0]), np.diag([0.0, bad])))
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(2, 9))
