@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from . import __version__, bellmap, bounds, cglmp, expdata, games, optimizer
 
@@ -200,7 +201,9 @@ def _cmd_optimize(args) -> int:
         seed=seed,
         tolerance=args.tolerance,
     )
+    start = time.perf_counter()
     result = optimizer.search(game, cfg)
+    wall_s = time.perf_counter() - start
     results = {
         "value": result.value,
         "feasibility_residual": result.feasibility_residual,
@@ -212,6 +215,7 @@ def _cmd_optimize(args) -> int:
         "dim": args.dim,
         "restarts": args.restarts,
         "seed": seed,
+        "wall_s": wall_s,
     }
     _emit(
         _report("optimize", {"game": args.game, "dim": args.dim}, results),

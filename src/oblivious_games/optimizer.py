@@ -26,7 +26,9 @@ steps:
   the last one alone, and a mix that does not lower the residual falls back
   to a plain sweep.  Each sweep ends with the eigenvalue projection and the
   loop stops once that output's residual is below the tolerance, so the
-  states returned are always positive with unit trace.
+  states returned are always positive with unit trace.  A restart whose
+  trial is rejected at the step floor sits out the rest of that
+  iteration's trials: its next trial would repeat the same input.
 
 The measurement step solves every (restart, receiver input) problem of the
 stack in one call, each stopping on its own certificate, and the projection
@@ -39,6 +41,10 @@ preparation step stayed within two growth factors of its floor for the
 whole window (``"stalled"``), and otherwise after ``max_iters`` iterations
 (``"max_iters"``).  Both rules only truncate the path: a run stopped at
 iteration ``n`` returns exactly what a run capped at ``max_iters=n`` returns.
+A restart that comes through an iteration with its states, measurements and
+step bit for bit unchanged (no candidate and no trial accepted) would repeat
+that iteration until it stops, so it leaves the stack at once with the
+iteration count and stop reason those rules would give it.
 
 Accepted values are non-decreasing within a restart, so results are honest
 lower bounds on the quantum optimum; nothing here certifies optimality.
@@ -76,6 +82,8 @@ _STALL_STEP = _STEP_FLOOR * _STEP_GROW**2
 # Differences kept by the Anderson mixing of the feasibility projection;
 # ``_mixing_weights`` solves for exactly two.
 _ANDERSON_MEMORY = 2
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_NEWEST = np.array([[1.0], [0.0]])
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,8 @@ def _simplex_project(eigvals: np.ndarray) -> np.ndarray:
     """
     u = eigvals[..., ::-1]
     ks = np.arange(1, eigvals.shape[-1] + 1)
-    tau = np.max((np.cumsum(u, axis=-1) - 1.0) / ks, axis=-1)
-    return np.clip(eigvals - tau[..., None], 0.0, None)
+    tau = ((u.cumsum(axis=-1) - 1.0) / ks).max(axis=-1)
+    return np.maximum(eigvals - tau[..., None], 0.0)
 
 
 class _Projector:
@@ -164,6 +172,9 @@ class _Projector:
     def __init__(self, game: ObliviousGame, dim: int):
         self.rows = game.constraint_rows()
         self.null_p = _null_projector(self.rows)
+        # One product with both blocks gives a sweep's affine image and its
+        # constraint residuals.
+        self.image_and_rows = np.vstack([self.null_p, self.rows])
         self.dim = dim
         self.eye = np.eye(dim)
 
@@ -176,9 +187,12 @@ class _Projector:
         return out + ((1.0 - traces) / self.dim)[..., None, None] * self.eye
 
     def psd(self, rhos: np.ndarray) -> np.ndarray:
-        herm = (rhos + np.conj(np.swapaxes(rhos, -1, -2))) / 2
-        w, v = np.linalg.eigh(herm)
-        return (v * _simplex_project(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+        """Nearest unit-trace positive matrices to Hermitian ``rhos``.
+
+        ``eigh`` reads only the lower triangle, so no Hermitian part is taken.
+        """
+        w, v = np.linalg.eigh(rhos)
+        return (v * _simplex_project(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     def residual(self, rhos: np.ndarray):
         """Largest constraint violation of each set in the stack."""
@@ -198,40 +212,44 @@ class _Projector:
         does not lower a set's residual clears that set's history, so its
         next step is a plain sweep.  The sets share nothing but the calls:
         each one ends where it would end alone, up to rounding.
+
+        Inside the loop a ``psd`` output already has unit traces, which the
+        null-space projector keeps, so ``affine`` reduces to that projector;
+        and every mixed iterate is an affine combination of such images.
         """
         shape = rhos.shape
+        n = shape[-3]
         stack = rhos.reshape(-1, *shape[-3:])
         out = np.empty_like(stack)
         index = np.arange(len(stack))
-        y = self.affine(stack)
-        size = y[0].size * 2
-        # Newest first; a set's slots past ``filled`` are empty.
-        hist_f = np.zeros((len(stack), _ANDERSON_MEMORY, size))
+        # Real views of the flattened sets, as the mixing sees them.
+        y = self.affine(stack).reshape(len(stack), -1).view(float)
+        hist_f = np.zeros((len(stack), _ANDERSON_MEMORY, y.shape[1]))
         hist_g = np.zeros_like(hist_f)
-        filled = np.zeros(len(stack), dtype=int)
+        # Newest first; the slots in use are a prefix.
+        used = np.zeros((len(stack), _ANDERSON_MEMORY), dtype=bool)
         last = np.full(len(stack), math.inf)
-        slots = np.arange(_ANDERSON_MEMORY)
         for _ in range(max_sweeps):
-            sweep = self.psd(y)
-            res = self.residual(sweep)
+            sweep = self.psd(y.view(complex).reshape(-1, *shape[-3:]))
+            both = self.image_and_rows @ sweep.reshape(len(index), n, -1).view(float)
+            res = np.abs(both[:, n:].view(complex)).max(axis=(1, 2), initial=0.0)
             going = res >= tol
             if not going.all():
                 out[index[~going]] = sweep[~going]
-                index, y, sweep, res, hist_f, hist_g, filled, last = (
-                    a[going] for a in (index, y, sweep, res, hist_f, hist_g, filled, last)
+                index, y, sweep, both, res, hist_f, hist_g, used, last = (
+                    a[going] for a in (index, y, sweep, both, res, hist_f, hist_g, used, last)
                 )
                 if not index.size:
                     return out.reshape(shape)
-            filled[res >= last] = 0
+            used[res >= last] = False
             last = res
-            g = self.affine(sweep).reshape(len(index), -1).view(float)
-            f = g - y.reshape(len(index), -1).view(float)
-            gamma = _mixing_weights(f[:, None, :] - hist_f, f, slots < filled[:, None])
-            mixed = g - (gamma[:, None, :] @ (g[:, None, :] - hist_g))[:, 0]
-            hist_f = np.concatenate([f[:, None], hist_f[:, :-1]], axis=1)
-            hist_g = np.concatenate([g[:, None], hist_g[:, :-1]], axis=1)
-            filled = np.minimum(filled + 1, _ANDERSON_MEMORY)
-            y = mixed.view(complex).reshape(sweep.shape)
+            g = both[:, :n].reshape(len(index), -1)
+            f = g - y
+            gamma = _mixing_weights(f[:, None, :] - hist_f, f, used)
+            y = g - (gamma[:, None, :] @ (g[:, None, :] - hist_g))[:, 0]
+            for hist, new in ((hist_f, f), (hist_g, g), (used, True)):
+                hist[:, 1:] = hist[:, :-1]
+                hist[:, 0] = new
         out[index] = sweep
         return out.reshape(shape)
 
@@ -245,16 +263,17 @@ def _mixing_weights(a: np.ndarray, f: np.ndarray, used: np.ndarray) -> np.ndarra
     parallel to within 1e-12 in the squared sine of their angle, or only
     one is in use, the newest is used alone.
     """
-    x = np.concatenate([a * used[..., None], f[:, None]], axis=1)
-    gram = x @ np.swapaxes(x, 1, 2)
+    a = a * used[..., None]
+    gram = a @ np.swapaxes(a, 1, 2)
+    b = a @ f[:, :, None]
     a00, a01, a11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-    b0, b1 = gram[:, 0, 2], gram[:, 1, 2]
     det = a00 * a11 - a01 * a01
     pair = det > 1e-12 * a00 * a11
-    num0 = np.where(pair, a11 * b0 - a01 * b1, b0)
-    num1 = np.where(pair, a00 * b1 - a01 * b0, 0.0)
+    # The adjugate ((a11, -a01), (-a01, a00)) solves the pair; alone, the
+    # newest gets b0 / a00.
+    adjugate = gram[:, ::-1, ::-1] * _ADJUGATE_SIGNS
+    num = np.where(pair[:, None, None], adjugate @ b, b * _NEWEST)[..., 0]
     den = np.where(pair, det, a00)
-    num = np.stack([num0, num1], axis=1)
     return num / np.where(den > 0.0, den, np.inf)[:, None]
 
 
@@ -392,12 +411,35 @@ def _start(game, cfg, projector, initial):
     return rhos, effects
 
 
+def _settled_stop(it, gain, peak, max_iters):
+    """Stop of restarts whose state no longer changes after iteration ``it``.
+
+    Such a restart repeats its last iteration bit for bit, so its value
+    stays put: ``gain`` is its value less the anchor of its current window
+    and ``peak`` its largest step in that window, and every later step sits
+    at the floor.  The next boundary then stops it on the window or the
+    stall rule, and a boundary after that always stops it on the window,
+    unless the iteration cap comes first.  Returns each restart's iteration
+    count and stop reason.
+    """
+    first = (it // _CONVERGENCE_WINDOW + 1) * _CONVERGENCE_WINDOW
+    window = gain < _CONVERGENCE_GAIN
+    stalled = ~window & (peak <= _STALL_STEP)
+    when = np.where(window | stalled, first, first + _CONVERGENCE_WINDOW)
+    reasons = np.where(stalled, "stalled", "window").astype(object)
+    capped = when >= max_iters
+    reasons[capped] = "max_iters"
+    return np.minimum(when, max_iters), reasons
+
+
 def _ascend(weighted, projector, rhos, effects, cfg):
     """Run every restart of the stack until its stop rule fires.
 
     Returns the final states and measurements of each restart with its
     iteration count and stop reason.  The running restarts form their own
-    stack, which sheds each restart as it stops.
+    stack, which sheds each restart as it stops, and a restart whose
+    states, measurements and step all came through an iteration unchanged
+    stops at once with the record the stop rules would give it later.
     """
     tol = cfg.tolerance / 10
     restarts = len(rhos)
@@ -405,6 +447,7 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     reasons = np.full(restarts, "max_iters", dtype=object)
     final_rhos, final_effects = rhos.copy(), effects.copy()
     index = np.arange(restarts)
+    rhos = rhos.copy()
     value = _objective(weighted, rhos, effects)
     step = np.full(restarts, 0.5)
     anchor = value
@@ -413,40 +456,60 @@ def _ascend(weighted, projector, rhos, effects, cfg):
         # Measurement step: one warm-started candidate per receiver input.
         gram = _herm(np.einsum("xyb,rxij->rybij", weighted, rhos))
         cand = _jrf_update(gram, effects, _JRF_MAX_STEPS)
+        moved = np.zeros(index.size, dtype=bool)
         if cand is not effects:
             better = _score(gram, cand) > _score(gram, effects) + _ACCEPT_MARGIN
             effects = np.where(better[..., None, None, None], cand, effects)
+            moved = better.any(axis=1)
         value = _objective(weighted, rhos, effects)
 
-        # Preparation step: gradient ascent plus exact projection.
+        # Preparation step: gradient ascent plus exact projection.  A trial
+        # rejected at the step floor leaves its restart's next trial input
+        # as it was, so that restart sits out the rest of the iteration.
         grad = _herm(np.einsum("xyb,rybij->rxij", weighted, effects))
+        start = step.copy()
+        trying = np.arange(index.size)
         for _ in range(4):
             peak = np.maximum(peak, step)
-            trial = projector.feasible(rhos + step[:, None, None, None] * grad, tol)
-            trial_val = _objective(weighted, trial, effects)
-            better = trial_val > value + _ACCEPT_MARGIN
-            rhos = np.where(better[:, None, None, None], trial, rhos)
-            value = np.where(better, trial_val, value)
-            step = np.where(
-                better, np.minimum(step * _STEP_GROW, 16.0), np.maximum(step * 0.4, _STEP_FLOOR)
+            s = step[trying]
+            trial = projector.feasible(rhos[trying] + s[:, None, None, None] * grad[trying], tol)
+            trial_val = _objective(weighted, trial, effects[trying])
+            better = trial_val > value[trying] + _ACCEPT_MARGIN
+            rhos[trying[better]] = trial[better]
+            value[trying[better]] = trial_val[better]
+            moved[trying[better]] = True
+            step[trying] = np.where(
+                better, np.minimum(s * _STEP_GROW, 16.0), np.maximum(s * 0.4, _STEP_FLOOR)
             )
+            trying = trying[better | (s > _STEP_FLOOR)]
+            if not trying.size:
+                break
 
+        stop = np.zeros(index.size, dtype=bool)
+        when = np.full(index.size, it)
+        why = np.empty(index.size, dtype=object)
         if it % _CONVERGENCE_WINDOW == 0 and it < cfg.max_iters:
             window = value - anchor < _CONVERGENCE_GAIN
             stalled = ~window & (peak <= _STALL_STEP)
             stop = window | stalled
-            if stop.any():
-                done = index[stop]
-                iterations[done] = it
-                reasons[done] = np.where(window[stop], "window", "stalled")
-                final_rhos[done], final_effects[done] = rhos[stop], effects[stop]
-                index, rhos, effects, value, step = (
-                    a[~stop] for a in (index, rhos, effects, value, step)
-                )
-                if not index.size:
-                    break
-            anchor = value
+            why[stop] = np.where(window, "window", "stalled")[stop]
+            anchor = value.copy()
             peak = np.zeros(index.size)
+        settled = ~stop & ~moved & (step == start)
+        if settled.any():
+            when[settled], why[settled] = _settled_stop(
+                it, (value - anchor)[settled], peak[settled], cfg.max_iters
+            )
+            stop |= settled
+        if stop.any():
+            done = index[stop]
+            iterations[done], reasons[done] = when[stop], why[stop]
+            final_rhos[done], final_effects[done] = rhos[stop], effects[stop]
+            index, rhos, effects, value, step, anchor, peak = (
+                a[~stop] for a in (index, rhos, effects, value, step, anchor, peak)
+            )
+            if not index.size:
+                break
     final_rhos[index], final_effects[index] = rhos, effects
     return final_rhos, final_effects, iterations, reasons
 

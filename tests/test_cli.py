@@ -155,6 +155,14 @@ def test_optimize_small(capsys):
     assert per_restart[results["restart_index"]]["value"] == results["value"]
 
 
+def test_optimize_reports_search_wall_time(capsys):
+    code, report, _ = run_cli(
+        capsys, "optimize", "--game", "rac:2,2", "--dim", "2", "--restarts", "1", "--iters", "5"
+    )
+    assert code == 0
+    assert report["results"]["wall_s"] > 0.0
+
+
 def test_validation_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "bound", "--game", "rac:2,4")
     assert code == 2

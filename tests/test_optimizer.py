@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from oblivious_games.optimizer import (
     _Projector,
     _random_povm,
     _random_rhos,
+    _settled_stop,
     search,
 )
 from oblivious_games.qmath import Povm
@@ -187,6 +190,48 @@ def _simplex_reference(values):
     return [max(v - tau, 0.0) for v in values]
 
 
+def _reference_feasible(projector, rhos, tol, max_sweeps=200):
+    """The Anderson(2)-mixed alternating projection written out for one set.
+
+    Takes the Hermitian part before every eigendecomposition, pins every
+    trace after every affine step, and solves the mixing weights slot by
+    slot.  Returns the projected set and the number of sweeps it took.
+    """
+    def psd(x):
+        w, v = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
+        p = np.array([_simplex_reference(list(row)) for row in w])
+        return (v * p[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+    hist_f, hist_g = [], []  # newest first
+    last = math.inf
+    y = projector.affine(rhos)
+    for sweeps in range(1, max_sweeps + 1):
+        sweep = psd(y)
+        res = projector.residual(sweep)
+        if res < tol:
+            break
+        if res >= last:
+            hist_f, hist_g = [], []
+        last = res
+        g = projector.affine(sweep).reshape(-1).view(float)
+        f = g - y.reshape(-1).view(float)
+        a = [f - h for h in hist_f]
+        gamma = [0.0] * len(a)
+        if a:
+            a00, b0 = a[0] @ a[0], a[0] @ f
+            if a00 > 0.0:
+                gamma[0] = b0 / a00
+        if len(a) == 2:
+            a01, a11, b1 = a[0] @ a[1], a[1] @ a[1], a[1] @ f
+            det = a00 * a11 - a01 * a01
+            if det > 1e-12 * a00 * a11:
+                gamma = [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det]
+        mixed = g - sum(c * (g - h) for c, h in zip(gamma, hist_g))
+        hist_f, hist_g = [f, *hist_f[:1]], [g, *hist_g[:1]]
+        y = mixed.view(complex).reshape(rhos.shape)
+    return sweep, sweeps
+
+
 @pytest.mark.parametrize("game,dim", PROJECTOR_CASES)
 class TestProjector:
     def test_feasible_states_are_valid(self, game, dim):
@@ -282,6 +327,19 @@ class TestProjector:
                 if projector.residual(out) < 1e-9:
                     break
         assert mixed <= len(sweeps) / 2
+
+    def test_matches_reference_loop(self, game, dim):
+        projector = _Projector(game, dim)
+        rng = np.random.default_rng(8)
+        trials = np.stack([_trial_states(game, projector, rng) for _ in range(4)])
+        want = [_reference_feasible(projector, rhos, 1e-9) for rhos in trials]
+        sweeps = _count_sweeps(projector)
+        for rhos, (ref, count) in zip(trials, want):
+            sweeps.clear()
+            assert np.max(np.abs(projector.feasible(rhos, 1e-9) - ref)) < 1e-12
+            assert len(sweeps) == count
+        stacked = projector.feasible(trials, 1e-9)
+        assert np.max(np.abs(stacked - np.stack([ref for ref, _ in want]))) < 1e-12
 
 
 class TestSeededStart:
@@ -407,6 +465,58 @@ class TestStopping:
         result = search(make_cglmp3_game(), SearchConfig(dim=3, restarts=1, seed=0))
         assert result.stop_reason == "window"
         assert result.iterations_used < 500
+
+    @pytest.mark.parametrize("cap", [45, 60])
+    def test_window_stop_only_truncates_the_path(self, cap):
+        game = make_cglmp3_game()
+        stopped = search(game, SearchConfig(dim=3, restarts=1, seed=0))
+        assert (stopped.stop_reason, stopped.iterations_used) == ("window", 60)
+        capped = search(game, SearchConfig(dim=3, restarts=1, max_iters=cap, seed=0))
+        assert (capped.stop_reason, capped.iterations_used) == ("max_iters", cap)
+        assert capped.value == stopped.value
+        for pa, pb in zip(capped.strategy.preparations, stopped.strategy.preparations):
+            assert np.array_equal(pa.matrix, pb.matrix)
+        for ma, mb in zip(capped.strategy.measurements, stopped.strategy.measurements):
+            for ea, eb in zip(ma.elements, mb.elements):
+                assert np.array_equal(ea, eb)
+
+    def test_settled_restart_leaves_early_without_repeated_trials(self, monkeypatch):
+        # At seed 0 the one cglmp3 restart stops changing after about 30
+        # iterations, with its step at the floor.
+        iterations, projections = [], []
+        jrf, feasible = optimizer._jrf_update, _Projector.feasible
+
+        def counted_jrf(gram, effects, max_steps):
+            iterations.append(1)
+            return jrf(gram, effects, max_steps)
+
+        def counted_feasible(self, rhos, tol, max_sweeps=200):
+            projections.append(1)
+            return feasible(self, rhos, tol, max_sweeps)
+
+        monkeypatch.setattr(optimizer, "_jrf_update", counted_jrf)
+        monkeypatch.setattr(_Projector, "feasible", counted_feasible)
+        result = search(make_cglmp3_game(), SearchConfig(dim=3, restarts=1, seed=0))
+        assert (result.stop_reason, result.iterations_used) == ("window", 60)
+        assert len(iterations) < 40
+        # the start and the final polish project once each
+        assert len(projections) - 2 < 4 * len(iterations)
+
+    @pytest.mark.parametrize(
+        "it,gain,peak,max_iters,want",
+        [
+            (32, 0.0, 1.0, 500, (60, "window")),
+            (32, 1.0, 1e-4, 500, (60, "stalled")),
+            (32, 1.0, 1.0, 500, (90, "window")),
+            (60, 0.0, 0.0, 500, (90, "window")),
+            (32, 0.0, 1.0, 45, (45, "max_iters")),
+            (32, 0.0, 1.0, 60, (60, "max_iters")),
+            (32, 1.0, 1.0, 75, (75, "max_iters")),
+        ],
+    )
+    def test_settled_stop_is_the_next_rule_to_fire(self, it, gain, peak, max_iters, want):
+        when, why = _settled_stop(it, np.array([gain]), np.array([peak]), max_iters)
+        assert (int(when[0]), why[0]) == want
 
 
 def test_game_without_partitions_rejected():
