@@ -7,10 +7,11 @@ Three routes to a preparation-noncontextual (or local-realist) bound:
 * ``local_bound`` -- exhaustive enumeration of deterministic assignments for
   a correlation functional;
 * ``pnc_bound_lp_oracle`` -- for a generic game, enumerate deterministic
-  decoders and maximize each one's score over the polytope of
-  obliviousness-respecting encodings (one ``lp.Polytope``, so phase 1 runs
-  once per call).  Optimal decoding is deterministic by convexity, which is
-  what makes the decoder enumeration exhaustive.
+  decoders of a fixed number of messages and maximize each one's score over
+  the polytope of obliviousness-respecting encodings (one ``lp.Polytope``, so
+  phase 1 runs once per call).  Optimal decoding is deterministic by
+  convexity, which makes the enumeration exhaustive; the value is a lower
+  bound until every decoding function can have a message of its own.
 """
 
 from __future__ import annotations
@@ -75,15 +76,17 @@ def local_bound(bell: BellFunctional) -> BoundResult:
 
 
 def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
-    """Bound for an arbitrary oblivious game via decoder enumeration plus LPs.
+    """Best value of an oblivious game over ``message_count`` ontic states.
 
+    A lower bound on the noncontextual bound, exact from as many messages as
+    decoding functions y -> b (ontic states that decode alike merge).
     Messages are interchangeable, so decoders are enumerated as unordered
-    multisets of per-message decoding functions (lexicographically, which also
-    fixes the witness on ties).  A cheap constraint-free upper bound prunes
-    decoders that cannot beat the incumbent.  Every decoder's program is over
-    the same encoding polytope, so phase 1 runs once and each surviving
-    decoder re-optimizes from the previous one's optimal basis.  The result
-    counts the programs solved and their pivots, phase 1 included.
+    multisets of per-message decoding functions (lexicographically, which
+    also fixes the witness on ties).  A cheap constraint-free upper bound
+    prunes decoders that cannot beat the incumbent.  Every decoder's program
+    is over the same encoding polytope, so phase 1 runs once and each
+    surviving decoder re-optimizes from the previous one's optimal basis.
+    The result counts the programs solved and their pivots, phase 1 included.
     """
     message_count = check_integer(message_count, "message count")
     if message_count < 1:

@@ -10,7 +10,6 @@ relabeling is what makes the scoring formula of the game apply verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,45 +33,6 @@ WAVEPLATE_ANGLES = {
     (2, 2): (53.19, 10.21),
     (2, 3): (54.78, 53.71),
 }
-
-
-@dataclass(frozen=True)
-class CglmpStrategy:
-    """Parameter record of the optimal strategy; construction validates the values."""
-
-    gamma: tuple = GAMMA
-    normalization: float = NORMALIZATION
-    alpha: tuple = ALPHA
-    beta: tuple = BETA
-    omega: complex = OMEGA
-
-    def __post_init__(self):
-        g0, g1, g2 = _finite(self.gamma, float, (3,), "gamma")
-        _finite(self.alpha, float, (2,), "alpha")
-        _finite(self.beta, float, (2,), "beta")
-        normalization = _finite(self.normalization, float, (), "normalization")
-        omega = _finite(self.omega, complex, (), "omega")
-        if abs(g0 - 1.0) >= 1e-12 or abs(g2 - 1.0) >= 1e-12:
-            raise ValueError("outer amplitudes must equal 1")
-        if abs(g1 - GAMMA1) >= 1e-12:
-            raise ValueError(f"middle amplitude must equal {GAMMA1!r}")
-        if abs(normalization - (2.0 + g1**2)) >= 1e-12:
-            raise ValueError("normalization must equal 2 + gamma_1^2")
-        if abs(omega - OMEGA) >= 1e-12:
-            raise ValueError("phase must be the primitive third root of unity")
-
-
-def _finite(value, dtype, shape, name):
-    """``value`` as an array of ``dtype`` and ``shape`` with finite entries, else ``ValueError``."""
-    try:
-        array = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} {value!r} does not convert to {np.dtype(dtype)}") from exc
-    if array.shape != shape:
-        raise ValueError(f"{name} has shape {array.shape}, not {shape}")
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} {value!r} is not finite")
-    return array
 
 
 def optimal_state() -> Ket:

@@ -79,19 +79,23 @@ def _cmd_cglmp(args) -> int:
 
 def _cmd_bound(args) -> int:
     game = _load_game_spec(args.game)
-    if args.oracle or not (args.game == "cglmp3" or args.game.startswith("rac:")):
-        messages = args.messages
-        if messages is None:
-            messages = game.n_outcomes
+    inputs, summary = {"game": args.game, "oracle": False}, None
+    builtin = args.game == "cglmp3" or args.game.startswith("rac:")
+    if args.oracle or args.messages is not None or not builtin:
+        messages = game.n_outcomes if args.messages is None else args.messages
         result = bounds.pnc_bound_lp_oracle(game, messages)
         inputs = {"game": args.game, "oracle": True, "messages": messages}
+        decoders = game.n_outcomes**game.n_bob  # the messages that make the oracle exact
+        if messages < decoders:
+            summary = (
+                f"lower bound {result.value:.6f} on the noncontextual bound "
+                f"({result.method} over {messages} messages; exact from {decoders})"
+            )
     elif args.game == "cglmp3":
         result = bounds.local_bound(bellmap.cglmp3())
-        inputs = {"game": args.game, "oracle": False}
     else:
         value = bounds.rac_pnc_bound(game.n_bob, game.n_outcomes)
         result = bounds.BoundResult(value=value, method="formula")
-        inputs = {"game": args.game, "oracle": False}
     results = {"value": result.value, "method": result.method}
     if result.programs is not None:
         results["programs"] = result.programs
@@ -100,7 +104,7 @@ def _cmd_bound(args) -> int:
         results["witness"] = result.witness
     _emit(
         _report("bound", inputs, results),
-        f"noncontextual bound {result.value:.6f} ({result.method})",
+        summary or f"noncontextual bound {result.value:.6f} ({result.method})",
     )
     return EXIT_OK
 
@@ -237,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="preparation-noncontextual bound of a game")
     p_bound.add_argument("--game", required=True, help="file path, rac:n,d, or cglmp3")
     p_bound.add_argument("--oracle", action="store_true", help="force the LP oracle")
-    p_bound.add_argument("--messages", type=int, default=None)
+    p_bound.add_argument("--messages", type=int, help="LP oracle messages; implies --oracle")
     p_bound.add_argument("--witness", action="store_true", help="include the optimal strategy")
 
     p_bell = sub.add_parser("bell", help="local bound or value of a correlation functional")
@@ -254,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("exp", help="analyze measured probability tables")
     p_exp.add_argument("--data", nargs="+", required=True, help="CSV file(s)")
-    p_exp.add_argument("--fit-mapping", action="store_true")
-    p_exp.add_argument("--mapping", default=None, help="mapping JSON (default: pinned)")
+    mapping = p_exp.add_mutually_exclusive_group()
+    mapping.add_argument("--fit-mapping", action="store_true")
+    mapping.add_argument("--mapping", default=None, help="mapping JSON (default: pinned)")
     p_exp.add_argument("--secondary", action="store_true")
     p_exp.add_argument("--mc", type=int, default=None, help="Monte Carlo samples")
     p_exp.add_argument("--seed", type=int, default=None)
@@ -283,6 +288,8 @@ _HANDLERS = {
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bell" and args.local_bound and args.box is not None:
+        parser.error("argument --box: not allowed with argument --local-bound")
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

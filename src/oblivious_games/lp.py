@@ -318,32 +318,14 @@ def _checked(lp: LinearProgram, objectives, values, optimal) -> np.ndarray:
     return (objectives[:, None, :] @ values[..., None])[:, 0, 0]
 
 
-def _stacked(programs) -> LinearProgram:
-    """One stack of programs of one shape; one without upper bounds gets +inf ones."""
-    free = [lp.upper_bounds is None for lp in programs]
-    upper = None if all(free) else np.concatenate(
-        [np.full(lp.objective.shape, np.inf) if f else lp.upper_bounds
-         for lp, f in zip(programs, free)]
-    )
-    fields = ("objective", "eq_matrix", "eq_rhs")
-    stack = [np.concatenate([getattr(lp, f) for lp in programs]) for f in fields]
-    return LinearProgram(*stack, upper)
+def solve_many(programs: LinearProgram) -> list:
+    """Two-phase simplex on a stacked ``LinearProgram``, in lockstep.
 
-
-def solve_many(programs) -> list:
-    """Two-phase simplex on a stack of programs, in lockstep.
-
-    ``programs`` is one stacked ``LinearProgram`` or an iterable of programs
-    of one shape, which is stacked first: one equality-matrix shape and the
-    same variables with a finite upper bound.  Element ``p`` of the result
-    equals ``solve`` of program ``p``: same status, pivots and bit-equal
-    values.
+    Element ``p`` of the result equals ``solve`` of program ``p``: same
+    status, pivots and bit-equal values.
     """
     if not isinstance(programs, LinearProgram):
-        programs = list(programs)
-        if not programs:
-            return []
-        programs = _stacked(programs)
+        raise TypeError(f"expected one stacked LinearProgram, got {type(programs).__name__}")
     if not len(programs.objective):
         return []
     tableau, basis, infeasible, pivots = _feasible(programs, _capped(programs))

@@ -374,21 +374,7 @@ def _random_povm(rng: np.random.Generator, n_out: int, dim: int) -> np.ndarray:
     return _normalize_povm(effects)
 
 
-def _check_initial(game: ObliviousGame, cfg: SearchConfig, initial: QuantumStrategy) -> None:
-    # A QuantumStrategy already has one dimension and one outcome count.
-    checks = (
-        (len(initial.preparations), game.n_alice, "preparations, the game has {} Alice inputs"),
-        (len(initial.measurements), game.n_bob, "measurements, the game has {} Bob inputs"),
-        (initial.n_outcomes, game.n_outcomes, "outcomes per measurement, the game has {}"),
-    )
-    for have, want, what in checks:
-        if have != want:
-            raise ValueError(f"initial strategy has {have} " + what.format(want))
-    if initial.dim != cfg.dim:
-        raise ValueError(f"initial strategy has dimension {initial.dim}, the config {cfg.dim}")
-
-
-def _start(game, cfg, projector, initial):
+def _start(game, cfg, projector):
     """The starting states and measurements of every restart, stacked.
 
     Restart ``r`` draws from its own generator, seeded ``[seed, r]``; the
@@ -397,18 +383,11 @@ def _start(game, cfg, projector, initial):
     d = cfg.dim
     rhos = np.empty((cfg.restarts, game.n_alice, d, d), dtype=complex)
     effects = np.empty((cfg.restarts, game.n_bob, game.n_outcomes, d, d), dtype=complex)
-    first = 0
-    if initial is not None:
-        rhos[0] = [p.matrix for p in initial.preparations]
-        effects[0] = [m.elements for m in initial.measurements]
-        first = 1
-    for restart in range(first, cfg.restarts):
+    for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         rhos[restart] = _random_rhos(rng, game.n_alice, d)
         effects[restart] = [_random_povm(rng, game.n_outcomes, d) for _ in range(game.n_bob)]
-    if first < cfg.restarts:
-        rhos[first:] = projector.feasible(rhos[first:], cfg.tolerance / 10)
-    return rhos, effects
+    return projector.feasible(rhos, cfg.tolerance / 10), effects
 
 
 def _settled_stop(it, gain, peak, max_iters):
@@ -519,11 +498,7 @@ def _unit_trace(rho: np.ndarray) -> np.ndarray:
     return herm / float(np.trace(herm).real)
 
 
-def search(
-    game: ObliviousGame,
-    cfg: SearchConfig,
-    initial: QuantumStrategy | None = None,
-) -> SearchResult:
+def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     """Best strategy over restarts; the value is a lower bound, never a claim.
 
     All restarts run as one stack in lockstep, and each leaves the stack on
@@ -539,11 +514,9 @@ def search(
     """
     if not game.partitions:
         raise ValueError("game has no obliviousness families to respect")
-    if initial is not None:
-        _check_initial(game, cfg, initial)
     weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
     projector = _Projector(game, cfg.dim)
-    rhos, effects = _start(game, cfg, projector, initial)
+    rhos, effects = _start(game, cfg, projector)
     rhos, effects, iterations, reasons = _ascend(weighted, projector, rhos, effects, cfg)
 
     # Final polish: land exactly inside the feasible set and report the value

@@ -9,51 +9,6 @@ from oblivious_games.qmath import DensityMatrix, partial_trace
 A3 = (3 + math.sqrt(33)) / 12
 
 
-class TestStrategyRecord:
-    def test_default_is_valid(self):
-        s = cglmp.CglmpStrategy()
-        assert abs(s.normalization - (2 + s.gamma[1] ** 2)) < 1e-12
-
-    def test_wrong_middle_amplitude_rejected(self):
-        with pytest.raises(ValueError):
-            cglmp.CglmpStrategy(gamma=(1.0, 0.8, 1.0))
-
-    def test_wrong_normalization_rejected(self):
-        with pytest.raises(ValueError):
-            cglmp.CglmpStrategy(normalization=2.0)
-
-    @pytest.mark.parametrize(
-        "field,value,message",
-        [
-            ("gamma", (1.0, math.nan, 1.0), "gamma .* is not finite"),
-            ("gamma", (math.inf, cglmp.GAMMA1, 1.0), "gamma .* is not finite"),
-            ("gamma", (1.0, cglmp.GAMMA1), r"gamma has shape \(2,\)"),
-            ("gamma", (1.0, 1j, 1.0), "gamma .* does not convert to float64"),
-            ("normalization", math.nan, "normalization nan is not finite"),
-            ("normalization", -math.inf, "normalization -inf is not finite"),
-            ("normalization", (cglmp.NORMALIZATION,), r"normalization has shape \(1,\)"),
-            ("alpha", (0.0, math.nan), "alpha .* is not finite"),
-            ("alpha", (0.0, 0.5, 1.0), r"alpha has shape \(3,\)"),
-            ("alpha", ("a", 0.5), "alpha .* does not convert to float64"),
-            ("beta", (math.inf, -0.25), "beta .* is not finite"),
-            ("beta", 0.25, r"beta has shape \(\)"),
-            ("omega", complex(math.nan, 0.0), "omega .* is not finite"),
-            ("omega", complex(cglmp.OMEGA.real, math.inf), "omega .* is not finite"),
-            ("omega", (cglmp.OMEGA, cglmp.OMEGA), r"omega has shape \(2,\)"),
-        ],
-        ids=[
-            "gamma-nan", "gamma-inf", "gamma-short", "gamma-complex",
-            "normalization-nan", "normalization-inf", "normalization-vector",
-            "alpha-nan", "alpha-long", "alpha-text",
-            "beta-inf", "beta-scalar",
-            "omega-nan", "omega-inf", "omega-vector",
-        ],
-    )
-    def test_non_finite_and_misshapen_fields_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
-            cglmp.CglmpStrategy(**{field: value})
-
-
 class TestOptimalState:
     def test_amplitude_on_00(self):
         ket = cglmp.optimal_state()

@@ -1,7 +1,10 @@
 import json
+import re
+import shlex
 
 import numpy as np
 import pytest
+from conftest import REPO_ROOT
 
 from oblivious_games import bellmap, cglmp, expdata, games
 from oblivious_games.cli import run
@@ -39,6 +42,45 @@ def test_bound_oracle(capsys):
     assert abs(report["results"]["value"] - 0.75) < 1e-9
     assert report["results"]["method"] == "lp-oracle"
     assert (report["results"]["programs"], report["results"]["pivots"]) == (2, 7)
+
+
+def test_bound_messages_selects_the_oracle(capsys):
+    code, report, _ = run_cli(capsys, "bound", "--game", "rac:2,3", "--messages", "3")
+    assert code == 0
+    assert report["inputs"] == {"game": "rac:2,3", "oracle": True, "messages": 3}
+    assert report["results"]["method"] == "lp-oracle"
+    assert (report["results"]["programs"], report["results"]["pivots"]) == (7, 38)
+
+
+def _random_game():
+    """Six inputs, three measurements, two outcomes, two families, uniform priors;
+    the payoffs are the 125th draw of ``default_rng(1)``."""
+    rng = np.random.default_rng(1)
+    for _ in range(125):
+        payoff = rng.normal(size=(6, 3, 2))
+    return games.ObliviousGame(
+        alice_inputs=tuple(range(6)),
+        bob_inputs=(0, 1, 2),
+        outcomes=(0, 1),
+        p_alice=np.full(6, 1 / 6),
+        p_bob=np.full(3, 1 / 3),
+        payoff=payoff,
+        partitions=(((0, 1, 2), (3, 4, 5)), ((0, 3), (1, 4), (2, 5))),
+    )
+
+
+@pytest.mark.parametrize("messages,value", [(None, 0.511146), ("3", 0.521646)])
+def test_bound_oracle_is_labelled_a_lower_bound(capsys, tmp_path, messages, value):
+    # two messages (the default) miss the 0.521646 that three reach: the
+    # oracle is exact only from one message per decoding function, 2**3 here
+    path = tmp_path / "random.json"
+    games.save_game(_random_game(), path)
+    extra = () if messages is None else ("--messages", messages)
+    code, report, err = run_cli(capsys, "bound", "--game", str(path), *extra)
+    assert code == 0
+    assert round(report["results"]["value"], 6) == value
+    assert err.startswith(f"lower bound {value:.6f} on the noncontextual bound")
+    assert "exact from 8" in err
 
 
 def test_bound_cglmp3(capsys):
@@ -102,6 +144,21 @@ def test_exp_fit_mapping(capsys, data_dir):
     assert code == 0
     assert report["results"]["mapping_source"] == "fitted"
     assert report["results"]["fit_residual"] < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exp", "--data", "DATA", "--fit-mapping", "--mapping", "no_such_mapping.json"],
+        ["bell", "--bell", "cglmp3", "--local-bound", "--box", "no_such_box.json"],
+    ],
+    ids=["exp-fit-and-mapping", "bell-local-bound-and-box"],
+)
+def test_ignored_file_argument_exits_2(capsys, data_dir, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([str(data_dir / "table2.csv") if a == "DATA" else a for a in argv])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_exp_mc_seed_reproducible(capsys, data_dir):
@@ -243,3 +300,26 @@ def test_reports_are_deterministic(capsys):
     code1, report1, _ = run_cli(capsys, "cglmp")
     code2, report2, _ = run_cli(capsys, "cglmp")
     assert report1 == report2
+
+
+def test_readme_command_lines(capsys, tmp_path, data_dir):
+    """Every README ``oblivious-games`` line but ``optimize`` exits 0, and the
+    oracle line reports the programs and pivots the README quotes."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    box_path = tmp_path / "box.json"
+    bellmap.save_box(cglmp.optimal_box(), box_path)
+    fixtures = {"box.json": str(box_path), "data/table2.csv": str(data_dir / "table2.csv")}
+    lines = [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("oblivious-games ") and " optimize " not in line
+    ]
+    assert len(lines) == 6
+    quoted = re.search(r"On\s+`rac:2,3` with three messages these are (\d+) and (\d+)", readme)
+    for argv in lines:
+        code, report, _ = run_cli(capsys, *(fixtures.get(a, a) for a in argv))
+        assert code == 0, argv
+        if "rac:2,3" in argv and "--messages" in argv:
+            counts = (report["results"]["programs"], report["results"]["pivots"])
+            assert counts == tuple(int(n) for n in quoted.groups()) == (7, 38)

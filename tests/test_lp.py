@@ -180,31 +180,6 @@ def _mixed_stack():
     ]
 
 
-def test_stack_equals_each_program_alone():
-    programs, expected = zip(*_mixed_stack())
-    stacked = solve_many(programs)
-    assert [s.status for s in stacked] == list(expected)
-    for program, together in zip(programs, stacked):
-        alone = solve(program)
-        assert together.status == alone.status
-        assert together.pivots == alone.pivots
-        assert together.objective_value == alone.objective_value
-        if alone.values is None:
-            assert together.values is None
-        else:
-            assert together.values.tobytes() == alone.values.tobytes()
-    assert stacked[6].objective_value == 0.3
-
-
-def test_stack_needs_one_shape():
-    assert solve_many([]) == []
-    square = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0])
-    with pytest.raises(ValueError):
-        solve_many([square, LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0])])
-    with pytest.raises(ValueError):
-        solve_many([square, LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, np.inf])])
-
-
 FIELDS = ("objective", "eq_matrix", "eq_rhs", "upper_bounds")
 
 
@@ -221,22 +196,37 @@ def test_one_program_is_the_stack_of_one():
     assert program.upper_bounds.shape == (1, 2)
 
 
-def test_stacked_program_equals_list_and_each_layer():
+def test_stack_equals_each_program_alone():
     programs, expected = zip(*_mixed_stack())
     stacked = solve_many(_one_stack(programs))
-    listed = solve_many(programs)
     assert [s.status for s in stacked] == list(expected)
-    for p, (together, in_list) in enumerate(zip(stacked, listed)):
+    for p, together in enumerate(stacked):
         alone = solve(LinearProgram(*(getattr(programs[p], f)[0] for f in FIELDS)))
-        for other in (in_list, alone):
-            assert together.status == other.status
-            assert together.pivots == other.pivots
-            assert together.phase1_pivots == other.phase1_pivots
-            assert together.objective_value == other.objective_value
-            if other.values is None:
-                assert together.values is None
-            else:
-                assert together.values.tobytes() == other.values.tobytes()
+        assert together.status == alone.status
+        assert together.pivots == alone.pivots
+        assert together.phase1_pivots == alone.phase1_pivots
+        assert together.objective_value == alone.objective_value
+        if alone.values is None:
+            assert together.values is None
+        else:
+            assert together.values.tobytes() == alone.values.tobytes()
+    assert stacked[6].objective_value == 0.3
+
+
+def test_stack_needs_one_shape():
+    assert solve_many(LinearProgram(np.zeros((0, 2)), np.zeros((0, 1, 2)), np.zeros((0, 1)))) == []
+    ones = np.ones((2, 1, 2))
+    with pytest.raises(ValueError):  # a three-variable objective over two-variable rows
+        LinearProgram(np.ones((2, 3)), ones, np.ones((2, 1)))
+    with pytest.raises(ValueError):  # one program caps a variable the other leaves free
+        LinearProgram(np.ones((2, 2)), ones, np.ones((2, 1)), [[1.0, np.inf], [np.inf, np.inf]])
+
+
+def test_solve_many_takes_one_stacked_program():
+    square = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0])
+    for not_a_stack in ([square], [], (square, square)):
+        with pytest.raises(TypeError, match="one stacked LinearProgram"):
+            solve_many(not_a_stack)
 
 
 @pytest.mark.parametrize("part", FIELDS)

@@ -128,7 +128,7 @@ STACKS = {
 @pytest.mark.parametrize("category", sorted(STACKS))
 def test_category_as_one_stack(category):
     programs = [STACKS[category](np.random.default_rng(500 + seed)) for seed in range(8)]
-    stacked = solve_many(LinearProgram(*program) for program in programs)
+    stacked = solve_many(LinearProgram(*(np.stack(field) for field in zip(*programs))))
     for program, ours in zip(programs, stacked):
         assert_agrees(*program, ours=ours)
         assert ours.pivots == solve(LinearProgram(*program)).pivots

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oblivious_games import cglmp, optimizer
+from oblivious_games import optimizer
 from oblivious_games.games import (
-    QuantumStrategy,
     make_cglmp3_game,
     make_rac_game,
     obliviousness_residual_quantum,
@@ -20,9 +19,6 @@ from oblivious_games.optimizer import (
     _settled_stop,
     search,
 )
-from oblivious_games.qmath import Povm
-
-A3 = (3 + np.sqrt(33)) / 12
 
 
 class TestConfig:
@@ -340,43 +336,6 @@ class TestProjector:
             assert len(sweeps) == count
         stacked = projector.feasible(trials, 1e-9)
         assert np.max(np.abs(stacked - np.stack([ref for ref, _ in want]))) < 1e-12
-
-
-class TestSeededStart:
-    def test_cglmp_warm_start_does_not_regress(self):
-        cfg = SearchConfig(dim=3, restarts=1, max_iters=40, seed=3)
-        result = search(make_cglmp3_game(), cfg, initial=cglmp.game_strategy())
-        assert result.value >= A3 - 1e-9
-        assert result.feasible
-        assert result.feasibility_residual < 1e-8
-
-
-class TestInitialStrategy:
-    """A warm start that does not fit the game or the config is named."""
-
-    def _search(self, strategy, dim=3):
-        search(make_cglmp3_game(), SearchConfig(dim=dim, restarts=1, max_iters=1), initial=strategy)
-
-    def test_preparation_count(self):
-        s = cglmp.game_strategy()
-        with pytest.raises(ValueError, match="5 preparations, the game has 6"):
-            self._search(QuantumStrategy(s.preparations[:5], s.measurements))
-
-    def test_measurement_count(self):
-        s = cglmp.game_strategy()
-        with pytest.raises(ValueError, match="1 measurements, the game has 2"):
-            self._search(QuantumStrategy(s.preparations, s.measurements[:1]))
-
-    def test_outcome_count(self):
-        s = cglmp.game_strategy()
-        proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        two = Povm((proj, np.eye(3) - proj))
-        with pytest.raises(ValueError, match="2 outcomes per measurement, the game has 3"):
-            self._search(QuantumStrategy(s.preparations, (two, two)))
-
-    def test_dimension(self):
-        with pytest.raises(ValueError, match="dimension 3, the config 4"):
-            self._search(cglmp.game_strategy(), dim=4)
 
 
 class TestRacSearch:
