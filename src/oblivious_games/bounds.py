@@ -56,10 +56,9 @@ def rac_pnc_bound(n: int, d: int) -> float:
 def local_bound(bell: BellFunctional) -> BoundResult:
     """Maximum of a functional over deterministic local assignments a=f(X), b=g(Y)."""
     ma, mb, d = bell.m_alice, bell.m_bob, bell.n_outcomes
-    if d**ma * d**mb > ENUM_GUARD:
-        raise ValueError(
-            f"{d**ma * d**mb} deterministic strategies exceed the enumeration guard"
-        )
+    # only Alice's assignments are enumerated; Bob's best reply is read off
+    if d**ma > ENUM_GUARD:
+        raise ValueError(f"{d**ma} assignments of Alice exceed the enumeration guard")
     weighted = bell.coeffs * bell.p_alice[:, None, None, None] * bell.p_bob[None, :, None, None]
     best = -np.inf
     witness = None

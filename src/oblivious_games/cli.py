@@ -290,6 +290,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bell" and args.local_bound and args.box is not None:
         parser.error("argument --box: not allowed with argument --local-bound")
+    if args.command == "exp" and args.seed is not None and args.mc is None:
+        parser.error("argument --seed: not allowed without argument --mc")
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -1,8 +1,10 @@
 """Dense two-phase simplex for small equality-constrained programs, run on stacks.
 
-Maximizes c.v subject to A v = b, v >= 0, and optional per-variable upper
-bounds.  Bland's anti-cycling rule is used throughout, so the pivot sequence
-is deterministic and terminates even on degenerate programs; rows are scaled
+Maximizes c.v subject to A v = b, v >= 0: the one form of both programs of
+the package, whose variables are probabilities.  A variable with an upper
+bound u_j is written with a slack as the row x_j + s_j = u_j.  Bland's
+anti-cycling rule is used throughout, so the pivot sequence is
+deterministic and terminates even on degenerate programs; rows are scaled
 to unit norm up front to keep mixed-magnitude probability constraints well
 behaved.
 
@@ -45,47 +47,32 @@ _MAX_PIVOTS = 200_000
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize objective . v  s.t.  eq_matrix v = eq_rhs, 0 <= v <= upper_bounds.
+    """maximize objective . v  s.t.  eq_matrix v = eq_rhs, v >= 0.
 
-    A stack of such programs: ``objective`` is (k, n), ``eq_matrix`` (k, m, n),
-    ``eq_rhs`` (k, m) and ``upper_bounds`` None or (k, n), and every program
-    caps the same variables.  A 2-D ``eq_matrix`` is one program, stored as
-    the stack of one.
+    A stack of such programs: ``objective`` is (k, n), ``eq_matrix`` (k, m, n)
+    and ``eq_rhs`` (k, m).  A 2-D ``eq_matrix`` is one program, stored as the
+    stack of one.
     """
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    upper_bounds: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
         a = np.asarray(self.eq_matrix, dtype=float)
         b = np.asarray(self.eq_rhs, dtype=float)
-        u = self.upper_bounds
-        u = None if u is None else np.asarray(u, dtype=float)
         if a.ndim == 2:
             a, c, b = a[None], c.reshape(1, -1), b.reshape(1, -1)
-            u = None if u is None else u.reshape(1, -1)
         if a.ndim != 3 or c.shape != (len(a), a.shape[2]) or b.shape != a.shape[:2]:
             raise ValueError(f"inconsistent program: A {a.shape}, b {b.shape}, c {c.shape}")
         if c.shape[1] > MAX_VARS or b.shape[1] > MAX_ROWS:
             raise ValueError("program exceeds the supported desk scale")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("objective, matrix and rhs must be finite")
-        if u is not None:
-            if u.shape != c.shape:
-                raise ValueError("upper bounds do not match the variable count")
-            # the solver drops every non-finite bound, which is right only for +inf
-            if np.any(np.isnan(u) | np.isneginf(u)):
-                raise ValueError("upper bounds must be numbers or +inf")
-            capped = np.isfinite(u)
-            if (capped != capped[:1]).any():
-                raise ValueError("every program of a stack must cap the same variables")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", a)
         object.__setattr__(self, "eq_rhs", b)
-        object.__setattr__(self, "upper_bounds", u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +82,6 @@ class LpSolution:
     objective_value: float | None = None
     pivots: int = 0  # over phase 1, the artificial drive-out and phase 2
     phase1_pivots: int = 0  # the phase-1 and drive-out part of ``pivots``
-
-
-def _capped(lp: LinearProgram) -> np.ndarray:
-    """The variables with a finite upper bound, the same in every program."""
-    if lp.upper_bounds is None:
-        return np.zeros(0, dtype=int)
-    return np.flatnonzero(np.isfinite(lp.upper_bounds[0]))
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, k, row, col, column) -> None:
@@ -158,28 +138,20 @@ def _bland(tableau, basis, live, n_cols, pivots) -> np.ndarray:
     raise RuntimeError("simplex failed to terminate")
 
 
-def _phase_one(lp: LinearProgram, capped: np.ndarray) -> tuple:
+def _phase_one(lp: LinearProgram) -> tuple:
     """The phase-1 tableau of each program, and which are infeasible on sight.
 
     A tableau holds [a | artificials | b] over its reduced costs for
     maximizing -sum(artificials), with the basic (artificial) columns
-    eliminated.  Finite upper bounds fold into equality rows x_j + s_j = u_j.
+    eliminated.
     """
-    k, m0, n_orig = lp.eq_matrix.shape
-    n = n_orig + capped.size
-    m = m0 + capped.size
+    k, m, n = lp.eq_matrix.shape
     tableau = np.zeros((k, m + 1, n + m + 1))
     a = tableau[:, :m, :n]
     b = tableau[:, :m, -1]
-    a[:, :m0, :n_orig] = lp.eq_matrix
-    b[:, :m0] = lp.eq_rhs
+    a[:] = lp.eq_matrix
+    b[:] = lp.eq_rhs
     infeasible = np.zeros(k, dtype=bool)
-    if capped.size:
-        upper = lp.upper_bounds[:, capped]
-        infeasible |= upper.min(axis=1) < 0
-        a[:, m0:, capped] = np.eye(capped.size)
-        a[:, m0:, n_orig:] = np.eye(capped.size)
-        b[:, m0:] = upper
 
     # Row scaling; empty rows are either redundant or inconsistent, and are
     # zeroed.  The stacked product reduces each row as np.linalg.norm does.
@@ -200,22 +172,18 @@ def _phase_one(lp: LinearProgram, capped: np.ndarray) -> tuple:
     tableau[:, rows, n + rows] = 1.0
     tableau[:, -1, :n] = a.sum(axis=1)
     tableau[:, -1, -1] = b.sum(axis=1)
-    for p in np.flatnonzero(empty.any(axis=1)):
-        # summed as a solver holding only the nonempty rows sums them
-        tableau[p, -1, -1] = b[p, ~empty[p]].sum()
     return tableau, infeasible
 
 
-def _feasible(lp: LinearProgram, capped: np.ndarray) -> tuple:
+def _feasible(lp: LinearProgram) -> tuple:
     """Phase 1 and the artificial drive-out, in lockstep.
 
     Returns the phase-2 tableau ([a | b] in the last feasible basis, over a
     cost row that ``_maximize`` fills), the basis, the infeasible mask and
     the pivots taken.
     """
-    tableau, infeasible = _phase_one(lp, capped)
-    k, m = len(tableau), tableau.shape[1] - 1
-    n = lp.objective.shape[1] + capped.size
+    tableau, infeasible = _phase_one(lp)
+    k, m, n = lp.eq_matrix.shape
     rows = np.arange(m)
 
     # Phase 1: drive artificial variables to zero.
@@ -263,12 +231,12 @@ def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> list:
     """
     k, m = basis.shape
     n = tableau.shape[2] - 1
-    # Bound slacks cost nothing.  Basic columns are exact unit vectors, so
-    # eliminating one row's basic cost leaves the others' as they were: the
-    # rows are subtracted in order in one reduction, a row with no cost
-    # adding an exact +0.
+    # Basic columns are exact unit vectors, so eliminating one row's basic
+    # cost leaves the others' as they were: the rows are subtracted in order
+    # in one reduction, a row with no cost adding an exact +0.  Artificials
+    # left basic on zeroed rows cost nothing.
     cost = np.zeros((k, n + m + 1))
-    cost[:, : objectives.shape[1]] = objectives
+    cost[:, :n] = objectives
     stack = np.arange(k)[:, None]
     factor = cost[stack, basis][..., None]
     tableau[:, -1] = np.subtract.reduce(
@@ -283,7 +251,7 @@ def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> list:
 
     values = np.zeros((k, n + m))
     values[stack, basis] = tableau[:, :m, -1]
-    values = values[:, : objectives.shape[1]]
+    values = values[:, :n]
     np.maximum(values, 0.0, out=values)  # remove sub-tolerance pivot noise
     optimal = ~(infeasible | unbounded)
     value = _checked(lp, objectives, values, optimal)
@@ -311,10 +279,6 @@ def _checked(lp: LinearProgram, objectives, values, optimal) -> np.ndarray:
         feas = float(np.max(residual[optimal], initial=0.0))
         if feas >= 1e-8:  # pragma: no cover - simplex invariant
             raise RuntimeError(f"vertex violates equalities by {feas:.2e}")
-    if lp.upper_bounds is not None and np.any(
-        (values > lp.upper_bounds + 1e-10)[optimal]
-    ):  # pragma: no cover - simplex invariant
-        raise RuntimeError("vertex violates an upper bound")
     return (objectives[:, None, :] @ values[..., None])[:, 0, 0]
 
 
@@ -328,13 +292,13 @@ def solve_many(programs: LinearProgram) -> list:
         raise TypeError(f"expected one stacked LinearProgram, got {type(programs).__name__}")
     if not len(programs.objective):
         return []
-    tableau, basis, infeasible, pivots = _feasible(programs, _capped(programs))
+    tableau, basis, infeasible, pivots = _feasible(programs)
     return _maximize(tableau, basis, infeasible, pivots, programs, programs.objective)
 
 
 class Polytope:
-    """The set {v : eq_matrix v = eq_rhs, 0 <= v <= upper_bounds}, maximized
-    over one objective after another.
+    """The set {v : eq_matrix v = eq_rhs, v >= 0}, maximized over one
+    objective after another.
 
     Phase 1 runs once, in the constructor.  Each ``maximize`` runs phase 2
     from the basis the previous call ended in: that basis is feasible for
@@ -344,15 +308,13 @@ class Polytope:
     ``infeasible`` for every objective.
     """
 
-    def __init__(self, eq_matrix, eq_rhs, upper_bounds=None):
+    def __init__(self, eq_matrix, eq_rhs):
         a = np.asarray(eq_matrix, dtype=float)
         objective = np.zeros(a.shape[:-2] + a.shape[-1:])
-        self._program = LinearProgram(objective, a, eq_rhs, upper_bounds)
+        self._program = LinearProgram(objective, a, eq_rhs)
         if len(self._program.objective) != 1:
             raise ValueError("a polytope is one program, not a stack")
-        self._tableau, self._basis, self._infeasible, self._phase1 = _feasible(
-            self._program, _capped(self._program)
-        )
+        self._tableau, self._basis, self._infeasible, self._phase1 = _feasible(self._program)
 
     def maximize(self, objective) -> LpSolution:
         """Maximize ``objective . v`` over the polytope; infeasible and
@@ -377,4 +339,4 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     This is the first ``maximize`` of a fresh ``Polytope``.
     """
-    return Polytope(lp.eq_matrix, lp.eq_rhs, lp.upper_bounds).maximize(lp.objective)
+    return Polytope(lp.eq_matrix, lp.eq_rhs).maximize(lp.objective)

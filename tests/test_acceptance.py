@@ -12,6 +12,7 @@ import pytest
 
 from oblivious_games import bellmap, bounds, cglmp, expdata, games, lp
 from oblivious_games.optimizer import SearchConfig, search
+from slack_form import with_upper_bounds
 
 A3 = (3 + np.sqrt(33)) / 12
 
@@ -217,12 +218,12 @@ def test_criterion_7_property_suites():
         a = rng2.normal(size=(4, 10))
         b = a @ (rng2.random(10) + 0.1)
         c = rng2.normal(size=10)
-        prog = lp.LinearProgram(c, a, b, upper_bounds=np.full(10, 8.0))
+        prog = with_upper_bounds(c, a, b, np.full(10, 8.0))
         s1, s2 = lp.solve(prog), lp.solve(prog)
         lp_ok = (
             s1.status == "optimal"
             and s1.objective_value == s2.objective_value
-            and np.max(np.abs(a @ s1.values - b)) < 1e-8
+            and np.max(np.abs(a @ s1.values[:10] - b)) < 1e-8
         )
 
         # performance linearity

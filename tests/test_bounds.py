@@ -92,6 +92,15 @@ class TestLocalBound:
         with pytest.raises(ValueError):
             local_bound(bell)
 
+    def test_guard_counts_only_alices_assignments(self):
+        # 3**2 assignments of Alice, each with Bob's best reply, though
+        # 3**15 joint strategies; the functional pays only for Bob's outcome 0
+        coeffs = np.zeros((2, 13, 3, 3))
+        coeffs[..., 0] = 1.0
+        result = local_bound(BellFunctional(coeffs, [0.5, 0.5], np.full(13, 1 / 13)))
+        assert abs(result.value - 1.0) < 1e-12
+        assert result.witness == {"alice_assignment": [0, 0], "bob_assignment": [0] * 13}
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_agrees_with_reversed_enumeration(self, seed):

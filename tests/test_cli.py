@@ -161,6 +161,13 @@ def test_ignored_file_argument_exits_2(capsys, data_dir, argv):
     assert "not allowed with" in capsys.readouterr().err
 
 
+def test_exp_seed_without_mc_exits_2(capsys, data_dir):
+    with pytest.raises(SystemExit) as exc:
+        run(["exp", "--data", str(data_dir / "table2.csv"), "--seed", "4"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_exp_mc_seed_reproducible(capsys, data_dir):
     args = ("exp", "--data", str(data_dir / "table2.csv"), "--mc", "100", "--seed", "4")
     code1, report1, _ = run_cli(capsys, *args)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from oblivious_games import bellmap, bounds, expdata, games, lp
 from oblivious_games.lp import LinearProgram, LpSolution, Polytope, solve, solve_many
+from slack_form import with_upper_bounds
 
 
 def test_fixed_variable_with_bounds():
-    sol = solve(LinearProgram([1.0], [[1.0]], [0.5], upper_bounds=[1.0]))
+    sol = solve(with_upper_bounds([1.0], [[1.0]], [0.5], [1.0]))
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 0.5) < 1e-12
 
@@ -45,35 +46,31 @@ def test_negative_rhs_rows():
 
 
 def test_upper_bound_binds():
-    # maximize x + y st x + y <= via x + y + s = 2 upper bounds x,y <= 0.7
-    sol = solve(
-        LinearProgram(
-            [1.0, 1.0],
-            np.zeros((0, 2)),
-            [],
-            upper_bounds=[0.7, 0.7],
-        )
-    )
+    # maximize x + y with no equality rows, only the caps x, y <= 0.7
+    sol = solve(with_upper_bounds([1.0, 1.0], np.zeros((0, 2)), [], [0.7, 0.7]))
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 1.4) < 1e-12
 
 
-@pytest.mark.parametrize("part", ["objective", "eq_matrix", "eq_rhs", "upper_bounds"])
+@pytest.mark.parametrize("part", ["objective", "eq_matrix", "eq_rhs"])
 def test_nan_program_rejected(part):
-    fields = dict(
-        objective=[1.0, 2.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0], upper_bounds=[1.0, 1.0]
-    )
+    fields = dict(objective=[1.0, 2.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
     fields[part] = np.full(np.shape(fields[part]), np.nan)
     with pytest.raises(ValueError):
         LinearProgram(**fields)
 
 
 def test_infinite_upper_bound_means_unbounded_variable():
-    sol = solve(LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], upper_bounds=[np.inf, 0.25]))
+    sol = solve(with_upper_bounds([1.0, 2.0], [[1.0, 1.0]], [1.0], [np.inf, 0.25]))
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 1.25) < 1e-12
-    with pytest.raises(ValueError):
-        LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], upper_bounds=[-np.inf, 0.25])
+
+
+def test_only_the_equality_form():
+    with pytest.raises(TypeError):
+        LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], upper_bounds=[1.0, 1.0])
+    with pytest.raises(TypeError):
+        Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0])
 
 
 def test_size_guard():
@@ -87,11 +84,12 @@ def test_solution_satisfies_constraints():
     x_feas = rng.random(9)
     b = a @ x_feas
     c = rng.normal(size=9)
-    sol = solve(LinearProgram(c, a, b, upper_bounds=np.full(9, 5.0)))
+    sol = solve(with_upper_bounds(c, a, b, np.full(9, 5.0)))
     assert sol.status == "optimal"
-    assert np.max(np.abs(a @ sol.values - b)) < 1e-8
+    v = sol.values[:9]
+    assert np.max(np.abs(a @ v - b)) < 1e-8
     assert np.min(sol.values) >= -1e-10
-    assert np.max(sol.values) <= 5.0 + 1e-10
+    assert np.max(v) <= 5.0 + 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,8 +103,7 @@ def test_weak_duality_on_random_feasible_programs(seed):
     interior = rng.random(n) + 0.1
     b = a @ interior
     c = rng.normal(size=n)
-    lp = LinearProgram(c, a, b, upper_bounds=np.full(n, 10.0))
-    sol = solve(lp)
+    sol = solve(with_upper_bounds(c, a, b, np.full(n, 10.0)))
     assert sol.status == "optimal"
     assert sol.objective_value >= float(c @ interior) - 1e-9
 
@@ -121,9 +118,9 @@ def test_variable_permutation_invariance(seed):
     b = a @ (rng.random(n) + 0.1)
     c = rng.normal(size=n)
     u = np.full(n, 4.0)
-    base = solve(LinearProgram(c, a, b, upper_bounds=u))
+    base = solve(with_upper_bounds(c, a, b, u))
     perm = rng.permutation(n)
-    permuted = solve(LinearProgram(c[perm], a[:, perm], b, upper_bounds=u[perm]))
+    permuted = solve(with_upper_bounds(c[perm], a[:, perm], b, u[perm]))
     assert base.status == permuted.status == "optimal"
     assert abs(base.objective_value - permuted.objective_value) < 1e-9
 
@@ -133,9 +130,9 @@ def test_deterministic_across_repeat_solves():
     a = rng.normal(size=(3, 7))
     b = a @ (rng.random(7) + 0.05)
     c = rng.normal(size=7)
-    lp = LinearProgram(c, a, b, upper_bounds=np.full(7, 3.0))
-    first = solve(lp)
-    second = solve(lp)
+    program = with_upper_bounds(c, a, b, np.full(7, 3.0))
+    first = solve(program)
+    second = solve(program)
     assert first.objective_value == second.objective_value
     assert np.array_equal(first.values, second.values)
 
@@ -146,41 +143,42 @@ def test_solution_dataclass_fields():
 
 
 def _mixed_stack():
-    """Programs of one shape (3 rows, 4 variables, only the last one capped)
-    that end in every way the solver distinguishes."""
+    """Programs of one shape (3 rows, 4 variables, only the last one capped,
+    so 4 rows and 5 variables in slack form) that end in every way the solver
+    distinguishes."""
     rng = np.random.default_rng(7)
 
-    def cap(u):
-        return [np.inf, np.inf, np.inf, u]
+    def capped(c, a, b, u):
+        return with_upper_bounds(c, a, b, [np.inf, np.inf, np.inf, u])
 
     a = rng.normal(size=(3, 4))
     x0 = rng.random(4)
     return [
         # optimal, a random program through a nonnegative point
-        (LinearProgram(rng.normal(size=4), a, a @ x0, cap(5.0)), "optimal"),
+        (capped(rng.normal(size=4), a, a @ x0, 5.0), "optimal"),
         # infeasible: two rows ask for different sums of the same variables
-        (LinearProgram([1, 0, 0, 0], [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]],
-                       [1.0, 2.0, 0.5], cap(5.0)), "infeasible"),
+        (capped([1, 0, 0, 0], [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]],
+                [1.0, 2.0, 0.5], 5.0), "infeasible"),
         # infeasible: an all-zero row with a nonzero rhs
-        (LinearProgram([1, 0, 0, 0], [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
-                       [1.0, 0.3, 0.5], cap(5.0)), "infeasible"),
+        (capped([1, 0, 0, 0], [[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+                [1.0, 0.3, 0.5], 5.0), "infeasible"),
         # unbounded along x0 = x1 + t, with an all-zero row and zero rhs
-        (LinearProgram([1, 1, 0, 0], [[1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
-                       [0.0, 1.0, 0.0], cap(5.0)), "unbounded"),
+        (capped([1, 1, 0, 0], [[1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+                [0.0, 1.0, 0.0], 5.0), "unbounded"),
         # a row repeated twice over, one of them scaled
-        (LinearProgram([1, 2, 0, 1], [[1, 1, 1, 0], [2, 2, 2, 0], [0, 0, 1, 1]],
-                       [1.0, 2.0, 0.5], cap(5.0)), "optimal"),
+        (capped([1, 2, 0, 1], [[1, 1, 1, 0], [2, 2, 2, 0], [0, 0, 1, 1]],
+                [1.0, 2.0, 0.5], 5.0), "optimal"),
         # every rhs negative
-        (LinearProgram([1, 0, 2, 0], -np.abs(a), -np.abs(a) @ x0, cap(5.0)), "optimal"),
+        (capped([1, 0, 2, 0], -np.abs(a), -np.abs(a) @ x0, 5.0), "optimal"),
         # the upper bound binds
-        (LinearProgram([0, 0, 0, 1], [[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0]],
-                       [1.0, 0.1, 0.2], cap(0.3)), "optimal"),
+        (capped([0, 0, 0, 1], [[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0]],
+                [1.0, 0.1, 0.2], 0.3), "optimal"),
         # a negative upper bound
-        (LinearProgram([1, 0, 0, 0], a, a @ x0, cap(-1.0)), "infeasible"),
+        (capped([1, 0, 0, 0], a, a @ x0, -1.0), "infeasible"),
     ]
 
 
-FIELDS = ("objective", "eq_matrix", "eq_rhs", "upper_bounds")
+FIELDS = ("objective", "eq_matrix", "eq_rhs")
 
 
 def _one_stack(programs):
@@ -189,11 +187,10 @@ def _one_stack(programs):
 
 
 def test_one_program_is_the_stack_of_one():
-    program = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], [1.0, np.inf])
+    program = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0])
     assert program.objective.shape == (1, 2)
     assert program.eq_matrix.shape == (1, 1, 2)
     assert program.eq_rhs.shape == (1, 1)
-    assert program.upper_bounds.shape == (1, 2)
 
 
 def test_stack_equals_each_program_alone():
@@ -218,8 +215,6 @@ def test_stack_needs_one_shape():
     ones = np.ones((2, 1, 2))
     with pytest.raises(ValueError):  # a three-variable objective over two-variable rows
         LinearProgram(np.ones((2, 3)), ones, np.ones((2, 1)))
-    with pytest.raises(ValueError):  # one program caps a variable the other leaves free
-        LinearProgram(np.ones((2, 2)), ones, np.ones((2, 1)), [[1.0, np.inf], [np.inf, np.inf]])
 
 
 def test_solve_many_takes_one_stacked_program():
@@ -233,9 +228,7 @@ def test_solve_many_takes_one_stacked_program():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entry_in_one_layer_rejected(part, bad):
     fields = {f: np.concatenate([getattr(p, f) for p, _ in _mixed_stack()]) for f in FIELDS}
-    # layer 3's first entry; in the upper bounds, its one capped variable
-    index = (3, 3) if part == "upper_bounds" else (3,) + (0,) * (fields[part].ndim - 1)
-    fields[part][index] = bad
+    fields[part][(3,) + (0,) * (fields[part].ndim - 1)] = bad  # layer 3's first entry
     with pytest.raises(ValueError):
         LinearProgram(**fields)
 
@@ -246,14 +239,10 @@ def test_mismatched_stack_axes_rejected():
     for part in FIELDS:
         with pytest.raises(ValueError):
             LinearProgram(**{**fields, part: fields[part][:-1]})
-    capped = fields["upper_bounds"].copy()
-    capped[2, 0] = 5.0  # one layer caps a variable the others leave free
-    with pytest.raises(ValueError, match="same variables"):
-        LinearProgram(**{**fields, "upper_bounds": capped})
     with pytest.raises(ValueError):
         solve(stack)
     with pytest.raises(ValueError):
-        Polytope(stack.eq_matrix, stack.eq_rhs, stack.upper_bounds)
+        Polytope(stack.eq_matrix, stack.eq_rhs)
 
 
 def _solutions_of(monkeypatch, run):
@@ -349,7 +338,7 @@ def test_warm_maximize_equals_cold_solve(name):
 
 def test_warm_pivots_after_the_first():
     program = _mixed_stack()[0][0]
-    polytope = Polytope(program.eq_matrix, program.eq_rhs, program.upper_bounds)
+    polytope = Polytope(program.eq_matrix, program.eq_rhs)
     first = polytope.maximize(program.objective)
     cold = solve(program)
     assert (first.pivots, first.phase1_pivots) == (cold.pivots, cold.phase1_pivots)
@@ -364,9 +353,10 @@ def test_warm_pivots_after_the_first():
 
 def test_infeasible_polytope_stays_infeasible():
     program = _mixed_stack()[1][0]
-    polytope = Polytope(program.eq_matrix, program.eq_rhs, program.upper_bounds)
+    polytope = Polytope(program.eq_matrix, program.eq_rhs)
     rng = np.random.default_rng(4)
-    for objective in [program.objective, rng.normal(size=4), np.zeros(4)]:
+    # the slack of the capped variable costs nothing
+    for objective in [program.objective, np.append(rng.normal(size=4), 0.0), np.zeros(5)]:
         solution = polytope.maximize(objective)
         assert solution.status == "infeasible"
         assert solution.values is None

@@ -1,10 +1,15 @@
-"""Cross-check of the Bland-rule simplex against scipy's HiGHS solver."""
+"""Cross-check of the Bland-rule simplex against scipy's HiGHS solver.
+
+An upper-bounded program reaches the simplex in slack form and HiGHS with
+native bounds, so two independent formulations must agree.
+"""
 
 import numpy as np
 import pytest
 
 from oblivious_games import expdata
 from oblivious_games.lp import LinearProgram, Polytope, solve, solve_many
+from slack_form import with_upper_bounds
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -17,7 +22,7 @@ def assert_agrees(c, a, b, upper=None, ours=None):
     ``ours`` is the solver's result when it was solved elsewhere, in a stack.
     """
     if ours is None:
-        ours = solve(LinearProgram(c, a, b, upper))
+        ours = solve(with_upper_bounds(c, a, b, upper))
     caps = np.full(len(c), np.inf) if upper is None else np.asarray(upper)
     bounds = [(0.0, None if np.isinf(u) else u) for u in caps]
     ref = linprog(
@@ -128,10 +133,14 @@ STACKS = {
 @pytest.mark.parametrize("category", sorted(STACKS))
 def test_category_as_one_stack(category):
     programs = [STACKS[category](np.random.default_rng(500 + seed)) for seed in range(8)]
-    stacked = solve_many(LinearProgram(*(np.stack(field) for field in zip(*programs))))
-    for program, ours in zip(programs, stacked):
+    slack = [with_upper_bounds(*program) for program in programs]
+    fields = ("objective", "eq_matrix", "eq_rhs")
+    stacked = solve_many(
+        LinearProgram(*(np.concatenate([getattr(p, f) for p in slack]) for f in fields))
+    )
+    for program, alone, ours in zip(programs, slack, stacked):
         assert_agrees(*program, ours=ours)
-        assert ours.pivots == solve(LinearProgram(*program)).pivots
+        assert ours.pivots == solve(alone).pivots
 
 
 def test_secondary_optimum_on_bundled_tables(data_dir):
@@ -169,10 +178,12 @@ def test_polytope_over_a_sequence_of_objectives(seed):
     a = np.hstack([a, np.zeros((len(a), 1))])
     upper = np.full(9, np.inf)
     upper[[1, 4]] = x0[[1, 4]] + rng.random(2)
-    polytope = Polytope(a, b, upper)
+    slack = with_upper_bounds(np.zeros(9), a, b, upper)
+    polytope = Polytope(slack.eq_matrix, slack.eq_rhs)
     statuses = []
     for step in range(8):
         c = rng.normal(size=9)
         c[-1] = 1.0 if step == 3 else -abs(c[-1])
-        statuses.append(assert_agrees(c, a, b, upper, ours=polytope.maximize(c)).status)
+        ours = polytope.maximize(np.append(c, [0.0, 0.0]))  # the two slacks cost nothing
+        statuses.append(assert_agrees(c, a, b, upper, ours=ours).status)
     assert statuses == ["optimal"] * 3 + ["unbounded"] + ["optimal"] * 4
