@@ -6,18 +6,19 @@ Three routes to a preparation-noncontextual (or local-realist) bound:
   access family;
 * ``local_bound`` -- exhaustive enumeration of deterministic assignments for
   a correlation functional;
-* ``pnc_bound_lp_oracle`` -- for a generic game, enumerate deterministic
-  decoders of a fixed number of messages and maximize each one's score over
-  the polytope of obliviousness-respecting encodings (one ``lp.Polytope``, so
-  phase 1 runs once per call).  Optimal decoding is deterministic by
-  convexity, which makes the enumeration exhaustive; the value is a lower
-  bound until every decoding function can have a message of its own.
+* ``pnc_bound_lp_oracle`` -- for a generic game, enumerate sets of distinct
+  deterministic decoding functions, one per message, and maximize each set's
+  score over the polytope of obliviousness-respecting encodings (one
+  ``lp.Polytope``).  Optimal decoding is deterministic by convexity.  From one
+  message per decoding function, the one set's program is the exact
+  noncontextual LP over p(f|x); with fewer messages the value is a lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations, islice, product
+from math import comb
 
 import numpy as np
 
@@ -78,10 +79,12 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     """Best value of an oblivious game over ``message_count`` ontic states.
 
     A lower bound on the noncontextual bound, exact from as many messages as
-    decoding functions y -> b (ontic states that decode alike merge).
-    Messages are interchangeable, so decoders are enumerated as unordered
-    multisets of per-message decoding functions (lexicographically, which
-    also fixes the witness on ties).  A cheap constraint-free upper bound
+    decoding functions y -> b: ontic states that decode alike merge, so a
+    repeated decoding function never helps.  Messages are interchangeable,
+    so decoders are enumerated as sets of min(message_count, functions)
+    distinct decoding functions (lexicographically, which also fixes the
+    witness on ties).  From one message per function there is one set, and
+    its program is the exact LP over p(f|x).  A cheap constraint-free bound
     prunes decoders that cannot beat the incumbent.  Every decoder's program
     is over the same encoding polytope, so phase 1 runs once and each
     surviving decoder re-optimizes from the previous one's optimal basis.
@@ -91,16 +94,13 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     if message_count < 1:
         raise ValueError("need at least one message")
     na, nb, no = game.n_alice, game.n_bob, game.n_outcomes
-    if no ** (message_count * nb) > DECODER_GUARD:
-        raise ValueError(
-            f"{no ** (message_count * nb)} decoders exceed the enumeration guard"
-        )
+    message_count = min(message_count, no**nb)
+    if comb(no**nb, message_count) > DECODER_GUARD:
+        raise ValueError(f"{comb(no**nb, message_count)} decoders exceed the enumeration guard")
     weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
-    # weighted[x, y, b] summed over y for a fixed decode function y -> b
-    decode_fns = list(product(range(no), repeat=nb))
-    fn_scores = np.stack(
-        [weighted[:, np.arange(nb), list(fn)].sum(axis=1) for fn in decode_fns]
-    )  # (n_fns, na): score of decoding with fn given Alice holds x
+    # fn_scores[f, x] = sum_y weighted[x, y, f(y)]: decoding with f: y -> b given x
+    decode_fns = np.array(list(product(range(no), repeat=nb)))
+    fn_scores = weighted[:, np.arange(nb), decode_fns].sum(axis=2).T
 
     # Variable x * message_count + m is p(m|x): each encoding row is a
     # distribution, then the obliviousness rows act on p(m|.) for each m.
@@ -111,10 +111,9 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     b_eq = np.concatenate([np.ones(na), np.zeros(len(oblivious))])
     polytope = lp.Polytope(a_eq, b_eq)
 
-    best = -np.inf
-    witness = None
+    best, witness = -np.inf, None
     programs = pivots = 0
-    combos = combinations_with_replacement(range(len(decode_fns)), message_count)
+    combos = combinations(range(len(decode_fns)), message_count)
     while block := list(islice(combos, _DECODER_BLOCK)):
         # scores[c, m, x]: message m's decoder score at x; the constraint-free
         # bound sends each input its best message
@@ -132,7 +131,7 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
             if solution.objective_value > best + 1e-12:
                 best = solution.objective_value
                 witness = {
-                    "decoder": [list(decode_fns[i]) for i in block[c]],
+                    "decoder": decode_fns[list(block[c])].tolist(),
                     "encoding": solution.values.reshape(na, message_count).tolist(),
                 }
     return BoundResult(

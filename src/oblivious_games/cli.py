@@ -21,7 +21,10 @@ EXIT_INFEASIBLE = 3
 
 def _default_seed() -> int:
     env = os.environ.get("OBLIVION_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"OBLIVION_SEED={env!r} is not an integer") from None
 
 
 def _report(command: str, inputs: dict, results: dict) -> dict:
@@ -80,26 +83,21 @@ def _cmd_cglmp(args) -> int:
 def _cmd_bound(args) -> int:
     game = _load_game_spec(args.game)
     inputs, summary = {"game": args.game, "oracle": False}, None
-    builtin = args.game == "cglmp3" or args.game.startswith("rac:")
-    if args.oracle or args.messages is not None or not builtin:
-        messages = game.n_outcomes if args.messages is None else args.messages
+    if args.oracle or args.messages is not None or not args.game.startswith("rac:"):
+        decoders = game.n_outcomes**game.n_bob  # the messages that make the oracle exact
+        messages = decoders if args.messages is None else args.messages
         result = bounds.pnc_bound_lp_oracle(game, messages)
         inputs = {"game": args.game, "oracle": True, "messages": messages}
-        decoders = game.n_outcomes**game.n_bob  # the messages that make the oracle exact
         if messages < decoders:
             summary = (
                 f"lower bound {result.value:.6f} on the noncontextual bound "
                 f"({result.method} over {messages} messages; exact from {decoders})"
             )
-    elif args.game == "cglmp3":
-        result = bounds.local_bound(bellmap.cglmp3())
     else:
-        value = bounds.rac_pnc_bound(game.n_bob, game.n_outcomes)
-        result = bounds.BoundResult(value=value, method="formula")
+        result = bounds.BoundResult(bounds.rac_pnc_bound(game.n_bob, game.n_outcomes), "formula")
     results = {"value": result.value, "method": result.method}
     if result.programs is not None:
-        results["programs"] = result.programs
-        results["pivots"] = result.pivots
+        results.update(programs=result.programs, pivots=result.pivots)
     if args.witness and result.witness is not None:
         results["witness"] = result.witness
     _emit(

@@ -67,7 +67,10 @@ class LinearProgram:
         if a.ndim != 3 or c.shape != (len(a), a.shape[2]) or b.shape != a.shape[:2]:
             raise ValueError(f"inconsistent program: A {a.shape}, b {b.shape}, c {c.shape}")
         if c.shape[1] > MAX_VARS or b.shape[1] > MAX_ROWS:
-            raise ValueError("program exceeds the supported desk scale")
+            raise ValueError(
+                f"program of {c.shape[1]} variables and {b.shape[1]} rows exceeds the "
+                f"supported desk scale of {MAX_VARS} variables and {MAX_ROWS} rows"
+            )
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("objective, matrix and rhs must be finite")
         object.__setattr__(self, "objective", c)

@@ -1,6 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from oblivious_games import games
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
@@ -9,3 +12,20 @@ DATA_DIR = REPO_ROOT / "data"
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR
+
+
+def random_game():
+    """Six inputs, three measurements, two outcomes, two families, uniform priors;
+    the payoffs are the 125th draw of ``default_rng(1)``."""
+    rng = np.random.default_rng(1)
+    for _ in range(125):
+        payoff = rng.normal(size=(6, 3, 2))
+    return games.ObliviousGame(
+        alice_inputs=tuple(range(6)),
+        bob_inputs=(0, 1, 2),
+        outcomes=(0, 1),
+        p_alice=np.full(6, 1 / 6),
+        p_bob=np.full(3, 1 / 3),
+        payoff=payoff,
+        partitions=(((0, 1, 2), (3, 4, 5)), ((0, 3), (1, 4), (2, 5))),
+    )

@@ -6,14 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblivious_games.bellmap import BellFunctional, cglmp3
+from conftest import random_game
+
+from oblivious_games.bellmap import BellFunctional, cglmp3, game_from_bell
 from oblivious_games.bounds import (
     BoundResult,
     local_bound,
     pnc_bound_lp_oracle,
     rac_pnc_bound,
 )
-from oblivious_games.games import make_cglmp3_game, make_rac_game
+from oblivious_games.games import (
+    ClassicalStrategy,
+    behavior_from_classical,
+    make_cglmp3_game,
+    make_rac_game,
+    obliviousness_residual_behavior,
+    performance,
+)
 
 
 def enumerate_local_reversed(bell):
@@ -169,8 +178,18 @@ class TestLpOracle:
 
     def test_decoder_guard(self):
         game = make_rac_game(2, 5)
-        with pytest.raises(ValueError):
+        # C(25, 12) sets of 12 distinct decoding functions
+        with pytest.raises(ValueError, match="5200300 decoders"):
+            pnc_bound_lp_oracle(game, 12)
+        # one set, but its program of 25 x 25 variables is above the desk scale
+        with pytest.raises(ValueError, match="625 variables"):
             pnc_bound_lp_oracle(game, 25)
+
+    def test_messages_beyond_the_decoding_functions(self):
+        game = make_rac_game(2, 2)
+        exact, beyond = pnc_bound_lp_oracle(game, 4), pnc_bound_lp_oracle(game, 5)
+        assert beyond.value == exact.value == 0.75
+        assert beyond.witness == exact.witness
 
     @pytest.mark.parametrize("count", [True, 2.0, 2.5, "2"])
     def test_message_count_must_be_an_integer(self, count):
@@ -181,7 +200,7 @@ class TestLpOracle:
         game = make_rac_game(2, 2)
         result = pnc_bound_lp_oracle(game, np.int64(2))
         assert result.value == pnc_bound_lp_oracle(game, 2).value
-        assert (result.programs, result.pivots) == (2, 7)
+        assert (result.programs, result.pivots) == (1, 7)
 
     def test_rac33_two_messages(self):
         result = pnc_bound_lp_oracle(make_rac_game(3, 3), 2)
@@ -198,6 +217,29 @@ class TestLpOracle:
         game = make_cglmp3_game()
         result = pnc_bound_lp_oracle(game, 3)
         assert abs(result.value - 0.5) < 1e-9
+
+
+WITNESS_GAMES = {
+    "rac22": lambda: make_rac_game(2, 2),
+    "rac23": lambda: make_rac_game(2, 3),
+    "rac32": lambda: make_rac_game(3, 2),
+    "cglmp3": make_cglmp3_game,
+    "bell-cglmp3": lambda: game_from_bell(cglmp3(), np.full((2, 3), 1 / 3)),
+    "random": random_game,
+}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["2-messages", "all-decoders"])
+@pytest.mark.parametrize("name", sorted(WITNESS_GAMES))
+def test_witness_attains_the_value(name, exact):
+    """The witness is an explicit oblivious classical strategy scoring ``value``."""
+    game = WITNESS_GAMES[name]()
+    messages = game.n_outcomes**game.n_bob if exact else 2
+    result = pnc_bound_lp_oracle(game, messages)
+    decoding = np.eye(game.n_outcomes)[result.witness["decoder"]]  # one-hot (m, y, b)
+    behavior = behavior_from_classical(ClassicalStrategy(result.witness["encoding"], decoding))
+    assert abs(performance(game, behavior) - result.value) < 1e-12
+    assert obliviousness_residual_behavior(game, behavior) <= 1e-9
 
 
 def _encoding_vertices(game, messages):

@@ -4,7 +4,7 @@ import shlex
 
 import numpy as np
 import pytest
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, random_game
 
 from oblivious_games import bellmap, cglmp, expdata, games
 from oblivious_games.cli import run
@@ -41,7 +41,7 @@ def test_bound_oracle(capsys):
     assert code == 0
     assert abs(report["results"]["value"] - 0.75) < 1e-9
     assert report["results"]["method"] == "lp-oracle"
-    assert (report["results"]["programs"], report["results"]["pivots"]) == (2, 7)
+    assert (report["results"]["programs"], report["results"]["pivots"]) == (1, 7)
 
 
 def test_bound_messages_selects_the_oracle(capsys):
@@ -49,38 +49,50 @@ def test_bound_messages_selects_the_oracle(capsys):
     assert code == 0
     assert report["inputs"] == {"game": "rac:2,3", "oracle": True, "messages": 3}
     assert report["results"]["method"] == "lp-oracle"
-    assert (report["results"]["programs"], report["results"]["pivots"]) == (7, 38)
+    assert (report["results"]["programs"], report["results"]["pivots"]) == (1, 26)
 
 
-def _random_game():
-    """Six inputs, three measurements, two outcomes, two families, uniform priors;
-    the payoffs are the 125th draw of ``default_rng(1)``."""
-    rng = np.random.default_rng(1)
-    for _ in range(125):
-        payoff = rng.normal(size=(6, 3, 2))
-    return games.ObliviousGame(
-        alice_inputs=tuple(range(6)),
-        bob_inputs=(0, 1, 2),
-        outcomes=(0, 1),
-        p_alice=np.full(6, 1 / 6),
-        p_bob=np.full(3, 1 / 3),
-        payoff=payoff,
-        partitions=(((0, 1, 2), (3, 4, 5)), ((0, 3), (1, 4), (2, 5))),
-    )
-
-
-@pytest.mark.parametrize("messages,value", [(None, 0.511146), ("3", 0.521646)])
+@pytest.mark.parametrize("messages,value", [("2", 0.511146), ("3", 0.521646)])
 def test_bound_oracle_is_labelled_a_lower_bound(capsys, tmp_path, messages, value):
-    # two messages (the default) miss the 0.521646 that three reach: the
-    # oracle is exact only from one message per decoding function, 2**3 here
+    # two messages miss the 0.521646 that three reach: the oracle is exact
+    # only from one message per decoding function, 2**3 here
     path = tmp_path / "random.json"
-    games.save_game(_random_game(), path)
-    extra = () if messages is None else ("--messages", messages)
-    code, report, err = run_cli(capsys, "bound", "--game", str(path), *extra)
+    games.save_game(random_game(), path)
+    code, report, err = run_cli(capsys, "bound", "--game", str(path), "--messages", messages)
     assert code == 0
     assert round(report["results"]["value"], 6) == value
     assert err.startswith(f"lower bound {value:.6f} on the noncontextual bound")
     assert "exact from 8" in err
+
+
+def test_bound_game_file_defaults_to_the_exact_program(capsys, tmp_path):
+    # one message per decoding function: one set of decoders, one program
+    path = tmp_path / "random.json"
+    games.save_game(random_game(), path)
+    code, report, err = run_cli(capsys, "bound", "--game", str(path))
+    assert code == 0
+    assert report["inputs"]["messages"] == 8
+    assert round(report["results"]["value"], 6) == 0.521646
+    assert report["results"]["programs"] == 1
+    assert err.startswith("noncontextual bound 0.521646 (lp-oracle)")
+    assert "lower bound" not in err
+
+
+def test_bound_messages_beyond_the_decoders(capsys):
+    code, report, _ = run_cli(capsys, "bound", "--game", "rac:2,2", "--messages", "100000")
+    assert code == 0
+    assert report["results"]["value"] == 0.75
+
+
+def test_bound_oracle_above_the_desk_scale(capsys):
+    # 27 decoding functions x 27 inputs: the exact program has 729 variables
+    code, report, err = run_cli(capsys, "bound", "--game", "rac:3,3", "--oracle")
+    assert code == 2
+    assert report is None
+    assert "729 variables" in err
+    code, report, _ = run_cli(capsys, "bound", "--game", "rac:3,3", "--messages", "3")
+    assert code == 0
+    assert abs(report["results"]["value"] - 5 / 9) < 1e-9
 
 
 def test_bound_cglmp3(capsys):
@@ -193,6 +205,16 @@ def test_exp_env_seed(capsys, data_dir, monkeypatch):
     )
     assert code == 0
     assert report["results"]["seed"] == 123
+
+
+def test_exp_bad_env_seed_is_named(capsys, data_dir, monkeypatch):
+    monkeypatch.setenv("OBLIVION_SEED", "abc")
+    code, report, err = run_cli(
+        capsys, "exp", "--data", str(data_dir / "table2.csv"), "--mc", "100"
+    )
+    assert code == 2
+    assert report is None
+    assert "OBLIVION_SEED" in err
 
 
 def test_optimize_small(capsys):
@@ -329,4 +351,4 @@ def test_readme_command_lines(capsys, tmp_path, data_dir):
         assert code == 0, argv
         if "rac:2,3" in argv and "--messages" in argv:
             counts = (report["results"]["programs"], report["results"]["pivots"])
-            assert counts == tuple(int(n) for n in quoted.groups()) == (7, 38)
+            assert counts == tuple(int(n) for n in quoted.groups()) == (1, 26)

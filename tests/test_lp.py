@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oblivious_games import bellmap, bounds, expdata, games, lp
 from oblivious_games.lp import LinearProgram, LpSolution, Polytope, solve, solve_many
+from conftest import random_game
 from slack_form import with_upper_bounds
 
 
@@ -270,12 +271,14 @@ def test_pivots_of_the_bundled_secondary_program(monkeypatch, data_dir):
     assert [s.pivots for s in solutions] == [38]
 
 
-def _cold_oracle(game, messages):
+def _cold_oracle(game, messages, decoders=combinations):
     """The LP oracle written out with one cold ``solve`` per decoder.
 
-    Same decoder order, pruning bound and polytope as
-    ``bounds.pnc_bound_lp_oracle``; returns the best value and decoder, and
-    each solved program with its solution.
+    Same decoder order (sets of distinct decoding functions), pruning bound
+    and polytope as ``bounds.pnc_bound_lp_oracle``; returns the best value
+    and decoder, and each solved program with its solution.  With
+    ``combinations_with_replacement`` as ``decoders`` it enumerates multisets
+    instead, the reference that sets must match.
     """
     na, nb, no = game.n_alice, game.n_bob, game.n_outcomes
     weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
@@ -288,7 +291,7 @@ def _cold_oracle(game, messages):
     )
     b = np.concatenate([np.ones(na), np.zeros(len(a) - na)])
     best, decoder, solved = -np.inf, None, []
-    for combo in combinations_with_replacement(range(len(fns)), messages):
+    for combo in decoders(range(len(fns)), messages):
         chosen = scores[list(combo)]
         if chosen.max(axis=0).sum() <= best + 1e-12:
             continue
@@ -301,14 +304,15 @@ def _cold_oracle(game, messages):
 
 def test_pivots_of_the_rac23_oracle_programs():
     _, _, solved = _cold_oracle(games.make_rac_game(2, 3), 3)
-    assert [s.pivots for _, s in solved] == [20, 22, 25, 24, 24, 24, 26]
+    # the first set attains 2/3, and no other set's constraint-free bound exceeds it
+    assert [s.pivots for _, s in solved] == [26]
 
 
 def test_pivots_of_the_warm_rac23_oracle():
     # one phase 1, then each decoder re-optimized from the last basis
     result = bounds.pnc_bound_lp_oracle(games.make_rac_game(2, 3), 3)
-    assert result.programs == 7
-    assert result.pivots == 38
+    assert result.programs == 1
+    assert result.pivots == 26
 
 
 ORACLE_GAMES = {
@@ -334,6 +338,14 @@ def test_warm_maximize_equals_cold_solve(name):
     assert abs(result.value - best) < 1e-12
     assert result.witness["decoder"] == decoder
     assert result.programs == len(solved)
+
+
+@pytest.mark.parametrize("messages", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ORACLE_GAMES) + ["random"])
+def test_decoder_sets_equal_decoder_multisets(name, messages):
+    game = random_game() if name == "random" else ORACLE_GAMES[name][0]()
+    best, _, _ = _cold_oracle(game, messages, combinations_with_replacement)
+    assert abs(bounds.pnc_bound_lp_oracle(game, messages).value - best) < 1e-12
 
 
 def test_warm_pivots_after_the_first():
