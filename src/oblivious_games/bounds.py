@@ -95,23 +95,36 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
         raise ValueError("need at least one message")
     na, nb, no = game.n_alice, game.n_bob, game.n_outcomes
     message_count = min(message_count, no**nb)
-    if comb(no**nb, message_count) > DECODER_GUARD:
-        raise ValueError(f"{comb(no**nb, message_count)} decoders exceed the enumeration guard")
-    weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
-    # fn_scores[f, x] = sum_y weighted[x, y, f(y)]: decoding with f: y -> b given x
-    decode_fns = np.array(list(product(range(no), repeat=nb)))
-    fn_scores = weighted[:, np.arange(nb), decode_fns].sum(axis=2).T
-
     # Variable x * message_count + m is p(m|x): each encoding row is a
     # distribution, then the obliviousness rows act on p(m|.) for each m.
-    n_vars = na * message_count
+    # The program's size is checked before anything of that size is built.
+    rows = game.constraint_rows()
+    n_vars, n_rows = na * message_count, na + len(rows) * message_count
+    if n_vars > lp.MAX_VARS or n_rows > lp.MAX_ROWS:
+        raise ValueError(
+            f"{message_count} messages give a program of {n_vars} variables and {n_rows} "
+            f"rows, above the supported desk scale of {lp.MAX_VARS} variables and "
+            f"{lp.MAX_ROWS} rows; fewer messages give a lower bound"
+        )
+    if comb(no**nb, message_count) > DECODER_GUARD:
+        raise ValueError(
+            f"{comb(no**nb, message_count)} decoders exceed the enumeration guard"
+        )
+    weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
+    # weighted[x, y, b] summed over y for a fixed decode function y -> b
+    decode_fns = list(product(range(no), repeat=nb))
+    fn_scores = np.stack(
+        [weighted[:, np.arange(nb), list(fn)].sum(axis=1) for fn in decode_fns]
+    )  # (n_fns, na): score of decoding with fn given Alice holds x
+
     eye = np.eye(message_count)
-    oblivious = np.einsum("rx,mn->mrxn", game.constraint_rows(), eye).reshape(-1, n_vars)
+    oblivious = np.einsum("rx,mn->mrxn", rows, eye).reshape(-1, n_vars)
     a_eq = np.vstack([np.kron(np.eye(na), np.ones(message_count)), oblivious])
     b_eq = np.concatenate([np.ones(na), np.zeros(len(oblivious))])
     polytope = lp.Polytope(a_eq, b_eq)
 
-    best, witness = -np.inf, None
+    best = -np.inf
+    witness = None
     programs = pivots = 0
     combos = combinations(range(len(decode_fns)), message_count)
     while block := list(islice(combos, _DECODER_BLOCK)):
@@ -131,7 +144,7 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
             if solution.objective_value > best + 1e-12:
                 best = solution.objective_value
                 witness = {
-                    "decoder": decode_fns[list(block[c])].tolist(),
+                    "decoder": [list(decode_fns[i]) for i in block[c]],
                     "encoding": solution.values.reshape(na, message_count).tolist(),
                 }
     return BoundResult(

@@ -94,10 +94,12 @@ def _cmd_bound(args) -> int:
                 f"({result.method} over {messages} messages; exact from {decoders})"
             )
     else:
-        result = bounds.BoundResult(bounds.rac_pnc_bound(game.n_bob, game.n_outcomes), "formula")
+        value = bounds.rac_pnc_bound(game.n_bob, game.n_outcomes)
+        result = bounds.BoundResult(value=value, method="formula")
     results = {"value": result.value, "method": result.method}
     if result.programs is not None:
-        results.update(programs=result.programs, pivots=result.pivots)
+        results["programs"] = result.programs
+        results["pivots"] = result.pivots
     if args.witness and result.witness is not None:
         results["witness"] = result.witness
     _emit(

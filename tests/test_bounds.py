@@ -17,6 +17,7 @@ from oblivious_games.bounds import (
 )
 from oblivious_games.games import (
     ClassicalStrategy,
+    ObliviousGame,
     behavior_from_classical,
     make_cglmp3_game,
     make_rac_game,
@@ -177,13 +178,31 @@ class TestLpOracle:
                 assert np.max(np.abs(v - sums[0])) < 1e-7
 
     def test_decoder_guard(self):
+        # C(27, 8) sets of 8 distinct decoding functions; the program fits
+        with pytest.raises(ValueError, match="2220075 decoders"):
+            pnc_bound_lp_oracle(make_rac_game(3, 3), 8)
         game = make_rac_game(2, 5)
-        # C(25, 12) sets of 12 distinct decoding functions
-        with pytest.raises(ValueError, match="5200300 decoders"):
+        # 25 + 64 x 12 obliviousness rows are above the desk scale
+        with pytest.raises(ValueError, match="793 rows"):
             pnc_bound_lp_oracle(game, 12)
         # one set, but its program of 25 x 25 variables is above the desk scale
         with pytest.raises(ValueError, match="625 variables"):
             pnc_bound_lp_oracle(game, 25)
+
+    def test_guards_precede_the_enumeration(self):
+        # 2**21 decoding functions: both guards refuse before any is listed
+        game = ObliviousGame(
+            alice_inputs=(0, 1),
+            bob_inputs=tuple(range(21)),
+            outcomes=(0, 1),
+            p_alice=np.full(2, 1 / 2),
+            p_bob=np.full(21, 1 / 21),
+            payoff=np.ones((2, 21, 2)),
+        )
+        with pytest.raises(ValueError, match="2097152 decoders"):
+            pnc_bound_lp_oracle(game, 1)
+        with pytest.raises(ValueError, match="4194304 variables"):
+            pnc_bound_lp_oracle(game, 2**21)
 
     def test_messages_beyond_the_decoding_functions(self):
         game = make_rac_game(2, 2)

@@ -95,6 +95,15 @@ def test_bound_oracle_above_the_desk_scale(capsys):
     assert abs(report["results"]["value"] - 5 / 9) < 1e-9
 
 
+def test_bound_oracle_size_is_checked_before_the_program_is_built(capsys):
+    # 256 decoding functions x 256 inputs, with 247 obliviousness rows per message
+    code, report, err = run_cli(capsys, "bound", "--game", "rac:8,2", "--oracle")
+    assert code == 2
+    assert report is None
+    assert "65536 variables" in err
+    assert "fewer messages give a lower bound" in err
+
+
 def test_bound_cglmp3(capsys):
     code, report, _ = run_cli(capsys, "bound", "--game", "cglmp3")
     assert code == 0
