@@ -294,7 +294,7 @@ def run(argv=None) -> int:
         parser.error("argument --seed: not allowed without argument --mc")
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -59,14 +59,15 @@ def save_record(record, path) -> None:
 def load_record(path, from_dict):
     """Read a JSON object from ``path`` and build a record with ``from_dict``.
 
-    A file whose top level is not an object, that lacks a key, or whose
-    record is malformed or invalid raises ``ValueError`` naming the file.
+    A file that is not JSON, whose top level is not an object, that lacks a
+    key, or whose record is malformed or invalid raises ``ValueError``
+    naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object, not {type(data).__name__}")
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, not {type(data).__name__}")
         return from_dict(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc

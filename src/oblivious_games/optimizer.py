@@ -20,15 +20,15 @@ steps:
   feasible set by alternating an exact affine projection (trace one plus all
   obliviousness equalities, which factor over the input index) with the
   eigenvalue-simplex projection onto unit-trace positive matrices.  The
-  alternation is Anderson-mixed (Walker and Ni, SIAM J. Numer. Anal. 49,
-  1715 (2011)): each sweep feeds the next eigenvalue projection a real
-  least-squares combination of the last three affine outputs rather than
-  the last one alone, and a mix that does not lower the residual falls back
-  to a plain sweep.  Each sweep ends with the eigenvalue projection and the
-  loop stops once that output's residual is below the tolerance, so the
-  states returned are always positive with unit trace.  A restart whose
-  trial is rejected at the step floor sits out the rest of that
-  iteration's trials: its next trial would repeat the same input.
+  alternation is Anderson-mixed over one history slot (Walker and Ni, SIAM
+  J. Numer. Anal. 49, 1715 (2011)): each sweep feeds the next eigenvalue
+  projection a real least-squares combination of the last two affine
+  outputs rather than the last one alone, and a mix that does not lower the
+  residual falls back to a plain sweep.  Each sweep ends with the eigenvalue
+  projection and the loop stops once that output's residual is below the
+  tolerance, so the states returned are always positive with unit trace.
+  A restart whose trial is rejected at the step floor sits out the rest of
+  that iteration's trials: its next trial would repeat the same input.
 
 The measurement step solves every (restart, receiver input) problem of the
 stack in one call, each stopping on its own certificate, and the projection
@@ -79,11 +79,6 @@ _STEP_GROW = 1.4
 # From the floor the step can grow at most twice before a rejected trial
 # sends it back: a window spent at or below this level is a stall.
 _STALL_STEP = _STEP_FLOOR * _STEP_GROW**2
-# Differences kept by the Anderson mixing of the feasibility projection;
-# ``_mixing_weights`` solves for exactly two.
-_ANDERSON_MEMORY = 2
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_NEWEST = np.array([[1.0], [0.0]])
 
 
 @dataclass(frozen=True)
@@ -204,14 +199,16 @@ class _Projector:
     def feasible(self, rhos: np.ndarray, tol: float, max_sweeps: int = 200) -> np.ndarray:
         """Anderson-mixed alternating projection, on each set of the stack.
 
-        Iterates the map ``affine(psd(.))`` and mixes its last outputs with
-        real least-squares coefficients over the stacked real and imaginary
-        parts, so every iterate stays Hermitian.  Each set returns a ``psd``
-        output, the first whose residual is below ``tol`` or the one after
-        ``max_sweeps`` sweeps, and leaves the stack there.  A mixed step that
-        does not lower a set's residual clears that set's history, so its
-        next step is a plain sweep.  The sets share nothing but the calls:
-        each one ends where it would end alone, up to rounding.
+        Iterates the map ``g = affine(psd(y))`` and mixes each output with the
+        one before: with ``f = g - y``, the next iterate is
+        ``g - gamma (g - g_prev)`` where ``gamma = <df, f> / <df, df>`` and
+        ``df = f - f_prev``, over the stacked real and imaginary parts, so
+        every iterate stays Hermitian.  Each set returns a ``psd`` output, the
+        first whose residual is below ``tol`` or the one after ``max_sweeps``
+        sweeps, and leaves the stack there.  A set takes a plain sweep
+        (``gamma = 0``) on its first sweep, which has no output before it, and
+        after a sweep that did not lower its residual.  The sets share nothing
+        but the calls: each one ends where it would end alone, up to rounding.
 
         Inside the loop a ``psd`` output already has unit traces, which the
         null-space projector keeps, so ``affine`` reduces to that projector;
@@ -224,11 +221,9 @@ class _Projector:
         index = np.arange(len(stack))
         # Real views of the flattened sets, as the mixing sees them.
         y = self.affine(stack).reshape(len(stack), -1).view(float)
-        hist_f = np.zeros((len(stack), _ANDERSON_MEMORY, y.shape[1]))
-        hist_g = np.zeros_like(hist_f)
-        # Newest first; the slots in use are a prefix.
-        used = np.zeros((len(stack), _ANDERSON_MEMORY), dtype=bool)
-        last = np.full(len(stack), math.inf)
+        f_prev = g_prev = np.zeros_like(y)
+        # No residual lies below -inf, so the first sweep is a plain one.
+        last = np.full(len(stack), -math.inf)
         for _ in range(max_sweeps):
             sweep = self.psd(y.view(complex).reshape(-1, *shape[-3:]))
             both = self.image_and_rows @ sweep.reshape(len(index), n, -1).view(float)
@@ -236,45 +231,22 @@ class _Projector:
             going = res >= tol
             if not going.all():
                 out[index[~going]] = sweep[~going]
-                index, y, sweep, both, res, hist_f, hist_g, used, last = (
-                    a[going] for a in (index, y, sweep, both, res, hist_f, hist_g, used, last)
+                index, y, sweep, both, res, f_prev, g_prev, last = (
+                    a[going] for a in (index, y, sweep, both, res, f_prev, g_prev, last)
                 )
                 if not index.size:
                     return out.reshape(shape)
-            used[res >= last] = False
+            used = res < last
             last = res
             g = both[:, :n].reshape(len(index), -1)
             f = g - y
-            gamma = _mixing_weights(f[:, None, :] - hist_f, f, used)
-            y = g - (gamma[:, None, :] @ (g[:, None, :] - hist_g))[:, 0]
-            for hist, new in ((hist_f, f), (hist_g, g), (used, True)):
-                hist[:, 1:] = hist[:, :-1]
-                hist[:, 0] = new
+            df = (f - f_prev) * used[:, None]
+            num, den = np.einsum("ij,ij->i", df, f), np.einsum("ij,ij->i", df, df)
+            gamma = num / np.where(den > 0.0, den, np.inf)
+            y = g - gamma[:, None] * (g - g_prev)
+            f_prev, g_prev = f, g
         out[index] = sweep
         return out.reshape(shape)
-
-
-def _mixing_weights(a: np.ndarray, f: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """Least-squares ``gamma`` minimizing ``|f - gamma . a|`` for each stack entry.
-
-    ``a`` holds the two history differences, newest first, and ``used``
-    marks the slots in use; an empty slot gets weight zero.  The 2x2 normal
-    equations are solved in closed form.  Where the two differences are
-    parallel to within 1e-12 in the squared sine of their angle, or only
-    one is in use, the newest is used alone.
-    """
-    a = a * used[..., None]
-    gram = a @ np.swapaxes(a, 1, 2)
-    b = a @ f[:, :, None]
-    a00, a01, a11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-    det = a00 * a11 - a01 * a01
-    pair = det > 1e-12 * a00 * a11
-    # The adjugate ((a11, -a01), (-a01, a00)) solves the pair; alone, the
-    # newest gets b0 / a00.
-    adjugate = gram[:, ::-1, ::-1] * _ADJUGATE_SIGNS
-    num = np.where(pair[:, None, None], adjugate @ b, b * _NEWEST)[..., 0]
-    den = np.where(pair, det, a00)
-    return num / np.where(den > 0.0, den, np.inf)[:, None]
 
 
 def _objective(weighted: np.ndarray, rhos: np.ndarray, effects: np.ndarray):

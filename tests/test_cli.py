@@ -303,11 +303,21 @@ def _mapping_without(key):
             "'basis_map'",
             id="mapping-no-basis-map",
         ),
+        *(
+            pytest.param(argv, "x,y\n0,1\n", "Expecting value", id=f"not-json-{flag}")
+            for flag, argv in [
+                ("game", ["bound", "--game", "FILE"]),
+                ("bell", ["bell", "--bell", "FILE", "--local-bound"]),
+                ("box", ["map", "--bell", "cglmp3", "--box", "FILE"]),
+                ("mapping", ["exp", "--data", "DATA", "--mapping", "FILE"]),
+            ]
+        ),
     ],
 )
 def test_nan_game_file_exit_code(capsys, tmp_path, data_dir, argv, content, message):
+    """A string ``content`` is written as it stands, anything else as JSON."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     stand_in = {"FILE": str(path), "DATA": str(data_dir / "table2.csv")}
     code, _, err = run_cli(capsys, *(stand_in.get(a, a) for a in argv))
     assert code == 2

@@ -187,18 +187,18 @@ def _simplex_reference(values):
 
 
 def _reference_feasible(projector, rhos, tol, max_sweeps=200):
-    """The Anderson(2)-mixed alternating projection written out for one set.
+    """The one-slot Anderson-mixed alternating projection written out for one set.
 
     Takes the Hermitian part before every eigendecomposition, pins every
-    trace after every affine step, and solves the mixing weights slot by
-    slot.  Returns the projected set and the number of sweeps it took.
+    trace after every affine step, and solves the mixing weight from the
+    one slot.  Returns the projected set and the number of sweeps it took.
     """
     def psd(x):
         w, v = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
         p = np.array([_simplex_reference(list(row)) for row in w])
         return (v * p[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
-    hist_f, hist_g = [], []  # newest first
+    hist_f, hist_g = [], []
     last = math.inf
     y = projector.affine(rhos)
     for sweeps in range(1, max_sweeps + 1):
@@ -217,13 +217,8 @@ def _reference_feasible(projector, rhos, tol, max_sweeps=200):
             a00, b0 = a[0] @ a[0], a[0] @ f
             if a00 > 0.0:
                 gamma[0] = b0 / a00
-        if len(a) == 2:
-            a01, a11, b1 = a[0] @ a[1], a[1] @ a[1], a[1] @ f
-            det = a00 * a11 - a01 * a01
-            if det > 1e-12 * a00 * a11:
-                gamma = [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det]
         mixed = g - sum(c * (g - h) for c, h in zip(gamma, hist_g))
-        hist_f, hist_g = [f, *hist_f[:1]], [g, *hist_g[:1]]
+        hist_f, hist_g = [f], [g]
         y = mixed.view(complex).reshape(rhos.shape)
     return sweep, sweeps
 
