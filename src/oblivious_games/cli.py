@@ -83,7 +83,8 @@ def _cmd_cglmp(args) -> int:
 def _cmd_bound(args) -> int:
     game = _load_game_spec(args.game)
     inputs, summary = {"game": args.game, "oracle": False}, None
-    if args.oracle or args.messages is not None or not args.game.startswith("rac:"):
+    oracle = args.oracle or args.messages is not None or args.witness
+    if oracle or not args.game.startswith("rac:"):
         decoders = game.n_outcomes**game.n_bob  # the messages that make the oracle exact
         messages = decoders if args.messages is None else args.messages
         result = bounds.pnc_bound_lp_oracle(game, messages)
@@ -242,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--game", required=True, help="file path, rac:n,d, or cglmp3")
     p_bound.add_argument("--oracle", action="store_true", help="force the LP oracle")
     p_bound.add_argument("--messages", type=int, help="LP oracle messages; implies --oracle")
-    p_bound.add_argument("--witness", action="store_true", help="include the optimal strategy")
+    p_bound.add_argument(
+        "--witness", action="store_true", help="include the optimal strategy; implies --oracle"
+    )
 
     p_bell = sub.add_parser("bell", help="local bound or value of a correlation functional")
     p_bell.add_argument("--bell", default="cglmp3", help="functional file or cglmp3")

@@ -1,9 +1,11 @@
-"""Alternating heuristic search for quantum values of oblivious games.
+"""Seesaw search for quantum values of oblivious games.
 
 All restarts run as one stack in lockstep: every array carries a leading
 restart axis, so one numpy call serves every running restart, and a restart
 leaves the stack when its stop rule fires.  Each restart alternates two
-steps:
+steps, each a convex program at the other half fixed, as in the
+prepare-and-measure seesaw of Tavakoli, Kaniewski, Vertesi, Rosset and
+Brunner (PRA 98, 062307 (2018)):
 
 * measurements: for fixed preparations, each receiver measurement is
   improved by the Jezek-Rehacek-Fiurasek fixed-point exchange on the effect
@@ -13,38 +15,46 @@ steps:
   Yuen-Kennedy-Lax certificate ``Y = herm(sum_b G_b M_b)`` and
   ``lam = max(0, max_b lambda_max(G_b - Y))``: since ``G_b <= Y + lam I``
   for every outcome, ``Tr Y + d lam`` bounds the score of every POVM, and
-  the exchange stops once that bound exceeds the current score by less
-  than the acceptance margin, so an optimal measurement is left as it is.
-* preparations: the objective is linear in the preparation operators, so a
-  plain gradient step is taken and the trial is projected back onto the
-  feasible set by alternating an exact affine projection (trace one plus all
-  obliviousness equalities, which factor over the input index) with the
-  eigenvalue-simplex projection onto unit-trace positive matrices.  The
-  alternation is Anderson-mixed over one history slot (Walker and Ni, SIAM
-  J. Numer. Anal. 49, 1715 (2011)): each sweep feeds the next eigenvalue
-  projection a real least-squares combination of the last two affine
-  outputs rather than the last one alone, and a mix that does not lower the
-  residual falls back to a plain sweep.  Each sweep ends with the eigenvalue
-  projection and the loop stops once that output's residual is below the
-  tolerance, so the states returned are always positive with unit trace.
-  A restart whose trial is rejected at the step floor sits out the rest of
-  that iteration's trials: its next trial would repeat the same input.
+  the exchange stops once that bound exceeds the current score by no more
+  than rounding of its terms, so an optimal measurement is left as it is.
+* preparations: for fixed measurements, ``sum_x Tr(rho_x G_x)`` is
+  maximised over unit-trace positive ``rho_x`` that meet the obliviousness
+  equalities, by ADMM (Wen, Goldfarb and Yin, Math. Prog. Comp. 2, 203
+  (2010)) built from the two projections of the feasible set: the exact
+  affine projection (trace one plus all obliviousness equalities, which
+  factor over the input index) and the eigenvalue-simplex projection onto
+  unit-trace positive matrices.  The ADMM iterate and its scaled dual carry
+  over from one iteration to the next, each iteration takes at most 25
+  steps, and a restart stops stepping once its primal and dual residuals
+  are below 1e-10; new measurements change the objective, so they restart
+  that count.  The iterate is then projected onto the feasible set by
+  alternating the two projections, Anderson-mixed over one history slot
+  (Walker and Ni, SIAM J. Numer. Anal. 49, 1715 (2011)), and kept only
+  when it raises the value.  Each sweep of that projection ends with the
+  eigenvalue projection and the loop stops once that output's residual is
+  below the tolerance, so the states returned are always positive with
+  unit trace.
 
 The measurement step solves every (restart, receiver input) problem of the
-stack in one call, each stopping on its own certificate, and the projection
-stops each restart on its own residual with its own mixing history, so a
-restart follows the path it would follow alone, up to rounding.
+stack in one call, each stopping on its own certificate, and the ADMM and
+the projection step each restart on its own residuals, so a restart follows
+the path it would follow alone, up to rounding.  ``RestartRecord.sweeps``
+counts the eigenvalue projections a restart spent, ADMM steps and
+projection sweeps together.
 
-A restart ends at the first window boundary (every 30 iterations) where
-either the value gained less than 1e-8 over the window (``"window"``) or the
-preparation step stayed within two growth factors of its floor for the
-whole window (``"stalled"``), and otherwise after ``max_iters`` iterations
-(``"max_iters"``).  Both rules only truncate the path: a run stopped at
-iteration ``n`` returns exactly what a run capped at ``max_iters=n`` returns.
-A restart that comes through an iteration with its states, measurements and
-step bit for bit unchanged (no candidate and no trial accepted) would repeat
-that iteration until it stops, so it leaves the stack at once with the
-iteration count and stop reason those rules would give it.
+A restart ends at the first window boundary (every 30 iterations) where the
+value gained less than 1e-8 over the window (``"window"``), and otherwise
+after ``max_iters`` iterations (``"max_iters"``).  The rule only truncates
+the path: a run stopped at iteration ``n`` returns exactly what a run
+capped at ``max_iters=n`` returns.  A restart that comes through an
+iteration with its states, measurements and ADMM iterate bit for bit
+unchanged (no candidate accepted and no ADMM step taken) would repeat that
+iteration until it stops, so it leaves the stack at once with the
+iteration count and stop reason the rule would give it.  On the (2,3)
+access code at dimension 4, two restarts at seed 0 stop on the window at
+iterations 120 and 60, and the better reaches 0.6875076; on the qutrit
+game, over seeds 0-29, every restart stops at iteration 60 within 2e-11 of
+(3+sqrt(33))/12.
 
 Accepted values are non-decreasing within a restart, so results are honest
 lower bounds on the quantum optimum; nothing here certifies optimality.
@@ -74,11 +84,16 @@ _JRF_MAX_STEPS = 60
 _CONVERGENCE_WINDOW = 30
 _CONVERGENCE_GAIN = 1e-8
 _ACCEPT_MARGIN = 1e-14
-_STEP_FLOOR = 1e-4
-_STEP_GROW = 1.4
-# From the floor the step can grow at most twice before a rejected trial
-# sends it back: a window spent at or below this level is a stall.
-_STALL_STEP = _STEP_FLOOR * _STEP_GROW**2
+# A certificate gap is a difference of terms of size |Tr Y| + d lam + |score|,
+# and at an optimal measurement it rounds to at most about 15 ulps of that
+# size (random problems up to d = 5 with four outcomes): the exchange stops
+# at four times that.
+_GAP_ROUNDING = 64 * np.finfo(float).eps
+# The preparation step's ADMM: its penalty, its steps per iteration, and the
+# residual below which a restart's solve counts as converged.
+_ADMM_SIGMA = 0.2
+_ADMM_STEPS = 25
+_ADMM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -130,6 +145,9 @@ class RestartRecord:
     stop_reason: str
     feasibility_residual: float
     feasible: bool
+    # PSD projections spent on the restart: its ADMM steps and the sweeps of
+    # every ``feasible`` call on its states.
+    sweeps: int
 
 
 def _null_projector(rows: np.ndarray) -> np.ndarray:
@@ -162,6 +180,8 @@ class _Projector:
 
     Every method takes states of shape ``(..., n, d, d)``: the leading axes
     hold a stack of restarts, and one ``(n, d, d)`` set is the stack of one.
+    After each ``feasible`` call, ``sweeps`` holds the sweeps each set took,
+    with the stack's leading shape.
     """
 
     def __init__(self, game: ObliviousGame, dim: int):
@@ -218,24 +238,25 @@ class _Projector:
         n = shape[-3]
         stack = rhos.reshape(-1, *shape[-3:])
         out = np.empty_like(stack)
+        self.sweeps = np.full(len(stack), max_sweeps)
         index = np.arange(len(stack))
         # Real views of the flattened sets, as the mixing sees them.
         y = self.affine(stack).reshape(len(stack), -1).view(float)
         f_prev = g_prev = np.zeros_like(y)
         # No residual lies below -inf, so the first sweep is a plain one.
         last = np.full(len(stack), -math.inf)
-        for _ in range(max_sweeps):
+        for count in range(1, max_sweeps + 1):
             sweep = self.psd(y.view(complex).reshape(-1, *shape[-3:]))
             both = self.image_and_rows @ sweep.reshape(len(index), n, -1).view(float)
             res = np.abs(both[:, n:].view(complex)).max(axis=(1, 2), initial=0.0)
             going = res >= tol
             if not going.all():
-                out[index[~going]] = sweep[~going]
+                out[index[~going]], self.sweeps[index[~going]] = sweep[~going], count
                 index, y, sweep, both, res, f_prev, g_prev, last = (
                     a[going] for a in (index, y, sweep, both, res, f_prev, g_prev, last)
                 )
                 if not index.size:
-                    return out.reshape(shape)
+                    break
             used = res < last
             last = res
             g = both[:, :n].reshape(len(index), -1)
@@ -245,7 +266,9 @@ class _Projector:
             gamma = num / np.where(den > 0.0, den, np.inf)
             y = g - gamma[:, None] * (g - g_prev)
             f_prev, g_prev = f, g
-        out[index] = sweep
+        else:
+            out[index] = sweep
+        self.sweeps = self.sweeps.reshape(shape[:-3])
         return out.reshape(shape)
 
 
@@ -296,10 +319,15 @@ def _certificate_gap(gram: np.ndarray, effects: np.ndarray, current):
     Lax).  The gap is zero exactly when ``effects`` is optimal.  Leading axes
     of ``gram`` and ``effects`` hold a stack of problems.
     """
+    trace, lam = _certificate(gram, effects)
+    return trace + gram.shape[-1] * lam - current
+
+
+def _certificate(gram: np.ndarray, effects: np.ndarray):
+    """``Tr Y`` and ``lam`` of the certificate of ``effects`` (see ``_certificate_gap``)."""
     y_op = _herm(np.einsum("...bij,...bjk->...ik", gram, effects))
     top = np.linalg.eigvalsh(gram - y_op[..., None, :, :]).max(axis=(-2, -1))
-    lam = np.maximum(0.0, top)
-    return np.trace(y_op, axis1=-2, axis2=-1).real + gram.shape[-1] * lam - current
+    return np.trace(y_op, axis1=-2, axis2=-1).real, np.maximum(0.0, top)
 
 
 def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.ndarray:
@@ -310,8 +338,9 @@ def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.nda
     constant, so the operators are shifted positive first.  Every step
     completes the effects to a POVM.  Leading axes hold a stack of problems
     that step together: before every step each problem forms its
-    certificate and leaves the stack once its gap is below the acceptance
-    margin, and all stop after ``max_steps`` steps.  The last iterates are
+    certificate and leaves the stack once its gap is below the rounding
+    floor of the terms it is a difference of, and all stop after
+    ``max_steps`` steps.  The last iterates are
     returned, which is ``effects`` itself when no problem took a step.
     """
     shape = effects.shape
@@ -320,9 +349,13 @@ def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.nda
     g = gram - (shift - 1e-9)[:, None, None, None] * np.eye(shape[-1])
     m = effects.reshape(gram.shape)
     index = np.arange(len(gram))
+    d = shape[-1]
     out = None
     for _ in range(max_steps):
-        going = _certificate_gap(gram, m, _score(gram, m)) >= _ACCEPT_MARGIN
+        trace, lam = _certificate(gram, m)
+        score = _score(gram, m)
+        floor = _GAP_ROUNDING * (np.abs(trace) + d * lam + np.abs(score))
+        going = trace + d * lam - score >= floor
         if not going.all():
             index, gram, g, m = index[going], gram[going], g[going], m[going]
             if not index.size:
@@ -362,24 +395,50 @@ def _start(game, cfg, projector):
     return projector.feasible(rhos, cfg.tolerance / 10), effects
 
 
-def _settled_stop(it, gain, peak, max_iters):
+def _admm(projector, grad, z, u, res) -> np.ndarray:
+    """Warm-started ADMM steps on ``max sum_x Tr(rho_x G_x)`` over the feasible set.
+
+    In scaled form with penalty ``sigma`` each step is
+    ``X = affine(Z - U + G / sigma)``, ``Z+ = psd(X + U)``, ``U += X - Z+``
+    (Wen, Goldfarb and Yin, Math. Prog. Comp. 2, 203 (2010)), and ``sigma U``
+    estimates the dual.  ``z``, ``u`` and ``res`` hold a stack of restarts
+    and are updated in place; ``res`` is each restart's larger residual,
+    primal ``|X - Z+|`` or dual ``|Z+ - Z|``.  A restart leaves the stack
+    once its residual is below the tolerance, so one that enters below it
+    takes no step.  Returns the steps each restart took.
+    """
+    steps = np.zeros(len(z), dtype=int)
+    index = np.flatnonzero(res >= _ADMM_TOL)
+    shift = grad / _ADMM_SIGMA
+    for _ in range(_ADMM_STEPS):
+        if not index.size:
+            break
+        z_in, u_in = z[index], u[index]
+        x = projector.affine(z_in - u_in + shift[index])
+        z_out = projector.psd(x + u_in)
+        z[index], u[index] = z_out, u_in + x - z_out
+        primal, dual = (
+            np.linalg.norm(a.reshape(len(index), -1), axis=1) for a in (x - z_out, z_out - z_in)
+        )
+        res[index] = np.maximum(primal, dual)
+        steps[index] += 1
+        index = index[res[index] >= _ADMM_TOL]
+    return steps
+
+
+def _settled_stop(it, gain, max_iters):
     """Stop of restarts whose state no longer changes after iteration ``it``.
 
     Such a restart repeats its last iteration bit for bit, so its value
-    stays put: ``gain`` is its value less the anchor of its current window
-    and ``peak`` its largest step in that window, and every later step sits
-    at the floor.  The next boundary then stops it on the window or the
-    stall rule, and a boundary after that always stops it on the window,
-    unless the iteration cap comes first.  Returns each restart's iteration
-    count and stop reason.
+    stays put: ``gain`` is its value less the anchor of its current window.
+    The next boundary then stops it on the window rule if ``gain`` is below
+    the window's threshold, and the boundary after that always does, unless
+    the iteration cap comes first.  Returns each restart's iteration count
+    and stop reason.
     """
     first = (it // _CONVERGENCE_WINDOW + 1) * _CONVERGENCE_WINDOW
-    window = gain < _CONVERGENCE_GAIN
-    stalled = ~window & (peak <= _STALL_STEP)
-    when = np.where(window | stalled, first, first + _CONVERGENCE_WINDOW)
-    reasons = np.where(stalled, "stalled", "window").astype(object)
-    capped = when >= max_iters
-    reasons[capped] = "max_iters"
+    when = np.where(gain < _CONVERGENCE_GAIN, first, first + _CONVERGENCE_WINDOW)
+    reasons = np.where(when >= max_iters, "max_iters", "window").astype(object)
     return np.minimum(when, max_iters), reasons
 
 
@@ -387,22 +446,23 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     """Run every restart of the stack until its stop rule fires.
 
     Returns the final states and measurements of each restart with its
-    iteration count and stop reason.  The running restarts form their own
-    stack, which sheds each restart as it stops, and a restart whose
-    states, measurements and step all came through an iteration unchanged
-    stops at once with the record the stop rules would give it later.
+    iteration count, stop reason and the PSD projections it spent.  The
+    running restarts form their own stack, which sheds each restart as it
+    stops, and a restart whose states, measurements and ADMM iterate all
+    came through an iteration unchanged stops at once with the record the
+    stop rules would give it later.
     """
     tol = cfg.tolerance / 10
     restarts = len(rhos)
     iterations = np.full(restarts, cfg.max_iters)
     reasons = np.full(restarts, "max_iters", dtype=object)
+    sweeps = np.zeros(restarts, dtype=int)
     final_rhos, final_effects = rhos.copy(), effects.copy()
     index = np.arange(restarts)
     rhos = rhos.copy()
+    z, u, res = rhos.copy(), np.zeros_like(rhos), np.full(restarts, np.inf)
     value = _objective(weighted, rhos, effects)
-    step = np.full(restarts, 0.5)
     anchor = value
-    peak = np.zeros(restarts)
     for it in range(1, cfg.max_iters + 1):
         # Measurement step: one warm-started candidate per receiver input.
         gram = _herm(np.einsum("xyb,rxij->rybij", weighted, rhos))
@@ -414,55 +474,46 @@ def _ascend(weighted, projector, rhos, effects, cfg):
             moved = better.any(axis=1)
         value = _objective(weighted, rhos, effects)
 
-        # Preparation step: gradient ascent plus exact projection.  A trial
-        # rejected at the step floor leaves its restart's next trial input
-        # as it was, so that restart sits out the rest of the iteration.
+        # Preparation step: ADMM on the state program at these measurements,
+        # then the exact projection of its iterate.  New measurements change
+        # the objective, so the residuals of the last solve no longer hold.
+        res[moved] = np.inf
         grad = _herm(np.einsum("xyb,rybij->rxij", weighted, effects))
-        start = step.copy()
-        trying = np.arange(index.size)
-        for _ in range(4):
-            peak = np.maximum(peak, step)
-            s = step[trying]
-            trial = projector.feasible(rhos[trying] + s[:, None, None, None] * grad[trying], tol)
-            trial_val = _objective(weighted, trial, effects[trying])
-            better = trial_val > value[trying] + _ACCEPT_MARGIN
-            rhos[trying[better]] = trial[better]
-            value[trying[better]] = trial_val[better]
-            moved[trying[better]] = True
-            step[trying] = np.where(
-                better, np.minimum(s * _STEP_GROW, 16.0), np.maximum(s * 0.4, _STEP_FLOOR)
-            )
-            trying = trying[better | (s > _STEP_FLOOR)]
-            if not trying.size:
-                break
+        steps = _admm(projector, grad, z, u, res)
+        sweeps[index] += steps
+        stepped = np.flatnonzero(steps)
+        if stepped.size:
+            trial = projector.feasible(z[stepped], tol)
+            sweeps[index[stepped]] += projector.sweeps
+            trial_val = _objective(weighted, trial, effects[stepped])
+            better = trial_val > value[stepped] + _ACCEPT_MARGIN
+            up = stepped[better]
+            rhos[up], value[up], moved[up] = trial[better], trial_val[better], True
 
         stop = np.zeros(index.size, dtype=bool)
         when = np.full(index.size, it)
         why = np.empty(index.size, dtype=object)
         if it % _CONVERGENCE_WINDOW == 0 and it < cfg.max_iters:
-            window = value - anchor < _CONVERGENCE_GAIN
-            stalled = ~window & (peak <= _STALL_STEP)
-            stop = window | stalled
-            why[stop] = np.where(window, "window", "stalled")[stop]
+            stop = value - anchor < _CONVERGENCE_GAIN
+            why[stop] = "window"
             anchor = value.copy()
-            peak = np.zeros(index.size)
-        settled = ~stop & ~moved & (step == start)
+        settled = ~stop & ~moved & (steps == 0)
         if settled.any():
             when[settled], why[settled] = _settled_stop(
-                it, (value - anchor)[settled], peak[settled], cfg.max_iters
+                it, (value - anchor)[settled], cfg.max_iters
             )
             stop |= settled
         if stop.any():
             done = index[stop]
             iterations[done], reasons[done] = when[stop], why[stop]
             final_rhos[done], final_effects[done] = rhos[stop], effects[stop]
-            index, rhos, effects, value, step, anchor, peak = (
-                a[~stop] for a in (index, rhos, effects, value, step, anchor, peak)
+            index, rhos, effects, value, anchor, z, u, res = (
+                a[~stop] for a in (index, rhos, effects, value, anchor, z, u, res)
             )
             if not index.size:
                 break
     final_rhos[index], final_effects[index] = rhos, effects
-    return final_rhos, final_effects, iterations, reasons
+    return final_rhos, final_effects, iterations, reasons, sweeps
 
 
 def _unit_trace(rho: np.ndarray) -> np.ndarray:
@@ -489,11 +540,15 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
     projector = _Projector(game, cfg.dim)
     rhos, effects = _start(game, cfg, projector)
-    rhos, effects, iterations, reasons = _ascend(weighted, projector, rhos, effects, cfg)
+    start_sweeps = projector.sweeps
+    rhos, effects, iterations, reasons, sweeps = _ascend(
+        weighted, projector, rhos, effects, cfg
+    )
 
     # Final polish: land exactly inside the feasible set and report the value
     # of the strategy actually returned.
     rhos = projector.feasible(rhos, cfg.tolerance / 10, max_sweeps=500)
+    sweeps += start_sweeps + projector.sweeps
     effects = _normalize_povm(effects)
     records, strategies = [], []
     for restart in range(cfg.restarts):
@@ -509,6 +564,7 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
                 stop_reason=str(reasons[restart]),
                 feasibility_residual=residual,
                 feasible=residual < cfg.tolerance,
+                sweeps=int(sweeps[restart]),
             )
         )
     pool = [r for r in range(cfg.restarts) if records[r].feasible] or range(cfg.restarts)

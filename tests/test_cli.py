@@ -122,6 +122,16 @@ def test_bound_game_file_runs_the_oracle(capsys, tmp_path):
     assert abs(plain["results"]["value"] - 0.75) < 1e-9
 
 
+def test_bound_rac_witness_runs_the_exact_lp(capsys):
+    code, report, _ = run_cli(capsys, "bound", "--game", "rac:2,2", "--witness")
+    _, forced, _ = run_cli(capsys, "bound", "--game", "rac:2,2", "--oracle", "--witness")
+    assert code == 0
+    assert report["results"] == forced["results"]
+    assert report["results"]["method"] == "lp-oracle"
+    assert "witness" in report["results"]
+    assert abs(report["results"]["value"] - 0.75) < 1e-9
+
+
 def test_bell_local_bound(capsys):
     code, report, _ = run_cli(capsys, "bell", "--bell", "cglmp3", "--local-bound")
     assert code == 0
@@ -245,7 +255,7 @@ def test_optimize_small(capsys):
     per_restart = results["per_restart"]
     assert len(per_restart) == 2
     assert set(per_restart[0]) == {
-        "value", "iterations_used", "stop_reason", "feasibility_residual", "feasible"
+        "value", "iterations_used", "stop_reason", "feasibility_residual", "feasible", "sweeps"
     }
     assert per_restart[results["restart_index"]]["value"] == results["value"]
 
