@@ -24,17 +24,6 @@ OMEGA = complex(np.exp(2j * np.pi / 3))
 ALPHA = (0.0, 0.5)
 BETA = (0.25, -0.25)
 
-# Half-wave-plate orientations (degrees) preparing the six lab states psi_jk.
-WAVEPLATE_ANGLES = {
-    (1, 1): (77.01, 24.93),
-    (1, 2): (12.98, 20.07),
-    (1, 3): (36.80, 34.79),
-    (2, 1): (54.78, 81.28),
-    (2, 2): (53.19, 10.21),
-    (2, 3): (54.78, 53.71),
-}
-
-
 def optimal_state() -> Ket:
     """Partially entangled two-qutrit state, amplitudes gamma_k/sqrt(N) on |kk>."""
     amp = np.zeros(9, dtype=complex)
@@ -108,24 +97,3 @@ def game_strategy() -> QuantumStrategy:
         preps[x][(x0 - (1 if x == 1 else 0)) % 3] for (x0, x) in game.alice_inputs
     )
     return QuantumStrategy(ordered, (bob_povm(0), bob_povm(1)))
-
-
-def waveplate_state(chi1: float, chi2: float) -> Ket:
-    """Real qutrit ket prepared by two half-wave plates at angles in degrees."""
-    c1 = math.radians(chi1)
-    c2 = math.radians(chi2)
-    return Ket(
-        np.array(
-            [
-                math.cos(2 * c1),
-                math.sin(2 * c1) * math.sin(2 * c2),
-                math.sin(2 * c1) * math.cos(2 * c2),
-            ],
-            dtype=complex,
-        )
-    )
-
-
-def experiment_ket(j: int, k: int) -> Ket:
-    """Lab preparation psi_jk from the recorded wave-plate orientations."""
-    return waveplate_state(*WAVEPLATE_ANGLES[(j, k)])

@@ -50,12 +50,12 @@ _BIJECTIONS = np.fromiter(permutations(range(6)), dtype=(np.intp, 6), count=720)
 
 # Monte Carlo programs per lockstep stack.  Each lockstep step pays a fixed
 # set of numpy calls in lp._bland and lp._pivot for the whole stack, so a
-# larger stack takes fewer steps: 5000 samples at seed 5 take 6450 steps at
-# 32 and 1676 at 128.  One perfbench exp-mc operation (5000 samples of the
-# bundled data, 2-core host) takes 0.60 s at 32, 0.46 s at 64, 0.42 s at 96,
-# 0.37 s at 128, 0.37 s at 192 and 0.37 s at 256, while peak RSS rises from
-# 40.3 MB at 32 through 42.6 MB at 128 to 45.2 MB at 256.  Time stops falling
-# after 128; memory does not.
+# larger stack takes fewer steps: 5000 samples at seed 5 take 3288 steps at
+# 64, 1676 at 128 and 840 at 256.  One perfbench exp-mc operation (5000
+# samples of the bundled data, 2-core Xeon host, two runs each) takes
+# 0.40-0.41 s at 64, 0.33-0.34 s at 128 and 0.33-0.35 s at 256, while peak
+# RSS rises from 40.8-40.9 MB at 64 through 42.6-43.5 MB at 128 to 45.0-45.9
+# MB at 256.  Time stops falling after 128; memory does not.
 _MC_CHUNK = 128
 
 # Round-off leaves a secondary weight row within about 1e-14 of unit sum
@@ -340,7 +340,7 @@ def secondary_weights(tables: np.ndarray, rows: np.ndarray) -> tuple:
     ``p_prime[t] = sum_s W[t, s] tables[s]`` entrywise.  Returns ``(W, p_prime, s)``.
     """
     program = _secondary_programs(tables[None], rows)
-    weights, p_prime, s = _secondary_result([lp.solve(program)], tables[None])
+    weights, p_prime, s = _secondary_result(lp.solve(program), tables[None])
     return weights[0], p_prime[0], float(s[0])
 
 
@@ -360,14 +360,18 @@ def _secondary_programs(stack: np.ndarray, rows: np.ndarray) -> lp.LinearProgram
     )
 
 
-def _secondary_result(solutions: list, stack: np.ndarray) -> tuple:
+def _secondary_result(solutions, stack: np.ndarray) -> tuple:
     """Weights, secondary tables and objective of each program's solution,
-    stacked like the sets of tables in ``stack``."""
-    for solution in solutions:
-        if solution.status != "optimal":  # pragma: no cover - uniform weights are feasible
-            raise RuntimeError(f"secondary-data program reported {solution.status}")
+    stacked like the sets of tables in ``stack``.
+
+    ``solutions`` is the ``lp.LpSolutions`` of the stack's programs, or the
+    one ``lp.LpSolution`` of a stack of one.
+    """
     k, n = stack.shape[:2]
-    weights = np.stack([solution.values for solution in solutions]).reshape(k, n, n)
+    status = np.reshape(solutions.status, k)
+    if (status != "optimal").any():  # pragma: no cover - uniform weights are feasible
+        raise RuntimeError(f"secondary-data program reported {status[status != 'optimal'][0]}")
+    weights = np.reshape(solutions.values, (k, n, n))
     # Bland's tie tolerance can leave a basic weight near -1e-9, which the
     # solver's clamp at zero sets to zero; its target row then misses unit
     # sum by as much, which the solver's 1e-8 vertex check allows and a
@@ -376,7 +380,7 @@ def _secondary_result(solutions: list, stack: np.ndarray) -> tuple:
     sums = weights.sum(axis=2, keepdims=True)
     weights = np.where(np.abs(sums - 1.0) > _WEIGHT_SUM_TOL, weights / sums, weights)
     p_prime = np.einsum("kts,ks...->kt...", weights, stack)
-    return weights, p_prime, np.array([solution.objective_value for solution in solutions])
+    return weights, p_prime, np.reshape(solutions.objective_value, k)
 
 
 def _lab_rows(index: tuple) -> np.ndarray:

@@ -18,7 +18,11 @@ an exact zero, so every program takes the pivots, and rounds every nonzero
 entry, exactly as it would alone; only the sign of a zero can differ, and
 the final clamp at zero removes it.  Empty and redundant rows are zeroed in
 place rather than deleted, which keeps the stack one shape.  One stacked
-residual checks every optimal vertex against its original system.
+residual checks every optimal vertex against its original system.  The
+result is one ``LpSolutions``, the solver's own arrays with a row or entry
+per program (NaN values where a program is not optimal); entry ``p`` is the
+``LpSolution`` that ``solve`` gives for program ``p``.  A caller that reads
+the arrays builds no per-program object.
 
 The simplex runs in two stages: ``_feasible`` (phase 1 and the drive-out
 of artificial variables) and ``_maximize`` (phase 2 from whatever basis it
@@ -85,6 +89,32 @@ class LpSolution:
     objective_value: float | None = None
     pivots: int = 0  # over phase 1, the artificial drive-out and phase 2
     phase1_pivots: int = 0  # the phase-1 and drive-out part of ``pivots``
+
+
+@dataclass(frozen=True, eq=False)
+class LpSolutions:
+    """The solutions of a stack of programs, one entry per program.
+
+    ``values`` is (k, n) and the other fields are (k,); the values and
+    objective value of a program that is not optimal are NaN.  Entry ``p``
+    is the ``LpSolution`` of program ``p``.
+    """
+
+    status: np.ndarray  # of "optimal" | "infeasible" | "unbounded"
+    values: np.ndarray
+    objective_value: np.ndarray
+    pivots: np.ndarray
+    phase1_pivots: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, p: int) -> LpSolution:
+        status = str(self.status[p])
+        counts = {"pivots": int(self.pivots[p]), "phase1_pivots": int(self.phase1_pivots[p])}
+        if status != "optimal":
+            return LpSolution(status, **counts)
+        return LpSolution(status, self.values[p], float(self.objective_value[p]), **counts)
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, k, row, col, column) -> None:
@@ -224,7 +254,7 @@ def _feasible(lp: LinearProgram) -> tuple:
     return tableau, basis, infeasible, pivots
 
 
-def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> list:
+def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> LpSolutions:
     """Phase 2 from each program's current basis, to each one's solution.
 
     ``tableau`` and ``basis`` come from ``_feasible`` or from an earlier
@@ -236,15 +266,18 @@ def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> list:
     n = tableau.shape[2] - 1
     # Basic columns are exact unit vectors, so eliminating one row's basic
     # cost leaves the others' as they were: the rows are subtracted in order
-    # in one reduction, a row with no cost adding an exact +0.  Artificials
-    # left basic on zeroed rows cost nothing.
+    # in one reduction, a row with no cost adding an exact +0.  A row whose
+    # basic variable costs nothing in every program would add only +0, so it
+    # is left out.  Artificials left basic on zeroed rows cost nothing.
     cost = np.zeros((k, n + m + 1))
     cost[:, :n] = objectives
     stack = np.arange(k)[:, None]
-    factor = cost[stack, basis][..., None]
+    factor = cost[stack, basis]
+    costed = np.flatnonzero(factor.any(axis=0))
+    factor = factor[:, costed, None]
     tableau[:, -1] = np.subtract.reduce(
         np.concatenate(
-            [cost[:, None, : n + 1], np.where(factor != 0.0, factor * tableau[:, :m], 0.0)],
+            [cost[:, None, : n + 1], np.where(factor != 0.0, factor * tableau[:, costed], 0.0)],
             axis=1,
         ),
         axis=1,
@@ -256,19 +289,12 @@ def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> list:
     values[stack, basis] = tableau[:, :m, -1]
     values = values[:, :n]
     np.maximum(values, 0.0, out=values)  # remove sub-tolerance pivot noise
-    optimal = ~(infeasible | unbounded)
-    value = _checked(lp, objectives, values, optimal)
-
-    results = []
-    for p in range(k):
-        counts = {"pivots": int(pivots[p]), "phase1_pivots": int(phase1[p])}
-        if infeasible[p]:
-            results.append(LpSolution(status="infeasible", **counts))
-        elif unbounded[p]:
-            results.append(LpSolution(status="unbounded", **counts))
-        else:
-            results.append(LpSolution("optimal", values[p], float(value[p]), **counts))
-    return results
+    stopped = infeasible | unbounded
+    value = _checked(lp, objectives, values, ~stopped)
+    values[stopped] = np.nan
+    value[stopped] = np.nan
+    status = np.where(infeasible, "infeasible", np.where(unbounded, "unbounded", "optimal"))
+    return LpSolutions(status, values, value, pivots, phase1)
 
 
 def _checked(lp: LinearProgram, objectives, values, optimal) -> np.ndarray:
@@ -285,16 +311,14 @@ def _checked(lp: LinearProgram, objectives, values, optimal) -> np.ndarray:
     return (objectives[:, None, :] @ values[..., None])[:, 0, 0]
 
 
-def solve_many(programs: LinearProgram) -> list:
+def solve_many(programs: LinearProgram) -> LpSolutions:
     """Two-phase simplex on a stacked ``LinearProgram``, in lockstep.
 
-    Element ``p`` of the result equals ``solve`` of program ``p``: same
-    status, pivots and bit-equal values.
+    Entry ``p`` of the result equals ``solve`` of program ``p``: same status,
+    pivots and bit-equal values.
     """
     if not isinstance(programs, LinearProgram):
         raise TypeError(f"expected one stacked LinearProgram, got {type(programs).__name__}")
-    if not len(programs.objective):
-        return []
     tableau, basis, infeasible, pivots = _feasible(programs)
     return _maximize(tableau, basis, infeasible, pivots, programs, programs.objective)
 
@@ -329,9 +353,9 @@ class Polytope:
             )
         if not np.isfinite(c).all():
             raise ValueError("objective must be finite")
-        (solution,) = _maximize(
+        solution = _maximize(
             self._tableau, self._basis, self._infeasible, self._phase1, self._program, c
-        )
+        )[0]
         self._phase1 = np.zeros_like(self._phase1)
         return solution
 

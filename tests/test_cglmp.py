@@ -137,28 +137,3 @@ class TestSteeredPreparations:
             direct = 3 * partial_trace(op, 3, 3, which="a")
             _, preps = bellmap.preparations_from_entangled(state, [povm])
             assert np.max(np.abs(direct - preps[0][a].matrix)) < 1e-12
-
-
-class TestWaveplates:
-    def test_zero_angles_give_first_basis_vector(self):
-        k = cglmp.waveplate_state(0.0, 0.0)
-        assert np.allclose(k.amplitudes, [1.0, 0.0, 0.0], atol=1e-15)
-
-    def test_45_0_gives_last_basis_vector(self):
-        k = cglmp.waveplate_state(45.0, 0.0)
-        assert np.max(np.abs(np.abs(k.amplitudes) - [0.0, 0.0, 1.0])) < 1e-12
-
-    def test_all_recorded_angles_normalize(self):
-        for (j, k), angles in cglmp.WAVEPLATE_ANGLES.items():
-            ket = cglmp.experiment_ket(j, k)
-            assert abs(np.sum(np.abs(ket.amplitudes) ** 2) - 1.0) < 1e-12
-
-    def test_psi_11_components(self):
-        ket = cglmp.experiment_ket(1, 1)
-        c1, c2 = math.radians(77.01), math.radians(24.93)
-        expected = [
-            math.cos(2 * c1),
-            math.sin(2 * c1) * math.sin(2 * c2),
-            math.sin(2 * c1) * math.cos(2 * c2),
-        ]
-        assert np.allclose(ket.amplitudes.real, expected, atol=1e-15)

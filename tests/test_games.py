@@ -137,15 +137,6 @@ class TestResiduals:
         game = make_cglmp3_game()
         assert obliviousness_residual_quantum(game, cglmp.game_strategy()) < 1e-12
 
-    def test_experimental_kets_violate_constraint(self):
-        game = make_cglmp3_game()
-        preps = tuple(
-            DensityMatrix(cglmp.experiment_ket(x + 1, x0 + 1).projector())
-            for (x0, x) in game.alice_inputs
-        )
-        strategy = QuantumStrategy(preps, (cglmp.bob_povm(0), cglmp.bob_povm(1)))
-        assert obliviousness_residual_quantum(game, strategy) > 1e-3
-
     def test_residual_compares_every_pair_of_sets(self):
         # set 0 sits halfway between sets 1 and 2, so comparing only against
         # set 0 would report half of the true gap

@@ -211,8 +211,42 @@ def test_stack_equals_each_program_alone():
     assert stacked[6].objective_value == 0.3
 
 
+def test_stacked_fields_equal_each_program_alone():
+    programs, _ = zip(*_mixed_stack())
+    stacked = solve_many(_one_stack(programs))
+    n = programs[0].objective.shape[1]
+    assert len(stacked) == len(programs)
+    assert stacked.values.shape == (len(programs), n)
+    for field in ("status", "objective_value", "pivots", "phase1_pivots"):
+        assert getattr(stacked, field).shape == (len(programs),)
+    for p, program in enumerate(programs):
+        alone = solve(program)
+        assert stacked.status[p] == alone.status
+        assert stacked.pivots[p] == alone.pivots
+        assert stacked.phase1_pivots[p] == alone.phase1_pivots
+        if alone.values is None:
+            assert np.isnan(stacked.values[p]).all() and np.isnan(stacked.objective_value[p])
+        else:
+            assert stacked.values[p].tobytes() == alone.values.tobytes()
+            assert stacked.objective_value[p] == alone.objective_value
+
+
+def test_monte_carlo_builds_no_per_program_solution(monkeypatch, data_dir):
+    data = expdata.load_primary(
+        data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an LpSolution was constructed")
+
+    monkeypatch.setattr(lp, "LpSolution", forbidden)
+    sigmas = expdata.mc_uncertainty(data, expdata.pinned_mapping(), 300, seed=13)
+    assert all(np.isfinite(sigmas))
+
+
 def test_stack_needs_one_shape():
-    assert solve_many(LinearProgram(np.zeros((0, 2)), np.zeros((0, 1, 2)), np.zeros((0, 1)))) == []
+    empty = LinearProgram(np.zeros((0, 2)), np.zeros((0, 1, 2)), np.zeros((0, 1)))
+    assert len(solve_many(empty)) == 0
     ones = np.ones((2, 1, 2))
     with pytest.raises(ValueError):  # a three-variable objective over two-variable rows
         LinearProgram(np.ones((2, 3)), ones, np.ones((2, 1)))
