@@ -27,13 +27,12 @@ Brunner (PRA 98, 062307 (2018)):
   over from one iteration to the next, each iteration takes at most 25
   steps, and a restart stops stepping once its primal and dual residuals
   are below 1e-10; new measurements change the objective, so they restart
-  that count.  The iterate is then projected onto the feasible set by
-  alternating the two projections, Anderson-mixed over one history slot
-  (Walker and Ni, SIAM J. Numer. Anal. 49, 1715 (2011)), and kept only
-  when it raises the value.  Each sweep of that projection ends with the
-  eigenvalue projection and the loop stops once that output's residual is
-  below the tolerance, so the states returned are always positive with
-  unit trace.
+  that count.  The iterate is then projected onto the feasible set by the
+  same ADMM with no objective, which is Douglas-Rachford splitting of the
+  two projections, and kept only when it raises the value.  Each sweep of
+  that projection ends with the eigenvalue projection and the loop stops
+  once that output's residual is below the tolerance, so the states
+  returned are always positive with unit trace.
 
 The measurement step solves every (restart, receiver input) problem of the
 stack in one call, each stopping on its own certificate, and the ADMM and
@@ -52,7 +51,7 @@ unchanged (no candidate accepted and no ADMM step taken) would repeat that
 iteration until it stops, so it leaves the stack at once with the
 iteration count and stop reason the rule would give it.  On the (2,3)
 access code at dimension 4, two restarts at seed 0 stop on the window at
-iterations 120 and 60, and the better reaches 0.6875076; on the qutrit
+iterations 150 and 60, and the better reaches 0.6875076; on the qutrit
 game, over seeds 0-29, every restart stops at iteration 60 within 2e-11 of
 (3+sqrt(33))/12.
 
@@ -176,20 +175,17 @@ def _simplex_project(eigvals: np.ndarray) -> np.ndarray:
 
 
 class _Projector:
-    """Alternating projection onto {trace one, oblivious} intersect PSD.
+    """Projections onto {trace one, oblivious} and onto unit-trace PSD, and a point of both.
 
     Every method takes states of shape ``(..., n, d, d)``: the leading axes
     hold a stack of restarts, and one ``(n, d, d)`` set is the stack of one.
-    After each ``feasible`` call, ``sweeps`` holds the sweeps each set took,
-    with the stack's leading shape.
+    After each ``feasible`` call, ``sweeps`` holds the sweeps (``psd`` calls)
+    each set took, with the stack's leading shape.
     """
 
     def __init__(self, game: ObliviousGame, dim: int):
         self.rows = game.constraint_rows()
         self.null_p = _null_projector(self.rows)
-        # One product with both blocks gives a sweep's affine image and its
-        # constraint residuals.
-        self.image_and_rows = np.vstack([self.null_p, self.rows])
         self.dim = dim
         self.eye = np.eye(dim)
 
@@ -217,57 +213,35 @@ class _Projector:
         return np.max(np.abs(self.rows @ flat), axis=(-2, -1))
 
     def feasible(self, rhos: np.ndarray, tol: float, max_sweeps: int = 200) -> np.ndarray:
-        """Anderson-mixed alternating projection, on each set of the stack.
+        """ADMM with no objective, on each set of the stack.
 
-        Iterates the map ``g = affine(psd(y))`` and mixes each output with the
-        one before: with ``f = g - y``, the next iterate is
-        ``g - gamma (g - g_prev)`` where ``gamma = <df, f> / <df, df>`` and
-        ``df = f - f_prev``, over the stacked real and imaginary parts, so
-        every iterate stays Hermitian.  Each set returns a ``psd`` output, the
-        first whose residual is below ``tol`` or the one after ``max_sweeps``
-        sweeps, and leaves the stack there.  A set takes a plain sweep
-        (``gamma = 0``) on its first sweep, which has no output before it, and
-        after a sweep that did not lower its residual.  The sets share nothing
-        but the calls: each one ends where it would end alone, up to rounding.
-
-        Inside the loop a ``psd`` output already has unit traces, which the
-        null-space projector keeps, so ``affine`` reduces to that projector;
-        and every mixed iterate is an affine combination of such images.
+        From ``Z = rhos`` and ``U = 0`` each sweep is ``X = affine(Z - U)``,
+        ``Z = psd(X + U)``, ``U += X - Z``: Douglas-Rachford splitting of the
+        two projections (Lions and Mercier, SIAM J. Numer. Anal. 16, 964
+        (1979); Eckstein and Bertsekas, Math. Prog. 55, 293 (1992)).  Each set
+        returns a ``psd`` output, the first ``Z`` whose residual is below
+        ``tol`` or the one after ``max_sweeps`` sweeps, and leaves the stack
+        there.  The sets share nothing but the calls: each one ends where it
+        would end alone, up to rounding.
         """
         shape = rhos.shape
-        n = shape[-3]
-        stack = rhos.reshape(-1, *shape[-3:])
-        out = np.empty_like(stack)
-        self.sweeps = np.full(len(stack), max_sweeps)
-        index = np.arange(len(stack))
-        # Real views of the flattened sets, as the mixing sees them.
-        y = self.affine(stack).reshape(len(stack), -1).view(float)
-        f_prev = g_prev = np.zeros_like(y)
-        # No residual lies below -inf, so the first sweep is a plain one.
-        last = np.full(len(stack), -math.inf)
+        z = rhos.reshape(-1, *shape[-3:])
+        u = np.zeros_like(z)
+        out = np.empty_like(z)
+        self.sweeps = np.full(len(z), max_sweeps)
+        index = np.arange(len(z))
         for count in range(1, max_sweeps + 1):
-            sweep = self.psd(y.view(complex).reshape(-1, *shape[-3:]))
-            both = self.image_and_rows @ sweep.reshape(len(index), n, -1).view(float)
-            res = np.abs(both[:, n:].view(complex)).max(axis=(1, 2), initial=0.0)
-            going = res >= tol
+            x = self.affine(z - u)
+            z = self.psd(x + u)
+            u = u + x - z
+            going = self.residual(z) >= tol
             if not going.all():
-                out[index[~going]], self.sweeps[index[~going]] = sweep[~going], count
-                index, y, sweep, both, res, f_prev, g_prev, last = (
-                    a[going] for a in (index, y, sweep, both, res, f_prev, g_prev, last)
-                )
+                out[index[~going]], self.sweeps[index[~going]] = z[~going], count
+                index, z, u = index[going], z[going], u[going]
                 if not index.size:
                     break
-            used = res < last
-            last = res
-            g = both[:, :n].reshape(len(index), -1)
-            f = g - y
-            df = (f - f_prev) * used[:, None]
-            num, den = np.einsum("ij,ij->i", df, f), np.einsum("ij,ij->i", df, df)
-            gamma = num / np.where(den > 0.0, den, np.inf)
-            y = g - gamma[:, None] * (g - g_prev)
-            f_prev, g_prev = f, g
         else:
-            out[index] = sweep
+            out[index] = z
         self.sweeps = self.sweeps.reshape(shape[:-3])
         return out.reshape(shape)
 

@@ -173,23 +173,3 @@ def born_prob(state, effect) -> float:
         raise ValueError(f"invalid effect/state pair: Tr(E rho) = {p!r}")
     return min(max(p.real, 0.0), 1.0)
 
-
-def fidelity(a, b) -> float:
-    """Uhlmann fidelity, squared-overlap convention: F(pure, pure) = |<psi|phi>|^2."""
-    ra = a.matrix if isinstance(a, DensityMatrix) else as_matrix(a)
-    rb = b.matrix if isinstance(b, DensityMatrix) else as_matrix(b)
-    if ra.shape != rb.shape:
-        raise ValueError("fidelity needs equal dimensions")
-    for m in (ra, rb):
-        if not np.isfinite(m).all():
-            raise ValueError("fidelity input is not finite")
-        if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < -PSD_TOL:
-            raise ValueError("fidelity input is not positive semidefinite")
-    wa, va = np.linalg.eigh((ra + ra.conj().T) / 2)
-    sqrt_a = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.conj().T
-    inner = sqrt_a @ rb @ sqrt_a
-    w = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
-    # sqrt amplifies eigenvalue noise of rank-deficient inputs; drop it
-    w[w < np.max(w, initial=0.0) * 1e-13] = 0.0
-    f = float(np.sum(np.sqrt(w)) ** 2)
-    return min(max(f, 0.0), 1.0)

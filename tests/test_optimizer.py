@@ -218,40 +218,25 @@ def _simplex_reference(values):
 
 
 def _reference_feasible(projector, rhos, tol, max_sweeps=200):
-    """The one-slot Anderson-mixed alternating projection written out for one set.
+    """The ADMM with no objective (Douglas-Rachford splitting) written out for one set.
 
-    Takes the Hermitian part before every eigendecomposition, pins every
-    trace after every affine step, and solves the mixing weight from the
-    one slot.  Returns the projected set and the number of sweeps it took.
+    Takes the Hermitian part before every eigendecomposition and projects
+    the eigenvalues one list at a time.  Returns the projected set and the
+    number of sweeps it took.
     """
     def psd(x):
         w, v = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
         p = np.array([_simplex_reference(list(row)) for row in w])
         return (v * p[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
-    hist_f, hist_g = [], []
-    last = math.inf
-    y = projector.affine(rhos)
+    z, u = rhos, np.zeros_like(rhos)
     for sweeps in range(1, max_sweeps + 1):
-        sweep = psd(y)
-        res = projector.residual(sweep)
-        if res < tol:
+        x = projector.affine(z - u)
+        z = psd(x + u)
+        u = u + x - z
+        if projector.residual(z) < tol:
             break
-        if res >= last:
-            hist_f, hist_g = [], []
-        last = res
-        g = projector.affine(sweep).reshape(-1).view(float)
-        f = g - y.reshape(-1).view(float)
-        a = [f - h for h in hist_f]
-        gamma = [0.0] * len(a)
-        if a:
-            a00, b0 = a[0] @ a[0], a[0] @ f
-            if a00 > 0.0:
-                gamma[0] = b0 / a00
-        mixed = g - sum(c * (g - h) for c, h in zip(gamma, hist_g))
-        hist_f, hist_g = [f], [g]
-        y = mixed.view(complex).reshape(rhos.shape)
-    return sweep, sweeps
+    return z, sweeps
 
 
 @pytest.mark.parametrize("game,dim", PROJECTOR_CASES)
@@ -609,7 +594,24 @@ class TestRestartStack:
     def test_rac23_d4_stops_are_pinned(self):
         result = search(make_rac_game(2, 3), SearchConfig(dim=4, restarts=2, seed=0))
         stops = [(r.stop_reason, r.iterations_used) for r in result.per_restart]
-        assert stops == [("window", 120), ("window", 60)]
+        assert stops == [("window", 150), ("window", 60)]
+
+    @pytest.mark.parametrize(
+        "game", [make_rac_game(2, 3), make_cglmp3_game()], ids=["rac23-d3", "cglmp3-d3"]
+    )
+    def test_sweeps_count_every_psd_call(self, game, monkeypatch):
+        # The start, the ADMM steps, each trial and the final polish all
+        # project through ``psd``, and a restart's record counts them all.
+        calls = []
+        psd = _Projector.psd
+
+        def counted(self, rhos):
+            calls.append(1)
+            return psd(self, rhos)
+
+        monkeypatch.setattr(_Projector, "psd", counted)
+        result = search(game, SearchConfig(dim=3, restarts=1, seed=0))
+        assert result.per_restart[0].sweeps == len(calls)
 
     @pytest.mark.parametrize(
         "game,dim,restarts",

@@ -8,7 +8,6 @@ from oblivious_games.qmath import (
     Ket,
     Povm,
     born_prob,
-    fidelity,
     is_hermitian,
     kron,
     partial_trace,
@@ -121,45 +120,6 @@ class TestBornProb:
             born_prob(state, effect)
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             born_prob(np.where(np.eye(2) > 0, 0.5, bad), np.eye(2))
-
-
-class TestFidelity:
-    def test_identical_pure(self):
-        rng = np.random.default_rng(3)
-        k = random_ket(rng, 4)
-        rho = DensityMatrix.from_ket(k)
-        assert abs(fidelity(rho, rho) - 1.0) < 1e-10
-
-    def test_orthogonal_pure(self):
-        a = DensityMatrix(np.diag([1.0, 0.0]))
-        b = DensityMatrix(np.diag([0.0, 1.0]))
-        assert fidelity(a, b) < 1e-12
-
-    def test_mixed_vs_pure_closed_form(self):
-        rng = np.random.default_rng(4)
-        mixed = DensityMatrix(np.eye(3) / 3)
-        pure = DensityMatrix.from_ket(random_ket(rng, 3))
-        assert abs(fidelity(mixed, pure) - 1 / 3) < 1e-12
-
-    def test_pure_overlap_convention(self):
-        rng = np.random.default_rng(6)
-        k1, k2 = random_ket(rng, 3), random_ket(rng, 3)
-        f = fidelity(DensityMatrix.from_ket(k1), DensityMatrix.from_ket(k2))
-        assert abs(f - abs(k1.overlap(k2)) ** 2) < 1e-10
-
-    def test_rejects_non_psd(self):
-        bad = np.diag([1.5, -0.5])
-        with pytest.raises(ValueError):
-            fidelity(bad, np.eye(2) / 2)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite(self, bad):
-        m = np.eye(2) / 2
-        m[0, 1] = m[1, 0] = bad
-        with pytest.raises(ValueError):
-            fidelity(m, np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            fidelity(np.eye(2) / 2, m)
 
 
 class TestInvariantValidation:
