@@ -49,13 +49,14 @@ _GAME = make_cglmp3_game()
 _BIJECTIONS = np.fromiter(permutations(range(6)), dtype=(np.intp, 6), count=720)
 
 # Monte Carlo programs per lockstep stack.  Each lockstep step pays a fixed
-# set of numpy calls in lp._bland and lp._pivot for the whole stack, so a
-# larger stack takes fewer steps: 5000 samples at seed 5 take 3288 steps at
-# 64, 1676 at 128 and 840 at 256.  One perfbench exp-mc operation (5000
-# samples of the bundled data, 2-core Xeon host, two runs each) takes
-# 0.40-0.41 s at 64, 0.33-0.34 s at 128 and 0.33-0.35 s at 256, while peak
-# RSS rises from 40.8-40.9 MB at 64 through 42.6-43.5 MB at 128 to 45.0-45.9
-# MB at 256.  Time stops falling after 128; memory does not.
+# set of numpy calls in lp._lockstep and lp._pivot for the whole stack, and
+# each stack pays once for its start tableau, so fewer, larger stacks cost
+# less: warm-started from the nominal basis, 5000 samples at seed 5 take
+# 454 steps at 64, 238 at 128 and 120 at 256.  One perfbench exp-mc
+# operation (5000 samples of the bundled data, 2-core Xeon host, two runs
+# each) takes 0.185-0.187 s at 64, 0.149-0.173 s at 128 and 0.150-0.157 s
+# at 256, while peak RSS rises from 41.0-41.2 MB at 64 through 42.4 MB at
+# 128 to 45.0 MB at 256.  Time hardly falls after 128; memory keeps rising.
 _MC_CHUNK = 128
 
 # Round-off leaves a secondary weight row within about 1e-14 of unit sum
@@ -426,11 +427,15 @@ def mc_uncertainty(
     systematic components are not modeled.  Samples are drawn ``_MC_CHUNK`` at
     a time as one stack of tables: their secondary-data programs are solved in
     lockstep, and the chunk's primary and secondary scores are one
-    ``games.performance`` call each.  The draws continue one random stream and
-    the lockstep solver keeps each program on the pivot path it takes alone,
-    so the chunk size does not change the result: the sigmas are equal bit for
-    bit at any chunk size.  ``seed`` is None (fresh entropy) or a non-negative
-    integer; anything else is a ``ValueError``.
+    ``games.performance`` call each.  Every program starts from the optimal
+    basis of the unperturbed tables' program, solved once, and re-optimizes
+    from there with the dual simplex (``lp.solve_many`` with a start basis);
+    a program that basis cannot serve is solved cold in the same call.  The
+    draws continue one random stream and the lockstep solver keeps each
+    program on the pivot path it takes alone, so the chunk size does not
+    change the result: the sigmas are equal bit for bit at any chunk size.
+    ``seed`` is None (fresh entropy) or a non-negative integer; anything else
+    is a ``ValueError``.
     """
     samples = check_integer(samples, "sample count")
     if samples < 100:
@@ -442,6 +447,7 @@ def mc_uncertainty(
     rows = _lab_rows(index)
     a3_pri = np.empty(samples)
     a3_sec = np.empty(samples)
+    nominal = lp.solve_many(_secondary_programs(data.normalized()[None], rows)).basis[0]
     for start in range(0, samples, _MC_CHUNK):
         size = min(_MC_CHUNK, samples - start)
         draw = data.probabilities + rng.normal(size=(size, 6, 2, 3)) * data.sigmas
@@ -449,7 +455,8 @@ def mc_uncertainty(
         sums = draw.sum(axis=3, keepdims=True)
         sums[sums <= 0.0] = 1.0
         tables = draw / sums
-        _, p_prime, _ = _secondary_result(lp.solve_many(_secondary_programs(tables, rows)), tables)
+        solutions = lp.solve_many(_secondary_programs(tables, rows), nominal)
+        _, p_prime, _ = _secondary_result(solutions, tables)
         a3_pri[start : start + size] = _score(tables, index)
         a3_sec[start : start + size] = _score(p_prime, index)
     return float(np.std(a3_pri)), float(np.std(a3_sec))

@@ -20,24 +20,42 @@ the final clamp at zero removes it.  Empty and redundant rows are zeroed in
 place rather than deleted, which keeps the stack one shape.  One stacked
 residual checks every optimal vertex against its original system.  The
 result is one ``LpSolutions``, the solver's own arrays with a row or entry
-per program (NaN values where a program is not optimal); entry ``p`` is the
-``LpSolution`` that ``solve`` gives for program ``p``.  A caller that reads
-the arrays builds no per-program object.
+per program (NaN values where a program is not optimal).  Without a start
+basis, entry ``p`` is the ``LpSolution`` that ``solve`` gives for program
+``p``.  A caller that reads the arrays builds no per-program object.
+
+``solve_many`` can also start a stack from one basis, such as the optimal
+basis of a nearby program.  Each program's tableau in that basis is
+B^-1 [A | b] over its reduced costs, for B its basic columns; a row whose
+start index is artificial was redundant there and is dropped.  Where that
+tableau is finite, well posed and dual feasible, the dual simplex (Lemke
+1954) with Bland's rule pivots it, in lockstep, until it is primal
+feasible and so optimal.  Every other program, and any that the dual
+simplex proves infeasible, runs the two-phase simplex in the same call,
+and its entry equals ``solve``.  A program served warm reaches the
+optimum of ``solve`` to round-off, but perhaps on another optimal vertex,
+so its values need not equal those of ``solve``.
 
 The simplex runs in two stages: ``_feasible`` (phase 1 and the drive-out
 of artificial variables) and ``_maximize`` (phase 2 from whatever basis it
-is given).  ``solve_many`` runs both on its stack.  A ``Polytope`` runs
+is given).  ``solve_many`` runs both on its stack, with ``_warm`` (the
+start tableau and the dual simplex) in place of ``_feasible`` for each
+program that its start basis serves.  A ``Polytope`` runs
 ``_feasible`` once on a stack of one, and each ``maximize`` re-optimizes a
 new objective from the basis the last one ended in; ``solve`` is the first
 ``maximize`` of a fresh polytope.  A step costs a few dozen numpy calls
 whatever the stack holds, which outweighs the arithmetic of a program of a
 dozen rows.  Such programs gain by taking fewer steps: a sequence of
 objectives over one polytope pays for phase 1 once, and a warm phase 2
-often takes a few pivots where a cold solve takes twenty.
+often takes a few pivots where a cold solve takes twenty.  A stack of
+programs close to one whose optimal basis is known skips phase 1, and the
+dual simplex from that basis takes a few pivots where a cold solve takes
+forty.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +123,7 @@ class LpSolutions:
     objective_value: np.ndarray
     pivots: np.ndarray
     phase1_pivots: np.ndarray
+    basis: np.ndarray  # (k, m), each program's last basis; see ``solve_many``
 
     def __len__(self) -> int:
         return len(self.status)
@@ -129,22 +148,55 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, k, row, col, column) -> None:
     basis[k, row] = col
 
 
+def _lockstep(tableau, basis, live, pivots, rule) -> np.ndarray:
+    """Pivot the live programs in lockstep by ``rule`` until each stops;
+    returns the mask of programs that stopped with the rule's flag set.
+
+    ``rule(t, b, k)`` takes the running stack and returns, per program,
+    whether it pivots, the flag it stops with, and its pivot row, column and
+    column entries.  The running programs form their own stack, which sheds
+    each program as it stops.
+    """
+    flagged = np.zeros_like(live)
+    index = np.flatnonzero(live)
+    t, b = (tableau, basis) if index.size == live.size else (tableau[index], basis[index])
+    k = np.arange(index.size)
+    for step in range(_MAX_PIVOTS):
+        if not index.size:
+            return flagged
+        going, flag, row, col, column = rule(t, b, k)
+        if not going.all():
+            stop = index[~going]
+            tableau[stop], basis[stop] = t[~going], b[~going]
+            pivots[stop] += step
+            flagged[stop] = flag[~going]
+            index, t, b, row, col, column = (
+                x[going] for x in (index, t, b, row, col, column)
+            )
+            if not index.size:
+                return flagged
+            k = np.arange(index.size)
+        _pivot(t, b, k, row, col, column)
+    raise RuntimeError("simplex failed to terminate")
+
+
+def _smallest_basic(rows, basis) -> np.ndarray:
+    """The row of smallest basic index among each program's ``rows`` (any
+    row when it has none)."""
+    if not basis.shape[1]:
+        return np.zeros(len(basis), dtype=int)
+    return np.where(rows, basis, np.iinfo(basis.dtype).max).argmin(axis=1)
+
+
 def _bland(tableau, basis, live, n_cols, pivots) -> np.ndarray:
     """Bland's rule in lockstep on the live programs until each is optimal or
     unbounded; returns the unbounded mask.
 
     The last row holds reduced costs of a MAXIMIZATION problem (entry > 0
     means the column improves the objective); the last column is the rhs.
-    The running programs form their own stack, which sheds each program as
-    it stops.
     """
-    unbounded = np.zeros_like(live)
-    index = np.flatnonzero(live)
-    t, b = (tableau, basis) if index.size == live.size else (tableau[index], basis[index])
-    k = np.arange(index.size)
-    for step in range(_MAX_PIVOTS):
-        if not index.size:
-            return unbounded
+
+    def rule(t, b, k):
         improving = t[:, -1, :n_cols] > PIVOT_TOL
         enter = improving.argmax(axis=1)
         column = t[k, :, enter]
@@ -153,22 +205,35 @@ def _bland(tableau, basis, live, n_cols, pivots) -> np.ndarray:
         ratios = t[:, :-1, -1] / np.where(bounding > PIVOT_TOL, bounding, np.nan)
         best = np.fmin.reduce(ratios, axis=1, initial=np.inf)
         improves = column[:, -1] > PIVOT_TOL
-        going = improves & (best < np.inf)
-        if not going.all():
-            stop = index[~going]
-            tableau[stop], basis[stop] = t[~going], b[~going]
-            pivots[stop] += step
-            unbounded[stop] = improves[~going]
-            index, t, b, enter, column, ratios, best = (
-                x[going] for x in (index, t, b, enter, column, ratios, best)
-            )
-            k = np.arange(index.size)
-            if not index.size:
-                return unbounded
         # Bland: among the minimum-ratio rows the smallest basic index leaves.
-        ties = ratios <= best[:, None] + PIVOT_TOL
-        _pivot(t, b, k, np.where(ties, b, tableau.shape[2]).argmin(axis=1), enter, column)
-    raise RuntimeError("simplex failed to terminate")
+        leave = _smallest_basic(ratios <= best[:, None] + PIVOT_TOL, b)
+        return improves & (best < np.inf), improves, leave, enter, column
+
+    return _lockstep(tableau, basis, live, pivots, rule)
+
+
+def _dual_bland(tableau, basis, live, n_cols, pivots) -> np.ndarray:
+    """The dual simplex with Bland's rule, in lockstep on the live programs,
+    from dual feasible bases until each is primal feasible or has a row that
+    proves it infeasible; returns the infeasible mask.
+
+    The tableau is laid out as for ``_bland``.  Among the rows with a
+    negative rhs the one of smallest basic index leaves; among the columns
+    with a negative entry in it, those whose reduced cost over that entry is
+    least tie, and the smallest enters.
+    """
+
+    def rule(t, b, k):
+        short = t[:, :-1, -1] < -PIVOT_TOL
+        leave = _smallest_basic(short, b)
+        row = t[k, leave, :n_cols]
+        ratios = t[:, -1, :n_cols] / np.where(row < -PIVOT_TOL, row, np.nan)
+        best = np.fmin.reduce(ratios, axis=1, initial=np.inf)
+        enter = (ratios <= best[:, None] + PIVOT_TOL).argmax(axis=1)
+        pending = short.any(axis=1)
+        return pending & (best < np.inf), pending, leave, enter, t[k, :, enter]
+
+    return _lockstep(tableau, basis, live, pivots, rule)
 
 
 def _phase_one(lp: LinearProgram) -> tuple:
@@ -254,13 +319,14 @@ def _feasible(lp: LinearProgram) -> tuple:
     return tableau, basis, infeasible, pivots
 
 
-def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> LpSolutions:
+def _maximize(tableau, basis, infeasible, phase1, lp, objectives, pivots=None) -> LpSolutions:
     """Phase 2 from each program's current basis, to each one's solution.
 
     ``tableau`` and ``basis`` come from ``_feasible`` or from an earlier
     call; they are updated in place, so they end at the last basis, which is
-    feasible for any objective.  ``phase1`` is the pivots to count before
-    phase 2, and ``objectives`` holds one row per program of ``lp``.
+    feasible for any objective.  ``phase1`` is the phase-1 pivots of each
+    program and ``pivots``, by default ``phase1``, all pivots before phase 2;
+    ``objectives`` holds one row per program of ``lp``.
     """
     k, m = basis.shape
     n = tableau.shape[2] - 1
@@ -282,7 +348,7 @@ def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> LpSolutions
         ),
         axis=1,
     )
-    pivots = phase1.copy()
+    pivots = (phase1 if pivots is None else pivots).copy()
     unbounded = _bland(tableau, basis, ~infeasible, n, pivots)
 
     values = np.zeros((k, n + m))
@@ -294,7 +360,7 @@ def _maximize(tableau, basis, infeasible, phase1, lp, objectives) -> LpSolutions
     values[stopped] = np.nan
     value[stopped] = np.nan
     status = np.where(infeasible, "infeasible", np.where(unbounded, "unbounded", "optimal"))
-    return LpSolutions(status, values, value, pivots, phase1)
+    return LpSolutions(status, values, value, pivots, phase1, basis.copy())
 
 
 def _checked(lp: LinearProgram, objectives, values, optimal) -> np.ndarray:
@@ -311,16 +377,96 @@ def _checked(lp: LinearProgram, objectives, values, optimal) -> np.ndarray:
     return (objectives[:, None, :] @ values[..., None])[:, 0, 0]
 
 
-def solve_many(programs: LinearProgram) -> LpSolutions:
-    """Two-phase simplex on a stacked ``LinearProgram``, in lockstep.
+def _inverse(matrices) -> np.ndarray:
+    """The inverse of each matrix of the stack; NaN where one is exactly
+    singular."""
+    try:
+        return np.linalg.inv(matrices)
+    except np.linalg.LinAlgError:
+        out = np.full(matrices.shape, np.nan)
+        for p, matrix in enumerate(matrices):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[p] = np.linalg.inv(matrix)
+        return out
 
-    Entry ``p`` of the result equals ``solve`` of program ``p``: same status,
-    pivots and bit-equal values.
+
+def _warm(lp: LinearProgram, start: np.ndarray) -> tuple:
+    """Each program's phase-2 tableau in basis ``start``, as ``_feasible``
+    lays it out, over its reduced costs; the basis, and the programs from
+    which the dual simplex can start there.
+
+    The rows whose start index is real come first, as B^-1 [a | b] for B
+    their start columns.  Each other row is dropped: it is zeroed under an
+    artificial basic, as the drive-out leaves a redundant row.  The dual
+    simplex can start where the tableau is finite and well posed (B^-1 B is
+    the identity to ``PIVOT_TOL``, and the dropped rows follow from the kept
+    ones as closely) and the basis is dual feasible.
+    """
+    k, m, n = lp.eq_matrix.shape
+    real = start < n
+    columns = start[real]
+    r = columns.size
+    tableau = np.zeros((k, m + 1, n + 1))
+    system = tableau[:, :m]
+    system[..., :n] = lp.eq_matrix
+    system[..., -1] = lp.eq_rhs
+    basic = lp.eq_matrix[:, :, columns]
+    # a singular B gives NaN, a nearly singular one may overflow
+    with np.errstate(invalid="ignore", over="ignore"):
+        solved = _inverse(basic[:, real]) @ system[:, real]
+        error = np.abs(solved[:, :, columns] - np.eye(r)).max(axis=(1, 2), initial=0.0)
+        implied = np.abs(basic[:, ~real] @ solved - system[:, ~real]).max(axis=(1, 2), initial=0.0)
+    system[:, :r] = solved
+    system[:, r:] = 0.0
+    rows = system[:, :r]
+    posed = np.maximum(error, implied) < PIVOT_TOL  # False where either is NaN
+    tableau[~posed] = 0.0  # no NaN reaches the cost row
+    rows[:, :, columns] = np.eye(r)  # exact unit vectors
+    basis = np.repeat(np.concatenate([columns, n + np.arange(r, m)])[None], k, axis=0)
+    tableau[:, -1, :n] = lp.objective
+    tableau[:, -1] -= (lp.objective[:, None, columns] @ rows)[:, 0]
+    return tableau, basis, posed & (tableau[:, -1, :n] <= PIVOT_TOL).all(axis=1)
+
+
+def solve_many(programs: LinearProgram, start=None) -> LpSolutions:
+    """Simplex on a stacked ``LinearProgram``, in lockstep.
+
+    Without ``start`` every program runs the two-phase simplex, and entry
+    ``p`` of the result equals ``solve`` of program ``p``: same status,
+    pivots and bit-equal values.  ``start`` is one row of an
+    ``LpSolutions.basis``, such as the optimal basis of a program close to
+    all of these.  Each program that can start there (see ``_warm``) runs
+    the dual simplex, then phase 2, and ends optimal with ``phase1_pivots``
+    0: at the optimum ``solve`` reaches, though perhaps on another optimal
+    vertex.  Every other program, and each that the dual simplex proves
+    infeasible, runs the two-phase simplex in the same call, and its entry
+    equals ``solve``.
+
+    Row ``p`` of the result's ``basis`` is program ``p``'s last basis; where
+    the program is optimal, an index >= n marks a row zeroed as redundant.
     """
     if not isinstance(programs, LinearProgram):
         raise TypeError(f"expected one stacked LinearProgram, got {type(programs).__name__}")
-    tableau, basis, infeasible, pivots = _feasible(programs)
-    return _maximize(tableau, basis, infeasible, pivots, programs, programs.objective)
+    if start is None:
+        tableau, basis, infeasible, pivots = _feasible(programs)
+        return _maximize(tableau, basis, infeasible, pivots, programs, programs.objective)
+    start = np.asarray(start)
+    m = programs.eq_rhs.shape[1]
+    if start.shape != (m,) or start.dtype.kind not in "iu" or (start < 0).any():
+        raise ValueError(f"start must be a basis of {m} non-negative indices, got {start!r}")
+    tableau, basis, served = _warm(programs, start)
+    pivots = np.zeros(len(served), dtype=int)
+    served &= ~_dual_bland(tableau, basis, served, programs.eq_matrix.shape[2], pivots)
+    infeasible = np.zeros_like(served)
+    phase1 = np.zeros_like(pivots)
+    cold = np.flatnonzero(~served)
+    if cold.size:
+        rest = LinearProgram(
+            programs.objective[cold], programs.eq_matrix[cold], programs.eq_rhs[cold]
+        )
+        tableau[cold], basis[cold], infeasible[cold], phase1[cold] = _feasible(rest)
+        pivots[cold] = phase1[cold]
+    return _maximize(tableau, basis, infeasible, phase1, programs, programs.objective, pivots)
 
 
 class Polytope:

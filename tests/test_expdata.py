@@ -432,13 +432,18 @@ class TestMonteCarlo:
         sp, ss = mc_uncertainty(bundled, pinned_mapping(), 1100, seed=501013)
         assert 0.0 < sp < ss < 0.01
 
-    # Measured with the per-sample solver, before samples were solved in
-    # stacks; 333 is not a whole number of stacks.
+    # Measured with every program warm-started from the nominal optimal
+    # basis; 333 is not a whole number of stacks.  A cold solve of each
+    # program gave sigma_secondary 0.0015892665184562573 and
+    # 0.0014903278153701532: from the nominal basis about a sixth of the
+    # programs end on another optimal vertex of the same objective, which
+    # test_lp.py checks against the cold solve to 1e-12.  sigma_primary
+    # solves no program.
     @pytest.mark.parametrize(
         "samples,seed,sigmas",
         [
-            (500, 5, (0.000989304053539773, 0.0015892665184562573)),
-            (333, 7, (0.0009013683826709646, 0.0014903278153701532)),
+            (500, 5, (0.000989304053539773, 0.0015905686992332164)),
+            (333, 7, (0.0009013683826709646, 0.0014906526796049694)),
         ],
     )
     def test_sigmas_are_pinned(self, bundled, samples, seed, sigmas):

@@ -244,6 +244,88 @@ def test_monte_carlo_builds_no_per_program_solution(monkeypatch, data_dir):
     assert all(np.isfinite(sigmas))
 
 
+def _warm_start_stack():
+    """A program with a redundant row, its optimal basis, and programs of its
+    shape labelled by what that basis is to them."""
+    rng = np.random.default_rng(11)
+    n = 8
+    a = rng.normal(size=(2, n))
+    x0 = rng.random(n)
+    # the last row repeats the first, so the drive-out zeroes one row
+    eq = np.vstack([a, np.ones(n), a[0]])
+    c = rng.normal(size=n)
+    start = solve_many(LinearProgram(c, eq, eq @ x0)).basis[0]
+    programs = []
+    for _ in range(6):  # new right-hand sides leave the basis dual feasible
+        x = rng.random(n) * (rng.random(n) < 0.5)
+        programs.append((LinearProgram(c, eq, eq @ x), "dual feasible"))
+    programs.append((LinearProgram(-c, eq, eq @ x0), "dual infeasible"))
+    singular = eq.copy()
+    singular[:, start[0]] = 0.0
+    programs.append((LinearProgram(c, singular, singular @ x0), "singular"))
+    rhs = eq @ x0
+    rhs[2] = -1.0  # no nonnegative point sums to -1
+    programs.append((LinearProgram(c, eq, rhs), "infeasible"))
+    unrelated = eq.copy()
+    unrelated[3] = rng.normal(size=n)
+    programs.append((LinearProgram(c, unrelated, unrelated @ x0), "dropped row not implied"))
+    return start, programs
+
+
+def test_warm_start_serves_only_dual_feasible_bases():
+    start, labelled = _warm_start_stack()
+    assert (start >= 8).sum() == 1
+    programs, kinds = zip(*labelled)
+    stack = _one_stack(programs)
+    warm = solve_many(stack, start)
+    cold = solve_many(stack)
+    assert list(cold.status) == ["optimal"] * 8 + ["infeasible", "optimal"]
+    assert warm.basis.shape == (len(programs), 4)
+    for p, kind in enumerate(kinds):
+        if kind == "dual feasible":
+            assert warm.status[p] == "optimal" and warm.phase1_pivots[p] == 0
+            assert abs(warm.objective_value[p] - cold.objective_value[p]) < 1e-12
+            alone = solve_many(programs[p], start)
+            assert warm.values[p].tobytes() == alone.values[0].tobytes()
+            assert warm.pivots[p] == alone.pivots[0]
+        else:
+            assert warm.status[p] == cold.status[p]
+            assert warm.values[p].tobytes() == cold.values[p].tobytes()
+            assert warm.objective_value[p].tobytes() == cold.objective_value[p].tobytes()
+            assert warm.pivots[p] == cold.pivots[p]
+            assert warm.phase1_pivots[p] == cold.phase1_pivots[p] > 0
+    served = warm.pivots[: kinds.count("dual feasible")]
+    assert served.min() == 0 < served.max()  # some need the dual simplex, some not
+
+
+def test_start_basis_checked():
+    program = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0])
+    for bad in ([0, 1], [-1], [0.5], [[0]], "0"):
+        with pytest.raises(ValueError, match="start"):
+            solve_many(program, bad)
+
+
+@pytest.mark.parametrize("samples,seed", [(500, 5), (333, 7), (1100, 501013)])
+def test_monte_carlo_warm_objective_equals_cold(monkeypatch, data_dir, samples, seed):
+    data = expdata.load_primary(
+        data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
+    )
+    original = lp.solve_many
+    compared = []
+
+    def both(programs, start=None):
+        warm = original(programs, start)
+        if start is not None:
+            gap = np.abs(warm.objective_value - original(programs).objective_value)
+            compared.append((gap.size, float(gap.max())))
+        return warm
+
+    monkeypatch.setattr(lp, "solve_many", both)
+    expdata.mc_uncertainty(data, expdata.pinned_mapping(), samples, seed=seed)
+    assert sum(size for size, _ in compared) == samples
+    assert max(gap for _, gap in compared) < 1e-12
+
+
 def test_stack_needs_one_shape():
     empty = LinearProgram(np.zeros((0, 2)), np.zeros((0, 1, 2)), np.zeros((0, 1)))
     assert len(solve_many(empty)) == 0

@@ -143,14 +143,10 @@ def test_category_as_one_stack(category):
         assert ours.pivots == solve(alone).pivots
 
 
-def test_secondary_optimum_on_bundled_tables(data_dir):
-    data = expdata.load_primary(
-        data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
-    )
-    mapping = expdata.pinned_mapping()
-    tables = data.normalized()
-    # the program written out independently: W[t, s] at t * 6 + s, unit row
-    # sums, and equal sums of the mixed tables over the two values of x
+def secondary_program(tables, mapping):
+    """The secondary-data program of ``tables`` written out independently:
+    W[t, s] at t * 6 + s, unit row sums, and equal sums of the mixed tables
+    over the two values of x.  Returns (objective, A, b)."""
     sign = [1.0 if mapping.state_map[lab][1] == 0 else -1.0 for lab in expdata.STATES]
     rows = []
     for t in range(6):
@@ -163,10 +159,38 @@ def test_secondary_optimum_on_bundled_tables(data_dir):
             for t in range(6):
                 row[6 * t : 6 * t + 6] = sign[t] * tables[:, i, p]
             rows.append(row)
-    objective = np.eye(6).ravel() / 6
-    b = np.concatenate([np.ones(6), np.zeros(6)])
-    ours = assert_agrees(objective, np.asarray(rows), b)
+    return np.eye(6).ravel() / 6, np.asarray(rows), np.concatenate([np.ones(6), np.zeros(6)])
+
+
+def test_secondary_optimum_on_bundled_tables(data_dir):
+    data = expdata.load_primary(
+        data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
+    )
+    mapping = expdata.pinned_mapping()
+    ours = assert_agrees(*secondary_program(data.normalized(), mapping))
     assert abs(expdata.secondary_data(data, mapping).s - ours.objective_value) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_warm_started_perturbed_secondary_programs(data_dir, seed):
+    # each stack starts from the optimal basis of the bundled tables' program,
+    # as the Monte Carlo does, with the tables perturbed by their sigmas
+    data = expdata.load_primary(
+        data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
+    )
+    mapping = expdata.pinned_mapping()
+    start = solve_many(LinearProgram(*secondary_program(data.normalized(), mapping))).basis[0]
+    rng = np.random.default_rng(700 + seed)
+    programs = []
+    for _ in range(16):
+        draw = np.clip(data.probabilities + rng.normal(size=(6, 2, 3)) * data.sigmas, 0.0, 1.0)
+        programs.append(secondary_program(draw / draw.sum(axis=2, keepdims=True), mapping))
+    stack = LinearProgram(*(np.stack(field) for field in zip(*programs)))
+    for program, ours in zip(programs, solve_many(stack, start)):
+        assert ours.status == "optimal" and ours.phase1_pivots == 0
+        ref = linprog(-program[0], A_eq=program[1], b_eq=program[2], method="highs")
+        assert ref.status == 0
+        assert abs(ours.objective_value + ref.fun) < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -318,14 +318,14 @@ class TestProjector:
         assert np.max(np.abs(stacked - np.stack(alone))) < 1e-12
         assert (projector.residual(stacked) < 1e-9).all()
 
-    def test_mixing_halves_the_plain_sweeps(self, game, dim):
+    def test_douglas_rachford_halves_the_alternating_projection_sweeps(self, game, dim):
         projector = _Projector(game, dim)
         rng = np.random.default_rng(6)
         trials = [_trial_states(game, projector, rng) for _ in range(10)]
         sweeps = _count_sweeps(projector)
         for rhos in trials:
             projector.feasible(rhos, 1e-9)
-        mixed = len(sweeps)
+        splitting = len(sweeps)
         sweeps.clear()
         for rhos in trials:  # the plain alternating projection, as reference
             out = rhos
@@ -333,7 +333,7 @@ class TestProjector:
                 out = projector.psd(projector.affine(out))
                 if projector.residual(out) < 1e-9:
                     break
-        assert mixed <= len(sweeps) / 2
+        assert splitting <= len(sweeps) / 2
 
     def test_matches_reference_loop(self, game, dim):
         projector = _Projector(game, dim)
