@@ -318,7 +318,9 @@ class TestProjector:
         assert np.max(np.abs(stacked - np.stack(alone))) < 1e-12
         assert (projector.residual(stacked) < 1e-9).all()
 
-    def test_douglas_rachford_halves_the_alternating_projection_sweeps(self, game, dim):
+    def test_mixing_halves_the_plain_sweeps(self, game, dim):
+        # the Douglas-Rachford splitting mixes the two projections; the plain
+        # alternating projection is the reference
         projector = _Projector(game, dim)
         rng = np.random.default_rng(6)
         trials = [_trial_states(game, projector, rng) for _ in range(10)]
