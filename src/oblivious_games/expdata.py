@@ -52,11 +52,13 @@ _BIJECTIONS = np.fromiter(permutations(range(6)), dtype=(np.intp, 6), count=720)
 # set of numpy calls in lp._lockstep and lp._pivot for the whole stack, and
 # each stack pays once for its start tableau, so fewer, larger stacks cost
 # less: warm-started from the nominal basis, 5000 samples at seed 5 take
-# 454 steps at 64, 238 at 128 and 120 at 256.  One perfbench exp-mc
-# operation (5000 samples of the bundled data, 2-core Xeon host, two runs
-# each) takes 0.185-0.187 s at 64, 0.149-0.173 s at 128 and 0.150-0.157 s
-# at 256, while peak RSS rises from 41.0-41.2 MB at 64 through 42.4 MB at
-# 128 to 45.0 MB at 256.  Time hardly falls after 128; memory keeps rising.
+# 492 pivot steps at 64, 276 at 128 and 158 at 256, the nominal program's
+# 38 included.  One perfbench exp-mc operation (5000 samples of the bundled
+# data, 2-core Xeon host, two runs each) takes 0.144-0.150 s at 64,
+# 0.103-0.114 s at 128 and 0.100-0.102 s at 256, while peak RSS rises from
+# 41.2 MB at 64 through 42.1 MB at 128 to 43.9-44.3 MB at 256; a
+# 5000-sample call after a warm-up one takes 179, 916 and 865 minor page
+# faults.  Time hardly falls after 128; memory keeps rising.
 _MC_CHUNK = 128
 
 # Round-off leaves a secondary weight row within about 1e-14 of unit sum
@@ -345,17 +347,20 @@ def secondary_weights(tables: np.ndarray, rows: np.ndarray) -> tuple:
     return weights[0], p_prime[0], float(s[0])
 
 
-def _secondary_programs(stack: np.ndarray, rows: np.ndarray) -> lp.LinearProgram:
-    """The secondary-data programs of the sets of tables in ``stack``, as one stack."""
+def _secondary_programs(stack: np.ndarray, rows: np.ndarray, out=None) -> lp.LinearProgram:
+    """The secondary-data programs of the sets of tables in ``stack``, as one
+    stack; their equality matrices are built in ``out`` when it is given."""
     k, n = stack.shape[:2]
+    tables = stack.reshape(k, n, -1)
+    entries = tables.shape[2]
     # Variable t * n + s is W[t, s]; n unit-sum rows, then one equality per
     # constraint row and table entry, ordered by row, then by entry.
-    mixed = np.einsum("rt,kse->krets", rows, stack.reshape(k, n, -1)).reshape(k, -1, n * n)
-    a_eq = np.empty((k, n + mixed.shape[1], n * n))
+    a_eq = np.empty((k, n + len(rows) * entries, n * n)) if out is None else out
     a_eq[:, :n] = np.repeat(np.eye(n), n, axis=1)
-    a_eq[:, n:] = mixed
+    mixed = a_eq[:, n:].reshape(k, len(rows), entries, n, n)  # a view: axes only split
+    np.einsum("rt,kse->krets", rows, tables, out=mixed)
     objective = np.eye(n).ravel() / n
-    b_eq = np.concatenate([np.ones(n), np.zeros(mixed.shape[1])])
+    b_eq = np.concatenate([np.ones(n), np.zeros(a_eq.shape[1] - n)])
     return lp.LinearProgram(
         np.broadcast_to(objective, (k, n * n)), a_eq, np.broadcast_to(b_eq, a_eq.shape[:2])
     )
@@ -431,6 +436,10 @@ def mc_uncertainty(
     basis of the unperturbed tables' program, solved once, and re-optimizes
     from there with the dual simplex (``lp.solve_many`` with a start basis);
     a program that basis cannot serve is solved cold in the same call.  The
+    call allocates two buffers, for a stack's equality matrices and for its
+    start tableaux (the ``work`` of ``lp.solve_many``), and every stack
+    builds into leading slices of them, reusing memory already faulted in
+    rather than faulting in its own; nothing is kept between calls.  The
     draws continue one random stream and the lockstep solver keeps each
     program on the pivot path it takes alone, so the chunk size does not
     change the result: the sigmas are equal bit for bit at any chunk size.
@@ -447,15 +456,23 @@ def mc_uncertainty(
     rows = _lab_rows(index)
     a3_pri = np.empty(samples)
     a3_sec = np.empty(samples)
-    nominal = lp.solve_many(_secondary_programs(data.normalized()[None], rows)).basis[0]
-    for start in range(0, samples, _MC_CHUNK):
-        size = min(_MC_CHUNK, samples - start)
+    program = _secondary_programs(data.normalized()[None], rows)
+    nominal = lp.solve_many(program).basis[0]
+    # Every stack builds its equality matrices and start tableaux in leading
+    # slices of these two buffers, held for the whole call.
+    _, m, n = program.eq_matrix.shape
+    chunk = min(_MC_CHUNK, samples)
+    eq_matrices = np.empty((chunk, m, n))
+    work = np.empty((chunk, m + 1, n + 1))
+    for start in range(0, samples, chunk):
+        size = min(chunk, samples - start)
         draw = data.probabilities + rng.normal(size=(size, 6, 2, 3)) * data.sigmas
         np.clip(draw, 0.0, 1.0, out=draw)
         sums = draw.sum(axis=3, keepdims=True)
         sums[sums <= 0.0] = 1.0
         tables = draw / sums
-        solutions = lp.solve_many(_secondary_programs(tables, rows), nominal)
+        programs = _secondary_programs(tables, rows, out=eq_matrices[:size])
+        solutions = lp.solve_many(programs, nominal, work=work[:size])
         _, p_prime, _ = _secondary_result(solutions, tables)
         a3_pri[start : start + size] = _score(tables, index)
         a3_sec[start : start + size] = _score(p_prime, index)

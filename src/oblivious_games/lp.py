@@ -27,10 +27,13 @@ basis, entry ``p`` is the ``LpSolution`` that ``solve`` gives for program
 ``solve_many`` can also start a stack from one basis, such as the optimal
 basis of a nearby program.  Each program's tableau in that basis is
 B^-1 [A | b] over its reduced costs, for B its basic columns; a row whose
-start index is artificial was redundant there and is dropped.  Where that
+start index is artificial was redundant there and is dropped.  It is
+built in place, in a caller's ``work`` buffer when one is given, from one
+copy of the kept rows, one stacked inverse and one product.  Where that
 tableau is finite, well posed and dual feasible, the dual simplex (Lemke
 1954) with Bland's rule pivots it, in lockstep, until it is primal
-feasible and so optimal.  Every other program, and any that the dual
+feasible and so optimal; its pivots keep the cost row current, so phase 2
+prices it no second time.  Every other program, and any that the dual
 simplex proves infeasible, runs the two-phase simplex in the same call,
 and its entry equals ``solve``.  A program served warm reaches the
 optimum of ``solve`` to round-off, but perhaps on another optimal vertex,
@@ -38,19 +41,20 @@ so its values need not equal those of ``solve``.
 
 The simplex runs in two stages: ``_feasible`` (phase 1 and the drive-out
 of artificial variables) and ``_maximize`` (phase 2 from whatever basis it
-is given).  ``solve_many`` runs both on its stack, with ``_warm`` (the
-start tableau and the dual simplex) in place of ``_feasible`` for each
-program that its start basis serves.  A ``Polytope`` runs
-``_feasible`` once on a stack of one, and each ``maximize`` re-optimizes a
-new objective from the basis the last one ended in; ``solve`` is the first
-``maximize`` of a fresh polytope.  A step costs a few dozen numpy calls
-whatever the stack holds, which outweighs the arithmetic of a program of a
-dozen rows.  Such programs gain by taking fewer steps: a sequence of
-objectives over one polytope pays for phase 1 once, and a warm phase 2
-often takes a few pivots where a cold solve takes twenty.  A stack of
-programs close to one whose optimal basis is known skips phase 1, and the
-dual simplex from that basis takes a few pivots where a cold solve takes
-forty.
+is given, pricing the programs whose cost row is stale; only a program
+with an improving column enters Bland's rule).  ``solve_many`` runs both
+on its stack, with ``_warm`` (the start tableau and the dual simplex) in
+place of ``_feasible`` for each program that its start basis serves.  A
+``Polytope`` runs ``_feasible`` once on a stack of one, and each
+``maximize`` re-optimizes a new objective from the basis the last one
+ended in; ``solve`` is the first ``maximize`` of a fresh polytope.  A step
+costs a few dozen numpy calls whatever the stack holds, which outweighs
+the arithmetic of a program of a dozen rows.  Such programs gain by
+taking fewer steps: a sequence of objectives over one polytope pays for
+phase 1 once, and a warm phase 2 often takes a few pivots where a cold
+solve takes twenty.  A stack of programs close to one whose optimal basis
+is known skips phase 1, and the dual simplex from that basis takes a few
+pivots where a cold solve takes forty.
 """
 
 from __future__ import annotations
@@ -319,15 +323,9 @@ def _feasible(lp: LinearProgram) -> tuple:
     return tableau, basis, infeasible, pivots
 
 
-def _maximize(tableau, basis, infeasible, phase1, lp, objectives, pivots=None) -> LpSolutions:
-    """Phase 2 from each program's current basis, to each one's solution.
-
-    ``tableau`` and ``basis`` come from ``_feasible`` or from an earlier
-    call; they are updated in place, so they end at the last basis, which is
-    feasible for any objective.  ``phase1`` is the phase-1 pivots of each
-    program and ``pivots``, by default ``phase1``, all pivots before phase 2;
-    ``objectives`` holds one row per program of ``lp``.
-    """
+def _reduced_costs(tableau, basis, objectives) -> np.ndarray:
+    """Each program's cost row, [reduced costs | -objective value], in its
+    current basis."""
     k, m = basis.shape
     n = tableau.shape[2] - 1
     # Basic columns are exact unit vectors, so eliminating one row's basic
@@ -337,22 +335,42 @@ def _maximize(tableau, basis, infeasible, phase1, lp, objectives, pivots=None) -
     # is left out.  Artificials left basic on zeroed rows cost nothing.
     cost = np.zeros((k, n + m + 1))
     cost[:, :n] = objectives
-    stack = np.arange(k)[:, None]
-    factor = cost[stack, basis]
+    factor = cost[np.arange(k)[:, None], basis]
     costed = np.flatnonzero(factor.any(axis=0))
     factor = factor[:, costed, None]
-    tableau[:, -1] = np.subtract.reduce(
+    return np.subtract.reduce(
         np.concatenate(
             [cost[:, None, : n + 1], np.where(factor != 0.0, factor * tableau[:, costed], 0.0)],
             axis=1,
         ),
         axis=1,
     )
+
+
+def _maximize(
+    tableau, basis, infeasible, phase1, lp, objectives, pivots=None, stale=slice(None)
+) -> LpSolutions:
+    """Phase 2 from each program's current basis, to each one's solution.
+
+    ``tableau`` and ``basis`` come from ``_feasible``, ``_warm`` or an
+    earlier call; they are updated in place, so they end at the last basis,
+    which is feasible for any objective.  ``phase1`` is the phase-1 pivots of
+    each program and ``pivots``, by default ``phase1``, all pivots before
+    phase 2; ``objectives`` holds one row per program of ``lp``.  The cost
+    rows of the programs ``stale`` selects, by default all, are priced for
+    ``objectives``; the others are current already.  Only a program with a
+    reduced cost above ``PIVOT_TOL`` enters Bland's rule: any other would
+    stop there at once.
+    """
+    k, m = basis.shape
+    n = tableau.shape[2] - 1
+    tableau[stale, -1] = _reduced_costs(tableau[stale], basis[stale], objectives[stale])
     pivots = (phase1 if pivots is None else pivots).copy()
-    unbounded = _bland(tableau, basis, ~infeasible, n, pivots)
+    improvable = ~infeasible & (tableau[:, -1, :n] > PIVOT_TOL).any(axis=1)
+    unbounded = _bland(tableau, basis, improvable, n, pivots)
 
     values = np.zeros((k, n + m))
-    values[stack, basis] = tableau[:, :m, -1]
+    values[np.arange(k)[:, None], basis] = tableau[:, :m, -1]
     values = values[:, :n]
     np.maximum(values, 0.0, out=values)  # remove sub-tolerance pivot noise
     stopped = infeasible | unbounded
@@ -390,73 +408,107 @@ def _inverse(matrices) -> np.ndarray:
         return out
 
 
-def _warm(lp: LinearProgram, start: np.ndarray) -> tuple:
-    """Each program's phase-2 tableau in basis ``start``, as ``_feasible``
-    lays it out, over its reduced costs; the basis, and the programs from
-    which the dual simplex can start there.
+def _warm(lp: LinearProgram, start: np.ndarray, tableau: np.ndarray) -> tuple:
+    """Each program's phase-2 tableau in basis ``start``, built in
+    ``tableau`` as ``_feasible`` lays it out, over its reduced costs; the
+    basis, and the programs from which the dual simplex can start there.
 
     The rows whose start index is real come first, as B^-1 [a | b] for B
-    their start columns.  Each other row is dropped: it is zeroed under an
-    artificial basic, as the drive-out leaves a redundant row.  The dual
-    simplex can start where the tableau is finite and well posed (B^-1 B is
-    the identity to ``PIVOT_TOL``, and the dropped rows follow from the kept
-    ones as closely) and the basis is dual feasible.
+    their start columns: one copy of those rows of [a | b], one stacked
+    inverse and one product written into ``tableau``.  Each other row is
+    dropped: it is zeroed under an artificial basic, as the drive-out leaves
+    a redundant row.  The dual simplex can start where the tableau is finite
+    and well posed (B^-1 B is the identity to ``PIVOT_TOL``, and the dropped
+    rows follow from the kept ones as closely) and the basis is dual
+    feasible.
     """
     k, m, n = lp.eq_matrix.shape
-    real = start < n
-    columns = start[real]
+    kept = np.flatnonzero(start < n)
+    dropped = np.flatnonzero(start >= n)
+    columns = start[kept]
     r = columns.size
-    tableau = np.zeros((k, m + 1, n + 1))
-    system = tableau[:, :m]
-    system[..., :n] = lp.eq_matrix
-    system[..., -1] = lp.eq_rhs
-    basic = lp.eq_matrix[:, :, columns]
+    system = np.empty((k, r, n + 1))
+    # the indices are in range; "clip" writes straight into out, "raise" via a copy
+    np.take(lp.eq_matrix, kept, axis=1, out=system[..., :n], mode="clip")
+    system[..., -1] = lp.eq_rhs[:, kept]
+    rows = tableau[:, :r]
     # a singular B gives NaN, a nearly singular one may overflow
     with np.errstate(invalid="ignore", over="ignore"):
-        solved = _inverse(basic[:, real]) @ system[:, real]
-        error = np.abs(solved[:, :, columns] - np.eye(r)).max(axis=(1, 2), initial=0.0)
-        implied = np.abs(basic[:, ~real] @ solved - system[:, ~real]).max(axis=(1, 2), initial=0.0)
-    system[:, :r] = solved
-    system[:, r:] = 0.0
-    rows = system[:, :r]
+        np.matmul(_inverse(system[..., columns]), system, out=rows)
+        error = np.abs(rows[..., columns] - np.eye(r)).max(axis=(1, 2), initial=0.0)
+        implied = lp.eq_matrix[:, dropped][..., columns] @ rows
+        implied[..., :n] -= lp.eq_matrix[:, dropped]
+        implied[..., -1] -= lp.eq_rhs[:, dropped]
+        implied = np.abs(implied).max(axis=(1, 2), initial=0.0)
+    tableau[:, r:m] = 0.0
     posed = np.maximum(error, implied) < PIVOT_TOL  # False where either is NaN
     tableau[~posed] = 0.0  # no NaN reaches the cost row
-    rows[:, :, columns] = np.eye(r)  # exact unit vectors
+    rows[..., columns] = np.eye(r)  # exact unit vectors
     basis = np.repeat(np.concatenate([columns, n + np.arange(r, m)])[None], k, axis=0)
-    tableau[:, -1, :n] = lp.objective
-    tableau[:, -1] -= (lp.objective[:, None, columns] @ rows)[:, 0]
-    return tableau, basis, posed & (tableau[:, -1, :n] <= PIVOT_TOL).all(axis=1)
+    cost = tableau[:, -1]
+    cost[:, :n] = lp.objective
+    cost[:, -1] = 0.0
+    cost -= (lp.objective[:, None, columns] @ rows)[:, 0]
+    return basis, posed & (cost[:, :n] <= PIVOT_TOL).all(axis=1)
 
 
-def solve_many(programs: LinearProgram, start=None) -> LpSolutions:
+def solve_many(programs: LinearProgram, start=None, work=None) -> LpSolutions:
     """Simplex on a stacked ``LinearProgram``, in lockstep.
 
     Without ``start`` every program runs the two-phase simplex, and entry
     ``p`` of the result equals ``solve`` of program ``p``: same status,
     pivots and bit-equal values.  ``start`` is one row of an
     ``LpSolutions.basis``, such as the optimal basis of a program close to
-    all of these.  Each program that can start there (see ``_warm``) runs
-    the dual simplex, then phase 2, and ends optimal with ``phase1_pivots``
+    all of these: m distinct indices below n + m.  Each program that can
+    start there (see ``_warm``) runs the dual simplex, then phase 2 from the
+    cost row the dual simplex kept, and ends optimal with ``phase1_pivots``
     0: at the optimum ``solve`` reaches, though perhaps on another optimal
     vertex.  Every other program, and each that the dual simplex proves
     infeasible, runs the two-phase simplex in the same call, and its entry
     equals ``solve``.
+
+    ``work``, allowed only with ``start``, is a writeable C-contiguous
+    float64 array of shape (k, m + 1, n + 1) in which the start tableaux are
+    built and pivoted, so that a caller solving stack after stack reuses
+    one buffer; by default a fresh one is allocated.  It changes no result,
+    and the result does not refer to it.
 
     Row ``p`` of the result's ``basis`` is program ``p``'s last basis; where
     the program is optimal, an index >= n marks a row zeroed as redundant.
     """
     if not isinstance(programs, LinearProgram):
         raise TypeError(f"expected one stacked LinearProgram, got {type(programs).__name__}")
+    k, m, n = programs.eq_matrix.shape
     if start is None:
+        if work is not None:
+            raise ValueError("work is the buffer of a start tableau; it needs a start basis")
         tableau, basis, infeasible, pivots = _feasible(programs)
         return _maximize(tableau, basis, infeasible, pivots, programs, programs.objective)
     start = np.asarray(start)
-    m = programs.eq_rhs.shape[1]
-    if start.shape != (m,) or start.dtype.kind not in "iu" or (start < 0).any():
-        raise ValueError(f"start must be a basis of {m} non-negative indices, got {start!r}")
-    tableau, basis, served = _warm(programs, start)
-    pivots = np.zeros(len(served), dtype=int)
-    served &= ~_dual_bland(tableau, basis, served, programs.eq_matrix.shape[2], pivots)
+    if (
+        start.shape != (m,)
+        or start.dtype.kind not in "iu"
+        or (start < 0).any()
+        or (start >= n + m).any()
+        or len(set(start.tolist())) != m
+    ):
+        raise ValueError(
+            f"start must be a basis of {m} distinct indices below {n + m}, got {start!r}"
+        )
+    shape = (k, m + 1, n + 1)
+    if work is None:
+        work = np.empty(shape)
+    elif not (
+        isinstance(work, np.ndarray)
+        and work.dtype == np.float64
+        and work.shape == shape
+        and work.flags.c_contiguous
+        and work.flags.writeable
+    ):
+        raise ValueError(f"work must be a writeable C-contiguous float64 array of shape {shape}")
+    basis, served = _warm(programs, start, work)
+    pivots = np.zeros(k, dtype=int)
+    served &= ~_dual_bland(work, basis, served, n, pivots)
     infeasible = np.zeros_like(served)
     phase1 = np.zeros_like(pivots)
     cold = np.flatnonzero(~served)
@@ -464,9 +516,9 @@ def solve_many(programs: LinearProgram, start=None) -> LpSolutions:
         rest = LinearProgram(
             programs.objective[cold], programs.eq_matrix[cold], programs.eq_rhs[cold]
         )
-        tableau[cold], basis[cold], infeasible[cold], phase1[cold] = _feasible(rest)
+        work[cold], basis[cold], infeasible[cold], phase1[cold] = _feasible(rest)
         pivots[cold] = phase1[cold]
-    return _maximize(tableau, basis, infeasible, phase1, programs, programs.objective, pivots)
+    return _maximize(work, basis, infeasible, phase1, programs, programs.objective, pivots, cold)
 
 
 class Polytope:

@@ -425,6 +425,32 @@ class TestMonteCarlo:
             results[chunk] = mc_uncertainty(bundled, pin, 300, seed=13)
         assert all(r == results[1] for r in results.values()), results
 
+    def test_stacks_reuse_one_buffer_per_call(self, bundled, monkeypatch):
+        solve_many = expdata.lp.solve_many
+        calls = []
+
+        def recording(programs, start=None, work=None):
+            if start is not None:
+                calls.append((programs.eq_matrix, work))
+            return solve_many(programs, start, work=work)
+
+        monkeypatch.setattr(expdata.lp, "solve_many", recording)
+        buffers = []
+        for samples in (300, 100):
+            calls.clear()
+            mc_uncertainty(bundled, pinned_mapping(), samples, seed=13)
+            eq_matrices, works = zip(*calls)
+            assert len(works) == -(-samples // expdata._MC_CHUNK)
+            for eq, work in calls:
+                assert work.shape[0] == len(eq)
+                assert work.ctypes.data == works[0].ctypes.data
+                assert eq.ctypes.data == eq_matrices[0].ctypes.data
+            assert max(len(work) for work in works) == min(expdata._MC_CHUNK, samples)
+            buffers.append((eq_matrices[0], works[0]))  # alive, so not reused
+        (eq_a, work_a), (eq_b, work_b) = buffers
+        assert not np.shares_memory(work_a, work_b)
+        assert not np.shares_memory(eq_a, eq_b)
+
     # At seed 501013 the secondary program of sample 1086 ends on a basic
     # weight of -1.7e-9, which the solver clamps to zero; its target row then
     # missed unit sum by 1.7e-9, and scoring it raised.

@@ -300,9 +300,56 @@ def test_warm_start_serves_only_dual_feasible_bases():
 
 def test_start_basis_checked():
     program = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0])
-    for bad in ([0, 1], [-1], [0.5], [[0]], "0"):
+    for bad in ([0, 1], [-1], [0.5], [[0]], "0", [3], [7]):
         with pytest.raises(ValueError, match="start"):
             solve_many(program, bad)
+    two_rows = LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0])
+    for bad in ([1, 1], [3, 3], [0, 4]):
+        with pytest.raises(ValueError, match="start"):
+            solve_many(two_rows, bad)
+
+
+def _fields(solutions):
+    return [
+        getattr(solutions, name).tobytes()
+        for name in ("status", "values", "objective_value", "pivots", "phase1_pivots", "basis")
+    ]
+
+
+def test_work_buffer_changes_no_result():
+    start, labelled = _warm_start_stack()
+    stack = _one_stack([program for program, _ in labelled])
+    k, m, n = stack.eq_matrix.shape
+    work = np.full((k, m + 1, n + 1), np.nan)
+    fresh = solve_many(stack, start)
+    buffered = solve_many(stack, start, work=work)
+    before = _fields(buffered)
+    assert before == _fields(fresh)
+    assert not np.isnan(work).all()  # the tableaux were built there
+    work[:] = 1e300
+    assert _fields(buffered) == before
+
+
+def test_work_buffer_checked():
+    start, labelled = _warm_start_stack()
+    stack = _one_stack([program for program, _ in labelled])
+    k, m, n = stack.eq_matrix.shape
+    readonly = np.empty((k, m + 1, n + 1))
+    readonly.flags.writeable = False
+    for bad in (
+        np.empty((k, m + 1, n)),
+        np.empty((k + 1, m + 1, n + 1)),
+        np.empty((k, m + 1, n + 1), dtype=np.float32),
+        np.empty((k, m + 1, n + 1), dtype=complex),
+        np.empty((k, n + 1, m + 1)).transpose(0, 2, 1),  # not C-contiguous
+        np.empty((2 * k, m + 1, n + 1))[::2],
+        readonly,
+        np.empty((k, m + 1, n + 1)).tolist(),
+    ):
+        with pytest.raises(ValueError, match="work"):
+            solve_many(stack, start, work=bad)
+    with pytest.raises(ValueError, match="work"):
+        solve_many(stack, work=np.empty((k, m + 1, n + 1)))
 
 
 @pytest.mark.parametrize("samples,seed", [(500, 5), (333, 7), (1100, 501013)])
@@ -313,8 +360,8 @@ def test_monte_carlo_warm_objective_equals_cold(monkeypatch, data_dir, samples, 
     original = lp.solve_many
     compared = []
 
-    def both(programs, start=None):
-        warm = original(programs, start)
+    def both(programs, start=None, work=None):
+        warm = original(programs, start, work=work)
         if start is not None:
             gap = np.abs(warm.objective_value - original(programs).objective_value)
             compared.append((gap.size, float(gap.max())))
