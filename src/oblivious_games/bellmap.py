@@ -117,9 +117,6 @@ class NoSignalingBox:
         """p(a|X), averaged over Bob's inputs (which agree within tolerance)."""
         return self.table.sum(axis=3).mean(axis=1)
 
-    def no_signaling_residual(self) -> float:
-        return _no_signaling_residual(self.table)
-
     def to_dict(self) -> dict:
         return {"table": self.table.tolist()}
 
@@ -134,10 +131,6 @@ def _no_signaling_residual(t: np.ndarray) -> float:
     r1 = np.max(np.abs(bob_marg - bob_marg.mean(axis=0, keepdims=True)))
     r2 = np.max(np.abs(alice_marg - alice_marg.mean(axis=1, keepdims=True)))
     return float(max(r1, r2))
-
-
-def save_functional(bell: BellFunctional, path) -> None:
-    save_record(bell, path)
 
 
 def load_functional(path) -> BellFunctional:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -17,14 +16,6 @@ from . import __version__, bellmap, bounds, cglmp, expdata, games, optimizer
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
-
-
-def _default_seed() -> int:
-    env = os.environ.get("OBLIVION_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise ValueError(f"OBLIVION_SEED={env!r} is not an integer") from None
 
 
 def _report(command: str, inputs: dict, results: dict) -> dict:
@@ -176,7 +167,7 @@ def _cmd_exp(args) -> int:
         results["a3_secondary"] = expdata.a3_secondary(sec, mapping)
         results["constraint_residual"] = sec.constraint_residual()
     if args.mc is not None:
-        seed = args.seed if args.seed is not None else _default_seed()
+        seed = 0 if args.seed is None else args.seed
         sigma_pri, sigma_sec = expdata.mc_uncertainty(data, mapping, args.mc, seed)
         results["sigma_primary"] = sigma_pri
         results["sigma_secondary"] = sigma_sec
@@ -198,13 +189,11 @@ def _cmd_exp(args) -> int:
 
 def _cmd_optimize(args) -> int:
     game = _load_game_spec(args.game)
-    seed = args.seed if args.seed is not None else _default_seed()
     cfg = optimizer.SearchConfig(
         dim=args.dim,
         restarts=args.restarts,
         max_iters=args.iters,
-        seed=seed,
-        tolerance=args.tolerance,
+        seed=args.seed,
     )
     start = time.perf_counter()
     result = optimizer.search(game, cfg)
@@ -219,7 +208,7 @@ def _cmd_optimize(args) -> int:
         "per_restart": [dataclasses.asdict(r) for r in result.per_restart],
         "dim": args.dim,
         "restarts": args.restarts,
-        "seed": seed,
+        "seed": args.seed,
         "wall_s": wall_s,
     }
     _emit(
@@ -273,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--dim", type=int, required=True)
     p_opt.add_argument("--restarts", type=int, default=64)
     p_opt.add_argument("--iters", type=int, default=500)
-    p_opt.add_argument("--seed", type=int, default=None)
-    p_opt.add_argument("--tolerance", type=float, default=1e-8)
+    p_opt.add_argument("--seed", type=int, default=0)
     return parser
 
 

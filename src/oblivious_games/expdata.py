@@ -2,8 +2,9 @@
 
 The CSV schema is ``state_j,state_k,basis,projector,probability,sigma``.
 Bases 1 and 2 are the two protocol measurements (36 cells: six preparations,
-two bases, three projectors); bases 3-5 are tomography rows kept in a
-separate auxiliary table for diagnostics only.  Published entries are rounded
+two bases, three projectors); bases 3-5 are tomography rows, which are
+parsed and checked like the protocol rows but not stored, since no analysis
+reads them.  Published entries are rounded
 to four decimals, so rows may miss unit sum by up to 2e-3; they are stored
 as printed and renormalized before any analysis.
 
@@ -76,16 +77,10 @@ _PINNED_MAPPING_DICT = {
 
 @dataclass(frozen=True, eq=False)
 class PrimaryData:
-    """Protocol probabilities (6 states x 2 bases x 3 projectors) plus sigmas.
-
-    ``aux_probabilities`` and ``aux_sigmas`` hold the tomography rows (6 x 3
-    x 3), NaN where a cell was not present in the input files.
-    """
+    """Protocol probabilities (6 states x 2 bases x 3 projectors) plus sigmas."""
 
     probabilities: np.ndarray
     sigmas: np.ndarray
-    aux_probabilities: np.ndarray | None = None
-    aux_sigmas: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -105,23 +100,6 @@ class PrimaryData:
             )
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "sigmas", s)
-        for name, high in (("aux_probabilities", 1.0), ("aux_sigmas", np.inf)):
-            aux = getattr(self, name)
-            if aux is None:
-                continue
-            aux = np.asarray(aux, dtype=float)
-            if aux.shape != (6, 3, 3):
-                raise ValueError(f"{name} must have shape (6, 3, 3)")
-            # NaN marks a missing cell; a present one is a finite number in range
-            if np.isinf(aux).any() or np.any((aux < 0.0) | (aux > high)):
-                raise ValueError(f"{name} must lie in [0, {high}], NaN where missing")
-            object.__setattr__(self, name, aux)
-        if not (
-            self.aux_probabilities is None
-            or self.aux_sigmas is None
-            or np.array_equal(np.isnan(self.aux_probabilities), np.isnan(self.aux_sigmas))
-        ):
-            raise ValueError("a tomography cell must miss its probability and its sigma together")
 
     def normalized(self) -> np.ndarray:
         """Protocol rows rescaled to exact unit sum."""
@@ -158,15 +136,16 @@ def _parse_rows(path):
 
 
 def load_primary(*paths) -> PrimaryData:
-    """Load protocol (and optionally tomography) rows from one or more CSVs."""
+    """Load the protocol rows from one or more CSVs.
+
+    Tomography rows are checked, and a repeated cell among them is an error,
+    but they are not stored.
+    """
     if not paths:
         raise ValueError("need at least one CSV path")
     prob = np.full((6, 2, 3), np.nan)
     sig = np.full((6, 2, 3), np.nan)
-    aux_prob = np.full((6, 3, 3), np.nan)
-    aux_sig = np.full((6, 3, 3), np.nan)
     state_index = {s: i for i, s in enumerate(STATES)}
-    any_aux = False
     seen = {}  # (state, basis, projector) -> file:line
     for path in paths:
         for path_, lineno, state, basis, proj, p, s in _parse_rows(path):
@@ -181,19 +160,10 @@ def load_primary(*paths) -> PrimaryData:
             if basis in PROTOCOL_BASES:
                 prob[si, basis - 1, proj - 1] = p
                 sig[si, basis - 1, proj - 1] = s
-            else:
-                aux_prob[si, basis - 3, proj - 1] = p
-                aux_sig[si, basis - 3, proj - 1] = s
-                any_aux = True
     if np.any(np.isnan(prob)):
         missing = int(np.sum(np.isnan(prob)))
         raise ValueError(f"protocol table incomplete: {missing} of 36 cells missing")
-    return PrimaryData(
-        probabilities=prob,
-        sigmas=sig,
-        aux_probabilities=aux_prob if any_aux else None,
-        aux_sigmas=aux_sig if any_aux else None,
-    )
+    return PrimaryData(probabilities=prob, sigmas=sig)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,7 @@ Brunner (PRA 98, 062307 (2018)):
   same ADMM with no objective, which is Douglas-Rachford splitting of the
   two projections, and kept only when it raises the value.  Each sweep of
   that projection ends with the eigenvalue projection and the loop stops
-  once that output's residual is below the tolerance, so the states
+  once that output's residual is below ``_TOLERANCE / 10``, so the states
   returned are always positive with unit trace.
 
 The measurement step solves every (restart, receiver input) problem of the
@@ -61,8 +61,6 @@ lower bounds on the quantum optimum; nothing here certifies optimality.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +91,9 @@ _GAP_ROUNDING = 64 * np.finfo(float).eps
 _ADMM_SIGMA = 0.2
 _ADMM_STEPS = 25
 _ADMM_TOL = 1e-10
+# A restart's strategy counts as feasible when its obliviousness residual is
+# below this; the projections stop a tenth below it.
+_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,6 @@ class SearchConfig:
     restarts: int = 64
     max_iters: int = 500
     seed: int = 0
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         for name in ("dim", "restarts", "max_iters"):
@@ -116,10 +116,6 @@ class SearchConfig:
             raise ValueError("need at least one iteration")
         if check_integer(self.seed, "seed") < 0:
             raise ValueError(f"seed {self.seed!r} is negative")
-        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
-            raise ValueError(f"tolerance {self.tolerance!r} is not a real number")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,21 +280,16 @@ def _score(gram: np.ndarray, effects: np.ndarray):
     return np.einsum("...bij,...bji->...", effects, gram).real
 
 
-def _certificate_gap(gram: np.ndarray, effects: np.ndarray, current):
-    """How far ``Tr(Y + lam I)`` lies above the score ``current`` of ``effects``.
+def _certificate(gram: np.ndarray, effects: np.ndarray):
+    """``Tr Y`` and ``lam`` of the optimality certificate of ``effects``.
 
     With ``Y = herm(sum_b G_b M_b)`` and ``lam = max(0, max_b lambda_max(G_b - Y))``
     every ``G_b`` is below ``Y + lam I``, so ``Tr(Y) + d lam`` bounds
     ``sum_b Tr(G_b N_b)`` for every POVM ``N`` (Holevo; Yuen, Kennedy and
-    Lax).  The gap is zero exactly when ``effects`` is optimal.  Leading axes
-    of ``gram`` and ``effects`` hold a stack of problems.
+    Lax).  The gap ``Tr(Y) + d lam`` less the score of ``effects`` is zero
+    exactly when ``effects`` is optimal.  Leading axes of ``gram`` and
+    ``effects`` hold a stack of problems.
     """
-    trace, lam = _certificate(gram, effects)
-    return trace + gram.shape[-1] * lam - current
-
-
-def _certificate(gram: np.ndarray, effects: np.ndarray):
-    """``Tr Y`` and ``lam`` of the certificate of ``effects`` (see ``_certificate_gap``)."""
     y_op = _herm(np.einsum("...bij,...bjk->...ik", gram, effects))
     top = np.linalg.eigvalsh(gram - y_op[..., None, :, :]).max(axis=(-2, -1))
     return np.trace(y_op, axis1=-2, axis2=-1).real, np.maximum(0.0, top)
@@ -366,7 +357,7 @@ def _start(game, cfg, projector):
         rng = np.random.default_rng([cfg.seed, restart])
         rhos[restart] = _random_rhos(rng, game.n_alice, d)
         effects[restart] = [_random_povm(rng, game.n_outcomes, d) for _ in range(game.n_bob)]
-    return projector.feasible(rhos, cfg.tolerance / 10), effects
+    return projector.feasible(rhos, _TOLERANCE / 10), effects
 
 
 def _admm(projector, grad, z, u, res) -> np.ndarray:
@@ -426,7 +417,7 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     came through an iteration unchanged stops at once with the record the
     stop rules would give it later.
     """
-    tol = cfg.tolerance / 10
+    tol = _TOLERANCE / 10
     restarts = len(rhos)
     iterations = np.full(restarts, cfg.max_iters)
     reasons = np.full(restarts, "max_iters", dtype=object)
@@ -505,9 +496,11 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     follows the path it would follow alone, up to rounding.  The
     measurement step runs each exchange until the optimality certificate
     closes, so a measurement it already certifies costs one certificate and
-    is left unchanged.  With a fixed seed the run is bit-reproducible, and
-    the reduction (largest value among feasible restarts, ties broken by the
-    lower restart index) is deterministic.
+    is left unchanged.  A restart is feasible when the obliviousness
+    residual of its returned strategy is below ``_TOLERANCE`` (1e-8).  With a
+    fixed seed the run is bit-reproducible, and the reduction (largest value
+    among feasible restarts, ties broken by the lower restart index) is
+    deterministic.
     """
     if not game.partitions:
         raise ValueError("game has no obliviousness families to respect")
@@ -521,7 +514,7 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
 
     # Final polish: land exactly inside the feasible set and report the value
     # of the strategy actually returned.
-    rhos = projector.feasible(rhos, cfg.tolerance / 10, max_sweeps=500)
+    rhos = projector.feasible(rhos, _TOLERANCE / 10, max_sweeps=500)
     sweeps += start_sweeps + projector.sweeps
     effects = _normalize_povm(effects)
     records, strategies = [], []
@@ -537,7 +530,7 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
                 iterations_used=int(iterations[restart]),
                 stop_reason=str(reasons[restart]),
                 feasibility_residual=residual,
-                feasible=residual < cfg.tolerance,
+                feasible=residual < _TOLERANCE,
                 sweeps=int(sweeps[restart]),
             )
         )

@@ -62,9 +62,6 @@ class Ket:
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
-    def overlap(self, other: "Ket") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -93,9 +90,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +130,6 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def partial_trace(m, dim_a: int, dim_b: int, which: str = "a") -> np.ndarray:

@@ -151,7 +151,7 @@ def test_criterion_5_experimental_reproduction(data_dir):
 @pytest.mark.slow
 def test_criterion_6_optimizer_certification():
     with Timer() as t:
-        cfg = SearchConfig(dim=4, restarts=64, max_iters=500, seed=0, tolerance=1e-8)
+        cfg = SearchConfig(dim=4, restarts=64, max_iters=500, seed=0)
         result = search(games.make_rac_game(2, 3), cfg)
     gate = result.value >= 0.677 and result.feasibility_residual < 1e-8
     goal = abs(result.value - 0.6875) < 1e-2

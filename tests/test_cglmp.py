@@ -34,7 +34,7 @@ class TestBases:
     def test_orthonormality(self, side, setting):
         basis = cglmp.alice_basis(setting) if side == "a" else cglmp.bob_basis(setting)
         gram = np.array(
-            [[k1.overlap(k2) for k2 in basis] for k1 in basis]
+            [[np.vdot(k1.amplitudes, k2.amplitudes) for k2 in basis] for k1 in basis]
         )
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 

@@ -217,23 +217,12 @@ def test_exp_mc_below_floor_is_rejected(capsys, data_dir, samples):
     assert "100 samples" in err
 
 
-def test_exp_env_seed(capsys, data_dir, monkeypatch):
-    monkeypatch.setenv("OBLIVION_SEED", "123")
+def test_exp_default_seed_is_zero(capsys, data_dir):
     code, report, _ = run_cli(
         capsys, "exp", "--data", str(data_dir / "table2.csv"), "--mc", "100"
     )
     assert code == 0
-    assert report["results"]["seed"] == 123
-
-
-def test_exp_bad_env_seed_is_named(capsys, data_dir, monkeypatch):
-    monkeypatch.setenv("OBLIVION_SEED", "abc")
-    code, report, err = run_cli(
-        capsys, "exp", "--data", str(data_dir / "table2.csv"), "--mc", "100"
-    )
-    assert code == 2
-    assert report is None
-    assert "OBLIVION_SEED" in err
+    assert report["results"]["seed"] == 0
 
 
 def test_optimize_small(capsys):

@@ -100,23 +100,21 @@ class TestLoading:
         assert bundled.probabilities[5, 1, 2] == 0.1019
         assert bundled.sigmas[5, 1, 2] == 0.0023
 
-    def test_aux_rows_kept_separately(self, bundled):
-        assert bundled.aux_probabilities.shape == (6, 3, 3)
-        assert not np.any(np.isnan(bundled.aux_probabilities))
-        assert bundled.aux_probabilities[0, 0, 0] == 0.5055  # first tomography row
-        assert bundled.aux_probabilities[0, 2, 0] == 0.2614  # final tomography basis
-
-    def test_protocol_only_load(self, data_dir):
+    def test_protocol_only_load(self, data_dir, bundled):
+        # the tomography rows are checked but not stored, so they change nothing
         data = load_primary(data_dir / "table2.csv")
-        assert data.aux_probabilities is None
+        assert np.array_equal(data.probabilities, bundled.probabilities)
+        assert np.array_equal(data.sigmas, bundled.sigmas)
 
     def test_out_of_range_probability_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text(
-            "state_j,state_k,basis,projector,probability,sigma\n1,1,1,1,1.2,0.01\n"
-        )
-        with pytest.raises(ValueError, match="outside"):
-            load_primary(bad)
+        # a tomography row (basis 4) is range-checked like a protocol row
+        for basis in (1, 4):
+            bad.write_text(
+                f"state_j,state_k,basis,projector,probability,sigma\n1,1,{basis},1,1.2,0.01\n"
+            )
+            with pytest.raises(ValueError, match="outside"):
+                load_primary(bad)
 
     def test_malformed_row_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -171,29 +169,6 @@ class TestLoading:
         p[0, 0] = [0.4, 0.3, 0.4]  # sums to 1.1
         with pytest.raises(ValueError):
             PrimaryData(probabilities=p, sigmas=np.zeros((6, 2, 3)))
-
-    def test_aux_tables_checked(self, bundled):
-        def with_aux(probabilities, sigmas):
-            return PrimaryData(bundled.probabilities, bundled.sigmas, probabilities, sigmas)
-
-        aux_p, aux_s = bundled.aux_probabilities, bundled.aux_sigmas
-        with pytest.raises(ValueError, match="shape"):
-            with_aux(np.full((2, 2), 0.5), aux_s)
-        with pytest.raises(ValueError, match="shape"):
-            with_aux(aux_p, np.zeros((6, 2, 3)))
-        bad = [(1.5, 0.01), (-0.1, 0.01), (np.inf, 0.01), (0.5, -0.01), (0.5, np.inf)]
-        for bad_p, bad_s in bad:
-            p, s = aux_p.copy(), aux_s.copy()
-            p[2, 1, 0], s[2, 1, 0] = bad_p, bad_s
-            with pytest.raises(ValueError, match="must lie in"):
-                with_aux(p, s)
-        # NaN marks a missing cell, in both tables at once
-        p, s = aux_p.copy(), aux_s.copy()
-        p[2, 1], s[2, 1] = np.nan, np.nan
-        assert np.isnan(with_aux(p, s).aux_sigmas[2, 1]).all()
-        assert with_aux(p, None).aux_sigmas is None
-        with pytest.raises(ValueError, match="together"):
-            with_aux(p, aux_s)
 
 
 class TestMappingFit:

@@ -9,7 +9,6 @@ from oblivious_games.qmath import (
     Povm,
     born_prob,
     is_hermitian,
-    kron,
     partial_trace,
 )
 
@@ -35,33 +34,6 @@ def random_povm(rng, dim, n_out):
     effects = np.einsum("ij,bjk,kl->bil", inv_sqrt, effects, inv_sqrt)
     effects = (effects + np.conj(np.swapaxes(effects, 1, 2))) / 2
     return Povm(tuple(effects))
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_projectors(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        out = kron(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0  # |01>
-        assert np.array_equal(out, expected)
-
-    def test_index_formula(self):
-        # independent oracle: (A (x) B)[3i+k, 3j+l] = A[i,j] B[k,l]
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        out = kron(a, b)
-        assert out.shape == (6, 6)
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    for l in range(3):
-                        # vectorized multiply may use fma, so compare to 1 ulp
-                        assert abs(out[3 * i + k, 3 * j + l] - a[i, j] * b[k, l]) < 1e-14
 
 
 class TestPartialTrace:
