@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .games import Behavior, ObliviousGame, check_distribution, load_record, save_record
+from .games import (
+    Behavior,
+    ObliviousGame,
+    cglmp3_targets,
+    check_distribution,
+    load_record,
+    save_record,
+)
 from .qmath import DensityMatrix, readonly
 
 NS_TOL = 1e-10
@@ -89,13 +96,7 @@ class NoSignalingBox:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 4:
             raise ValueError("box table must have shape (m_A, m_B, d, d)")
-        if not np.isfinite(t).all():
-            raise ValueError("box has non-finite probabilities")
-        if np.min(t) < -NS_TOL:
-            raise ValueError("box has negative probabilities")
-        sums = t.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) >= NS_TOL:
-            raise ValueError("box entries do not normalize per input pair")
+        check_distribution(t.reshape(t.shape[:2] + (-1,)), NS_TOL, "box")
         resid = _no_signaling_residual(t)
         if resid >= NS_TOL:
             raise ValueError(f"box signals: residual {resid:.3e} >= {NS_TOL}")
@@ -157,24 +158,15 @@ def bell_value(bell: BellFunctional, box: NoSignalingBox) -> float:
 def cglmp3() -> BellFunctional:
     """Three-outcome facet functional with local bound 1/2 and quantum maximum (3+sqrt(33))/12.
 
-    The eight correlation terms carry coefficients +-1; the conventional 1/4
-    prefactor is absorbed into the uniform input priors.
+    The coefficients are the payoffs of ``games.make_cglmp3_game``: outcome a
+    on input X plays the game's input (x0, x) = ((a + X) mod 3, X).  The
+    conventional 1/4 prefactor is absorbed into the uniform input priors.
     """
     coeffs = np.zeros((2, 2, 3, 3))
-    # (X, Y, b as function of a, sign)
-    terms = (
-        (0, 0, lambda a: a, 1.0),
-        (1, 0, lambda a: (a + 1) % 3, 1.0),
-        (1, 1, lambda a: a, 1.0),
-        (0, 1, lambda a: a, 1.0),
-        (0, 0, lambda a: (a + 1) % 3, -1.0),
-        (1, 0, lambda a: a, -1.0),
-        (1, 1, lambda a: (a + 1) % 3, -1.0),
-        (0, 1, lambda a: (a - 1) % 3, -1.0),
-    )
-    for X, Y, event, sign in terms:
-        for a in range(3):
-            coeffs[X, Y, a, event(a)] += sign
+    for X, Y, a in np.ndindex(2, 2, 3):
+        t0, t1 = cglmp3_targets((a + X) % 3, X, Y)
+        coeffs[X, Y, a, t0] += 1.0
+        coeffs[X, Y, a, t1] -= 1.0
     return BellFunctional(coeffs, np.full(2, 0.5), np.full(2, 0.5))
 
 
@@ -215,8 +207,8 @@ def game_from_bell(bell: BellFunctional, p_g) -> ObliviousGame:
     pg = np.asarray(p_g, dtype=float)
     if pg.shape != (ma, d):
         raise ValueError(f"p_g must have shape ({ma}, {d})")
+    check_distribution(pg, 1e-10, "p_g")
     for x in range(ma):
-        check_distribution(pg[x], 1e-10, f"p_g row {x}")
         if bell.p_alice[x] <= 0.0:
             raise ValueError(f"input {x} has zero prior; its partition set would vanish")
     alice = game_alice_inputs(d, ma)

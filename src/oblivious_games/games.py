@@ -40,14 +40,17 @@ def is_prime(k: int) -> bool:
 
 
 def check_distribution(p: np.ndarray, tol: float, name: str) -> None:
-    """Reject a probability vector that is non-finite, negative or not normalized."""
+    """Reject probability rows, along the last axis of ``p``, that are non-finite,
+    below ``-tol`` anywhere, or off a sum of 1 by ``tol`` or more."""
     if not np.isfinite(p).all():
         raise ValueError(f"{name} has non-finite entries")
     if np.min(p) < -tol:
         raise ValueError(f"{name} has negative entries")
-    s = float(np.sum(p))
-    if abs(s - 1.0) >= tol:
-        raise ValueError(f"{name} sums to {s!r}, not 1")
+    sums = p.sum(axis=-1)
+    gaps = np.abs(sums - 1.0)
+    if np.max(gaps) >= tol:
+        s = float(sums.flat[np.argmax(gaps)])
+        raise ValueError(f"{name} rows do not sum to 1: one sums to {s!r}")
 
 
 def save_record(record, path) -> None:
@@ -211,13 +214,7 @@ class Behavior:
         t = np.asarray(self.table, dtype=float)
         if t.ndim < 3:
             raise ValueError("behavior table must have shape (..., inputs_A, inputs_B, outcomes)")
-        if not np.isfinite(t).all():
-            raise ValueError("behavior has non-finite probabilities")
-        if np.min(t) < -BEHAVIOR_TOL:
-            raise ValueError("behavior has negative probabilities")
-        sums = t.sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) >= BEHAVIOR_TOL:
-            raise ValueError("behavior rows do not sum to 1")
+        check_distribution(t, BEHAVIOR_TOL, "behavior")
         object.__setattr__(self, "table", readonly(t))
 
 
@@ -243,10 +240,6 @@ class QuantumStrategy:
         object.__setattr__(self, "measurements", meas)
 
     @property
-    def dim(self) -> int:
-        return self.preparations[0].dim
-
-    @property
     def n_outcomes(self) -> int:
         return self.measurements[0].n_outcomes
 
@@ -263,11 +256,8 @@ class ClassicalStrategy:
         dec = np.asarray(self.decoding, dtype=float)
         if enc.ndim != 2 or dec.ndim != 3 or enc.shape[1] != dec.shape[0]:
             raise ValueError("encoding (x, m) and decoding (m, y, b) shapes disagree")
-        for row in enc:
-            check_distribution(row, DIST_TOL, "encoding row")
-        for m in range(dec.shape[0]):
-            for y in range(dec.shape[1]):
-                check_distribution(dec[m, y], DIST_TOL, "decoding row")
+        check_distribution(enc, DIST_TOL, "encoding")
+        check_distribution(dec, DIST_TOL, "decoding")
         object.__setattr__(self, "encoding", readonly(enc))
         object.__setattr__(self, "decoding", readonly(dec))
 

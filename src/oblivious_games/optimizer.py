@@ -481,11 +481,6 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     return final_rhos, final_effects, iterations, reasons, sweeps
 
 
-def _unit_trace(rho: np.ndarray) -> np.ndarray:
-    herm = (rho + rho.conj().T) / 2
-    return herm / float(np.trace(herm).real)
-
-
 def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     """Best strategy over restarts; the value is a lower bound, never a claim.
 
@@ -516,10 +511,12 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     # of the strategy actually returned.
     rhos = projector.feasible(rhos, _TOLERANCE / 10, max_sweeps=500)
     sweeps += start_sweeps + projector.sweeps
+    rhos = _herm(rhos)
+    rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[..., None, None]
     effects = _normalize_povm(effects)
     records, strategies = [], []
     for restart in range(cfg.restarts):
-        preparations = tuple(DensityMatrix(_unit_trace(r)) for r in rhos[restart])
+        preparations = tuple(DensityMatrix(r) for r in rhos[restart])
         measurements = tuple(Povm(tuple(e)) for e in effects[restart])
         strategy = QuantumStrategy(preparations, measurements)
         residual = obliviousness_residual_quantum(game, strategy)

@@ -31,6 +31,17 @@ def is_hermitian(m, tol: float = HERM_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) < tol)
 
 
+def check_positive(m: np.ndarray, name: str) -> None:
+    """Reject a matrix that is non-finite, not Hermitian or not positive semidefinite."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if not is_hermitian(m):
+        raise ValueError(f"{name} is not Hermitian")
+    lo = float(np.linalg.eigvalsh(m).min())
+    if lo < -PSD_TOL:
+        raise ValueError(f"{name} has eigenvalue {lo} < -{PSD_TOL}")
+
+
 def readonly(a: np.ndarray) -> np.ndarray:
     """Write-protected copy of an array, for the fields of frozen records."""
     a = a.copy()
@@ -55,10 +66,6 @@ class Ket:
             raise ValueError(f"ket is not normalized: sum |amp|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", readonly(amp))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
@@ -71,16 +78,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has non-finite entries")
-        if not is_hermitian(m):
-            raise ValueError("density matrix is not Hermitian")
+        check_positive(m, "density matrix")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) >= HERM_TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -PSD_TOL:
-            raise ValueError(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
         object.__setattr__(self, "matrix", readonly(m))
 
     @classmethod
@@ -107,12 +108,7 @@ class Povm:
         for i, e in enumerate(elems):
             if e.shape != (d, d):
                 raise ValueError("measurement effects have mixed dimensions")
-            if not np.isfinite(e).all():
-                raise ValueError(f"effect {i} has non-finite entries")
-            if not is_hermitian(e):
-                raise ValueError(f"effect {i} is not Hermitian")
-            if float(np.linalg.eigvalsh(e).min()) < -PSD_TOL:
-                raise ValueError(f"effect {i} is not positive semidefinite")
+            check_positive(e, f"effect {i}")
             total = total + e
         if np.max(np.abs(total - np.eye(d))) >= HERM_TOL:
             raise ValueError("effects do not sum to the identity")

@@ -87,6 +87,45 @@ def test_nan_p_g_rejected():
         game_from_bell(cglmp3(), p_g)
 
 
+@pytest.mark.parametrize(
+    "coeffs,p_alice,message",
+    [
+        (np.zeros((2, 2, 3, 2)), [0.5, 0.5], "must have shape"),
+        (np.zeros((2, 2, 3, 3)), [1 / 3] * 3, "priors do not match"),
+    ],
+    ids=["shape", "prior-count"],
+)
+def test_functional_rejects(coeffs, p_alice, message):
+    with pytest.raises(ValueError, match=message):
+        BellFunctional(coeffs, p_alice, [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "p_alice,p_g,message",
+    [
+        ([0.5, 0.5], np.full((3, 2), 1 / 2), r"p_g must have shape \(2, 3\)"),
+        ([1.0, 0.0], np.full((2, 3), 1 / 3), "input 1 has zero prior"),
+    ],
+    ids=["p_g-shape", "zero-prior"],
+)
+def test_game_from_bell_rejects(p_alice, p_g, message):
+    bell = BellFunctional(cglmp3().coeffs, p_alice, [0.5, 0.5])
+    with pytest.raises(ValueError, match=message):
+        game_from_bell(bell, p_g)
+
+
+def _unnormalized_box():
+    table = deterministic_box((0, 1), (1, 2)).table.copy()
+    table[:, :, 0, 0] += 1e-9  # every input pair sums to 1 + 1e-9; no signaling
+    return table
+
+
+def _negative_box():
+    table = deterministic_box((0, 1), (1, 2)).table.copy()
+    table[1, 0, 2, 2] = -1e-9
+    return table
+
+
 class TestNoSignalingBox:
     def test_signaling_table_rejected(self):
         table = np.full((2, 2, 2, 2), 0.25)
@@ -98,6 +137,19 @@ class TestNoSignalingBox:
     def test_nan_box_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             NoSignalingBox(np.full((2, 2, 3, 3), np.nan))
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            (np.full((2, 2, 9), 1 / 9), "must have shape"),
+            (_negative_box(), "box has negative"),
+            (_unnormalized_box(), "do not"),
+        ],
+        ids=["ndim", "negative", "unnormalized"],
+    )
+    def test_malformed_table_rejected(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            NoSignalingBox(table)
 
     def test_quantum_box_passes(self):
         box = cglmp.optimal_box()
@@ -163,6 +215,20 @@ class TestGameFromBell:
         (family,) = game.partitions
         assert len(family) == 2 and all(len(s) == 3 for s in family)
 
+    def test_relabeled_cglmp3_game_is_the_bundled_game(self):
+        # the paper's correspondence: input (x0, x) of the bundled game is the
+        # functional's outcome a = x0 - x (mod 3) on input x, with p_g uniform
+        game = game_from_bell(cglmp3(), np.full((2, 3), 1 / 3))
+        reference = make_cglmp3_game()
+        order = [game.alice_inputs.index(((x0 - x) % 3, x)) for x0, x in reference.alice_inputs]
+        assert game.payoff[order].tobytes() == reference.payoff.tobytes()
+        assert game.p_alice[order].tobytes() == reference.p_alice.tobytes()
+        assert game.p_bob.tobytes() == reference.p_bob.tobytes()
+        relabeled = tuple(
+            tuple(sorted(order.index(j) for j in subset)) for subset in game.partitions[0]
+        )
+        assert (relabeled,) == reference.partitions
+
 
 class TestStrategyFromBox:
     def test_optimal_box_reproduces_quantum_value(self):
@@ -221,6 +287,15 @@ class TestPreparationsFromEntangled:
             expected = np.zeros((3, 3))
             expected[k, k] = 1.0
             assert np.max(np.abs(preps[0][k].matrix - expected)) < 1e-12
+
+    def test_zero_outcomes_get_the_maximally_mixed_placeholder(self):
+        state = DensityMatrix(np.diag(np.eye(9)[0]))  # |00>
+        povm = Povm(tuple(np.diag(np.eye(3)[k]) for k in range(3)))
+        p_g, preps = preparations_from_entangled(state, [povm])
+        assert p_g.tolist() == [[1.0, 0.0, 0.0]]
+        assert np.array_equal(preps[0][0].matrix, np.diag(np.eye(3)[0]))
+        for k in (1, 2):
+            assert np.array_equal(preps[0][k].matrix, np.eye(3) / 3)
 
     def test_averages_reproduce_reduced_state(self):
         state = DensityMatrix.from_ket(cglmp.optimal_state())

@@ -138,6 +138,17 @@ def test_bell_local_bound(capsys):
     assert report["results"]["local_bound"] == 0.5
 
 
+def test_bell_local_bound_witness_scores_the_bound(capsys):
+    code, report, _ = run_cli(capsys, "bell", "--bell", "cglmp3", "--local-bound", "--witness")
+    assert code == 0
+    witness = report["results"]["witness"]
+    table = np.zeros((2, 2, 3, 3))
+    for X, a in enumerate(witness["alice_assignment"]):
+        for Y, b in enumerate(witness["bob_assignment"]):
+            table[X, Y, a, b] = 1.0
+    assert bellmap.bell_value(bellmap.cglmp3(), bellmap.NoSignalingBox(table)) == 0.5
+
+
 def test_bell_value_on_box(capsys, tmp_path):
     box_path = tmp_path / "box.json"
     bellmap.save_box(cglmp.optimal_box(), box_path)
@@ -166,6 +177,17 @@ def test_exp_secondary(capsys, data_dir):
     assert abs(results["s"] - 0.9938) < 1e-3
     assert abs(results["a3_secondary"] - 0.7118) < 1e-3
     assert "S =" in err
+
+
+def test_exp_mapping_file_gives_the_pinned_run(capsys, data_dir):
+    table = str(data_dir / "table2.csv")
+    mapping = str(data_dir / "mapping.json")
+    code, report, _ = run_cli(capsys, "exp", "--data", table, "--mapping", mapping, "--secondary")
+    _, pinned, _ = run_cli(capsys, "exp", "--data", table, "--secondary")
+    assert code == 0
+    assert report["results"].pop("mapping_source") == mapping
+    assert pinned["results"].pop("mapping_source") == "pinned"
+    assert report["results"] == pinned["results"]
 
 
 def test_exp_fit_mapping(capsys, data_dir):

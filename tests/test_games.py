@@ -14,6 +14,7 @@ from oblivious_games.games import (
     behavior_from_classical,
     behavior_from_quantum,
     cglmp3_targets,
+    check_distribution,
     is_prime,
     load_game,
     make_cglmp3_game,
@@ -341,6 +342,37 @@ class TestBehaviorStacks:
         game = make_cglmp3_game()
         with pytest.raises(ValueError, match="does not match"):
             obliviousness_residual_behavior(game, Behavior(np.full((2, 6, 2, 3), 1 / 3)))
+
+
+@pytest.mark.parametrize(
+    "p,message",
+    [([0.5, 0.6, -0.1], "p_alice has negative entries"), ([0.5, 0.4], "sums to 0.9")],
+    ids=["negative", "unnormalized"],
+)
+def test_check_distribution_rejects(p, message):
+    with pytest.raises(ValueError, match=message):
+        check_distribution(np.array(p), 1e-12, "p_alice")
+
+
+def test_classical_strategy_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match="shapes disagree"):
+        ClassicalStrategy(np.full((2, 3), 1 / 3), np.full((2, 2, 2), 0.5))
+
+
+@pytest.mark.parametrize(
+    "dims,outcomes,message",
+    [
+        ((), (2,), "needs preparations and measurements"),
+        ((2, 3), (2,), "share one dimension"),
+        ((2,), (2, 3), "same outcome count"),
+    ],
+    ids=["empty", "mixed-dimensions", "mixed-outcome-counts"],
+)
+def test_quantum_strategy_rejects(dims, outcomes, message):
+    preps = [DensityMatrix(np.eye(d) / d) for d in dims]
+    meas = [Povm(tuple(np.eye(2) / n for _ in range(n))) for n in outcomes]
+    with pytest.raises(ValueError, match=message):
+        QuantumStrategy(preps, meas)
 
 
 def test_is_prime():

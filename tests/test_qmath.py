@@ -7,6 +7,7 @@ from oblivious_games.qmath import (
     DensityMatrix,
     Ket,
     Povm,
+    as_matrix,
     born_prob,
     is_hermitian,
     partial_trace,
@@ -134,6 +135,31 @@ class TestInvariantValidation:
     def test_povm_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="effect 1 has non-finite entries"):
             Povm((np.diag([1.0, 0.0]), np.diag([0.0, bad])))
+
+
+@pytest.mark.parametrize(
+    "effects,message",
+    [
+        ((), "at least one outcome"),
+        ((np.eye(2), np.zeros((3, 3))), "mixed dimensions"),
+        ((np.array([[1.0, 0.5], [0.0, 0.0]]), np.array([[0.0, -0.5], [0.0, 1.0]])),
+         "effect 0 is not Hermitian"),
+    ],
+    ids=["empty", "mixed-dimensions", "non-hermitian"],
+)
+def test_povm_rejects(effects, message):
+    with pytest.raises(ValueError, match=message):
+        Povm(effects)
+
+
+def test_ket_without_amplitudes_rejected():
+    with pytest.raises(ValueError, match="at least one amplitude"):
+        Ket([])
+
+
+def test_as_matrix_rejects_non_square():
+    with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+        as_matrix(np.zeros((2, 3)))
 
 
 @settings(max_examples=40, deadline=None)
