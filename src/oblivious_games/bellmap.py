@@ -41,6 +41,9 @@ class BellFunctional:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 4 or c.shape[2] != c.shape[3]:
             raise ValueError("coefficients must have shape (m_A, m_B, d, d)")
+        for name, n in zip(("m_alice", "m_bob", "n_outcomes"), c.shape):
+            if not n:
+                raise ValueError(f"coefficients have {name} = 0")
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         pa = np.asarray(self.p_alice, dtype=float).reshape(-1)
@@ -96,7 +99,7 @@ class NoSignalingBox:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 4:
             raise ValueError("box table must have shape (m_A, m_B, d, d)")
-        check_distribution(t.reshape(t.shape[:2] + (-1,)), NS_TOL, "box")
+        check_distribution(t.reshape(*t.shape[:2], t.shape[2] * t.shape[3]), NS_TOL, "box")
         resid = _no_signaling_residual(t)
         if resid >= NS_TOL:
             raise ValueError(f"box signals: residual {resid:.3e} >= {NS_TOL}")

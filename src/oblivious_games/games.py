@@ -40,8 +40,10 @@ def is_prime(k: int) -> bool:
 
 
 def check_distribution(p: np.ndarray, tol: float, name: str) -> None:
-    """Reject probability rows, along the last axis of ``p``, that are non-finite,
-    below ``-tol`` anywhere, or off a sum of 1 by ``tol`` or more."""
+    """Reject an empty ``p`` and probability rows, along the last axis of ``p``, that
+    are non-finite, below ``-tol`` anywhere, or off a sum of 1 by ``tol`` or more."""
+    if not np.size(p):
+        raise ValueError(f"{name} is empty")
     if not np.isfinite(p).all():
         raise ValueError(f"{name} has non-finite entries")
     if np.min(p) < -tol:
@@ -99,6 +101,9 @@ class ObliviousGame:
 
     def __post_init__(self):
         na, nb, no = len(self.alice_inputs), len(self.bob_inputs), len(self.outcomes)
+        for name, n in (("alice_inputs", na), ("bob_inputs", nb), ("outcomes", no)):
+            if not n:
+                raise ValueError(f"{name} is empty")
         pa = np.asarray(self.p_alice, dtype=float).reshape(-1)
         pb = np.asarray(self.p_bob, dtype=float).reshape(-1)
         pay = np.asarray(self.payoff, dtype=float)

@@ -23,16 +23,18 @@ Brunner (PRA 98, 062307 (2018)):
   (2010)) built from the two projections of the feasible set: the exact
   affine projection (trace one plus all obliviousness equalities, which
   factor over the input index) and the eigenvalue-simplex projection onto
-  unit-trace positive matrices.  The ADMM iterate and its scaled dual carry
-  over from one iteration to the next, each iteration takes at most 25
-  steps, and a restart stops stepping once its primal and dual residuals
-  are below 1e-10; new measurements change the objective, so they restart
-  that count.  The iterate is then projected onto the feasible set by the
-  same ADMM with no objective, which is Douglas-Rachford splitting of the
-  two projections, and kept only when it raises the value.  Each sweep of
-  that projection ends with the eigenvalue projection and the loop stops
-  once that output's residual is below ``_TOLERANCE / 10``, so the states
-  returned are always positive with unit trace.
+  unit-trace positive matrices.  The ADMM is Douglas-Rachford splitting
+  of those two projections with the objective as a shift, and one routine,
+  ``_Projector.douglas_rachford``, takes its steps.  The ADMM iterate and
+  its scaled dual carry over from one iteration to the next, each
+  iteration takes at most 25 steps, and a restart stops stepping once its
+  primal and dual residuals are below 1e-10; new measurements change the
+  objective, so they restart that count.  The iterate is then projected
+  onto the feasible set by the same routine with no shift, and kept only
+  when it raises the value.  Each sweep of that projection ends with the
+  eigenvalue projection and the loop stops once that output's residual is
+  below ``_TOLERANCE / 10``, so the states returned are always positive
+  with unit trace.
 
 The measurement step solves every (restart, receiver input) problem of the
 stack in one call, each stopping on its own certificate, and the ADMM and
@@ -208,38 +210,46 @@ class _Projector:
         flat = rhos.reshape(*rhos.shape[:-2], -1)
         return np.max(np.abs(self.rows @ flat), axis=(-2, -1))
 
-    def feasible(self, rhos: np.ndarray, tol: float, max_sweeps: int = 200) -> np.ndarray:
-        """ADMM with no objective, on each set of the stack.
+    def douglas_rachford(self, z, u, res, tol, max_steps, residual, shift=None):
+        """Steps ``X = affine(Z - U + shift)``, ``Z+ = psd(X + U)``, ``U += X - Z+``.
 
-        From ``Z = rhos`` and ``U = 0`` each sweep is ``X = affine(Z - U)``,
-        ``Z = psd(X + U)``, ``U += X - Z``: Douglas-Rachford splitting of the
-        two projections (Lions and Mercier, SIAM J. Numer. Anal. 16, 964
-        (1979); Eckstein and Bertsekas, Math. Prog. 55, 293 (1992)).  Each set
-        returns a ``psd`` output, the first ``Z`` whose residual is below
-        ``tol`` or the one after ``max_sweeps`` sweeps, and leaves the stack
-        there.  The sets share nothing but the calls: each one ends where it
-        would end alone, up to rounding.
+        Douglas-Rachford splitting of the two projections (Lions and Mercier,
+        SIAM J. Numer. Anal. 16, 964 (1979); Eckstein and Bertsekas, Math.
+        Prog. 55, 293 (1992)); with the shift ``G / sigma`` it is the scaled
+        ADMM on ``max sum_x Tr(rho_x G_x)`` over the feasible set.  ``z``,
+        ``u`` and ``res`` hold a stack of sets and are updated in place.  Only
+        sets whose ``res`` is at least ``tol`` step, and each step sets ``res``
+        to ``residual(X, Z, Z+)``, so a set leaves once it falls below ``tol``
+        or after ``max_steps`` steps, where it would leave alone.  Returns the
+        steps each set took.
+        """
+        steps = np.zeros(len(z), dtype=int)
+        index = np.flatnonzero(res >= tol)
+        for _ in range(max_steps):
+            if not index.size:
+                break
+            z_in, u_in = z[index], u[index]
+            x = self.affine(z_in - u_in if shift is None else z_in - u_in + shift[index])
+            z_out = self.psd(x + u_in)
+            z[index], u[index] = z_out, u_in + x - z_out
+            res[index] = residual(x, z_in, z_out)
+            steps[index] += 1
+            index = index[res[index] >= tol]
+        return steps
+
+    def feasible(self, rhos: np.ndarray, tol: float, max_sweeps: int = 200) -> np.ndarray:
+        """``douglas_rachford`` with no shift on each set, from ``Z = rhos`` and ``U = 0``.
+
+        Each set returns a ``psd`` output: the first ``Z`` whose residual is
+        below ``tol``, or the one after ``max_sweeps`` sweeps.
         """
         shape = rhos.shape
-        z = rhos.reshape(-1, *shape[-3:])
-        u = np.zeros_like(z)
-        out = np.empty_like(z)
-        self.sweeps = np.full(len(z), max_sweeps)
-        index = np.arange(len(z))
-        for count in range(1, max_sweeps + 1):
-            x = self.affine(z - u)
-            z = self.psd(x + u)
-            u = u + x - z
-            going = self.residual(z) >= tol
-            if not going.all():
-                out[index[~going]], self.sweeps[index[~going]] = z[~going], count
-                index, z, u = index[going], z[going], u[going]
-                if not index.size:
-                    break
-        else:
-            out[index] = z
-        self.sweeps = self.sweeps.reshape(shape[:-3])
-        return out.reshape(shape)
+        z = rhos.reshape(-1, *shape[-3:]).copy()
+        self.sweeps = self.douglas_rachford(
+            z, np.zeros_like(z), np.full(len(z), np.inf), tol, max_sweeps,
+            lambda x, z_in, z_out: self.residual(z_out),
+        ).reshape(shape[:-3])
+        return z.reshape(shape)
 
 
 def _objective(weighted: np.ndarray, rhos: np.ndarray, effects: np.ndarray):
@@ -363,32 +373,19 @@ def _start(game, cfg, projector):
 def _admm(projector, grad, z, u, res) -> np.ndarray:
     """Warm-started ADMM steps on ``max sum_x Tr(rho_x G_x)`` over the feasible set.
 
-    In scaled form with penalty ``sigma`` each step is
-    ``X = affine(Z - U + G / sigma)``, ``Z+ = psd(X + U)``, ``U += X - Z+``
-    (Wen, Goldfarb and Yin, Math. Prog. Comp. 2, 203 (2010)), and ``sigma U``
-    estimates the dual.  ``z``, ``u`` and ``res`` hold a stack of restarts
-    and are updated in place; ``res`` is each restart's larger residual,
-    primal ``|X - Z+|`` or dual ``|Z+ - Z|``.  A restart leaves the stack
-    once its residual is below the tolerance, so one that enters below it
-    takes no step.  Returns the steps each restart took.
+    ``douglas_rachford`` with the shift ``G / sigma`` (Wen, Goldfarb and Yin,
+    Math. Prog. Comp. 2, 203 (2010)); ``sigma U`` estimates the dual.  ``z``,
+    ``u`` and ``res`` hold a stack of restarts and are updated in place;
+    ``res`` is each restart's larger residual, primal ``|X - Z+|`` or dual
+    ``|Z+ - Z|``.  Returns the steps each restart took.
     """
-    steps = np.zeros(len(z), dtype=int)
-    index = np.flatnonzero(res >= _ADMM_TOL)
-    shift = grad / _ADMM_SIGMA
-    for _ in range(_ADMM_STEPS):
-        if not index.size:
-            break
-        z_in, u_in = z[index], u[index]
-        x = projector.affine(z_in - u_in + shift[index])
-        z_out = projector.psd(x + u_in)
-        z[index], u[index] = z_out, u_in + x - z_out
-        primal, dual = (
-            np.linalg.norm(a.reshape(len(index), -1), axis=1) for a in (x - z_out, z_out - z_in)
-        )
-        res[index] = np.maximum(primal, dual)
-        steps[index] += 1
-        index = index[res[index] >= _ADMM_TOL]
-    return steps
+    def residual(x, z_in, z_out):
+        norms = [np.linalg.norm(a.reshape(len(a), -1), axis=1) for a in (x - z_out, z_out - z_in)]
+        return np.maximum(*norms)
+
+    return projector.douglas_rachford(
+        z, u, res, _ADMM_TOL, _ADMM_STEPS, residual, grad / _ADMM_SIGMA
+    )
 
 
 def _settled_stop(it, gain, max_iters):

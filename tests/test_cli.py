@@ -291,6 +291,18 @@ def _rac22_spec(drop=None, **changes):
     return spec
 
 
+def test_game_without_outcomes_exits_2(capsys, tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(_rac22_spec(outcomes=[], payoff=np.zeros((4, 2, 0)).tolist())))
+    for argv in (
+        ["bound", "--game", str(path)],
+        ["optimize", "--game", str(path), "--dim", "2", "--restarts", "1", "--iters", "2"],
+    ):
+        code, report, err = run_cli(capsys, *argv)
+        assert (code, report) == (2, None)
+        assert "outcomes is empty" in err
+
+
 def _mapping_without(key):
     mapping = expdata.pinned_mapping().to_dict()
     del mapping[key]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblivious_games import cglmp
+from oblivious_games.bellmap import BellFunctional, NoSignalingBox
 from oblivious_games.games import (
     Behavior,
     ClassicalStrategy,
@@ -352,6 +353,62 @@ class TestBehaviorStacks:
 def test_check_distribution_rejects(p, message):
     with pytest.raises(ValueError, match=message):
         check_distribution(np.array(p), 1e-12, "p_alice")
+
+
+def _game_without(field):
+    fields = _valid_game_fields()
+    axis = ("alice_inputs", "bob_inputs", "outcomes").index(field)
+    fields[field] = ()
+    fields["payoff"] = np.ones(tuple(0 if k == axis else n for k, n in enumerate((2, 1, 2))))
+    if field == "alice_inputs":
+        fields["p_alice"], fields["partitions"] = np.array([]), ()
+    if field == "bob_inputs":
+        fields["p_bob"] = np.array([])
+    return ObliviousGame(**fields)
+
+
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        pytest.param(lambda: _game_without("alice_inputs"), "alice_inputs", id="game-no-alice"),
+        pytest.param(lambda: _game_without("bob_inputs"), "bob_inputs", id="game-no-bob"),
+        pytest.param(lambda: _game_without("outcomes"), "outcomes", id="game-no-outcomes"),
+        pytest.param(
+            lambda: BellFunctional(np.zeros((0, 2, 2, 2)), [], [0.5, 0.5]),
+            "m_alice",
+            id="functional-no-alice",
+        ),
+        pytest.param(
+            lambda: BellFunctional(np.zeros((2, 0, 2, 2)), [0.5, 0.5], []),
+            "m_bob",
+            id="functional-no-bob",
+        ),
+        pytest.param(
+            lambda: BellFunctional(np.zeros((2, 2, 0, 0)), [0.5, 0.5], [0.5, 0.5]),
+            "n_outcomes",
+            id="functional-no-outcomes",
+        ),
+        pytest.param(lambda: Behavior(np.zeros((0, 2, 2))), "behavior", id="behavior-no-inputs"),
+        pytest.param(
+            lambda: Behavior(np.zeros((2, 2, 0))), "behavior", id="behavior-no-outcomes"
+        ),
+        pytest.param(lambda: NoSignalingBox(np.zeros((2, 0, 2, 2))), "box", id="box-no-inputs"),
+        pytest.param(
+            lambda: ClassicalStrategy(np.zeros((0, 2)), np.full((2, 2, 2), 0.5)),
+            "encoding",
+            id="strategy-no-inputs",
+        ),
+        pytest.param(
+            lambda: ClassicalStrategy(np.zeros((2, 0)), np.zeros((0, 2, 2))),
+            "encoding",
+            id="strategy-no-messages",
+        ),
+    ],
+)
+def test_empty_alphabet_rejected_by_name(build, field):
+    with pytest.raises(ValueError, match=field) as info:
+        build()
+    assert "zero-size array" not in str(info.value)
 
 
 def test_classical_strategy_shape_mismatch_rejected():

@@ -394,6 +394,49 @@ def test_preparation_step_closes_its_duality_gap(game, dim):
     assert (bound - value >= -1e-9).all()
 
 
+def _admm_to_rest(projector, grad, z, u, res):
+    """Call ``_admm`` until no set steps; returns the steps of every call, (calls, sets)."""
+    calls = []
+    for _ in range(1000):
+        steps = _admm(projector, grad, z, u, res)
+        if not steps.any():
+            return np.array(calls).reshape(-1, len(z))
+        calls.append(steps)
+    raise AssertionError("the ADMM did not come to rest in 1000 calls")
+
+
+@pytest.mark.parametrize("game,dim", PROJECTOR_CASES)
+def test_admm_stack_equals_each_set_alone(game, dim):
+    projector = _Projector(game, dim)
+    rng = np.random.default_rng(10)
+    sets = 4
+    effects = np.stack(
+        [[_random_povm(rng, game.n_outcomes, dim) for _ in range(game.n_bob)] for _ in range(sets)]
+    )
+    weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
+    grad = _herm(np.einsum("xyb,rybij->rxij", weighted, effects))
+    rhos = np.stack([_random_rhos(rng, game.n_alice, dim) for _ in range(sets)])
+    z0 = projector.feasible(rhos, 1e-12)
+    u0 = np.zeros_like(z0)
+    res0 = np.full(sets, np.inf)
+    # set 2 enters below the tolerance, with a dual that is not zero
+    u0[2], res0[2] = 0.1 * _random_scores(rng, game.n_alice, dim), 0.5 * optimizer._ADMM_TOL
+    z, u, res = z0.copy(), u0.copy(), res0.copy()
+    stacked = _admm_to_rest(projector, grad, z, u, res)
+    assert stacked.shape[0] > 1
+    assert not stacked[:, 2].any()
+    assert np.array_equal(z[2], z0[2]) and np.array_equal(u[2], u0[2])
+    for k in range(sets):
+        one = slice(k, k + 1)
+        z_k, u_k, res_k = z0[one].copy(), u0[one].copy(), res0[one].copy()
+        alone = _admm_to_rest(projector, grad[one], z_k, u_k, res_k)[:, 0]
+        assert np.array_equal(stacked[: len(alone), k], alone)
+        assert not stacked[len(alone) :, k].any()
+        assert np.max(np.abs(z[k] - z_k[0])) < 1e-12
+        assert np.max(np.abs(u[k] - u_k[0])) < 1e-12
+    assert (res < optimizer._ADMM_TOL).all()
+
+
 class TestRacSearch:
     def test_d3_reaches_classical_value(self):
         cfg = SearchConfig(dim=3, restarts=3, max_iters=200, seed=0)
