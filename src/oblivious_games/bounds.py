@@ -8,10 +8,11 @@ Three routes to a preparation-noncontextual (or local-realist) bound:
   a correlation functional;
 * ``pnc_bound_lp_oracle`` -- for a generic game, enumerate sets of distinct
   deterministic decoding functions, one per message, and maximize each set's
-  score over the polytope of obliviousness-respecting encodings (one
-  ``lp.Polytope``).  Optimal decoding is deterministic by convexity.  From one
-  message per decoding function, the one set's program is the exact
-  noncontextual LP over p(f|x); with fewer messages the value is a lower bound.
+  score over the polytope of obliviousness-respecting encodings, each set
+  from the last one's optimal basis.  Optimal decoding is deterministic by
+  convexity.  From one message per decoding function, the one set's program
+  is the exact noncontextual LP over p(f|x); with fewer messages the value is
+  a lower bound.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     witness on ties).  From one message per function there is one set, and
     its program is the exact LP over p(f|x).  A cheap constraint-free bound
     prunes decoders that cannot beat the incumbent.  Every decoder's program
-    is over the same encoding polytope, so phase 1 runs once and each
-    surviving decoder re-optimizes from the previous one's optimal basis.
+    is over the same encoding polytope, so phase 1 runs once: each surviving
+    decoder re-optimizes from the previous one's optimal basis, the start of
+    its ``lp.solve_many``.
     The result counts the programs solved and their pivots, phase 1 included.
     """
     message_count = check_integer(message_count, "message count")
@@ -121,11 +123,11 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     oblivious = np.einsum("rx,mn->mrxn", rows, eye).reshape(-1, n_vars)
     a_eq = np.vstack([np.kron(np.eye(na), np.ones(message_count)), oblivious])
     b_eq = np.concatenate([np.ones(na), np.zeros(len(oblivious))])
-    polytope = lp.Polytope(a_eq, b_eq)
 
     best = -np.inf
     witness = None
     programs = pivots = 0
+    start = None
     combos = combinations(range(len(decode_fns)), message_count)
     while block := list(islice(combos, _DECODER_BLOCK)):
         # scores[c, m, x]: message m's decoder score at x; the constraint-free
@@ -136,7 +138,8 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
             if caps[c] <= best + 1e-12:
                 continue
             # objective coefficient of p(m|x) is the score of message m's decoder at x
-            solution = polytope.maximize(scores[c].T.ravel())
+            solutions = lp.solve_many(lp.LinearProgram(scores[c].T.ravel(), a_eq, b_eq), start)
+            start, solution = solutions.basis[0], solutions[0]
             programs += 1
             pivots += solution.pivots
             if solution.status != "optimal":  # pragma: no cover - uniform encodings are feasible

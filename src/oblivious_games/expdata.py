@@ -414,7 +414,8 @@ def mc_uncertainty(
     program on the pivot path it takes alone, so the chunk size does not
     change the result: the sigmas are equal bit for bit at any chunk size.
     ``seed`` is None (fresh entropy) or a non-negative integer; anything else
-    is a ``ValueError``.
+    is a ``ValueError``, as is a draw whose row clamps to all zeros: the
+    message names its lab state and basis.
     """
     samples = check_integer(samples, "sample count")
     if samples < 100:
@@ -439,7 +440,12 @@ def mc_uncertainty(
         draw = data.probabilities + rng.normal(size=(size, 6, 2, 3)) * data.sigmas
         np.clip(draw, 0.0, 1.0, out=draw)
         sums = draw.sum(axis=3, keepdims=True)
-        sums[sums <= 0.0] = 1.0
+        if (sums <= 0.0).any():
+            _, state, basis, _ = np.argwhere(sums <= 0.0)[0]
+            raise ValueError(
+                f"a Monte Carlo draw of state {STATES[state]}, basis {PROTOCOL_BASES[basis]} "
+                "clipped to all zeros, which no renormalization makes a distribution"
+            )
         tables = draw / sums
         programs = _secondary_programs(tables, rows, out=eq_matrices[:size])
         solutions = lp.solve_many(programs, nominal, work=work[:size])

@@ -25,36 +25,35 @@ basis, entry ``p`` is the ``LpSolution`` that ``solve`` gives for program
 ``p``.  A caller that reads the arrays builds no per-program object.
 
 ``solve_many`` can also start a stack from one basis, such as the optimal
-basis of a nearby program.  Each program's tableau in that basis is
-B^-1 [A | b] over its reduced costs, for B its basic columns; a row whose
-start index is artificial was redundant there and is dropped.  It is
-built in place, in a caller's ``work`` buffer when one is given, from one
-copy of the kept rows, one stacked inverse and one product.  Where that
-tableau is finite, well posed and dual feasible, the dual simplex (Lemke
-1954) with Bland's rule pivots it, in lockstep, until it is primal
-feasible and so optimal; its pivots keep the cost row current, so phase 2
-prices it no second time.  Every other program, and any that the dual
-simplex proves infeasible, runs the two-phase simplex in the same call,
-and its entry equals ``solve``.  A program served warm reaches the
-optimum of ``solve`` to round-off, but perhaps on another optimal vertex,
-so its values need not equal those of ``solve``.
+basis of a nearby program or the last basis of an earlier solve.  Each
+program's tableau in that basis is B^-1 [A | b] over its reduced costs, for
+B its basic columns; an artificial start index n + j marks row j as
+redundant there, and that row is dropped.  It is built in place, in a
+caller's ``work`` buffer when one is given, from one copy of the kept rows,
+one stacked inverse and one product.  Where that tableau is finite and well
+posed, and dual feasible or primal feasible, the dual simplex (Lemke 1954)
+with Bland's rule pivots it, in lockstep, until it is primal feasible (from
+a primal feasible start it takes no step); its pivots keep the cost row
+current, so phase 2 prices it no second time.  Every other program, and
+any that the dual simplex proves infeasible, runs the two-phase simplex in
+the same call, and its entry equals ``solve``.  A program served warm
+reaches the optimum of ``solve`` to round-off, but perhaps on another
+optimal vertex, so its values need not equal those of ``solve``.
 
 The simplex runs in two stages: ``_feasible`` (phase 1 and the drive-out
 of artificial variables) and ``_maximize`` (phase 2 from whatever basis it
 is given, pricing the programs whose cost row is stale; only a program
 with an improving column enters Bland's rule).  ``solve_many`` runs both
 on its stack, with ``_warm`` (the start tableau and the dual simplex) in
-place of ``_feasible`` for each program that its start basis serves.  A
-``Polytope`` runs ``_feasible`` once on a stack of one, and each
-``maximize`` re-optimizes a new objective from the basis the last one
-ended in; ``solve`` is the first ``maximize`` of a fresh polytope.  A step
-costs a few dozen numpy calls whatever the stack holds, which outweighs
-the arithmetic of a program of a dozen rows.  Such programs gain by
-taking fewer steps: a sequence of objectives over one polytope pays for
-phase 1 once, and a warm phase 2 often takes a few pivots where a cold
-solve takes twenty.  A stack of programs close to one whose optimal basis
-is known skips phase 1, and the dual simplex from that basis takes a few
-pivots where a cold solve takes forty.
+place of ``_feasible`` for each program that its start basis serves;
+``solve`` is its entry for a stack of one.  A step costs a few dozen numpy
+calls whatever the stack holds, which outweighs the arithmetic of a
+program of a dozen rows.  Such programs gain by taking fewer steps: a
+sequence of objectives over one polytope, each solved from the basis the
+last one ended in, pays for phase 1 once, and a warm phase 2 often takes a
+few pivots where a cold solve takes twenty.  A stack of programs close to
+one whose optimal basis is known skips phase 1, and the dual simplex from
+that basis takes a few pivots where a cold solve takes forty.
 """
 
 from __future__ import annotations
@@ -348,23 +347,22 @@ def _reduced_costs(tableau, basis, objectives) -> np.ndarray:
 
 
 def _maximize(
-    tableau, basis, infeasible, phase1, lp, objectives, pivots=None, stale=slice(None)
+    tableau, basis, infeasible, phase1, lp, pivots=None, stale=slice(None)
 ) -> LpSolutions:
     """Phase 2 from each program's current basis, to each one's solution.
 
-    ``tableau`` and ``basis`` come from ``_feasible``, ``_warm`` or an
-    earlier call; they are updated in place, so they end at the last basis,
-    which is feasible for any objective.  ``phase1`` is the phase-1 pivots of
-    each program and ``pivots``, by default ``phase1``, all pivots before
-    phase 2; ``objectives`` holds one row per program of ``lp``.  The cost
+    ``tableau`` and ``basis`` come from ``_feasible`` or ``_warm``; they are
+    updated in place, so they end at the last basis, which is feasible for
+    any objective.  ``phase1`` is the phase-1 pivots of each program and
+    ``pivots``, by default ``phase1``, all pivots before phase 2.  The cost
     rows of the programs ``stale`` selects, by default all, are priced for
-    ``objectives``; the others are current already.  Only a program with a
-    reduced cost above ``PIVOT_TOL`` enters Bland's rule: any other would
-    stop there at once.
+    the objectives of ``lp``; the others are current already.  Only a
+    program with a reduced cost above ``PIVOT_TOL`` enters Bland's rule: any
+    other would stop there at once.
     """
     k, m = basis.shape
     n = tableau.shape[2] - 1
-    tableau[stale, -1] = _reduced_costs(tableau[stale], basis[stale], objectives[stale])
+    tableau[stale, -1] = _reduced_costs(tableau[stale], basis[stale], lp.objective[stale])
     pivots = (phase1 if pivots is None else pivots).copy()
     improvable = ~infeasible & (tableau[:, -1, :n] > PIVOT_TOL).any(axis=1)
     unbounded = _bland(tableau, basis, improvable, n, pivots)
@@ -374,14 +372,14 @@ def _maximize(
     values = values[:, :n]
     np.maximum(values, 0.0, out=values)  # remove sub-tolerance pivot noise
     stopped = infeasible | unbounded
-    value = _checked(lp, objectives, values, ~stopped)
+    value = _checked(lp, values, ~stopped)
     values[stopped] = np.nan
     value[stopped] = np.nan
     status = np.where(infeasible, "infeasible", np.where(unbounded, "unbounded", "optimal"))
     return LpSolutions(status, values, value, pivots, phase1, basis.copy())
 
 
-def _checked(lp: LinearProgram, objectives, values, optimal) -> np.ndarray:
+def _checked(lp: LinearProgram, values, optimal) -> np.ndarray:
     """Each program's objective value, once every optimal vertex satisfies
     its original system.
 
@@ -392,7 +390,7 @@ def _checked(lp: LinearProgram, objectives, values, optimal) -> np.ndarray:
         feas = float(np.max(residual[optimal], initial=0.0))
         if feas >= 1e-8:  # pragma: no cover - simplex invariant
             raise RuntimeError(f"vertex violates equalities by {feas:.2e}")
-    return (objectives[:, None, :] @ values[..., None])[:, 0, 0]
+    return (lp.objective[:, None, :] @ values[..., None])[:, 0, 0]
 
 
 def _inverse(matrices) -> np.ndarray:
@@ -413,19 +411,26 @@ def _warm(lp: LinearProgram, start: np.ndarray, tableau: np.ndarray) -> tuple:
     ``tableau`` as ``_feasible`` lays it out, over its reduced costs; the
     basis, and the programs from which the dual simplex can start there.
 
-    The rows whose start index is real come first, as B^-1 [a | b] for B
-    their start columns: one copy of those rows of [a | b], one stacked
-    inverse and one product written into ``tableau``.  Each other row is
-    dropped: it is zeroed under an artificial basic, as the drive-out leaves
-    a redundant row.  The dual simplex can start where the tableau is finite
-    and well posed (B^-1 B is the identity to ``PIVOT_TOL``, and the dropped
-    rows follow from the kept ones as closely) and the basis is dual
-    feasible.
+    An artificial start index n + j marks original row j as redundant, as
+    the drive-out leaves it.  The other rows come first, as B^-1 [a | b] for
+    B their rows of the real start columns: one copy of those rows of
+    [a | b], one stacked inverse and one product written into ``tableau``.
+    Each redundant row is zeroed under its own artificial index, so a warm
+    result's basis can start the next solve.  The dual simplex can start
+    where the tableau is finite and well posed (B^-1 B is the identity to
+    ``PIVOT_TOL``, and the redundant rows follow from the kept ones as
+    closely) and the basis is dual feasible or primal feasible; from a
+    primal feasible basis it takes no step.
     """
     k, m, n = lp.eq_matrix.shape
-    kept = np.flatnonzero(start < n)
-    dropped = np.flatnonzero(start >= n)
-    columns = start[kept]
+    columns = start[start < n]
+    artificial = start[start >= n]
+    dropped = artificial - n
+    # a mask, not np.setdiff1d: the first np.unique of a process keeps about
+    # 560 KB resident
+    kept = np.ones(m, dtype=bool)
+    kept[dropped] = False
+    kept = np.flatnonzero(kept)
     r = columns.size
     system = np.empty((k, r, n + 1))
     # the indices are in range; "clip" writes straight into out, "raise" via a copy
@@ -444,12 +449,14 @@ def _warm(lp: LinearProgram, start: np.ndarray, tableau: np.ndarray) -> tuple:
     posed = np.maximum(error, implied) < PIVOT_TOL  # False where either is NaN
     tableau[~posed] = 0.0  # no NaN reaches the cost row
     rows[..., columns] = np.eye(r)  # exact unit vectors
-    basis = np.repeat(np.concatenate([columns, n + np.arange(r, m)])[None], k, axis=0)
+    basis = np.repeat(np.concatenate([columns, artificial])[None], k, axis=0)
     cost = tableau[:, -1]
     cost[:, :n] = lp.objective
     cost[:, -1] = 0.0
     cost -= (lp.objective[:, None, columns] @ rows)[:, 0]
-    return basis, posed & (cost[:, :n] <= PIVOT_TOL).all(axis=1)
+    dual = (cost[:, :n] <= PIVOT_TOL).all(axis=1)
+    primal = (rows[..., -1] >= -PIVOT_TOL).all(axis=1)
+    return basis, posed & (dual | primal)
 
 
 def solve_many(programs: LinearProgram, start=None, work=None) -> LpSolutions:
@@ -459,13 +466,14 @@ def solve_many(programs: LinearProgram, start=None, work=None) -> LpSolutions:
     ``p`` of the result equals ``solve`` of program ``p``: same status,
     pivots and bit-equal values.  ``start`` is one row of an
     ``LpSolutions.basis``, such as the optimal basis of a program close to
-    all of these: m distinct indices below n + m.  Each program that can
-    start there (see ``_warm``) runs the dual simplex, then phase 2 from the
-    cost row the dual simplex kept, and ends optimal with ``phase1_pivots``
-    0: at the optimum ``solve`` reaches, though perhaps on another optimal
-    vertex.  Every other program, and each that the dual simplex proves
-    infeasible, runs the two-phase simplex in the same call, and its entry
-    equals ``solve``.
+    all of these, or of the same rows under another objective: m distinct
+    indices below n + m.  Each program that can start there (see ``_warm``)
+    runs the dual simplex, then phase 2 from the cost row the dual simplex
+    kept, and ends with ``phase1_pivots`` 0 and the status of ``solve``:
+    where optimal, at the optimum ``solve`` reaches, though perhaps on
+    another optimal vertex.  Every other program, and each
+    that the dual simplex proves infeasible, runs the two-phase simplex in
+    the same call, and its entry equals ``solve``.
 
     ``work``, allowed only with ``start``, is a writeable C-contiguous
     float64 array of shape (k, m + 1, n + 1) in which the start tableaux are
@@ -473,8 +481,9 @@ def solve_many(programs: LinearProgram, start=None, work=None) -> LpSolutions:
     one buffer; by default a fresh one is allocated.  It changes no result,
     and the result does not refer to it.
 
-    Row ``p`` of the result's ``basis`` is program ``p``'s last basis; where
-    the program is optimal, an index >= n marks a row zeroed as redundant.
+    Row ``p`` of the result's ``basis`` is program ``p``'s last basis, which
+    can start a later solve; where the program is optimal or unbounded, an
+    index n + j marks row j as redundant, zeroed in the tableau.
     """
     if not isinstance(programs, LinearProgram):
         raise TypeError(f"expected one stacked LinearProgram, got {type(programs).__name__}")
@@ -483,7 +492,7 @@ def solve_many(programs: LinearProgram, start=None, work=None) -> LpSolutions:
         if work is not None:
             raise ValueError("work is the buffer of a start tableau; it needs a start basis")
         tableau, basis, infeasible, pivots = _feasible(programs)
-        return _maximize(tableau, basis, infeasible, pivots, programs, programs.objective)
+        return _maximize(tableau, basis, infeasible, pivots, programs)
     start = np.asarray(start)
     if (
         start.shape != (m,)
@@ -518,50 +527,15 @@ def solve_many(programs: LinearProgram, start=None, work=None) -> LpSolutions:
         )
         work[cold], basis[cold], infeasible[cold], phase1[cold] = _feasible(rest)
         pivots[cold] = phase1[cold]
-    return _maximize(work, basis, infeasible, phase1, programs, programs.objective, pivots, cold)
-
-
-class Polytope:
-    """The set {v : eq_matrix v = eq_rhs, v >= 0}, maximized over one
-    objective after another.
-
-    Phase 1 runs once, in the constructor.  Each ``maximize`` runs phase 2
-    from the basis the previous call ended in: that basis is feasible for
-    every objective, and near-optimal for a similar one.  The first call
-    counts the phase-1 pivots in its ``pivots`` and ``phase1_pivots``; later
-    calls count only their own phase 2.  An infeasible polytope reports
-    ``infeasible`` for every objective.
-    """
-
-    def __init__(self, eq_matrix, eq_rhs):
-        a = np.asarray(eq_matrix, dtype=float)
-        objective = np.zeros(a.shape[:-2] + a.shape[-1:])
-        self._program = LinearProgram(objective, a, eq_rhs)
-        if len(self._program.objective) != 1:
-            raise ValueError("a polytope is one program, not a stack")
-        self._tableau, self._basis, self._infeasible, self._phase1 = _feasible(self._program)
-
-    def maximize(self, objective) -> LpSolution:
-        """Maximize ``objective . v`` over the polytope; infeasible and
-        unbounded results are reported, never raised."""
-        c = np.asarray(objective, dtype=float).reshape(1, -1)
-        if c.shape != self._program.objective.shape:
-            raise ValueError(
-                f"objective of {c.size} entries for {self._program.objective.size} variables"
-            )
-        if not np.isfinite(c).all():
-            raise ValueError("objective must be finite")
-        solution = _maximize(
-            self._tableau, self._basis, self._infeasible, self._phase1, self._program, c
-        )[0]
-        self._phase1 = np.zeros_like(self._phase1)
-        return solution
+    return _maximize(work, basis, infeasible, phase1, programs, pivots, cold)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex on one program (a stack of one); infeasible/unbounded
     programs are reported, never raised.
 
-    This is the first ``maximize`` of a fresh ``Polytope``.
+    This is entry 0 of ``solve_many`` on that program.
     """
-    return Polytope(lp.eq_matrix, lp.eq_rhs).maximize(lp.objective)
+    if len(lp.objective) != 1:
+        raise ValueError("solve takes one program, not a stack; solve_many takes a stack")
+    return solve_many(lp)[0]

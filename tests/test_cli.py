@@ -239,6 +239,23 @@ def test_exp_mc_below_floor_is_rejected(capsys, data_dir, samples):
     assert "100 samples" in err
 
 
+def test_exp_mc_draw_clipped_to_zeros_exits_2(capsys, tmp_path, data_dir):
+    # state (1, 1), basis 1 made a sure outcome with a sigma of 0.6
+    lines = (data_dir / "table2.csv").read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("1,1,1,"):
+            proj = line.split(",")[3]
+            lines[i] = f"1,1,1,{proj},{1.0 if proj == '1' else 0.0},0.6"
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(lines) + "\n")
+    code, report, err = run_cli(
+        capsys, "exp", "--data", str(table), "--mc", "2000", "--seed", "0"
+    )
+    assert code == 2
+    assert report is None
+    assert "state (1, 1), basis 1 clipped to all zeros" in err
+
+
 def test_exp_default_seed_is_zero(capsys, data_dir):
     code, report, _ = run_cli(
         capsys, "exp", "--data", str(data_dir / "table2.csv"), "--mc", "100"

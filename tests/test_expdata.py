@@ -392,6 +392,14 @@ class TestMonteCarlo:
             bundled, pin, 100, seed=3
         )
 
+    def test_draw_clipped_to_zeros_is_named(self, bundled):
+        # a sure outcome with a wide sigma: a draw can clip its whole row to
+        # zero, which no renormalization makes a distribution
+        p, s = bundled.probabilities.copy(), bundled.sigmas.copy()
+        p[0, 0], s[0, 0] = (1.0, 0.0, 0.0), 0.6
+        with pytest.raises(ValueError, match=r"state \(1, 1\), basis 1 clipped to all zeros"):
+            mc_uncertainty(PrimaryData(p, s), pinned_mapping(), 2000, seed=0)
+
     def test_result_does_not_depend_on_chunk(self, bundled, monkeypatch):
         pin = pinned_mapping()
         results = {}

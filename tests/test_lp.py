@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblivious_games import bellmap, bounds, expdata, games, lp
-from oblivious_games.lp import LinearProgram, LpSolution, Polytope, solve, solve_many
+from oblivious_games.lp import LinearProgram, LpSolution, solve, solve_many
 from conftest import random_game
 from slack_form import with_upper_bounds
 
@@ -70,8 +70,6 @@ def test_infinite_upper_bound_means_unbounded_variable():
 def test_only_the_equality_form():
     with pytest.raises(TypeError):
         LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0], upper_bounds=[1.0, 1.0])
-    with pytest.raises(TypeError):
-        Polytope([[1.0, 1.0]], [1.0], [1.0, 1.0])
 
 
 def test_size_guard():
@@ -259,7 +257,8 @@ def _warm_start_stack():
     for _ in range(6):  # new right-hand sides leave the basis dual feasible
         x = rng.random(n) * (rng.random(n) < 0.5)
         programs.append((LinearProgram(c, eq, eq @ x), "dual feasible"))
-    programs.append((LinearProgram(-c, eq, eq @ x0), "dual infeasible"))
+    # the start is optimal for c, so feasible for -c, but not optimal
+    programs.append((LinearProgram(-c, eq, eq @ x0), "primal feasible"))
     singular = eq.copy()
     singular[:, start[0]] = 0.0
     programs.append((LinearProgram(c, singular, singular @ x0), "singular"))
@@ -272,7 +271,7 @@ def _warm_start_stack():
     return start, programs
 
 
-def test_warm_start_serves_only_dual_feasible_bases():
+def test_warm_start_serves_dual_or_primal_feasible_bases():
     start, labelled = _warm_start_stack()
     assert (start >= 8).sum() == 1
     programs, kinds = zip(*labelled)
@@ -288,6 +287,10 @@ def test_warm_start_serves_only_dual_feasible_bases():
             alone = solve_many(programs[p], start)
             assert warm.values[p].tobytes() == alone.values[0].tobytes()
             assert warm.pivots[p] == alone.pivots[0]
+        elif kind == "primal feasible":
+            # the dual simplex takes no step, and phase 2 runs from the start
+            assert warm.status[p] == "optimal" and warm.phase1_pivots[p] == 0
+            assert abs(warm.objective_value[p] - cold.objective_value[p]) < 1e-12
         else:
             assert warm.status[p] == cold.status[p]
             assert warm.values[p].tobytes() == cold.values[p].tobytes()
@@ -296,6 +299,33 @@ def test_warm_start_serves_only_dual_feasible_bases():
             assert warm.phase1_pivots[p] == cold.phase1_pivots[p] > 0
     served = warm.pivots[: kinds.count("dual feasible")]
     assert served.min() == 0 < served.max()  # some need the dual simplex, some not
+
+
+def test_warm_restart_from_its_own_optimal_basis():
+    # the rows to drop are those the artificial start indices name, not those
+    # at their positions in the basis; here the two differ, and the rows at
+    # those positions leave B singular
+    a, b = _oracle_polytope(games.make_rac_game(3, 3), 2)
+    program = LinearProgram(np.random.default_rng(0).normal(size=a.shape[1]), a, b)
+    cold = solve_many(program)
+    assert (cold.pivots[0], cold.phase1_pivots[0]) == (166, 148)
+    warm = solve_many(program, cold.basis[0])
+    assert (warm.pivots[0], warm.phase1_pivots[0]) == (0, 0)
+    assert abs(warm.objective_value[0] - cold.objective_value[0]) < 1e-12
+
+
+def test_warm_start_chains_over_objectives():
+    # each result's basis starts the next solve, as the LP oracle chains them
+    a, b = _oracle_polytope(games.make_rac_game(3, 3), 2)
+    rng = np.random.default_rng(0)
+    start, phase1 = None, []
+    for _ in range(4):
+        program = LinearProgram(rng.normal(size=a.shape[1]), a, b)
+        solution = solve_many(program, start)
+        assert abs(solution.objective_value[0] - solve(program).objective_value) < 1e-12
+        start = solution.basis[0]
+        phase1.append(int(solution.phase1_pivots[0]))
+    assert phase1 == [148, 0, 0, 0]
 
 
 def test_start_basis_checked():
@@ -405,8 +435,6 @@ def test_mismatched_stack_axes_rejected():
             LinearProgram(**{**fields, part: fields[part][:-1]})
     with pytest.raises(ValueError):
         solve(stack)
-    with pytest.raises(ValueError):
-        Polytope(stack.eq_matrix, stack.eq_rhs)
 
 
 def _solutions_of(monkeypatch, run):
@@ -434,6 +462,18 @@ def test_pivots_of_the_bundled_secondary_program(monkeypatch, data_dir):
     assert [s.pivots for s in solutions] == [38]
 
 
+def _oracle_polytope(game, messages):
+    """The equality rows and rhs of the encoding polytope, as
+    ``bounds.pnc_bound_lp_oracle`` builds them."""
+    na = game.n_alice
+    rows = game.constraint_rows()
+    a = np.vstack(
+        [np.kron(np.eye(na), np.ones(messages))]
+        + [np.kron(row, np.eye(messages)[m]) for m in range(messages) for row in rows]
+    )
+    return a, np.concatenate([np.ones(na), np.zeros(len(a) - na)])
+
+
 def _cold_oracle(game, messages, decoders=combinations):
     """The LP oracle written out with one cold ``solve`` per decoder.
 
@@ -447,12 +487,7 @@ def _cold_oracle(game, messages, decoders=combinations):
     weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
     fns = list(product(range(no), repeat=nb))
     scores = np.array([[weighted[x, np.arange(nb), list(f)].sum() for x in range(na)] for f in fns])
-    rows = game.constraint_rows()
-    a = np.vstack(
-        [np.kron(np.eye(na), np.ones(messages))]
-        + [np.kron(row, np.eye(messages)[m]) for m in range(messages) for row in rows]
-    )
-    b = np.concatenate([np.ones(na), np.zeros(len(a) - na)])
+    a, b = _oracle_polytope(game, messages)
     best, decoder, solved = -np.inf, None, []
     for combo in decoders(range(len(fns)), messages):
         chosen = scores[list(combo)]
@@ -492,11 +527,12 @@ def test_warm_maximize_equals_cold_solve(name):
     make, messages = ORACLE_GAMES[name]
     game = make()
     best, decoder, solved = _cold_oracle(game, messages)
-    polytope = Polytope(solved[0][0].eq_matrix, solved[0][0].eq_rhs)
+    start = None
     for program, cold in solved:
-        warm = polytope.maximize(program.objective)
-        assert warm.status == cold.status == "optimal"
-        assert abs(warm.objective_value - cold.objective_value) < 1e-12
+        warm = solve_many(program, start)
+        start = warm.basis[0]
+        assert warm.status[0] == cold.status == "optimal"
+        assert abs(warm.objective_value[0] - cold.objective_value) < 1e-12
     result = bounds.pnc_bound_lp_oracle(game, messages)
     assert abs(result.value - best) < 1e-12
     assert result.witness["decoder"] == decoder
@@ -513,35 +549,28 @@ def test_decoder_sets_equal_decoder_multisets(name, messages):
 
 def test_warm_pivots_after_the_first():
     program = _mixed_stack()[0][0]
-    polytope = Polytope(program.eq_matrix, program.eq_rhs)
-    first = polytope.maximize(program.objective)
+    first = solve_many(program)
     cold = solve(program)
-    assert (first.pivots, first.phase1_pivots) == (cold.pivots, cold.phase1_pivots)
-    assert 0 < first.phase1_pivots <= first.pivots
-    assert first.values.tobytes() == cold.values.tobytes()
-    # the same objective again: the basis is already optimal
-    again = polytope.maximize(program.objective)
-    assert (again.pivots, again.phase1_pivots) == (0, 0)
-    assert again.objective_value == first.objective_value
-    assert again.values.tobytes() == first.values.tobytes()
+    assert (first.pivots[0], first.phase1_pivots[0]) == (cold.pivots, cold.phase1_pivots)
+    assert 0 < cold.phase1_pivots <= cold.pivots
+    assert first.values[0].tobytes() == cold.values.tobytes()
+    # the same objective from the basis it ended in, which is optimal already;
+    # the tableau is rebuilt there, so it rounds differently
+    again = solve_many(program, first.basis[0])
+    assert (again.pivots[0], again.phase1_pivots[0]) == (0, 0)
+    assert abs(again.objective_value[0] - cold.objective_value) < 1e-12
+    assert np.abs(again.values[0] - cold.values).max() < 1e-12
 
 
 def test_infeasible_polytope_stays_infeasible():
     program = _mixed_stack()[1][0]
-    polytope = Polytope(program.eq_matrix, program.eq_rhs)
     rng = np.random.default_rng(4)
+    start = None
     # the slack of the capped variable costs nothing
-    for objective in [program.objective, np.append(rng.normal(size=4), 0.0), np.zeros(5)]:
-        solution = polytope.maximize(objective)
-        assert solution.status == "infeasible"
-        assert solution.values is None
-
-
-def test_polytope_rejects_bad_objectives():
-    polytope = Polytope([[1.0, 1.0]], [1.0])
-    with pytest.raises(ValueError):
-        polytope.maximize([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        polytope.maximize([1.0, np.nan])
-    with pytest.raises(ValueError):
-        Polytope([1.0, 1.0], [1.0])
+    for objective in [program.objective[0], np.append(rng.normal(size=4), 0.0), np.zeros(5)]:
+        solutions = solve_many(
+            LinearProgram(objective, program.eq_matrix[0], program.eq_rhs[0]), start
+        )
+        start = solutions.basis[0]
+        assert solutions[0].status == "infeasible"
+        assert solutions[0].values is None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oblivious_games import expdata
-from oblivious_games.lp import LinearProgram, Polytope, solve, solve_many
+from oblivious_games.lp import LinearProgram, solve, solve_many
 from slack_form import with_upper_bounds
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -196,18 +196,24 @@ def test_warm_started_perturbed_secondary_programs(data_dir, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_polytope_over_a_sequence_of_objectives(seed):
     # a bounded polytope with one free column: an objective that gains on it
-    # is unbounded, and the next bounded one must re-optimize from there
+    # is unbounded, and the next bounded one must re-optimize from there;
+    # each solve starts from the basis the last one ended in
     rng = np.random.default_rng(600 + seed)
     _, a, b, x0 = feasible_program(rng, 3, 8)
     a = np.hstack([a, np.zeros((len(a), 1))])
     upper = np.full(9, np.inf)
     upper[[1, 4]] = x0[[1, 4]] + rng.random(2)
     slack = with_upper_bounds(np.zeros(9), a, b, upper)
-    polytope = Polytope(slack.eq_matrix, slack.eq_rhs)
-    statuses = []
+    start, statuses, phase1 = None, [], []
     for step in range(8):
         c = rng.normal(size=9)
         c[-1] = 1.0 if step == 3 else -abs(c[-1])
-        ours = polytope.maximize(np.append(c, [0.0, 0.0]))  # the two slacks cost nothing
+        # the two slacks cost nothing
+        solutions = solve_many(
+            LinearProgram(np.append(c, [0.0, 0.0]), slack.eq_matrix[0], slack.eq_rhs[0]), start
+        )
+        start, ours = solutions.basis[0], solutions[0]
+        phase1.append(ours.phase1_pivots)
         statuses.append(assert_agrees(c, a, b, upper, ours=ours).status)
     assert statuses == ["optimal"] * 3 + ["unbounded"] + ["optimal"] * 4
+    assert phase1[0] > 0 and phase1[1:] == [0] * 7  # phase 1 runs once
