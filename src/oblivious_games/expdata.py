@@ -29,6 +29,7 @@ from . import lp
 from .cglmp import closed_form_prob
 from .games import (
     Behavior,
+    check_distribution,
     check_integer,
     load_record,
     make_cglmp3_game,
@@ -93,11 +94,7 @@ class PrimaryData:
             raise ValueError("probabilities must lie in [0, 1]")
         if np.min(s) < 0.0:
             raise ValueError("sigmas must be nonnegative")
-        row_sums = p.sum(axis=2)
-        if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
-            raise ValueError(
-                f"a protocol row sums to {row_sums.flat[np.argmax(np.abs(row_sums - 1.0))]}"
-            )
+        check_distribution(p, ROW_SUM_TOL, "protocol table")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "sigmas", s)
 

@@ -370,6 +370,7 @@ def make_rac_game(n: int, d: int) -> ObliviousGame:
     Alice's data.  Primality of d makes each parity class contain exactly
     d^(n-1) strings, so all sets in a family carry equal weight.
     """
+    n, d = check_integer(n, "symbol count"), check_integer(d, "alphabet size")
     if n < 2:
         raise ValueError("need at least two symbols")
     if not is_prime(d):

@@ -40,12 +40,15 @@ the same call, and its entry equals ``solve``.  A program served warm
 reaches the optimum of ``solve`` to round-off, but perhaps on another
 optimal vertex, so its values need not equal those of ``solve``.
 
-The simplex runs in two stages: ``_feasible`` (phase 1 and the drive-out
-of artificial variables) and ``_maximize`` (phase 2 from whatever basis it
-is given, pricing the programs whose cost row is stale; only a program
-with an improving column enters Bland's rule).  ``solve_many`` runs both
-on its stack, with ``_warm`` (the start tableau and the dual simplex) in
-place of ``_feasible`` for each program that its start basis serves;
+Every pivot runs in ``_lockstep``, under one of four rules: phase 1 and
+phase 2 (``_bland``), the drive-out of the artificial variables phase 1
+leaves basic, and the dual simplex (``_dual_bland``); and ``_reduced_costs``
+prices every cost row from a basis.  ``_feasible`` runs phase 1 and the
+drive-out, ``_warm`` builds a start tableau and ``_maximize`` runs phase 2
+from whatever basis it is given, pricing the programs whose cost row is
+stale; only a program with an improving column enters Bland's rule.
+``solve_many`` runs them on its stack, with ``_warm`` and the dual simplex
+in place of ``_feasible`` for each program that its start basis serves;
 ``solve`` is its entry for a stack of one.  A step costs a few dozen numpy
 calls whatever the stack holds, which outweighs the arithmetic of a
 program of a dozen rows.  Such programs gain by taking fewer steps: a
@@ -157,8 +160,9 @@ def _lockstep(tableau, basis, live, pivots, rule) -> np.ndarray:
 
     ``rule(t, b, k)`` takes the running stack and returns, per program,
     whether it pivots, the flag it stops with, and its pivot row, column and
-    column entries.  The running programs form their own stack, which sheds
-    each program as it stops.
+    column entries; it may also write rows of the running stack, as the
+    drive-out zeroes redundant ones.  The running programs form their own
+    stack, which sheds each program as it stops.
     """
     flagged = np.zeros_like(live)
     index = np.flatnonzero(live)
@@ -277,11 +281,11 @@ def _phase_one(lp: LinearProgram) -> tuple:
 
 
 def _feasible(lp: LinearProgram) -> tuple:
-    """Phase 1 and the artificial drive-out, in lockstep.
+    """Phase 1 and the artificial drive-out, each a ``_lockstep`` rule.
 
     Returns the phase-2 tableau ([a | b] in the last feasible basis, over a
-    cost row that ``_maximize`` fills), the basis, the infeasible mask and
-    the pivots taken.
+    cost row that ``_reduced_costs`` fills), the basis, the infeasible mask
+    and the pivots taken.
     """
     tableau, infeasible = _phase_one(lp)
     k, m, n = lp.eq_matrix.shape
@@ -294,76 +298,55 @@ def _feasible(lp: LinearProgram) -> tuple:
     if _bland(tableau, basis, live, n + m, pivots).any():  # pragma: no cover
         raise RuntimeError("phase 1 simplex reported unbounded")
     infeasible |= live & (tableau[:, -1, -1] > PHASE1_TOL)
-    live &= ~infeasible
 
     # Pivot remaining artificials out of the basis, row by row; a row where no
     # real column can pivot is a redundant constraint and is zeroed.  Rows
-    # change only when a pivot is made, so each round zeroes every row before
+    # change only when a pivot is made, so each step zeroes every row before
     # the next pivot row at once.  Afterwards exactly the zeroed rows have an
     # artificial basic variable.
-    pending = (basis >= n) & live[:, None]
-    while pending.any():
-        movable = np.abs(tableau[:, :m, :n]) > PIVOT_TOL
-        ready = pending & movable.any(axis=2)
-        turn = np.where(ready.any(axis=1), ready.argmax(axis=1), m)
-        redundant = pending & (rows < turn[:, None])
-        tableau[:, :m][redundant] = 0.0
-        pending &= ~redundant
-        (on,) = np.nonzero(turn < m)
-        if on.size:
-            pending[on, turn[on]] = False
-            col = movable[on, turn[on]].argmax(axis=1)
-            t, b, sub = tableau[on], basis[on], np.arange(on.size)
-            _pivot(t, b, sub, turn[on], col, t[sub, :, col])
-            tableau[on], basis[on] = t, b
-            pivots[on] += 1
+    def drive_out(t, b, k):
+        artificial = b >= n
+        movable = np.abs(t[:, :m, :n]) > PIVOT_TOL
+        ready = artificial & movable.any(axis=2)
+        going = ready.any(axis=1)
+        turn = ready.argmax(axis=1)
+        t[:, :m][artificial & (rows < np.where(going, turn, m)[:, None])] = 0.0
+        col = movable[k, turn].argmax(axis=1)
+        return going, going, turn, col, t[k, :, col]
 
+    if m:
+        _lockstep(tableau, basis, ~infeasible, pivots, drive_out)
     tableau = np.concatenate([tableau[:, :, :n], tableau[:, :, -1:]], axis=2)
     return tableau, basis, infeasible, pivots
 
 
 def _reduced_costs(tableau, basis, objectives) -> np.ndarray:
-    """Each program's cost row, [reduced costs | -objective value], in its
-    current basis."""
+    """Each program's cost row, [c | 0] - c_B [a | b] = [reduced costs |
+    -objective value], in its current basis; artificials cost nothing."""
     k, m = basis.shape
     n = tableau.shape[2] - 1
-    # Basic columns are exact unit vectors, so eliminating one row's basic
-    # cost leaves the others' as they were: the rows are subtracted in order
-    # in one reduction, a row with no cost adding an exact +0.  A row whose
-    # basic variable costs nothing in every program would add only +0, so it
-    # is left out.  Artificials left basic on zeroed rows cost nothing.
     cost = np.zeros((k, n + m + 1))
     cost[:, :n] = objectives
     factor = cost[np.arange(k)[:, None], basis]
-    costed = np.flatnonzero(factor.any(axis=0))
-    factor = factor[:, costed, None]
-    return np.subtract.reduce(
-        np.concatenate(
-            [cost[:, None, : n + 1], np.where(factor != 0.0, factor * tableau[:, costed], 0.0)],
-            axis=1,
-        ),
-        axis=1,
-    )
+    # Basic columns are exact unit vectors, so basic reduced costs are exactly 0.
+    return cost[:, : n + 1] - (factor[:, None] @ tableau[:, :m])[:, 0]
 
 
-def _maximize(
-    tableau, basis, infeasible, phase1, lp, pivots=None, stale=slice(None)
-) -> LpSolutions:
+def _maximize(tableau, basis, infeasible, phase1, lp, pivots, stale) -> LpSolutions:
     """Phase 2 from each program's current basis, to each one's solution.
 
     ``tableau`` and ``basis`` come from ``_feasible`` or ``_warm``; they are
     updated in place, so they end at the last basis, which is feasible for
     any objective.  ``phase1`` is the phase-1 pivots of each program and
-    ``pivots``, by default ``phase1``, all pivots before phase 2.  The cost
-    rows of the programs ``stale`` selects, by default all, are priced for
-    the objectives of ``lp``; the others are current already.  Only a
+    ``pivots``, which phase 2 adds to in place, all pivots before it.  The
+    cost rows of the programs ``stale`` selects are priced for the
+    objectives of ``lp``; the others are current already.  Only a
     program with a reduced cost above ``PIVOT_TOL`` enters Bland's rule: any
     other would stop there at once.
     """
     k, m = basis.shape
     n = tableau.shape[2] - 1
     tableau[stale, -1] = _reduced_costs(tableau[stale], basis[stale], lp.objective[stale])
-    pivots = (phase1 if pivots is None else pivots).copy()
     improvable = ~infeasible & (tableau[:, -1, :n] > PIVOT_TOL).any(axis=1)
     unbounded = _bland(tableau, basis, improvable, n, pivots)
 
@@ -408,8 +391,9 @@ def _inverse(matrices) -> np.ndarray:
 
 def _warm(lp: LinearProgram, start: np.ndarray, tableau: np.ndarray) -> tuple:
     """Each program's phase-2 tableau in basis ``start``, built in
-    ``tableau`` as ``_feasible`` lays it out, over its reduced costs; the
-    basis, and the programs from which the dual simplex can start there.
+    ``tableau`` as ``_feasible`` lays it out, over the cost row that
+    ``_reduced_costs`` prices there; the basis, and the programs from which
+    the dual simplex can start there.
 
     An artificial start index n + j marks original row j as redundant, as
     the drive-out leaves it.  The other rows come first, as B^-1 [a | b] for
@@ -450,11 +434,8 @@ def _warm(lp: LinearProgram, start: np.ndarray, tableau: np.ndarray) -> tuple:
     tableau[~posed] = 0.0  # no NaN reaches the cost row
     rows[..., columns] = np.eye(r)  # exact unit vectors
     basis = np.repeat(np.concatenate([columns, artificial])[None], k, axis=0)
-    cost = tableau[:, -1]
-    cost[:, :n] = lp.objective
-    cost[:, -1] = 0.0
-    cost -= (lp.objective[:, None, columns] @ rows)[:, 0]
-    dual = (cost[:, :n] <= PIVOT_TOL).all(axis=1)
+    tableau[:, -1] = _reduced_costs(tableau, basis, lp.objective)
+    dual = (tableau[:, -1, :n] <= PIVOT_TOL).all(axis=1)
     primal = (rows[..., -1] >= -PIVOT_TOL).all(axis=1)
     return basis, posed & (dual | primal)
 
@@ -492,7 +473,7 @@ def solve_many(programs: LinearProgram, start=None, work=None) -> LpSolutions:
         if work is not None:
             raise ValueError("work is the buffer of a start tableau; it needs a start basis")
         tableau, basis, infeasible, pivots = _feasible(programs)
-        return _maximize(tableau, basis, infeasible, pivots, programs)
+        return _maximize(tableau, basis, infeasible, pivots, programs, pivots.copy(), slice(None))
     start = np.asarray(start)
     if (
         start.shape != (m,)

@@ -64,6 +64,12 @@ class TestRacFormula:
     def test_numpy_integers_accepted(self):
         assert rac_pnc_bound(np.int64(2), np.int32(3)) == 2 / 3
 
+    @pytest.mark.parametrize("build", [rac_pnc_bound, make_rac_game])
+    @pytest.mark.parametrize("n,d", [(2, 3.0), (2.0, 3)])
+    def test_float_sizes_rejected_by_both(self, build, n, d):
+        with pytest.raises(ValueError, match="not an integer"):
+            build(n, d)
+
 
 class TestLocalBound:
     def test_cglmp3_is_half(self):

@@ -167,7 +167,7 @@ class TestLoading:
     def test_row_sum_tolerance(self):
         p = np.full((6, 2, 3), 1 / 3)
         p[0, 0] = [0.4, 0.3, 0.4]  # sums to 1.1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="protocol table rows do not sum to 1"):
             PrimaryData(probabilities=p, sigmas=np.zeros((6, 2, 3)))
 
 

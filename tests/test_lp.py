@@ -35,9 +35,12 @@ def test_unbounded_reported():
 
 
 def test_redundant_rows_handled():
-    sol = solve(LinearProgram([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]))
+    program = LinearProgram([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
+    sol = solve(program)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 2.0) < 1e-12
+    # the drive-out zeroes row 1 under its artificial index n + 1
+    assert solve_many(program).basis[0].tolist() == [1, 3]
 
 
 def test_negative_rhs_rows():
@@ -222,6 +225,7 @@ def test_stacked_fields_equal_each_program_alone():
         assert stacked.status[p] == alone.status
         assert stacked.pivots[p] == alone.pivots
         assert stacked.phase1_pivots[p] == alone.phase1_pivots
+        assert stacked.basis[p].tolist() == solve_many(program).basis[0].tolist()
         if alone.values is None:
             assert np.isnan(stacked.values[p]).all() and np.isnan(stacked.objective_value[p])
         else:
