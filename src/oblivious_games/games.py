@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -117,9 +117,15 @@ class ObliviousGame:
             tuple(tuple(check_integer(i, "partition index") for i in subset) for subset in family)
             for family in self.partitions
         )
+        # Row k of ``averages`` is p_alice on set k over the set's weight;
+        # ``pairs`` lists every two sets of one family, ``leading`` its first and another.
+        averages = np.zeros((sum(map(len, families)), na))
+        pairs, leading, k = [], [], 0
         for family in families:
             if not family:
                 raise ValueError("empty partition family")
+            pairs += combinations(range(k, k + len(family)), 2)
+            leading += [(k, j) for j in range(k + 1, k + len(family))]
             seen: set[int] = set()
             for subset in family:
                 if not subset:
@@ -130,8 +136,16 @@ class ObliviousGame:
                     if i in seen:
                         raise ValueError("sets within one family must be disjoint")
                     seen.add(i)
-                if float(np.sum(pa[list(subset)])) <= 0.0:
+                idx = list(subset)
+                weight = float(np.sum(pa[idx]))
+                if weight <= 0.0:
                     raise ValueError("partition set has zero prior weight")
+                averages[k, idx] = pa[idx] / weight
+                k += 1
+        first, other = np.array(leading, dtype=int).reshape(-1, 2).T
+        object.__setattr__(self, "_averages", readonly(averages))
+        object.__setattr__(self, "_pairs", readonly(np.array(pairs, dtype=int).reshape(-1, 2).T))
+        object.__setattr__(self, "_rows", readonly(averages[first] - averages[other]))
         object.__setattr__(self, "alice_inputs", tuple(self.alice_inputs))
         object.__setattr__(self, "bob_inputs", tuple(self.bob_inputs))
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -152,27 +166,10 @@ class ObliviousGame:
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def set_weight(self, subset) -> float:
-        """Prior weight q of one partition set."""
-        return float(np.sum(self.p_alice[list(subset)]))
-
-    def set_averages(self) -> tuple:
-        """Per family, a (sets, n_alice) array whose row k is ``p_alice[i] / q_k`` on
-        the members i of set k: applied to per-input data it gives the set averages."""
-        out = []
-        for family in self.partitions:
-            w = np.zeros((len(family), self.n_alice))
-            for k, subset in enumerate(family):
-                idx = list(subset)
-                w[k, idx] = self.p_alice[idx] / self.set_weight(subset)
-            out.append(w)
-        return tuple(out)
-
     def constraint_rows(self) -> np.ndarray:
-        """Rows ``w_0 - w_k`` (k >= 1) of every family; per-input data satisfies
-        every obliviousness equality exactly when they annihilate it."""
-        rows = [w[0] - w[1:] for w in self.set_averages()]
-        return np.concatenate(rows) if rows else np.zeros((0, self.n_alice))
+        """Rows ``w_0 - w_k`` (k >= 1) of set-average rows of every family; per-input
+        data satisfies every obliviousness equality exactly when they annihilate it."""
+        return self._rows
 
     def to_dict(self) -> dict:
         return {
@@ -294,14 +291,14 @@ def behavior_from_classical(strategy: ClassicalStrategy) -> Behavior:
     return Behavior(np.einsum("xm,myb->xyb", strategy.encoding, strategy.decoding))
 
 
-def _set_average_gap(game: ObliviousGame, per_input: np.ndarray) -> float:
-    """Largest entrywise gap between any two set averages of one family of
-    ``per_input``, which is indexed by Alice's input along its first axis."""
-    worst = 0.0
-    for w in game.set_averages():
-        avgs = np.tensordot(w, per_input, axes=1)
-        worst = max(worst, float(np.max(np.abs(avgs[:, None] - avgs[None, :]))))
-    return worst
+def obliviousness_residual(game: ObliviousGame, per_input: np.ndarray):
+    """Largest entrywise gap between the averages of two sets of one family, of
+    matrices ``per_input[..., x, :, :]`` per input x, one value per leading
+    index; the averages are taken first, so equal averages give exactly 0."""
+    averages = game._averages @ per_input.reshape(*per_input.shape[:-2], -1)
+    ends = np.take(averages, game._pairs, axis=-2)
+    gaps = np.abs(ends[..., 0, :, :] - ends[..., 1, :, :])
+    return np.max(gaps, axis=(-2, -1), initial=0.0)
 
 
 def obliviousness_residual_behavior(game: ObliviousGame, behavior: Behavior) -> float:
@@ -312,7 +309,7 @@ def obliviousness_residual_behavior(game: ObliviousGame, behavior: Behavior) -> 
     """
     if behavior.table.shape != game.payoff.shape:
         raise ValueError("behavior shape does not match game")
-    return _set_average_gap(game, behavior.table)
+    return float(obliviousness_residual(game, behavior.table))
 
 
 def obliviousness_residual_quantum(game: ObliviousGame, strategy: QuantumStrategy) -> float:
@@ -324,7 +321,7 @@ def obliviousness_residual_quantum(game: ObliviousGame, strategy: QuantumStrateg
     """
     if len(strategy.preparations) != game.n_alice:
         raise ValueError("strategy has wrong number of preparations")
-    return _set_average_gap(game, np.stack([p.matrix for p in strategy.preparations]))
+    return float(obliviousness_residual(game, np.stack([p.matrix for p in strategy.preparations])))
 
 
 def cglmp3_targets(x0: int, x: int, y: int) -> tuple:
@@ -365,10 +362,10 @@ def make_cglmp3_game() -> ObliviousGame:
 def make_rac_game(n: int, d: int) -> ObliviousGame:
     """Random access code over length-n strings of prime-d symbols.
 
-    Bob must guess the y-th symbol; one partition family per weighted parity
-    string r with at least two nonzero entries hides every such parity of
-    Alice's data.  Primality of d makes each parity class contain exactly
-    d^(n-1) strings, so all sets in a family carry equal weight.
+    Bob must guess the y-th symbol; each parity r . x mod d with two or more
+    nonzero weights is hidden by one family, of the r whose first nonzero
+    weight is 1, as c r gives the same sets: (d^n - 1 - n(d - 1))/(d - 1)
+    families.  Prime d gives every set d^(n-1) strings and equal weight.
     """
     n, d = check_integer(n, "symbol count"), check_integer(d, "alphabet size")
     if n < 2:
@@ -382,19 +379,10 @@ def make_rac_game(n: int, d: int) -> ObliviousGame:
     for i, x in enumerate(alice):
         for yi, y in enumerate(bob):
             payoff[i, yi, x[y - 1]] = 1.0
-    families = []
-    for r in product(range(d), repeat=n):
-        if sum(1 for ri in r if ri != 0) < 2:
-            continue
-        sets = tuple(
-            tuple(
-                i
-                for i, x in enumerate(alice)
-                if sum(ri * xi for ri, xi in zip(r, x)) % d == k
-            )
-            for k in range(d)
-        )
-        families.append(sets)
+    strings = [r for r in product(range(d), repeat=n) if sum(map(bool, r)) > 1]
+    strings = [r for r in strings if next(filter(None, r)) == 1]
+    parities = np.array(alice) @ np.array(strings).T % d
+    families = [[np.flatnonzero(column == k).tolist() for k in range(d)] for column in parities.T]
     return ObliviousGame(
         alice_inputs=alice,
         bob_inputs=bob,
@@ -402,5 +390,5 @@ def make_rac_game(n: int, d: int) -> ObliviousGame:
         p_alice=np.full(d**n, 1.0 / d**n),
         p_bob=np.full(n, 1.0 / n),
         payoff=payoff,
-        partitions=tuple(families),
+        partitions=families,
     )

@@ -32,9 +32,9 @@ Brunner (PRA 98, 062307 (2018)):
   objective, so they restart that count.  The iterate is then projected
   onto the feasible set by the same routine with no shift, and kept only
   when it raises the value.  Each sweep of that projection ends with the
-  eigenvalue projection and the loop stops once that output's residual is
-  below ``_TOLERANCE / 10``, so the states returned are always positive
-  with unit trace.
+  eigenvalue projection and the loop stops once that output's residual,
+  the one ``feasibility_residual`` reports, is below ``_TOLERANCE / 10``, so
+  the states returned are always positive with unit trace.
 
 The measurement step solves every (restart, receiver input) problem of the
 stack in one call, each stopping on its own certificate, and the ADMM and
@@ -72,6 +72,7 @@ from .games import (
     QuantumStrategy,
     behavior_from_quantum,
     check_integer,
+    obliviousness_residual,
     obliviousness_residual_quantum,
     performance,
 )
@@ -182,8 +183,8 @@ class _Projector:
     """
 
     def __init__(self, game: ObliviousGame, dim: int):
-        self.rows = game.constraint_rows()
-        self.null_p = _null_projector(self.rows)
+        self.game = game
+        self.null_p = _null_projector(game.constraint_rows())
         self.dim = dim
         self.eye = np.eye(dim)
 
@@ -204,11 +205,8 @@ class _Projector:
         return (v * _simplex_project(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     def residual(self, rhos: np.ndarray):
-        """Largest constraint violation of each set in the stack."""
-        if self.rows.shape[0] == 0:
-            return np.zeros(rhos.shape[:-3])[()]
-        flat = rhos.reshape(*rhos.shape[:-2], -1)
-        return np.max(np.abs(self.rows @ flat), axis=(-2, -1))
+        """``obliviousness_residual`` of each set in the stack."""
+        return obliviousness_residual(self.game, rhos)
 
     def douglas_rachford(self, z, u, res, tol, max_steps, residual, shift=None):
         """Steps ``X = affine(Z - U + shift)``, ``Z+ = psd(X + U)``, ``U += X - Z+``.

@@ -1,3 +1,5 @@
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -29,3 +31,19 @@ def random_game():
         payoff=payoff,
         partitions=(((0, 1, 2), (3, 4, 5)), ((0, 3), (1, 4), (2, 5))),
     )
+
+
+def every_parity_rac_game(n, d):
+    """``games.make_rac_game(n, d)`` with one partition family per parity string r
+    with at least two nonzero weights, not one per class {c r}: for d > 2 every
+    family appears d - 1 times, and the constraint rows are d - 1 times their rank."""
+    game = games.make_rac_game(n, d)
+    families = tuple(
+        tuple(
+            tuple(i for i, x in enumerate(game.alice_inputs) if np.dot(r, x) % d == k)
+            for k in range(d)
+        )
+        for r in product(range(d), repeat=n)
+        if np.count_nonzero(r) >= 2
+    )
+    return replace(game, partitions=families)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_game
+from conftest import every_parity_rac_game, random_game
 
 from oblivious_games.bellmap import BellFunctional, cglmp3, game_from_bell
 from oblivious_games.bounds import (
@@ -188,12 +188,16 @@ class TestLpOracle:
         with pytest.raises(ValueError, match="2220075 decoders"):
             pnc_bound_lp_oracle(make_rac_game(3, 3), 8)
         game = make_rac_game(2, 5)
-        # 25 + 64 x 12 obliviousness rows are above the desk scale
-        with pytest.raises(ValueError, match="793 rows"):
+        # 25 + 16 x 12 rows fit, but C(25, 12) sets do not
+        with pytest.raises(ValueError, match="5200300 decoders"):
             pnc_bound_lp_oracle(game, 12)
         # one set, but its program of 25 x 25 variables is above the desk scale
         with pytest.raises(ValueError, match="625 variables"):
             pnc_bound_lp_oracle(game, 25)
+        # with every family four times, 25 + 64 x 12 rows are above the desk
+        # scale, and the row guard refuses first
+        with pytest.raises(ValueError, match="793 rows"):
+            pnc_bound_lp_oracle(every_parity_rac_game(2, 5), 12)
 
     def test_guards_precede_the_enumeration(self):
         # 2**21 decoding functions: both guards refuse before any is listed
@@ -231,20 +235,27 @@ class TestLpOracle:
         result = pnc_bound_lp_oracle(make_rac_game(3, 3), 2)
         assert abs(result.value - 4 / 9) < 1e-9
         assert result.witness["decoder"] == [[0, 0, 0], [0, 0, 1]]
-        assert (result.programs, result.pivots) == (271, 620)
+        assert (result.programs, result.pivots) == (271, 654)
 
     def test_rac33_matches_formula(self):
         # the README's 5/9: three messages reach the closed form
         result = pnc_bound_lp_oracle(make_rac_game(3, 3), 3)
         assert abs(result.value - rac_pnc_bound(3, 3)) < 1e-9
         assert abs(result.value - 5 / 9) < 1e-9
-        assert (result.programs, result.pivots) == (1333, 4582)
+        assert (result.programs, result.pivots) == (1333, 4614)
 
     def test_cglmp_game_oracle_matches_local_bound(self):
         game = make_cglmp3_game()
         result = pnc_bound_lp_oracle(game, 3)
         assert abs(result.value - 0.5) < 1e-9
         assert (result.programs, result.pivots) == (46, 66)
+
+
+@pytest.mark.parametrize("n,d,messages", [(2, 3, 3), (3, 3, 2), (2, 5, 2)])
+def test_canonical_families_keep_the_oracle_value(n, d, messages):
+    canonical = pnc_bound_lp_oracle(make_rac_game(n, d), messages)
+    every = pnc_bound_lp_oracle(every_parity_rac_game(n, d), messages)
+    assert abs(canonical.value - every.value) < 1e-12
 
 
 WITNESS_GAMES = {

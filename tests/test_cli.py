@@ -49,7 +49,7 @@ def test_bound_messages_selects_the_oracle(capsys):
     assert code == 0
     assert report["inputs"] == {"game": "rac:2,3", "oracle": True, "messages": 3}
     assert report["results"]["method"] == "lp-oracle"
-    assert (report["results"]["programs"], report["results"]["pivots"]) == (1, 26)
+    assert (report["results"]["programs"], report["results"]["pivots"]) == (1, 27)
 
 
 @pytest.mark.parametrize("messages,value", [("2", 0.511146), ("3", 0.521646)])
@@ -401,8 +401,9 @@ def test_reports_are_deterministic(capsys):
 
 
 def test_readme_command_lines(capsys, tmp_path, data_dir):
-    """Every README ``oblivious-games`` line but ``optimize`` exits 0, and the
-    oracle line reports the programs and pivots the README quotes."""
+    """Every README ``oblivious-games`` line but ``optimize`` exits 0, the
+    ``rac:2,3`` oracle line reports the programs and pivots the README quotes,
+    and the ``rac:3,3`` one the value and programs it quotes."""
     readme = (REPO_ROOT / "README.md").read_text()
     box_path = tmp_path / "box.json"
     bellmap.save_box(cglmp.optimal_box(), box_path)
@@ -413,11 +414,15 @@ def test_readme_command_lines(capsys, tmp_path, data_dir):
         for line in block.splitlines()
         if line.startswith("oblivious-games ") and " optimize " not in line
     ]
-    assert len(lines) == 6
+    assert len(lines) == 7
     quoted = re.search(r"On\s+`rac:2,3` with three messages these are (\d+) and (\d+)", readme)
+    quoted33 = re.search(r"On\s+`rac:3,3`,\s+`--messages 2` gives 4/9\s+from (\d+) programs", readme)
     for argv in lines:
         code, report, _ = run_cli(capsys, *(fixtures.get(a, a) for a in argv))
         assert code == 0, argv
         if "rac:2,3" in argv and "--messages" in argv:
             counts = (report["results"]["programs"], report["results"]["pivots"])
-            assert counts == tuple(int(n) for n in quoted.groups()) == (1, 26)
+            assert counts == tuple(int(n) for n in quoted.groups()) == (1, 27)
+        if "rac:3,3" in argv:
+            assert abs(report["results"]["value"] - 4 / 9) < 1e-12
+            assert report["results"]["programs"] == int(quoted33.group(1)) == 271

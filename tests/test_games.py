@@ -25,8 +25,10 @@ from oblivious_games.games import (
     performance,
     save_game,
 )
+from oblivious_games.optimizer import _null_projector
 from oblivious_games.qmath import DensityMatrix, Povm
 
+from conftest import every_parity_rac_game
 from test_qmath import random_density, random_povm
 
 
@@ -75,9 +77,10 @@ class TestRacGame:
         assert [len(s) for s in game.partitions[0]] == [2, 2]
 
     def test_2_3_admissible_strings(self):
-        # every hidden parity string has at least two nonzero weights
+        # every hidden parity string has at least two nonzero weights, and
+        # (1, 1) and (1, 2) stand for their multiples (2, 2) and (2, 1)
         game = make_rac_game(2, 3)
-        assert len(game.partitions) == 4
+        assert len(game.partitions) == 2
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
@@ -241,20 +244,32 @@ def test_behavior_residual_bounded_by_operator_residual(seed, dim):
 def test_constraint_rows_rac23():
     game = make_rac_game(2, 3)
     rows = game.constraint_rows()
-    assert rows.shape == (4 * (3 - 1), 9)  # families x (sets - 1), inputs
+    assert rows.shape == (2 * (3 - 1), 9)  # families x (sets - 1), inputs
     # reference: the loop the quantum search projected with before
     expected = []
     for family in game.partitions:
         weights = []
         for subset in family:
             w = np.zeros(game.n_alice)
-            q = game.set_weight(subset)
+            q = float(np.sum(game.p_alice[list(subset)]))
             for i in subset:
                 w[i] = game.p_alice[i] / q
             weights.append(w)
         for k in range(1, len(weights)):
             expected.append(weights[0] - weights[k])
     assert np.array_equal(rows, np.asarray(expected))
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (2, 5), (3, 5)])
+def test_canonical_families_lose_no_constraint(n, d):
+    # one family per class {c r} of parity strings keeps the constraints of
+    # every string; the constructor keeps the repeated families it is given
+    game, every = make_rac_game(n, d), every_parity_rac_game(n, d)
+    rows = game.constraint_rows()
+    assert len(game.partitions) == (d**n - 1 - n * (d - 1)) // (d - 1)
+    assert len(every.partitions) == (d - 1) * len(game.partitions)
+    assert np.linalg.matrix_rank(rows) == len(rows)
+    assert np.max(np.abs(_null_projector(rows) - _null_projector(every.constraint_rows()))) < 1e-12
 
 
 def _valid_game_fields():

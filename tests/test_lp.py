@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oblivious_games import bellmap, bounds, expdata, games, lp
 from oblivious_games.lp import LinearProgram, LpSolution, solve, solve_many
-from conftest import random_game
+from conftest import every_parity_rac_game, random_game
 from slack_form import with_upper_bounds
 
 
@@ -307,29 +307,40 @@ def test_warm_start_serves_dual_or_primal_feasible_bases():
 
 def test_warm_restart_from_its_own_optimal_basis():
     # the rows to drop are those the artificial start indices name, not those
-    # at their positions in the basis; here the two differ, and the rows at
-    # those positions leave B singular
-    a, b = _oracle_polytope(games.make_rac_game(3, 3), 2)
-    program = LinearProgram(np.random.default_rng(0).normal(size=a.shape[1]), a, b)
+    # at their positions in the basis; on this polytope, whose families repeat,
+    # the two differ, and the rows at those positions leave B singular
+    a, b = _oracle_polytope(every_parity_rac_game(3, 3), 2)
+    n = a.shape[1]
+    program = LinearProgram(np.random.default_rng(0).normal(size=n), a, b)
     cold = solve_many(program)
     assert (cold.pivots[0], cold.phase1_pivots[0]) == (166, 148)
+    basis = cold.basis[0]
+    positions = np.flatnonzero(basis >= n)
+    named = basis[positions] - n
+    assert positions.size and (named != positions).any()
+    columns = a[:, basis[basis < n]]
+    assert np.linalg.matrix_rank(np.delete(columns, named, axis=0)) == columns.shape[1]
+    assert np.linalg.matrix_rank(np.delete(columns, positions, axis=0)) < columns.shape[1]
     warm = solve_many(program, cold.basis[0])
     assert (warm.pivots[0], warm.phase1_pivots[0]) == (0, 0)
     assert abs(warm.objective_value[0] - cold.objective_value[0]) < 1e-12
 
 
 def test_warm_start_chains_over_objectives():
-    # each result's basis starts the next solve, as the LP oracle chains them
-    a, b = _oracle_polytope(games.make_rac_game(3, 3), 2)
+    # each result's basis starts the next solve, as the LP oracle chains them,
+    # over the polytope of the test above
+    a, b = _oracle_polytope(every_parity_rac_game(3, 3), 2)
     rng = np.random.default_rng(0)
-    start, phase1 = None, []
+    start, phase1, zeroed = None, [], []
     for _ in range(4):
         program = LinearProgram(rng.normal(size=a.shape[1]), a, b)
         solution = solve_many(program, start)
         assert abs(solution.objective_value[0] - solve(program).objective_value) < 1e-12
         start = solution.basis[0]
         phase1.append(int(solution.phase1_pivots[0]))
+        zeroed.append(int((start >= a.shape[1]).sum()))
     assert phase1 == [148, 0, 0, 0]
+    assert min(zeroed) > 0
 
 
 def test_start_basis_checked():
@@ -507,14 +518,14 @@ def _cold_oracle(game, messages, decoders=combinations):
 def test_pivots_of_the_rac23_oracle_programs():
     _, _, solved = _cold_oracle(games.make_rac_game(2, 3), 3)
     # the first set attains 2/3, and no other set's constraint-free bound exceeds it
-    assert [s.pivots for _, s in solved] == [26]
+    assert [s.pivots for _, s in solved] == [27]
 
 
 def test_pivots_of_the_warm_rac23_oracle():
     # one phase 1, then each decoder re-optimized from the last basis
     result = bounds.pnc_bound_lp_oracle(games.make_rac_game(2, 3), 3)
     assert result.programs == 1
-    assert result.pivots == 26
+    assert result.pivots == 27
 
 
 ORACLE_GAMES = {

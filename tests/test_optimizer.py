@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_game
 from oblivious_games import optimizer
 from oblivious_games.games import (
+    QuantumStrategy,
     make_cglmp3_game,
     make_rac_game,
     obliviousness_residual_quantum,
 )
+from oblivious_games.qmath import DensityMatrix, Povm
 from oblivious_games.optimizer import (
     SearchConfig,
     _admm,
@@ -234,6 +237,31 @@ def _reference_feasible(projector, rhos, tol, max_sweeps=200):
         if projector.residual(z) < tol:
             break
     return z, sweeps
+
+
+@pytest.mark.parametrize(
+    "game,dim",
+    [
+        pytest.param(make_rac_game(2, 3), 4, id="rac23-d4"),
+        pytest.param(make_cglmp3_game(), 3, id="cglmp3-d3"),
+        pytest.param(random_game(), 2, id="random-d2"),
+    ],
+)
+def test_projection_stops_on_the_residual_it_reports(game, dim):
+    # the projection's stop test is feasibility_residual, bit for bit, on
+    # sets far from, near and exactly on the obliviousness constraint
+    projector = _Projector(game, dim)
+    rng = np.random.default_rng(9)
+    stack = np.stack([_random_rhos(rng, game.n_alice, dim) for _ in range(4)])
+    stack[1] = projector.feasible(stack[1], 1e-9)
+    stack[2] = projector.psd(projector.affine(stack[2]))
+    stack[3] = np.eye(dim) / dim
+    residuals = projector.residual(stack)
+    measurement = Povm(tuple(np.diag(e) for e in np.eye(dim)))
+    for rhos, residual in zip(stack, residuals):
+        strategy = QuantumStrategy(tuple(DensityMatrix(r) for r in rhos), (measurement,))
+        assert residual == obliviousness_residual_quantum(game, strategy)
+    assert residuals[0] > 1e-3 and 0 < residuals[1] < 1e-9 and residuals[3] == 0.0
 
 
 @pytest.mark.parametrize("game,dim", PROJECTOR_CASES)
