@@ -63,10 +63,6 @@ _BIJECTIONS = np.fromiter(permutations(range(6)), dtype=(np.intp, 6), count=720)
 # faults.  Time hardly falls after 128; memory keeps rising.
 _MC_CHUNK = 128
 
-# Round-off leaves a secondary weight row within about 1e-14 of unit sum
-# (worst 1.2e-14 over 5000 Monte Carlo samples at seed 5).
-_WEIGHT_SUM_TOL = 1e-12
-
 # Lab-to-game correspondence fitted against the ideal model and frozen:
 # psi_jk prepares (x0, x) = (k-1, j-1), bases and projectors map in order.
 _PINNED_MAPPING_DICT = {
@@ -345,13 +341,6 @@ def _secondary_result(solutions, stack: np.ndarray) -> tuple:
     if (status != "optimal").any():  # pragma: no cover - uniform weights are feasible
         raise RuntimeError(f"secondary-data program reported {status[status != 'optimal'][0]}")
     weights = np.reshape(solutions.values, (k, n, n))
-    # Bland's tie tolerance can leave a basic weight near -1e-9, which the
-    # solver's clamp at zero sets to zero; its target row then misses unit
-    # sum by as much, which the solver's 1e-8 vertex check allows and a
-    # Behavior does not.  Such a row is rescaled to unit sum; a row within
-    # round-off of it is left bit for bit.
-    sums = weights.sum(axis=2, keepdims=True)
-    weights = np.where(np.abs(sums - 1.0) > _WEIGHT_SUM_TOL, weights / sums, weights)
     p_prime = np.einsum("kts,ks...->kt...", weights, stack)
     return weights, p_prime, np.reshape(solutions.objective_value, k)
 

@@ -14,10 +14,12 @@ of one.  It is validated once per stack.  ``solve_many`` runs the simplex
 on a stack in lockstep: each step picks every running program's entering
 column and leaving row with array reductions and pivots them all with one
 outer-product update.  On a row whose factor is zero that update subtracts
-an exact zero, so every program takes the pivots, and rounds every nonzero
-entry, exactly as it would alone; only the sign of a zero can differ, and
-the final clamp at zero removes it.  Empty and redundant rows are zeroed in
-place rather than deleted, which keeps the stack one shape.  One stacked
+an exact zero, so every program takes the pivots, and rounds every entry,
+exactly as it would alone.  Bland's ratio test takes the least ratio to
+within a few ulps, so no pivot drives a basic value below zero by more than
+round-off, and each vertex is returned as pivoted.  Empty rows, and rows
+that phase 1 leaves with no entry above ``PIVOT_TOL``, are zeroed in place
+rather than deleted, which keeps the stack one shape.  One stacked
 residual checks every optimal vertex against its original system.  The
 result is one ``LpSolutions``, the solver's own arrays with a row or entry
 per program (NaN values where a program is not optimal).  Without a start
@@ -212,8 +214,11 @@ def _bland(tableau, basis, live, n_cols, pivots) -> np.ndarray:
         ratios = t[:, :-1, -1] / np.where(bounding > PIVOT_TOL, bounding, np.nan)
         best = np.fmin.reduce(ratios, axis=1, initial=np.inf)
         improves = column[:, -1] > PIVOT_TOL
-        # Bland: among the minimum-ratio rows the smallest basic index leaves.
-        leave = _smallest_basic(ratios <= best[:, None] + PIVOT_TOL, b)
+        # Bland: among the rows within a few ulps of the minimum ratio the
+        # smallest basic index leaves, so the leaving row is the true minimum
+        # to round-off and no basic value is driven below zero.
+        tie = best + 4 * np.finfo(float).eps * np.abs(best)
+        leave = _smallest_basic(ratios <= tie[:, None], b)
         return improves & (best < np.inf), improves, leave, enter, column
 
     return _lockstep(tableau, basis, live, pivots, rule)
@@ -300,7 +305,8 @@ def _feasible(lp: LinearProgram) -> tuple:
     infeasible |= live & (tableau[:, -1, -1] > PHASE1_TOL)
 
     # Pivot remaining artificials out of the basis, row by row; a row where no
-    # real column can pivot is a redundant constraint and is zeroed.  Rows
+    # real column can pivot is a redundant constraint and is zeroed, so that
+    # phase 2's pivots cannot grow what is left in it past PIVOT_TOL.  Rows
     # change only when a pivot is made, so each step zeroes every row before
     # the next pivot row at once.  Afterwards exactly the zeroed rows have an
     # artificial basic variable.
@@ -353,7 +359,6 @@ def _maximize(tableau, basis, infeasible, phase1, lp, pivots, stale) -> LpSoluti
     values = np.zeros((k, n + m))
     values[np.arange(k)[:, None], basis] = tableau[:, :m, -1]
     values = values[:, :n]
-    np.maximum(values, 0.0, out=values)  # remove sub-tolerance pivot noise
     stopped = infeasible | unbounded
     value = _checked(lp, values, ~stopped)
     values[stopped] = np.nan

@@ -235,14 +235,14 @@ class TestLpOracle:
         result = pnc_bound_lp_oracle(make_rac_game(3, 3), 2)
         assert abs(result.value - 4 / 9) < 1e-9
         assert result.witness["decoder"] == [[0, 0, 0], [0, 0, 1]]
-        assert (result.programs, result.pivots) == (271, 654)
+        assert (result.programs, result.pivots) == (271, 651)
 
     def test_rac33_matches_formula(self):
         # the README's 5/9: three messages reach the closed form
         result = pnc_bound_lp_oracle(make_rac_game(3, 3), 3)
         assert abs(result.value - rac_pnc_bound(3, 3)) < 1e-9
         assert abs(result.value - 5 / 9) < 1e-9
-        assert (result.programs, result.pivots) == (1333, 4614)
+        assert (result.programs, result.pivots) == (1333, 7589)
 
     def test_cglmp_game_oracle_matches_local_bound(self):
         game = make_cglmp3_game()

@@ -49,7 +49,7 @@ def test_bound_messages_selects_the_oracle(capsys):
     assert code == 0
     assert report["inputs"] == {"game": "rac:2,3", "oracle": True, "messages": 3}
     assert report["results"]["method"] == "lp-oracle"
-    assert (report["results"]["programs"], report["results"]["pivots"]) == (1, 27)
+    assert (report["results"]["programs"], report["results"]["pivots"]) == (1, 25)
 
 
 @pytest.mark.parametrize("messages,value", [("2", 0.511146), ("3", 0.521646)])
@@ -422,7 +422,7 @@ def test_readme_command_lines(capsys, tmp_path, data_dir):
         assert code == 0, argv
         if "rac:2,3" in argv and "--messages" in argv:
             counts = (report["results"]["programs"], report["results"]["pivots"])
-            assert counts == tuple(int(n) for n in quoted.groups()) == (1, 27)
+            assert counts == tuple(int(n) for n in quoted.groups()) == (1, 25)
         if "rac:3,3" in argv:
             assert abs(report["results"]["value"] - 4 / 9) < 1e-12
             assert report["results"]["programs"] == int(quoted33.group(1)) == 271

@@ -434,12 +434,34 @@ class TestMonteCarlo:
         assert not np.shares_memory(work_a, work_b)
         assert not np.shares_memory(eq_a, eq_b)
 
-    # At seed 501013 the secondary program of sample 1086 ends on a basic
-    # weight of -1.7e-9, which the solver clamps to zero; its target row then
-    # missed unit sum by 1.7e-9, and scoring it raised.
-    def test_clamped_weight_row_is_rescaled(self, bundled):
+    # Seed 501013 holds a program (sample 1086) on which a ratio test that
+    # ties rows within PIVOT_TOL of the least ratio ends a weight 1.7e-9 below
+    # zero and its row 1.7e-9 off unit sum, which a Behavior rejects.  Warm,
+    # as the Monte Carlo solves them, and cold, every vertex must be exact.
+    def test_secondary_programs_end_on_exact_vertices(self, bundled, monkeypatch):
+        solve_many = expdata.lp.solve_many
+        stacks = []
+
+        def recording(programs, start=None, work=None):
+            solutions = solve_many(programs, start, work=work)
+            if start is not None:  # the stack's matrices live in a reused buffer
+                fields = (programs.objective, programs.eq_matrix, programs.eq_rhs)
+                stacks.append(([np.copy(f) for f in fields], solutions.values))
+            return solutions
+
+        monkeypatch.setattr(expdata.lp, "solve_many", recording)
         sp, ss = mc_uncertainty(bundled, pinned_mapping(), 1100, seed=501013)
         assert 0.0 < sp < ss < 0.01
+        programs = expdata.lp.LinearProgram(
+            *(np.concatenate(field) for field in zip(*(fields for fields, _ in stacks)))
+        )
+        warm = np.concatenate([values for _, values in stacks])
+        for values in (warm, solve_many(programs).values):
+            assert len(values) == 1100 and values.min() >= 0.0
+            weights = values.reshape(-1, 6, 6)
+            assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-13
+            residual = (programs.eq_matrix @ values[..., None])[..., 0] - programs.eq_rhs
+            assert np.abs(residual).max() <= 1e-13
 
     # Measured with every program warm-started from the nominal optimal
     # basis; 333 is not a whole number of stacks.  A cold solve of each

@@ -17,12 +17,15 @@ STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 def assert_agrees(c, a, b, upper=None, ours=None):
-    """Same status as HiGHS and, when optimal, the same optimum to 1e-8.
+    """Same status as HiGHS and, when optimal, the same optimum to 1e-8 at a
+    vertex of the slack form: no value below -1e-13, and A v = b to 1e-12
+    relative.
 
     ``ours`` is the solver's result when it was solved elsewhere, in a stack.
     """
+    slack = with_upper_bounds(c, a, b, upper)
     if ours is None:
-        ours = solve(with_upper_bounds(c, a, b, upper))
+        ours = solve(slack)
     caps = np.full(len(c), np.inf) if upper is None else np.asarray(upper)
     bounds = [(0.0, None if np.isinf(u) else u) for u in caps]
     ref = linprog(
@@ -35,6 +38,10 @@ def assert_agrees(c, a, b, upper=None, ours=None):
     assert ours.status == STATUS[ref.status]
     if ours.status == "optimal":
         assert abs(ours.objective_value - (-ref.fun)) < 1e-8 * max(1.0, abs(ref.fun))
+        assert ours.values.min() >= -1e-13
+        rhs = slack.eq_rhs[0]
+        residual = np.abs(slack.eq_matrix[0] @ ours.values - rhs).max(initial=0.0)
+        assert residual <= 1e-12 * max(1.0, np.abs(rhs).max(initial=0.0))
     return ours
 
 
