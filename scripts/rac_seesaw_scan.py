@@ -5,8 +5,9 @@ noncontextual bound 2/3 appears from dimension 4 on.  Values are lower
 bounds from random restarts, not certified optima.  At the defaults
 (16 restarts, at most 400 iterations, seed 0) on a 2-core Xeon host,
 dimension 3 gives 2/3 in 1.2 s, dimension 4 gives 0.6875076 in 2.5 s, and
-dimension 5 gives 0.6875075 in 17.9 s: at dimension 5, 7 of the 16 restarts
-still gain more than 1e-8 per 30 iterations when they reach the cap.
+dimension 5 gives 0.6875075 in 17.9 s.  At dimension 5 no restart settles:
+9 of the 16 stop on the window, and the other 7 still gain more than 1e-8
+per 30 iterations when they reach the cap.
 
     python scripts/rac_seesaw_scan.py [--dims 3 4 5] [--restarts 16] [--seed 0]
 """

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 
 from . import __version__, bellmap, bounds, cglmp, expdata, games, optimizer
 
@@ -211,10 +212,12 @@ def _cmd_optimize(args) -> int:
         "seed": args.seed,
         "wall_s": wall_s,
     }
+    stops = Counter(r.stop_reason for r in result.per_restart)
     _emit(
         _report("optimize", {"game": args.game, "dim": args.dim}, results),
         f"best value {result.value:.6f} (residual {result.feasibility_residual:.2e}, "
-        f"{'feasible' if result.feasible else 'INFEASIBLE'})",
+        f"{'feasible' if result.feasible else 'INFEASIBLE'}); restarts: "
+        + ", ".join(f"{n} {reason}" for reason, n in stops.most_common()),
     )
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 

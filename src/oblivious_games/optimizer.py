@@ -43,18 +43,19 @@ the path it would follow alone, up to rounding.  ``RestartRecord.sweeps``
 counts the eigenvalue projections a restart spent, ADMM steps and
 projection sweeps together.
 
-A restart ends at the first window boundary (every 30 iterations) where the
-value gained less than 1e-8 over the window (``"window"``), and otherwise
-after ``max_iters`` iterations (``"max_iters"``).  The rule only truncates
-the path: a run stopped at iteration ``n`` returns exactly what a run
-capped at ``max_iters=n`` returns.  A restart that comes through an
-iteration with its states, measurements and ADMM iterate bit for bit
-unchanged (no candidate accepted and no ADMM step taken) would repeat that
-iteration until it stops, so it leaves the stack at once with the
-iteration count and stop reason the rule would give it.  On the (2,3)
-access code at dimension 4, two restarts at seed 0 stop on the window at
-iterations 150 and 60, and the better reaches 0.6875076; on the qutrit
-game, over seeds 0-29, every restart stops at iteration 60 within 2e-11 of
+A restart stops on the first of three rules to fire: ``"settled"`` at the
+first iteration it comes through with its states, measurements and ADMM
+iterate bit for bit unchanged (no candidate accepted and no ADMM step
+taken), since it would repeat that iteration until another rule fired;
+``"window"`` at the first window boundary (every 30 iterations) where the
+value gained less than 1e-8 over the window; and ``"max_iters"`` after
+``max_iters`` iterations.  When two rules fire at one iteration,
+``"settled"`` wins.  The rules only truncate the path: a run stopped at
+iteration ``n`` returns the strategy that a run capped at ``max_iters=n``
+returns, and for a settled restart the same record too.  On the (2,3)
+access code at dimension 4, two restarts at seed 0 settle at iterations
+138 and 42, and the better reaches 0.6875076; on the qutrit game, over
+seeds 0-29, every restart settles at iteration 6-8 within 2e-11 of
 (3+sqrt(33))/12.
 
 Accepted values are non-decreasing within a restart, so results are honest
@@ -136,7 +137,13 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """How one restart of a search ended."""
+    """How one restart of a search ended.
+
+    ``stop_reason`` is ``"settled"`` (an iteration changed nothing),
+    ``"window"`` (too little gain over a 30-iteration window) or
+    ``"max_iters"`` (the cap), and ``iterations_used`` is the number of
+    iterations the restart ran.
+    """
 
     value: float
     iterations_used: int
@@ -386,31 +393,15 @@ def _admm(projector, grad, z, u, res) -> np.ndarray:
     )
 
 
-def _settled_stop(it, gain, max_iters):
-    """Stop of restarts whose state no longer changes after iteration ``it``.
-
-    Such a restart repeats its last iteration bit for bit, so its value
-    stays put: ``gain`` is its value less the anchor of its current window.
-    The next boundary then stops it on the window rule if ``gain`` is below
-    the window's threshold, and the boundary after that always does, unless
-    the iteration cap comes first.  Returns each restart's iteration count
-    and stop reason.
-    """
-    first = (it // _CONVERGENCE_WINDOW + 1) * _CONVERGENCE_WINDOW
-    when = np.where(gain < _CONVERGENCE_GAIN, first, first + _CONVERGENCE_WINDOW)
-    reasons = np.where(when >= max_iters, "max_iters", "window").astype(object)
-    return np.minimum(when, max_iters), reasons
-
-
 def _ascend(weighted, projector, rhos, effects, cfg):
     """Run every restart of the stack until its stop rule fires.
 
     Returns the final states and measurements of each restart with its
     iteration count, stop reason and the PSD projections it spent.  The
-    running restarts form their own stack, which sheds each restart as it
-    stops, and a restart whose states, measurements and ADMM iterate all
-    came through an iteration unchanged stops at once with the record the
-    stop rules would give it later.
+    running restarts form their own stack, which sheds each restart at the
+    iteration its first rule fires: ``"settled"`` when nothing changed in
+    it, ``"window"`` at a boundary with too little gain, or ``"max_iters"``
+    at the cap.
     """
     tol = _TOLERANCE / 10
     restarts = len(rhos)
@@ -450,22 +441,15 @@ def _ascend(weighted, projector, rhos, effects, cfg):
             up = stepped[better]
             rhos[up], value[up], moved[up] = trial[better], trial_val[better], True
 
-        stop = np.zeros(index.size, dtype=bool)
-        when = np.full(index.size, it)
-        why = np.empty(index.size, dtype=object)
+        settled = ~moved & (steps == 0)
+        stop = settled.copy()
         if it % _CONVERGENCE_WINDOW == 0 and it < cfg.max_iters:
-            stop = value - anchor < _CONVERGENCE_GAIN
-            why[stop] = "window"
+            stop |= value - anchor < _CONVERGENCE_GAIN
             anchor = value.copy()
-        settled = ~stop & ~moved & (steps == 0)
-        if settled.any():
-            when[settled], why[settled] = _settled_stop(
-                it, (value - anchor)[settled], cfg.max_iters
-            )
-            stop |= settled
         if stop.any():
             done = index[stop]
-            iterations[done], reasons[done] = when[stop], why[stop]
+            iterations[done] = it
+            reasons[done] = np.where(settled[stop], "settled", "window")
             final_rhos[done], final_effects[done] = rhos[stop], effects[stop]
             index, rhos, effects, value, anchor, z, u, res = (
                 a[~stop] for a in (index, rhos, effects, value, anchor, z, u, res)

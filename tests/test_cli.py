@@ -265,7 +265,7 @@ def test_exp_default_seed_is_zero(capsys, data_dir):
 
 
 def test_optimize_small(capsys):
-    code, report, _ = run_cli(
+    code, report, err = run_cli(
         capsys,
         "optimize",
         "--game", "rac:2,2",
@@ -278,10 +278,10 @@ def test_optimize_small(capsys):
     assert report["results"]["feasible"] is True
     assert report["results"]["value"] > 0.7
     results = report["results"]
-    assert results["stop_reason"] in ("window", "max_iters")
-    assert (results["stop_reason"] == "max_iters") == (results["iterations_used"] == 60)
+    assert (results["stop_reason"], results["iterations_used"]) == ("settled", 3)
     per_restart = results["per_restart"]
-    assert len(per_restart) == 2
+    assert [(r["stop_reason"], r["iterations_used"]) for r in per_restart] == [("settled", 3)] * 2
+    assert err.rstrip().endswith("feasible); restarts: 2 settled")
     assert set(per_restart[0]) == {
         "value", "iterations_used", "stop_reason", "feasibility_residual", "feasible", "sweeps"
     }

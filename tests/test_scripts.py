@@ -57,6 +57,6 @@ def test_rac_seesaw_scan():
     assert [row["dim"] for row in rows] == [3, 4]
     for row in rows:
         assert 1 <= row["iterations_used"] <= 30
-        assert row["stop_reason"] in ("window", "max_iters")
+        assert row["stop_reason"] in ("settled", "window", "max_iters")
         assert row["residual"] < 1e-8
     assert rows[1]["violation"] > 0
