@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmath
 from .games import (
     Behavior,
     ObliviousGame,
@@ -173,25 +172,22 @@ def cglmp3() -> BellFunctional:
     return BellFunctional(coeffs, np.full(2, 0.5), np.full(2, 0.5))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the matrices on the last two axes of ``a`` and ``b``, leading axes
+    broadcast."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
 def box_from_quantum(state: DensityMatrix, alice_meas, bob_meas) -> NoSignalingBox:
-    """Correlation table of local measurements on a bipartite state."""
-    alice_meas = tuple(alice_meas)
-    bob_meas = tuple(bob_meas)
-    da = alice_meas[0].dim
-    db = bob_meas[0].dim
-    if da * db != state.dim:
+    """Correlation table p[X, Y, a, b] = Tr[(A_{a|X} (x) B_{b|Y}) rho] of local measurements
+    on a bipartite state."""
+    alice = np.stack([m.elements for m in alice_meas])
+    bob = np.stack([m.elements for m in bob_meas])
+    if alice.shape[-1] * bob.shape[-1] != state.dim:
         raise ValueError("state dimension does not factor over the measurements")
-    na = alice_meas[0].n_outcomes
-    nb = bob_meas[0].n_outcomes
-    table = np.empty((len(alice_meas), len(bob_meas), na, nb))
-    for X, ma in enumerate(alice_meas):
-        for Y, mb in enumerate(bob_meas):
-            for a, ea in enumerate(ma.elements):
-                for b, eb in enumerate(mb.elements):
-                    table[X, Y, a, b] = float(
-                        np.trace(np.kron(ea, eb) @ state.matrix).real
-                    )
-    return NoSignalingBox(table)
+    products = _kron(alice[:, None, :, None], bob[None, :, None, :]) @ state.matrix
+    return NoSignalingBox(np.trace(products, axis1=-2, axis2=-1).real)
 
 
 def game_alice_inputs(n_outcomes: int, m_alice: int) -> tuple:
@@ -257,33 +253,23 @@ def strategy_from_box(box: NoSignalingBox) -> tuple:
 def preparations_from_entangled(state: DensityMatrix, alice_meas) -> tuple:
     """Conditional states steered on the second factor by Alice's measurements.
 
-    Returns (p_g, preparations) with p_g[X, a] the outcome probability and
-    preparations[X][a] the normalized reduced state.  Averaging each row of
-    preparations against p_g reproduces the fixed reduced state of the second
-    subsystem, so the obliviousness constraint holds by construction.
-    Outcomes below ``ZERO_MARGINAL_TOL`` get a maximally mixed placeholder and
-    zero weight.
+    Returns (p_g, states) with p_g[X, a] the outcome probability and
+    states[X, a] (m_A, n_outcomes, d_B, d_B) the normalized reduced state
+    Tr_A[(A_{a|X} (x) 1) rho] / p_g[X, a].  Averaging each row of states
+    against p_g reproduces the fixed reduced state of the second subsystem,
+    so the obliviousness constraint holds by construction.  Outcomes at or
+    below ``ZERO_MARGINAL_TOL`` get a maximally mixed placeholder and zero
+    weight.
     """
-    alice_meas = tuple(alice_meas)
-    da = alice_meas[0].dim
+    alice = np.stack([m.elements for m in alice_meas])
+    da = alice.shape[-1]
     if state.dim % da != 0:
         raise ValueError("state dimension does not factor over Alice's measurement")
     db = state.dim // da
-    n_out = alice_meas[0].n_outcomes
-    pg = np.zeros((len(alice_meas), n_out))
-    preparations = []
-    for X, povm in enumerate(alice_meas):
-        row = []
-        for a, eff in enumerate(povm.elements):
-            op = np.kron(eff, np.eye(db)) @ state.matrix
-            reduced = qmath.partial_trace(op, da, db, which="a")
-            p = float(np.trace(reduced).real)
-            if p <= ZERO_MARGINAL_TOL:
-                row.append(DensityMatrix(np.eye(db) / db))
-                pg[X, a] = 0.0
-            else:
-                m = reduced / p
-                row.append(DensityMatrix((m + m.conj().T) / 2))
-                pg[X, a] = p
-        preparations.append(row)
-    return pg, preparations
+    products = _kron(alice, np.eye(db)) @ state.matrix
+    reduced = np.einsum("...abac->...bc", products.reshape(*alice.shape[:2], da, db, da, db))
+    p = np.trace(reduced, axis1=-2, axis2=-1).real
+    steered = p > ZERO_MARGINAL_TOL
+    m = reduced / np.where(steered, p, 1.0)[..., None, None]
+    states = (m + np.swapaxes(m, -1, -2).conj()) / 2
+    return np.where(steered, p, 0.0), np.where(steered[..., None, None], states, np.eye(db) / db)

@@ -86,14 +86,12 @@ def optimal_box() -> bellmap.NoSignalingBox:
 def game_strategy() -> QuantumStrategy:
     """Qutrit strategy for ``games.make_cglmp3_game``.
 
-    Preparations are the steered conditional states, reordered so that the
-    game input (x0, x) holds the state for correlation outcome
-    a = x0 - delta_{x,1} (mod 3).
+    States are the steered conditional states, reordered so that the game
+    input (x0, x) holds the state for correlation outcome
+    a = x0 - delta_{x,1} = x0 - x (mod 3).
     """
     state = DensityMatrix.from_ket(optimal_state())
-    _, preps = bellmap.preparations_from_entangled(state, [alice_povm(0), alice_povm(1)])
-    game = games.make_cglmp3_game()
-    ordered = tuple(
-        preps[x][(x0 - (1 if x == 1 else 0)) % 3] for (x0, x) in game.alice_inputs
-    )
-    return QuantumStrategy(ordered, (bob_povm(0), bob_povm(1)))
+    _, steered = bellmap.preparations_from_entangled(state, [alice_povm(0), alice_povm(1)])
+    x0, x = np.array(games.make_cglmp3_game().alice_inputs).T
+    effects = np.stack([bob_povm(0).elements, bob_povm(1).elements])
+    return QuantumStrategy(steered[x, (x0 - x) % 3], effects)

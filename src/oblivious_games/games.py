@@ -22,7 +22,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .qmath import born_prob, readonly
+from .qmath import PROB_TOL, _check_measurements, _check_states, readonly
 
 DIST_TOL = 1e-12
 BEHAVIOR_TOL = 1e-10
@@ -222,28 +222,30 @@ class Behavior:
 
 @dataclass(frozen=True, eq=False)
 class QuantumStrategy:
-    """One preparation per Alice input, one measurement per Bob input."""
+    """One state per Alice input, ``states[x]`` (n_alice, d, d), and one measurement per
+    Bob input, ``effects[y, b]`` (n_bob, n_outcomes, d, d)."""
 
-    preparations: tuple
-    measurements: tuple
+    states: np.ndarray
+    effects: np.ndarray
 
     def __post_init__(self):
-        preps = tuple(self.preparations)
-        meas = tuple(self.measurements)
-        if not preps or not meas:
-            raise ValueError("quantum strategy needs preparations and measurements")
-        dim = preps[0].dim
-        if any(p.dim != dim for p in preps) or any(m.dim != dim for m in meas):
-            raise ValueError("preparations and measurements must share one dimension")
-        n_out = meas[0].n_outcomes
-        if any(m.n_outcomes != n_out for m in meas):
-            raise ValueError("all measurements must have the same outcome count")
-        object.__setattr__(self, "preparations", preps)
-        object.__setattr__(self, "measurements", meas)
+        states = np.asarray(self.states, dtype=complex)
+        effects = np.asarray(self.effects, dtype=complex)
+        if states.ndim != 3 or effects.ndim != 4 or not (
+            states.shape[1] == states.shape[2] == effects.shape[2] == effects.shape[3]
+        ):
+            raise ValueError(
+                f"states of shape {states.shape} and effects of shape {effects.shape} are not "
+                "(n_alice, d, d) and (n_bob, n_outcomes, d, d) for one d"
+            )
+        _check_states(states, "states")
+        _check_measurements(effects, "effects")
+        object.__setattr__(self, "states", readonly(states))
+        object.__setattr__(self, "effects", readonly(effects))
 
     @property
     def n_outcomes(self) -> int:
-        return self.measurements[0].n_outcomes
+        return self.effects.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,16 +277,17 @@ def performance(game: ObliviousGame, behavior: Behavior):
 
 
 def behavior_from_quantum(strategy: QuantumStrategy) -> Behavior:
-    """Born-rule outcome table of a quantum strategy."""
-    na = len(strategy.preparations)
-    nb = len(strategy.measurements)
-    no = strategy.n_outcomes
-    table = np.empty((na, nb, no))
-    for x, rho in enumerate(strategy.preparations):
-        for y, povm in enumerate(strategy.measurements):
-            for b, eff in enumerate(povm.elements):
-                table[x, y, b] = born_prob(rho, eff)
-    return Behavior(table)
+    """Born-rule outcome table p[x, y, b] = Tr(effects[y, b] states[x]), clipped to [0, 1]."""
+    p = np.trace(strategy.effects[None] @ strategy.states[:, None, None], axis1=-2, axis2=-1)
+    # Every entry of either matrix enters the trace, so a NaN or an infinity
+    # makes it NaN or infinite, which fails these comparisons.
+    ok = (np.abs(p.imag) <= PROB_TOL) & (-PROB_TOL <= p.real) & (p.real <= 1 + PROB_TOL)
+    if not ok.all():
+        x, y, b = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"invalid effect/state pair: Tr(effects[{y}, {b}] states[{x}]) = {complex(p[x, y, b])!r}"
+        )
+    return Behavior(np.minimum(np.maximum(p.real, 0.0), 1.0))
 
 
 def behavior_from_classical(strategy: ClassicalStrategy) -> Behavior:
@@ -315,13 +318,13 @@ def obliviousness_residual_behavior(game: ObliviousGame, behavior: Behavior) -> 
 def obliviousness_residual_quantum(game: ObliviousGame, strategy: QuantumStrategy) -> float:
     """Operator-level obliviousness residual.
 
-    Compares the prior-weighted average preparation operators of the sets in
+    Compares the prior-weighted average state operators of the sets in
     each family by entrywise max-norm.  A zero residual implies the
     statistics-level constraint for every conceivable measurement.
     """
-    if len(strategy.preparations) != game.n_alice:
-        raise ValueError("strategy has wrong number of preparations")
-    return float(obliviousness_residual(game, np.stack([p.matrix for p in strategy.preparations])))
+    if len(strategy.states) != game.n_alice:
+        raise ValueError("strategy has wrong number of states")
+    return float(obliviousness_residual(game, strategy.states))
 
 
 def cglmp3_targets(x0: int, x: int, y: int) -> tuple:

@@ -77,7 +77,6 @@ from .games import (
     obliviousness_residual_quantum,
     performance,
 )
-from .qmath import DensityMatrix, Povm
 
 # Cap on the Jezek-Rehacek-Fiurasek steps of one call; the certificate
 # usually ends a call after a few steps.
@@ -495,9 +494,7 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     effects = _normalize_povm(effects)
     records, strategies = [], []
     for restart in range(cfg.restarts):
-        preparations = tuple(DensityMatrix(r) for r in rhos[restart])
-        measurements = tuple(Povm(tuple(e)) for e in effects[restart])
-        strategy = QuantumStrategy(preparations, measurements)
+        strategy = QuantumStrategy(rhos[restart], effects[restart])
         residual = obliviousness_residual_quantum(game, strategy)
         strategies.append(strategy)
         records.append(

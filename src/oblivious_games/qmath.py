@@ -2,7 +2,9 @@
 
 All heavy lifting is plain double-precision numpy; the dataclasses only add
 validated physical invariants (normalization, Hermiticity, positivity,
-completeness) on top of the raw arrays.
+completeness) on top of the raw arrays.  Every check takes a stack of
+matrices on leading axes, a single matrix being the stack without them, and
+names the index of the first matrix that fails.
 """
 
 from __future__ import annotations
@@ -26,20 +28,48 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def is_hermitian(m, tol: float = HERM_TOL) -> bool:
+def _reject(bad, name: str, problem: str, values=None) -> None:
+    """Raise ``ValueError`` naming the first matrix of a stack that ``bad`` flags, if
+    any; ``values`` at its index fills the ``{}`` of ``problem``."""
+    hits = np.argwhere(bad)
+    if len(hits):
+        index = tuple(int(i) for i in hits[0])
+        label = f"{name}[{', '.join(map(str, index))}]" if index else name
+        if values is not None:
+            problem = problem.format(np.asarray(values)[index].item())
+        raise ValueError(f"{label} {problem}")
+
+
+def is_hermitian(m, tol: float = HERM_TOL):
+    """Whether each matrix of the stack ``m[..., d, d]`` is Hermitian to ``tol``."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) < tol)
+    return np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1)) < tol
 
 
 def check_positive(m: np.ndarray, name: str) -> None:
-    """Reject a matrix that is non-finite, not Hermitian or not positive semidefinite."""
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} has non-finite entries")
-    if not is_hermitian(m):
-        raise ValueError(f"{name} is not Hermitian")
-    lo = float(np.linalg.eigvalsh(m).min())
-    if lo < -PSD_TOL:
-        raise ValueError(f"{name} has eigenvalue {lo} < -{PSD_TOL}")
+    """Reject a stack ``m[..., d, d]`` that is empty or holds a matrix that is non-finite,
+    not Hermitian or not positive semidefinite."""
+    if not m.size:
+        raise ValueError(f"{name} is empty: shape {m.shape}")
+    _reject(~np.isfinite(m).all(axis=(-2, -1)), name, "has non-finite entries")
+    _reject(~is_hermitian(m), name, "is not Hermitian")
+    lo = np.linalg.eigvalsh(m).min(axis=-1)
+    _reject(lo < -PSD_TOL, name, f"has eigenvalue {{}} < -{PSD_TOL}", lo)
+
+
+def _check_states(m: np.ndarray, name: str) -> None:
+    """Reject a stack ``m[..., d, d]`` unless each matrix is a density matrix."""
+    check_positive(m, name)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    _reject(np.abs(tr - 1.0) >= HERM_TOL, name, "trace {!r} is not 1", tr)
+
+
+def _check_measurements(m: np.ndarray, name: str) -> None:
+    """Reject a stack ``m[..., n_outcomes, d, d]`` of measurements unless each has positive
+    effects that sum to the identity."""
+    check_positive(m, name)
+    gaps = np.max(np.abs(m.sum(axis=-3) - np.eye(m.shape[-1])), axis=(-2, -1))
+    _reject(gaps >= HERM_TOL, name, "do not sum to the identity")
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -78,10 +108,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        check_positive(m, "density matrix")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) >= HERM_TOL:
-            raise ValueError(f"density matrix trace {tr!r} is not 1")
+        _check_states(m, "density matrix")
         object.__setattr__(self, "matrix", readonly(m))
 
     @classmethod
@@ -95,24 +122,19 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive-operator-valued measure: one effect per outcome, summing to 1."""
+    """Positive-operator-valued measure: effects ``elements[b]`` (n_outcomes, d, d) summing to 1."""
 
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
         elems = tuple(as_matrix(e) for e in self.elements)
         if not elems:
             raise ValueError("measurement needs at least one outcome")
-        d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for i, e in enumerate(elems):
-            if e.shape != (d, d):
-                raise ValueError("measurement effects have mixed dimensions")
-            check_positive(e, f"effect {i}")
-            total = total + e
-        if np.max(np.abs(total - np.eye(d))) >= HERM_TOL:
-            raise ValueError("effects do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(readonly(e) for e in elems))
+        if any(e.shape != elems[0].shape for e in elems):
+            raise ValueError("measurement effects have mixed dimensions")
+        elems = np.stack(elems)
+        _check_measurements(elems, "effects")
+        object.__setattr__(self, "elements", readonly(elems))
 
     @classmethod
     def from_kets(cls, kets) -> "Povm":
@@ -121,40 +143,8 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
-
-
-def partial_trace(m, dim_a: int, dim_b: int, which: str = "a") -> np.ndarray:
-    """Trace out one tensor factor of a (dim_a*dim_b)-dimensional operator.
-
-    ``which`` names the subsystem that is traced *out*; the reduced operator
-    on the other factor is returned.
-    """
-    m = as_matrix(m)
-    if m.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError(
-            f"matrix of shape {m.shape} does not factor as {dim_a}x{dim_b}"
-        )
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if which == "a":
-        return np.einsum("abac->bc", t)
-    if which == "b":
-        return np.einsum("abcb->ac", t)
-    raise ValueError(f"subsystem tag must be 'a' or 'b', got {which!r}")
-
-
-def born_prob(state, effect) -> float:
-    """Outcome probability Tr(effect * state), clamped to [0, 1] at the edges."""
-    rho = state.matrix if isinstance(state, DensityMatrix) else as_matrix(state)
-    eff = as_matrix(effect)
-    p = complex(np.trace(eff @ rho))
-    # Every entry of either matrix enters the trace, so a NaN or an infinity
-    # makes it NaN or infinite, which fails these comparisons.
-    if not (abs(p.imag) <= PROB_TOL and -PROB_TOL <= p.real <= 1 + PROB_TOL):
-        raise ValueError(f"invalid effect/state pair: Tr(E rho) = {p!r}")
-    return min(max(p.real, 0.0), 1.0)
-

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oblivious_games import cglmp
 from oblivious_games.bellmap import (
@@ -25,7 +27,7 @@ from oblivious_games.games import (
 )
 from oblivious_games.qmath import DensityMatrix, Ket, Povm
 
-from test_qmath import random_povm
+from test_qmath import random_density, random_povm
 
 A3 = (3 + np.sqrt(33)) / 12
 
@@ -281,43 +283,35 @@ class TestPreparationsFromEntangled:
         phi[[0, 4, 8]] = 1 / np.sqrt(3)
         state = DensityMatrix(np.outer(phi, phi))
         povm = Povm(tuple(np.diag([1.0 if i == k else 0.0 for i in range(3)]) for k in range(3)))
-        p_g, preps = preparations_from_entangled(state, [povm])
+        p_g, states = preparations_from_entangled(state, [povm])
         assert np.max(np.abs(p_g - 1 / 3)) < 1e-12
-        for k in range(3):
-            expected = np.zeros((3, 3))
-            expected[k, k] = 1.0
-            assert np.max(np.abs(preps[0][k].matrix - expected)) < 1e-12
+        assert np.max(np.abs(states[0] - povm.elements)) < 1e-12
 
     def test_zero_outcomes_get_the_maximally_mixed_placeholder(self):
         state = DensityMatrix(np.diag(np.eye(9)[0]))  # |00>
         povm = Povm(tuple(np.diag(np.eye(3)[k]) for k in range(3)))
-        p_g, preps = preparations_from_entangled(state, [povm])
+        p_g, states = preparations_from_entangled(state, [povm])
         assert p_g.tolist() == [[1.0, 0.0, 0.0]]
-        assert np.array_equal(preps[0][0].matrix, np.diag(np.eye(3)[0]))
+        assert np.array_equal(states[0, 0], np.diag(np.eye(3)[0]))
         for k in (1, 2):
-            assert np.array_equal(preps[0][k].matrix, np.eye(3) / 3)
+            assert np.array_equal(states[0, k], np.eye(3) / 3)
 
     def test_averages_reproduce_reduced_state(self):
         state = DensityMatrix.from_ket(cglmp.optimal_state())
-        p_g, preps = preparations_from_entangled(
+        p_g, states = preparations_from_entangled(
             state, [cglmp.alice_povm(0), cglmp.alice_povm(1)]
         )
-        from oblivious_games.qmath import partial_trace
-
-        rho_b = partial_trace(state.matrix, 3, 3, which="a")
-        for X in range(2):
-            avg = sum(p_g[X, a] * preps[X][a].matrix for a in range(3))
-            assert np.max(np.abs(avg - rho_b)) < 1e-12
+        rho_b = np.einsum("abac->bc", state.matrix.reshape(3, 3, 3, 3))
+        averages = np.einsum("Xa,Xabc->Xbc", p_g, states)
+        assert np.max(np.abs(averages - rho_b)) < 1e-12
 
     def test_conditional_states_are_pure(self):
         state = DensityMatrix.from_ket(cglmp.optimal_state())
-        _, preps = preparations_from_entangled(
+        _, states = preparations_from_entangled(
             state, [cglmp.alice_povm(0), cglmp.alice_povm(1)]
         )
-        for row in preps:
-            for rho in row:
-                purity = np.trace(rho.matrix @ rho.matrix).real
-                assert abs(purity - 1.0) < 1e-10
+        purity = np.trace(states @ states, axis1=-2, axis2=-1).real
+        assert np.max(np.abs(purity - 1.0)) < 1e-10
 
 
 def test_behavior_pipelines_agree():
@@ -334,6 +328,50 @@ def test_behavior_pipelines_agree():
         a = (x0 - (1 if x == 1 else 0)) % 3
         j = game.alice_inputs.index((a, x))
         assert np.max(np.abs(behavior_direct.table[i] - behavior_box.table[j])) < 1e-10
+
+
+def _reference_steered(state, alice_meas, da, db):
+    # the per-effect loop with an einsum partial trace over the first factor
+    pg = np.zeros((len(alice_meas), alice_meas[0].n_outcomes))
+    states = np.empty(pg.shape + (db, db), dtype=complex)
+    for X, povm in enumerate(alice_meas):
+        for a, eff in enumerate(povm.elements):
+            op = np.kron(eff, np.eye(db)) @ state.matrix
+            reduced = np.einsum("abac->bc", op.reshape(da, db, da, db))
+            p = float(np.trace(reduced).real)
+            if p <= 1e-14:
+                states[X, a] = np.eye(db) / db
+            else:
+                m = reduced / p
+                states[X, a] = (m + m.conj().T) / 2
+                pg[X, a] = p
+    return pg, states
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.tuples(st.integers(2, 3), st.integers(2, 3)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(st.integers(2, 4), st.integers(2, 4)),
+)
+def test_batched_products_are_the_loops(seed, dims, settings_, outcomes):
+    # box_from_quantum and preparations_from_entangled equal np.kron per pair of
+    # effects and the per-effect partial trace, bit for bit, on random
+    # entangled states and measurements
+    rng = np.random.default_rng(seed)
+    (da, db), (ma, mb), (na, nb) = dims, settings_, outcomes
+    state = random_density(rng, da * db)
+    alice = [random_povm(rng, da, na) for _ in range(ma)]
+    bob = [random_povm(rng, db, nb) for _ in range(mb)]
+    reference = np.empty((ma, mb, na, nb))
+    for X, Y, a, b in np.ndindex(reference.shape):
+        product = np.kron(alice[X].elements[a], bob[Y].elements[b])
+        reference[X, Y, a, b] = float(np.trace(product @ state.matrix).real)
+    assert np.array_equal(box_from_quantum(state, alice, bob).table, reference)
+    p_g, states = preparations_from_entangled(state, alice)
+    ref_pg, ref_states = _reference_steered(state, alice, da, db)
+    assert np.array_equal(p_g, ref_pg) and np.array_equal(states, ref_states)
 
 
 def test_serialization_roundtrip(tmp_path):

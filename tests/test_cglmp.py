@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oblivious_games import bellmap, cglmp
-from oblivious_games.qmath import DensityMatrix, partial_trace
+from oblivious_games.qmath import DensityMatrix
 
 A3 = (3 + math.sqrt(33)) / 12
 
@@ -110,7 +110,7 @@ class TestSteeredPreparations:
         # steering a rank-1 effect |a><a| through sum_k gamma_k |kk> leaves
         # gamma_k gamma_j <a|k><j|a> / N on |k><j|
         state = DensityMatrix.from_ket(cglmp.optimal_state())
-        _, preps = bellmap.preparations_from_entangled(
+        _, steered = bellmap.preparations_from_entangled(
             state, [cglmp.alice_povm(0), cglmp.alice_povm(1)]
         )
         w = cglmp.OMEGA
@@ -127,13 +127,13 @@ class TestSteeredPreparations:
                     ]
                 ) / cglmp.NORMALIZATION
                 a = (x0 - (1 if x == 1 else 0)) % 3
-                assert np.max(np.abs(preps[x][a].matrix - expected)) < 1e-12
+                assert np.max(np.abs(steered[x, a] - expected)) < 1e-12
 
     def test_scaled_partial_trace_identity(self):
         state = DensityMatrix.from_ket(cglmp.optimal_state())
         povm = cglmp.alice_povm(0)
+        _, steered = bellmap.preparations_from_entangled(state, [povm])
         for a in range(3):
             op = np.kron(povm.elements[a], np.eye(3)) @ state.matrix
-            direct = 3 * partial_trace(op, 3, 3, which="a")
-            _, preps = bellmap.preparations_from_entangled(state, [povm])
-            assert np.max(np.abs(direct - preps[0][a].matrix)) < 1e-12
+            direct = 3 * np.einsum("abac->bc", op.reshape(3, 3, 3, 3))
+            assert np.max(np.abs(direct - steered[0, a])) < 1e-12

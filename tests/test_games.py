@@ -26,7 +26,6 @@ from oblivious_games.games import (
     save_game,
 )
 from oblivious_games.optimizer import _null_projector
-from oblivious_games.qmath import DensityMatrix, Povm
 
 from conftest import every_parity_rac_game
 from test_qmath import random_density, random_povm
@@ -133,9 +132,8 @@ class TestResiduals:
 
     def test_equal_preparations_zero(self):
         game = make_cglmp3_game()
-        rho = DensityMatrix(np.eye(3) / 3)
-        povm = Povm.from_kets(cglmp.bob_basis(0))
-        strategy = QuantumStrategy((rho,) * 6, (povm, povm))
+        povm = cglmp.bob_povm(0)
+        strategy = QuantumStrategy(np.tile(np.eye(3) / 3, (6, 1, 1)), np.stack([povm.elements] * 2))
         assert obliviousness_residual_quantum(game, strategy) == 0.0
 
     def test_cglmp_preparations_satisfy_constraint(self):
@@ -172,9 +170,8 @@ class TestResiduals:
 
 class TestQuantumBehavior:
     def test_identity_table(self):
-        preps = (DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.diag([0.0, 1.0])))
-        povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        behavior = behavior_from_quantum(QuantumStrategy(preps, (povm,)))
+        basis = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        behavior = behavior_from_quantum(QuantumStrategy(basis, basis[None]))
         assert np.allclose(behavior.table[:, 0, :], np.eye(2), atol=1e-12)
 
     def test_maximally_mixed_rows(self):
@@ -182,9 +179,8 @@ class TestQuantumBehavior:
         rng = np.random.default_rng(8)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         basis, _ = np.linalg.qr(g)
-        povm = Povm(tuple(np.outer(basis[:, k], basis[:, k].conj()) for k in range(3)))
-        prep = DensityMatrix(np.eye(3) / 3)
-        behavior = behavior_from_quantum(QuantumStrategy((prep,), (povm,)))
+        effects = np.einsum("ik,jk->kij", basis, basis.conj())
+        behavior = behavior_from_quantum(QuantumStrategy(np.eye(3)[None] / 3, effects[None]))
         assert np.max(np.abs(behavior.table - 1 / 3)) < 1e-12
 
     def test_shape_mismatch_rejected(self):
@@ -233,12 +229,27 @@ def test_behavior_residual_bounded_by_operator_residual(seed, dim):
         payoff=np.zeros((n_inputs, 2, dim)),
         partitions=(((0, 1), (2, 3)),),
     )
-    preps = tuple(random_density(rng, dim) for _ in range(n_inputs))
-    meas = tuple(random_povm(rng, dim, dim) for _ in range(2))
-    strategy = QuantumStrategy(preps, meas)
+    states = np.stack([random_density(rng, dim).matrix for _ in range(n_inputs)])
+    effects = np.stack([random_povm(rng, dim, dim).elements for _ in range(2)])
+    strategy = QuantumStrategy(states, effects)
     lhs = obliviousness_residual_behavior(game, behavior_from_quantum(strategy))
     rhs = dim * obliviousness_residual_quantum(game, strategy)
     assert lhs <= rhs + 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 5), st.integers(1, 3), st.integers(2, 4))
+def test_behavior_from_quantum_is_the_born_rule_loop(seed, dim, n_bob, n_outcomes):
+    # one batched product and trace equals Tr(M @ rho) per entry, bit for bit
+    rng = np.random.default_rng(seed)
+    states = np.stack([random_density(rng, dim).matrix for _ in range(int(rng.integers(1, 7)))])
+    effects = np.stack([random_povm(rng, dim, n_outcomes).elements for _ in range(n_bob)])
+    reference = np.empty((len(states), n_bob, n_outcomes))
+    for x, y, b in np.ndindex(reference.shape):
+        p = complex(np.trace(effects[y, b] @ states[x]))
+        reference[x, y, b] = min(max(p.real, 0.0), 1.0)
+    table = behavior_from_quantum(QuantumStrategy(states, effects)).table
+    assert np.array_equal(table, reference)
 
 
 def test_constraint_rows_rac23():
@@ -431,20 +442,40 @@ def test_classical_strategy_shape_mismatch_rejected():
         ClassicalStrategy(np.full((2, 3), 1 / 3), np.full((2, 2, 2), 0.5))
 
 
+def _strategy_arrays(d=2, n_alice=3, n_bob=2):
+    states = np.tile(np.eye(d, dtype=complex) / d, (n_alice, 1, 1))
+    effects = np.tile(np.eye(d, dtype=complex) / 2, (n_bob, 2, 1, 1))
+    return states, effects
+
+
+def _spoil(field, index, value):
+    def build():
+        states, effects = _strategy_arrays()
+        target = states if field == "states" else effects
+        target[index] = value
+        return states, effects
+
+    return build
+
+
 @pytest.mark.parametrize(
-    "dims,outcomes,message",
+    "build,message",
     [
-        ((), (2,), "needs preparations and measurements"),
-        ((2, 3), (2,), "share one dimension"),
-        ((2,), (2, 3), "same outcome count"),
+        (lambda: _strategy_arrays(n_alice=0), r"states is empty: shape \(0, 2, 2\)"),
+        (_spoil("states", (1, 0, 1), np.nan), r"states\[1\] has non-finite entries"),
+        (_spoil("effects", (1, 0, 0, 1), 0.25), r"effects\[1, 0\] is not Hermitian"),
+        (_spoil("states", 2, np.diag([1.0 + 2e-10, -2e-10])), r"states\[2\] has eigenvalue -2"),
+        (_spoil("states", 1, np.eye(2) / 4), r"states\[1\] trace \(0\.5\+0j\) is not 1"),
+        (_spoil("effects", (1, 0), np.eye(2) / 4), r"effects\[1\] do not sum to the identity"),
+        (lambda: (_strategy_arrays(d=3)[0], _strategy_arrays(d=2)[1]),
+         r"shape \(3, 3, 3\) and effects of shape \(2, 2, 2, 2\) are not"),
     ],
-    ids=["empty", "mixed-dimensions", "mixed-outcome-counts"],
+    ids=["empty", "non-finite", "non-hermitian", "negative-eigenvalue", "trace", "incomplete",
+         "different-d"],
 )
-def test_quantum_strategy_rejects(dims, outcomes, message):
-    preps = [DensityMatrix(np.eye(d) / d) for d in dims]
-    meas = [Povm(tuple(np.eye(2) / n for _ in range(n))) for n in outcomes]
+def test_quantum_strategy_rejects(build, message):
     with pytest.raises(ValueError, match=message):
-        QuantumStrategy(preps, meas)
+        QuantumStrategy(*build())
 
 
 def test_is_prime():

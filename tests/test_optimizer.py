@@ -11,7 +11,6 @@ from oblivious_games.games import (
     make_rac_game,
     obliviousness_residual_quantum,
 )
-from oblivious_games.qmath import DensityMatrix, Povm
 from oblivious_games.optimizer import (
     SearchConfig,
     _admm,
@@ -256,9 +255,9 @@ def test_projection_stops_on_the_residual_it_reports(game, dim):
     stack[2] = projector.psd(projector.affine(stack[2]))
     stack[3] = np.eye(dim) / dim
     residuals = projector.residual(stack)
-    measurement = Povm(tuple(np.diag(e) for e in np.eye(dim)))
+    measurement = np.array([np.diag(e) for e in np.eye(dim)])
     for rhos, residual in zip(stack, residuals):
-        strategy = QuantumStrategy(tuple(DensityMatrix(r) for r in rhos), (measurement,))
+        strategy = QuantumStrategy(rhos, measurement[None])
         assert residual == obliviousness_residual_quantum(game, strategy)
     assert residuals[0] > 1e-3 and 0 < residuals[1] < 1e-9 and residuals[3] == 0.0
 
@@ -511,11 +510,11 @@ class TestResultContract:
         assert recomputed == small_result.feasibility_residual
 
     def test_strategy_invariants_hold(self, small_result):
-        for rho in small_result.strategy.preparations:
-            assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
-        for povm in small_result.strategy.measurements:
-            total = sum(povm.elements)
-            assert np.max(np.abs(total - np.eye(povm.dim))) < 1e-12
+        strategy = small_result.strategy
+        traces = np.trace(strategy.states, axis1=-2, axis2=-1)
+        assert np.max(np.abs(traces - 1.0)) < 1e-12
+        totals = strategy.effects.sum(axis=1)
+        assert np.max(np.abs(totals - np.eye(strategy.states.shape[-1]))) < 1e-12
 
     def test_reported_value_is_achieved_by_strategy(self, small_result):
         from oblivious_games.games import behavior_from_quantum, performance
@@ -532,16 +531,12 @@ class TestDeterminism:
         a = search(game, cfg)
         b = search(game, cfg)
         assert a.value == b.value
-        for pa, pb in zip(a.strategy.preparations, b.strategy.preparations):
-            assert np.array_equal(pa.matrix, pb.matrix)
+        assert np.array_equal(a.strategy.states, b.strategy.states)
 
 
 def _assert_same_strategy(a, b):
-    for pa, pb in zip(a.strategy.preparations, b.strategy.preparations):
-        assert np.array_equal(pa.matrix, pb.matrix)
-    for ma, mb in zip(a.strategy.measurements, b.strategy.measurements):
-        for ea, eb in zip(ma.elements, mb.elements):
-            assert np.array_equal(ea, eb)
+    assert np.array_equal(a.strategy.states, b.strategy.states)
+    assert np.array_equal(a.strategy.effects, b.strategy.effects)
 
 
 @pytest.fixture(scope="module")

@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblivious_games.qmath import (
-    DensityMatrix,
-    Ket,
-    Povm,
-    as_matrix,
-    born_prob,
-    is_hermitian,
-    partial_trace,
-)
+from oblivious_games.bellmap import preparations_from_entangled
+from oblivious_games.games import QuantumStrategy, behavior_from_quantum
+from oblivious_games.qmath import PROB_TOL, DensityMatrix, Ket, Povm, as_matrix, is_hermitian
 
 
 def random_ket(rng, dim):
@@ -37,62 +31,83 @@ def random_povm(rng, dim, n_out):
     return Povm(tuple(effects))
 
 
+def computational_povm(dim):
+    return Povm(tuple(np.diag(e) for e in np.eye(dim)))
+
+
 class TestPartialTrace:
+    """The partial trace over the first factor, as ``preparations_from_entangled`` takes
+    it: p_g[X, a] states[X, a] = Tr_A[(A_{a|X} (x) 1) rho]."""
+
     def test_product_state(self):
         rng = np.random.default_rng(0)
         rho = random_density(rng, 2).matrix
         sigma = random_density(rng, 3).matrix
-        reduced = partial_trace(np.kron(rho, sigma), 2, 3, which="a")
-        assert np.allclose(reduced, sigma, atol=1e-12)
+        povm = random_povm(rng, 2, 2)
+        p_g, states = preparations_from_entangled(DensityMatrix(np.kron(rho, sigma)), [povm])
+        assert np.allclose(p_g[0], np.trace(povm.elements @ rho, axis1=1, axis2=2).real, atol=1e-12)
+        assert np.allclose(states, sigma, atol=1e-12)
 
     def test_maximally_entangled_qutrits(self):
         phi = np.zeros(9)
         phi[[0, 4, 8]] = 1 / np.sqrt(3)
-        reduced = partial_trace(np.outer(phi, phi), 3, 3, which="a")
+        state = DensityMatrix(np.outer(phi, phi))
+        p_g, states = preparations_from_entangled(state, [computational_povm(3)])
+        reduced = np.einsum("a,abc->bc", p_g[0], states[0])
         assert np.allclose(reduced, np.eye(3) / 3, atol=1e-12)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(1)
-        m = random_density(rng, 6).matrix
-        for which in ("a", "b"):
-            reduced = partial_trace(m, 2, 3, which=which)
-            assert abs(np.trace(reduced) - 1.0) < 1e-12
+        p_g, states = preparations_from_entangled(
+            random_density(rng, 6), [random_povm(rng, 2, 3) for _ in range(2)]
+        )
+        assert np.max(np.abs(p_g.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(5), 2, 3)
+        with pytest.raises(ValueError, match="does not factor"):
+            preparations_from_entangled(DensityMatrix(np.eye(5) / 5), [computational_povm(2)])
 
-    def test_bad_tag(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(6), 2, 3, which="c")
+
+def quantum_strategy(states, effects):
+    return QuantumStrategy(np.array(states, dtype=complex), np.array([effects], dtype=complex))
 
 
 class TestBornProb:
+    """Born-rule probabilities Tr(E rho), as ``behavior_from_quantum`` tabulates them."""
+
     def test_aligned_and_orthogonal(self):
-        zero = DensityMatrix(np.diag([1.0, 0.0]))
-        assert born_prob(zero, np.diag([1.0, 0.0])) == 1.0
-        assert born_prob(zero, np.diag([0.0, 1.0])) == 0.0
+        strategy = quantum_strategy([np.diag([1.0, 0.0])], computational_povm(2).elements)
+        table = behavior_from_quantum(strategy).table
+        assert table.tolist() == [[[1.0, 0.0]]]
 
     def test_maximally_mixed(self):
         rng = np.random.default_rng(2)
-        mixed = DensityMatrix(np.eye(3) / 3)
         proj = random_ket(rng, 3).projector()
-        assert abs(born_prob(mixed, proj) - 1 / 3) < 1e-12
+        effects = [proj, np.eye(3) - proj]
+        table = behavior_from_quantum(quantum_strategy([np.eye(3) / 3], effects)).table
+        assert abs(table[0, 0, 0] - 1 / 3) < 1e-12
 
     def test_invalid_effect_rejected(self):
-        state = DensityMatrix(np.diag([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            born_prob(state, 3.0 * np.eye(2))
+        # each matrix passes its own checks at the edge of PSD_TOL, but the
+        # probability of outcome 0 is about -1.8e-10, below -PROB_TOL
+        delta = 0.9e-10
+        state = np.diag([1.0 + delta, -delta])
+        effects = [np.diag([-delta, 1.0 + delta]), np.diag([1.0 + delta, -delta])]
+        strategy = quantum_strategy([state], effects)
+        with pytest.raises(ValueError, match=r"Tr\(effects\[0, 0\] states\[0\]\)"):
+            behavior_from_quantum(strategy)
+        assert -2 * PROB_TOL < np.trace(effects[0] @ state).real < -PROB_TOL
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
-        state = DensityMatrix(np.diag([1.0, 0.0]))
+        state = np.diag([1.0, 0.0]).astype(complex)
         effect = np.diag([1.0, 0.0]).astype(complex)
         effect[0, 1] = bad  # meets a zero of the state
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            born_prob(state, effect)
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            born_prob(np.where(np.eye(2) > 0, 0.5, bad), np.eye(2))
+        with pytest.raises(ValueError, match=r"effects\[0, 0\] has non-finite"):
+            quantum_strategy([state], [effect, np.eye(2) - effect])
+        with pytest.raises(ValueError, match=r"states\[1\] has non-finite"):
+            quantum_strategy([state, np.where(np.eye(2) > 0, 0.5, bad)], [np.eye(2)])
 
 
 class TestInvariantValidation:
@@ -133,7 +148,7 @@ class TestInvariantValidation:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_povm_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="effect 1 has non-finite entries"):
+        with pytest.raises(ValueError, match=r"effects\[1\] has non-finite entries"):
             Povm((np.diag([1.0, 0.0]), np.diag([0.0, bad])))
 
 
@@ -143,7 +158,7 @@ class TestInvariantValidation:
         ((), "at least one outcome"),
         ((np.eye(2), np.zeros((3, 3))), "mixed dimensions"),
         ((np.array([[1.0, 0.5], [0.0, 0.0]]), np.array([[0.0, -0.5], [0.0, 1.0]])),
-         "effect 0 is not Hermitian"),
+         r"effects\[0\] is not Hermitian"),
     ],
     ids=["empty", "mixed-dimensions", "non-hermitian"],
 )
@@ -177,7 +192,6 @@ def test_hermitian_eigendecomposition_reconstructs(seed, dim):
 @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(2, 5))
 def test_born_prob_sums_to_one_over_povm(seed, dim, n_out):
     rng = np.random.default_rng(seed)
-    state = random_density(rng, dim)
-    povm = random_povm(rng, dim, n_out)
-    total = sum(born_prob(state, e) for e in povm.elements)
-    assert abs(total - 1.0) < 1e-10
+    state = random_density(rng, dim).matrix
+    strategy = quantum_strategy([state], random_povm(rng, dim, n_out).elements)
+    assert abs(behavior_from_quantum(strategy).table.sum() - 1.0) < 1e-10
