@@ -112,7 +112,7 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
         raise ValueError(
             f"{comb(no**nb, message_count)} decoders exceed the enumeration guard"
         )
-    weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
+    weighted = game.weighted_payoff()
     # weighted[x, y, b] summed over y for a fixed decode function y -> b
     decode_fns = list(product(range(no), repeat=nb))
     fn_scores = np.stack(

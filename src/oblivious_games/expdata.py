@@ -48,7 +48,20 @@ _GAME = make_cglmp3_game()
 
 # Every bijection of the six lab states onto the six game inputs, in
 # lexicographic order: row i sends lab state s to game input _BIJECTIONS[i, s].
+# Column i of _INCIDENCE is 1 at s * 6 + _BIJECTIONS[i, s] and 0 elsewhere, so a
+# flattened (lab state, game input) cost matrix times it sums bijection i's
+# six costs, exact products added in the order of s.
 _BIJECTIONS = np.fromiter(permutations(range(6)), dtype=(np.intp, 6), count=720)
+_INCIDENCE = np.zeros((36, 720))
+_INCIDENCE[np.arange(6) * 6 + _BIJECTIONS, np.arange(720)[:, None]] = 1.0
+
+# The 72 basis and outcome assignments in the order the fit scans them, each
+# (basis_perm, (outcomes of lab basis 1, outcomes of lab basis 2)).
+_OUTCOME_PERMS = tuple(permutations((0, 1, 2)))
+_ASSIGNMENTS = tuple(
+    (basis_perm, outs)
+    for basis_perm, *outs in product(permutations((0, 1)), _OUTCOME_PERMS, _OUTCOME_PERMS)
+)
 
 # Monte Carlo programs per lockstep stack.  Each lockstep step pays a fixed
 # set of numpy calls in lp._lockstep and lp._pivot for the whole stack, and
@@ -56,12 +69,12 @@ _BIJECTIONS = np.fromiter(permutations(range(6)), dtype=(np.intp, 6), count=720)
 # less: warm-started from the nominal basis, 5000 samples at seed 5 take
 # 492 pivot steps at 64, 276 at 128 and 158 at 256, the nominal program's
 # 38 included.  One perfbench exp-mc operation (5000 samples of the bundled
-# data, 2-core Xeon host, two runs each) takes 0.144-0.150 s at 64,
-# 0.103-0.114 s at 128 and 0.100-0.102 s at 256, while peak RSS rises from
-# 41.2 MB at 64 through 42.1 MB at 128 to 43.9-44.3 MB at 256; a
-# 5000-sample call after a warm-up one takes 179, 916 and 865 minor page
-# faults.  Time hardly falls after 128; memory keeps rising.
-_MC_CHUNK = 128
+# data, 2-core Xeon host) takes 0.136-0.141 s at 64 (two runs), 0.102-0.106 s
+# at 128 and 0.083-0.088 s at 256 (four runs each), while peak RSS rises from
+# 41.3-41.4 MB at 64 through 42.5-42.7 MB at 128 to 44.5-44.7 MB at 256; a
+# 5000-sample call after a warm-up one takes 153, 390 and 716 minor page
+# faults.  From 128 to 256 a sixth of the time goes for about 2 MB.
+_MC_CHUNK = 256
 
 # Lab-to-game correspondence fitted against the ideal model and frozen:
 # psi_jk prepares (x0, x) = (k-1, j-1), bases and projectors map in order.
@@ -233,31 +246,39 @@ def _theory_table() -> np.ndarray:
     return np.array(probs).reshape(_GAME.payoff.shape)
 
 
+def _relabelled_theory() -> np.ndarray:
+    """``[a, t, lab basis, projector]``: the theory of game input t in the lab
+    labels of assignment a of ``_ASSIGNMENTS``."""
+    bases = np.array([basis_perm for basis_perm, _ in _ASSIGNMENTS])[:, :, None]
+    outcomes = np.array([outs for _, outs in _ASSIGNMENTS])
+    return np.moveaxis(_theory_table()[:, bases, outcomes], 0, 1)
+
+
+_RELABELLED = _relabelled_theory()
+
+
 def fit_label_mapping(data: PrimaryData) -> tuple:
     """Exhaustive search for the mapping minimizing the L1 distance to theory.
 
-    All 2 basis assignments x 36 outcome assignments are scanned.  For each,
-    one broadcast ``|measured - relabelled theory|`` gives the (lab state,
-    game input) cost matrix, and the 720 state bijections are scored from it
-    at once; the first least-cost one is the assignment's candidate.  A later
-    candidate replaces the incumbent only when lower by more than 1e-15, so
-    near-ties keep the first in iteration order.  Returns (mapping, residual).
+    All 2 basis assignments x 36 outcome assignments are scanned.  One
+    broadcast ``|measured - relabelled theory|`` gives the (lab state, game
+    input) cost matrix of every assignment, and one matrix product with the
+    0/1 incidence of the 720 state bijections scores every bijection of every
+    assignment; the first least-cost bijection is the assignment's candidate.
+    A later candidate replaces the incumbent only when lower by more than
+    1e-15, so near-ties keep the first in iteration order.  Returns
+    (mapping, residual).
     """
     measured = data.normalized()
-    theory = _theory_table()
-    outcome_perms = list(permutations((0, 1, 2)))
+    cost = np.abs(measured[None, :, None] - _RELABELLED[:, None]).reshape(-1, 6, 6, 6).sum(axis=3)
+    residuals = cost.reshape(-1, 36) @ _INCIDENCE
+    firsts = residuals.argmin(axis=1)
+    lows = residuals[np.arange(len(firsts)), firsts]
     best_res = np.inf
-    for basis_perm, *outs in product(permutations((0, 1)), outcome_perms, outcome_perms):
-        # relabelled[t, lab basis, projector] is the theory of game input t in
-        # lab labels; cost[s, t] is the L1 distance of lab state s to it
-        relabelled = theory[:, np.array(basis_perm)[:, None], np.array(outs)]
-        cost = np.abs(measured[:, None] - relabelled[None]).reshape(6, 6, 6).sum(axis=2)
-        residuals = cost[np.arange(6), _BIJECTIONS].sum(axis=1)
-        i = int(np.argmin(residuals))
-        if residuals[i] < best_res - 1e-15:
-            best_res = float(residuals[i])
-            best = (basis_perm, outs, _BIJECTIONS[i])
-    basis_perm, outs, perm = best
+    for a, low in enumerate(lows):
+        if low < best_res - 1e-15:
+            best_res, best = float(low), a
+    (basis_perm, outs), perm = _ASSIGNMENTS[best], _BIJECTIONS[firsts[best]]
     mapping = LabelMapping(
         state_map={lab: _GAME.alice_inputs[t] for lab, t in zip(STATES, perm)},
         basis_map={1: basis_perm[0], 2: basis_perm[1]},
@@ -320,8 +341,11 @@ def _secondary_programs(stack: np.ndarray, rows: np.ndarray, out=None) -> lp.Lin
     # constraint row and table entry, ordered by row, then by entry.
     a_eq = np.empty((k, n + len(rows) * entries, n * n)) if out is None else out
     a_eq[:, :n] = np.repeat(np.eye(n), n, axis=1)
-    mixed = a_eq[:, n:].reshape(k, len(rows), entries, n, n)  # a view: axes only split
-    np.einsum("rt,kse->krets", rows, tables, out=mixed)
+    # Row (r, e) is rows[r, t] * tables[s, e] at column t * n + s: the rows
+    # repeated n times along a row times the transposed tables tiled n times.
+    mixed = a_eq[:, n:].reshape(k, len(rows), entries, n * n)  # a view: axes only split
+    repeated = np.repeat(rows, n, axis=1)[:, None]
+    np.multiply(repeated, np.tile(tables.transpose(0, 2, 1), n)[:, None], out=mixed)
     objective = np.eye(n).ravel() / n
     b_eq = np.concatenate([np.ones(n), np.zeros(a_eq.shape[1] - n)])
     return lp.LinearProgram(
@@ -341,7 +365,7 @@ def _secondary_result(solutions, stack: np.ndarray) -> tuple:
     if (status != "optimal").any():  # pragma: no cover - uniform weights are feasible
         raise RuntimeError(f"secondary-data program reported {status[status != 'optimal'][0]}")
     weights = np.reshape(solutions.values, (k, n, n))
-    p_prime = np.einsum("kts,ks...->kt...", weights, stack)
+    p_prime = (weights @ stack.reshape(k, n, -1)).reshape(stack.shape)
     return weights, p_prime, np.reshape(solutions.objective_value, k)
 
 
@@ -386,9 +410,11 @@ def mc_uncertainty(
     draw with the published sigma, clamps to [0, 1], renormalizes rows, and
     recomputes both scores.  Only the published per-entry uncertainties enter;
     systematic components are not modeled.  Samples are drawn ``_MC_CHUNK`` at
-    a time as one stack of tables: their secondary-data programs are solved in
-    lockstep, and the chunk's primary and secondary scores are one
-    ``games.performance`` call each.  Every program starts from the optimal
+    a time as one stack of tables: their secondary-data programs are built as
+    one stack, whose equality rows are one tiled product, and solved in
+    lockstep; the chunk's secondary tables p' are one batched matrix product
+    of the weights and the tables, and its primary and secondary scores are
+    one ``games.performance`` call each.  Every program starts from the optimal
     basis of the unperturbed tables' program, solved once, and re-optimizes
     from there with the dual simplex (``lp.solve_many`` with a start basis);
     a program that basis cannot serve is solved cold in the same call.  The
@@ -396,9 +422,10 @@ def mc_uncertainty(
     start tableaux (the ``work`` of ``lp.solve_many``), and every stack
     builds into leading slices of them, reusing memory already faulted in
     rather than faulting in its own; nothing is kept between calls.  The
-    draws continue one random stream and the lockstep solver keeps each
-    program on the pivot path it takes alone, so the chunk size does not
-    change the result: the sigmas are equal bit for bit at any chunk size.
+    draws continue one random stream, the lockstep solver keeps each program
+    on the pivot path it takes alone, and each kernel gives a sample the value
+    it has in a stack of one, so the chunk size does not change the result:
+    the sigmas are equal bit for bit at any chunk size.
     ``seed`` is None (fresh entropy) or a non-negative integer; anything else
     is a ``ValueError``, as is a draw whose row clamps to all zeros: the
     message names its lab state and basis.

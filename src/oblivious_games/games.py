@@ -22,7 +22,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .qmath import PROB_TOL, _check_measurements, _check_states, readonly
+from .qmath import PROB_TOL, PSD_TOL, _check_measurements, _check_states, readonly
 
 DIST_TOL = 1e-12
 BEHAVIOR_TOL = 1e-10
@@ -146,6 +146,8 @@ class ObliviousGame:
         object.__setattr__(self, "_averages", readonly(averages))
         object.__setattr__(self, "_pairs", readonly(np.array(pairs, dtype=int).reshape(-1, 2).T))
         object.__setattr__(self, "_rows", readonly(averages[first] - averages[other]))
+        weighted = pay * pa[:, None, None] * pb[None, :, None]
+        object.__setattr__(self, "_weighted", readonly(weighted))
         object.__setattr__(self, "alice_inputs", tuple(self.alice_inputs))
         object.__setattr__(self, "bob_inputs", tuple(self.bob_inputs))
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -170,6 +172,11 @@ class ObliviousGame:
         """Rows ``w_0 - w_k`` (k >= 1) of set-average rows of every family; per-input
         data satisfies every obliviousness equality exactly when they annihilate it."""
         return self._rows
+
+    def weighted_payoff(self) -> np.ndarray:
+        """``payoff[x, y, b] * p_alice[x] * p_bob[y]``: a table's score is its sum
+        against the table."""
+        return self._weighted
 
     def to_dict(self) -> dict:
         return {
@@ -267,27 +274,47 @@ class ClassicalStrategy:
 
 
 def performance(game: ObliviousGame, behavior: Behavior):
-    """Average payoff of a behavior in a game; one value per table of a stack."""
-    if behavior.table.shape[-3:] != game.payoff.shape:
-        raise ValueError(
-            f"behavior shape {behavior.table.shape} does not match game {game.payoff.shape}"
-        )
-    value = np.einsum("ayb,a,y,...ayb->...", game.payoff, game.p_alice, game.p_bob, behavior.table)
-    return float(value) if behavior.table.ndim == 3 else value
+    """Average payoff of a behavior in a game; one value per table of a stack.
+
+    Each table, flattened, is summed against the flattened weighted payoff in
+    one two-operand contraction, which gives a table the same value bit for
+    bit whatever stack it is in; a BLAS matrix-vector product would not.
+    """
+    table = behavior.table
+    if table.shape[-3:] != game.payoff.shape:
+        raise ValueError(f"behavior shape {table.shape} does not match game {game.payoff.shape}")
+    value = np.einsum("...i,i->...", table.reshape(*table.shape[:-3], -1), game._weighted.ravel())
+    return float(value) if table.ndim == 3 else value
 
 
 def behavior_from_quantum(strategy: QuantumStrategy) -> Behavior:
-    """Born-rule outcome table p[x, y, b] = Tr(effects[y, b] states[x]), clipped to [0, 1]."""
+    """Born-rule outcome table p[x, y, b] = Tr(effects[y, b] states[x]), clipped to [0, 1].
+
+    What ``QuantumStrategy`` checks bounds each entry: a state has eigenvalues
+    of at least -PSD_TOL and unit trace, so its negative part has trace at
+    most (d - 1) PSD_TOL, and an effect lies between -PSD_TOL and
+    1 + (n_outcomes - 1) PSD_TOL, its measurement's other effects being at
+    least -PSD_TOL.  To first order in PSD_TOL an entry therefore lies in
+    [-d PSD_TOL, 1 + (d + n_outcomes - 2) PSD_TOL].  An entry more than
+    (d + n_outcomes) PSD_TOL outside [0, 1], which leaves room for the
+    second-order terms and the HERM_TOL slack of those checks, or with an
+    imaginary part above PROB_TOL, is a ``ValueError``; so is a non-finite
+    one, which every comparison fails.  Each row sums to Tr(states[x]) = 1 up
+    to that slack; clipping can move a row's sum by up to
+    (n_outcomes - 1) d PSD_TOL, so a row that clipping changed is rescaled to
+    unit sum, and every other row is left as computed.
+    """
     p = np.trace(strategy.effects[None] @ strategy.states[:, None, None], axis1=-2, axis2=-1)
-    # Every entry of either matrix enters the trace, so a NaN or an infinity
-    # makes it NaN or infinite, which fails these comparisons.
-    ok = (np.abs(p.imag) <= PROB_TOL) & (-PROB_TOL <= p.real) & (p.real <= 1 + PROB_TOL)
+    tol = (strategy.states.shape[-1] + strategy.n_outcomes) * PSD_TOL
+    ok = (np.abs(p.imag) <= PROB_TOL) & (-tol <= p.real) & (p.real <= 1 + tol)
     if not ok.all():
         x, y, b = np.argwhere(~ok)[0]
         raise ValueError(
             f"invalid effect/state pair: Tr(effects[{y}, {b}] states[{x}]) = {complex(p[x, y, b])!r}"
         )
-    return Behavior(np.minimum(np.maximum(p.real, 0.0), 1.0))
+    table = np.minimum(np.maximum(p.real, 0.0), 1.0)
+    clipped = (table != p.real).any(axis=-1, keepdims=True)
+    return Behavior(np.where(clipped, table / table.sum(axis=-1, keepdims=True), table))
 
 
 def behavior_from_classical(strategy: ClassicalStrategy) -> Behavior:

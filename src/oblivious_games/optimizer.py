@@ -477,7 +477,7 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     """
     if not game.partitions:
         raise ValueError("game has no obliviousness families to respect")
-    weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
+    weighted = game.weighted_payoff()
     projector = _Projector(game, cfg.dim)
     rhos, effects = _start(game, cfg, projector)
     start_sweeps = projector.sweeps

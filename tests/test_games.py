@@ -252,6 +252,14 @@ def test_behavior_from_quantum_is_the_born_rule_loop(seed, dim, n_bob, n_outcome
     assert np.array_equal(table, reference)
 
 
+def test_weighted_payoff_is_the_read_only_product():
+    game = make_rac_game(2, 3)
+    weighted = game.weighted_payoff()
+    expected = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
+    assert np.array_equal(weighted, expected)
+    assert not weighted.flags.writeable
+
+
 def test_constraint_rows_rac23():
     game = make_rac_game(2, 3)
     rows = game.constraint_rows()
@@ -339,6 +347,34 @@ class TestBehaviorStacks:
         alone = [performance(game, Behavior(t)) for t in tables]
         assert all(type(v) is float for v in alone)
         assert values.tolist() == alone
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_performance_matches_the_four_operand_contraction(self, seed):
+        # A random game and stack, scored against the parent form: the
+        # payoff, both priors and the tables in one contraction, agreeing to
+        # a few ulps of the sum of |weight * probability|.  Row p of the
+        # stack scores bit for bit as a stack of one and as a single table.
+        rng = np.random.default_rng(seed)
+        na, nb, no = rng.integers(1, 7, size=3)
+        pa, pb = rng.random(na) + 0.1, rng.random(nb) + 0.1
+        game = ObliviousGame(
+            alice_inputs=tuple(range(na)),
+            bob_inputs=tuple(range(nb)),
+            outcomes=tuple(range(no)),
+            p_alice=pa / pa.sum(),
+            p_bob=pb / pb.sum(),
+            payoff=rng.normal(size=(na, nb, no)) * 10.0 ** rng.integers(-3, 4),
+        )
+        tables = _random_tables(rng, (int(rng.integers(1, 130)), na, nb, no))
+        values = performance(game, Behavior(tables))
+        reference = np.einsum(
+            "ayb,a,y,...ayb->...", game.payoff, game.p_alice, game.p_bob, tables
+        )
+        scale = np.einsum("ayb,...ayb->...", np.abs(game.weighted_payoff()), tables)
+        assert np.all(np.abs(values - reference) <= 4 * np.finfo(float).eps * scale)
+        for p in range(len(tables)):
+            assert performance(game, Behavior(tables[p : p + 1]))[0] == values[p]
+            assert performance(game, Behavior(tables[p])) == values[p]
 
     def test_two_leading_axes(self):
         game = make_rac_game(2, 2)

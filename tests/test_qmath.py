@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oblivious_games.bellmap import preparations_from_entangled
 from oblivious_games.games import QuantumStrategy, behavior_from_quantum
-from oblivious_games.qmath import PROB_TOL, DensityMatrix, Ket, Povm, as_matrix, is_hermitian
+from oblivious_games.qmath import PROB_TOL, PSD_TOL, DensityMatrix, Ket, Povm, as_matrix, is_hermitian
 
 
 def random_ket(rng, dim):
@@ -88,16 +88,35 @@ class TestBornProb:
         table = behavior_from_quantum(quantum_strategy([np.eye(3) / 3], effects)).table
         assert abs(table[0, 0, 0] - 1 / 3) < 1e-12
 
-    def test_invalid_effect_rejected(self):
-        # each matrix passes its own checks at the edge of PSD_TOL, but the
-        # probability of outcome 0 is about -1.8e-10, below -PROB_TOL
+    def test_edge_strategy_gives_clipped_table(self):
+        # each matrix passes its own checks at the edge of PSD_TOL, and the
+        # probability of outcome 0 is about -1.8e-10: inside the -(d + n) PSD_TOL
+        # that those checks allow, so the table clips it to 0
         delta = 0.9e-10
         state = np.diag([1.0 + delta, -delta])
         effects = [np.diag([-delta, 1.0 + delta]), np.diag([1.0 + delta, -delta])]
-        strategy = quantum_strategy([state], effects)
-        with pytest.raises(ValueError, match=r"Tr\(effects\[0, 0\] states\[0\]\)"):
-            behavior_from_quantum(strategy)
+        table = behavior_from_quantum(quantum_strategy([state], effects)).table
+        assert table.tolist() == [[[0.0, 1.0]]]
         assert -2 * PROB_TOL < np.trace(effects[0] @ state).real < -PROB_TOL
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_extreme_strategies_stay_in_range(self, d, n):
+        # a state with every eigenvalue but one at -PSD_TOL against an effect at
+        # -PSD_TOL on its large one reaches the first-order low end -d PSD_TOL; an
+        # effect at 1 + (n - 1) PSD_TOL there reaches the high end
+        # 1 + (d + n - 2) PSD_TOL.  Either passes the strategy's checks and
+        # gives a table, clipped and its row rescaled to unit sum.
+        eps = PSD_TOL
+        state = np.diag([1 + (d - 1) * eps] + [-eps] * (d - 1))
+        big, rest = 1 + (n - 1) * eps, (1 + eps) / (n - 1)
+        low = [np.diag([-eps] + [big] * (d - 1))] + [np.diag([rest] + [-eps] * (d - 1))] * (n - 1)
+        high = [np.diag([big] + [-eps] * (d - 1))] + [np.diag([-eps] + [rest] * (d - 1))] * (n - 1)
+        for effects, first, edge in ((low, 0.0, -d * eps), (high, 1.0, 1 + (d + n - 2) * eps)):
+            table = behavior_from_quantum(quantum_strategy([state], effects)).table
+            assert table[0, 0, 0] == first
+            assert table.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+            assert np.trace(effects[0] @ state).real == pytest.approx(edge, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
