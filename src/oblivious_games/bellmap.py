@@ -235,8 +235,11 @@ def strategy_from_box(box: NoSignalingBox) -> tuple:
     Uses Alice's observed marginals as p_g, so that the game performance
     reproduces the Bell value of the box exactly.  Outcomes with (numerically)
     zero marginal get a uniform placeholder row; their prior weight vanishes,
-    so they cannot affect the performance.
+    so they cannot affect the performance.  A game has one outcome alphabet,
+    so a box whose two outcome axes differ is a ``ValueError``.
     """
+    if box.table.shape[2] != box.table.shape[3]:
+        raise ValueError(f"box of shape {box.table.shape} has two outcome counts; a game needs one")
     d, ma, mb = box.n_outcomes, box.m_alice, box.m_bob
     pg = box.alice_marginals()  # (ma, d)
     table = np.empty((d * ma, mb, d))

@@ -36,6 +36,9 @@ _DECODER_BLOCK = 4096  # decoders whose pruning bounds are formed in one array
 class BoundResult:
     value: float
     method: str  # "formula" | "bruteforce" | "lp-oracle"
+    # JSON of an optimal strategy: ``local_bound``'s assignments, or the LP
+    # oracle's ``decoder`` and ``encoding``, which for k outcomes are the
+    # strategy games.classical_strategy(w["encoding"], np.eye(k)[w["decoder"]]).
     witness: dict | None = None
     programs: int | None = None  # LP oracle: programs solved after pruning
     pivots: int | None = None  # LP oracle: simplex pivots, its one phase 1 included

@@ -77,8 +77,9 @@ def _cmd_bound(args) -> int:
     inputs, summary = {"game": args.game, "oracle": False}, None
     oracle = args.oracle or args.messages is not None or args.witness
     if oracle or not args.game.startswith("rac:"):
-        decoders = game.n_outcomes**game.n_bob  # the messages that make the oracle exact
-        messages = decoders if args.messages is None else args.messages
+        # the messages that make the oracle exact; it runs no more than these
+        decoders = game.n_outcomes**game.n_bob
+        messages = decoders if args.messages is None else min(args.messages, decoders)
         result = bounds.pnc_bound_lp_oracle(game, messages)
         inputs = {"game": args.game, "oracle": True, "messages": messages}
         if messages < decoders:

@@ -255,22 +255,23 @@ class QuantumStrategy:
         return self.effects.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalStrategy:
-    """Stochastic encoding x -> message and decoding (message, y) -> outcome."""
+def classical_strategy(encoding, decoding) -> QuantumStrategy:
+    """The classical strategy with encoding p(m|x) ``encoding[x, m]`` and decoding
+    p(b|m, y) ``decoding[m, y, b]``, as a quantum strategy in dimension m.
 
-    encoding: np.ndarray
-    decoding: np.ndarray
-
-    def __post_init__(self):
-        enc = np.asarray(self.encoding, dtype=float)
-        dec = np.asarray(self.decoding, dtype=float)
-        if enc.ndim != 2 or dec.ndim != 3 or enc.shape[1] != dec.shape[0]:
-            raise ValueError("encoding (x, m) and decoding (m, y, b) shapes disagree")
-        check_distribution(enc, DIST_TOL, "encoding")
-        check_distribution(dec, DIST_TOL, "decoding")
-        object.__setattr__(self, "encoding", readonly(enc))
-        object.__setattr__(self, "decoding", readonly(dec))
+    Its states diag p(.|x) and effects diag p(b|., y) commute, so the Born
+    rule gives sum_m p(m|x) p(b|m, y).
+    """
+    enc = np.asarray(encoding, dtype=float)
+    dec = np.asarray(decoding, dtype=float)
+    if enc.ndim != 2 or dec.ndim != 3 or enc.shape[1] != dec.shape[0]:
+        raise ValueError(
+            f"encoding (x, m) and decoding (m, y, b) shapes disagree: {enc.shape} and {dec.shape}"
+        )
+    check_distribution(enc, DIST_TOL, "encoding")
+    check_distribution(dec, DIST_TOL, "decoding")
+    eye = np.eye(enc.shape[1])
+    return QuantumStrategy(enc[:, :, None] * eye, dec.transpose(1, 2, 0)[..., None] * eye)
 
 
 def performance(game: ObliviousGame, behavior: Behavior):
@@ -315,10 +316,6 @@ def behavior_from_quantum(strategy: QuantumStrategy) -> Behavior:
     table = np.minimum(np.maximum(p.real, 0.0), 1.0)
     clipped = (table != p.real).any(axis=-1, keepdims=True)
     return Behavior(np.where(clipped, table / table.sum(axis=-1, keepdims=True), table))
-
-
-def behavior_from_classical(strategy: ClassicalStrategy) -> Behavior:
-    return Behavior(np.einsum("xm,myb->xyb", strategy.encoding, strategy.decoding))
 
 
 def obliviousness_residual(game: ObliviousGame, per_input: np.ndarray):

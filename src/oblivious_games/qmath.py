@@ -4,7 +4,10 @@ All heavy lifting is plain double-precision numpy; the dataclasses only add
 validated physical invariants (normalization, Hermiticity, positivity,
 completeness) on top of the raw arrays.  Every check takes a stack of
 matrices on leading axes, a single matrix being the stack without them, and
-names the index of the first matrix that fails.
+names the index of the first matrix that fails.  A pure state is a plain
+amplitude vector ``v``: its projector ``v[:, None] * v.conj()[None, :]`` is
+checked as a ``DensityMatrix``, and a basis, one vector per row, gives the
+effects of a projective ``Povm``.
 """
 
 from __future__ import annotations
@@ -80,27 +83,6 @@ def readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Ket:
-    """Normalized pure-state vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amp.size == 0:
-            raise ValueError("ket needs at least one amplitude")
-        if not np.isfinite(amp).all():
-            raise ValueError("ket has non-finite amplitudes")
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) >= HERM_TOL:
-            raise ValueError(f"ket is not normalized: sum |amp|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", readonly(amp))
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator."""
 
@@ -110,10 +92,6 @@ class DensityMatrix:
         m = as_matrix(self.matrix)
         _check_states(m, "density matrix")
         object.__setattr__(self, "matrix", readonly(m))
-
-    @classmethod
-    def from_ket(cls, ket: Ket) -> "DensityMatrix":
-        return cls(ket.projector())
 
     @property
     def dim(self) -> int:
@@ -135,11 +113,6 @@ class Povm:
         elems = np.stack(elems)
         _check_measurements(elems, "effects")
         object.__setattr__(self, "elements", readonly(elems))
-
-    @classmethod
-    def from_kets(cls, kets) -> "Povm":
-        """Projective measurement onto an orthonormal basis."""
-        return cls(tuple(k.projector() for k in kets))
 
     @property
     def dim(self) -> int:

@@ -25,9 +25,9 @@ from oblivious_games.games import (
     performance,
     save_record,
 )
-from oblivious_games.qmath import DensityMatrix, Ket, Povm
+from oblivious_games.qmath import DensityMatrix, Povm
 
-from test_qmath import random_density, random_povm
+from test_qmath import pure_state, random_density, random_povm
 
 A3 = (3 + np.sqrt(33)) / 12
 
@@ -184,9 +184,10 @@ class TestBoxFromQuantum:
         phi[[0, 4, 8]] = 1 / np.sqrt(3)
         state = DensityMatrix(np.outer(phi, phi))
         w = np.exp(2j * np.pi / 3)
-        fourier = [Ket(np.array([w ** (k * a) for k in range(3)]) / np.sqrt(3)) for a in range(3)]
-        conj = [Ket(np.array([w ** (-k * a) for k in range(3)]) / np.sqrt(3)) for a in range(3)]
-        box = box_from_quantum(state, [Povm.from_kets(fourier)], [Povm.from_kets(conj)])
+        fourier = np.array([[w ** (k * a) for k in range(3)] for a in range(3)]) / np.sqrt(3)
+        alice = Povm(fourier[:, :, None] * fourier.conj()[:, None, :])
+        bob = Povm(fourier.conj()[:, :, None] * fourier[:, None, :])
+        box = box_from_quantum(state, [alice], [bob])
         for a in range(3):
             assert abs(box.table[0, 0, a, a] - 1 / 3) < 1e-12
 
@@ -256,6 +257,12 @@ class TestStrategyFromBox:
         game = game_from_bell(cglmp3(), p_g)
         assert obliviousness_residual_behavior(game, behavior) < 1e-10
 
+    def test_two_outcome_counts_rejected(self):
+        # a valid box, as measurements with 3 and 2 outcomes give, but no game
+        box = NoSignalingBox(np.full((2, 2, 3, 2), 1 / 6))
+        with pytest.raises(ValueError, match=r"box of shape \(2, 2, 3, 2\) has two outcome"):
+            strategy_from_box(box)
+
 
 class TestRoundTripIdentity:
     def test_random_mixtures(self):
@@ -297,7 +304,7 @@ class TestPreparationsFromEntangled:
             assert np.array_equal(states[0, k], np.eye(3) / 3)
 
     def test_averages_reproduce_reduced_state(self):
-        state = DensityMatrix.from_ket(cglmp.optimal_state())
+        state = pure_state(cglmp.optimal_state())
         p_g, states = preparations_from_entangled(
             state, [cglmp.alice_povm(0), cglmp.alice_povm(1)]
         )
@@ -306,7 +313,7 @@ class TestPreparationsFromEntangled:
         assert np.max(np.abs(averages - rho_b)) < 1e-12
 
     def test_conditional_states_are_pure(self):
-        state = DensityMatrix.from_ket(cglmp.optimal_state())
+        state = pure_state(cglmp.optimal_state())
         _, states = preparations_from_entangled(
             state, [cglmp.alice_povm(0), cglmp.alice_povm(1)]
         )
@@ -316,7 +323,7 @@ class TestPreparationsFromEntangled:
 
 def test_behavior_pipelines_agree():
     # steered-preparation route vs direct box conversion
-    state = DensityMatrix.from_ket(cglmp.optimal_state())
+    state = pure_state(cglmp.optimal_state())
     alice = [cglmp.alice_povm(0), cglmp.alice_povm(1)]
     bob = [cglmp.bob_povm(0), cglmp.bob_povm(1)]
     box = box_from_quantum(state, alice, bob)

@@ -16,12 +16,12 @@ from oblivious_games.bounds import (
     rac_pnc_bound,
 )
 from oblivious_games.games import (
-    ClassicalStrategy,
     ObliviousGame,
-    behavior_from_classical,
+    behavior_from_quantum,
+    classical_strategy,
     make_cglmp3_game,
     make_rac_game,
-    obliviousness_residual_behavior,
+    obliviousness_residual_quantum,
     performance,
 )
 
@@ -268,17 +268,24 @@ WITNESS_GAMES = {
 }
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["2-messages", "all-decoders"])
-@pytest.mark.parametrize("name", sorted(WITNESS_GAMES))
-def test_witness_attains_the_value(name, exact):
-    """The witness is an explicit oblivious classical strategy scoring ``value``."""
-    game = WITNESS_GAMES[name]()
-    messages = game.n_outcomes**game.n_bob if exact else 2
-    result = pnc_bound_lp_oracle(game, messages)
+def witness_strategy(game, result):
+    """The oracle's witness as the classical strategy it names."""
     decoding = np.eye(game.n_outcomes)[result.witness["decoder"]]  # one-hot (m, y, b)
-    behavior = behavior_from_classical(ClassicalStrategy(result.witness["encoding"], decoding))
-    assert abs(performance(game, behavior) - result.value) < 1e-12
-    assert obliviousness_residual_behavior(game, behavior) <= 1e-9
+    return classical_strategy(result.witness["encoding"], decoding)
+
+
+@pytest.mark.parametrize(
+    "messages", [1, 2, 3, None], ids=["1-message", "2-messages", "3-messages", "all-decoders"]
+)
+@pytest.mark.parametrize("name", sorted(WITNESS_GAMES))
+def test_witness_attains_the_value(name, messages):
+    """The witness is an explicit oblivious classical strategy scoring ``value``; one
+    message gives the strategy of dimension 1."""
+    game = WITNESS_GAMES[name]()
+    result = pnc_bound_lp_oracle(game, messages or game.n_outcomes**game.n_bob)
+    strategy = witness_strategy(game, result)
+    assert abs(performance(game, behavior_from_quantum(strategy)) - result.value) < 1e-12
+    assert obliviousness_residual_quantum(game, strategy) <= 1e-12
 
 
 def _encoding_vertices(game, messages):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oblivious_games import bellmap, cglmp
-from oblivious_games.qmath import DensityMatrix
+
+from test_qmath import pure_state
 
 A3 = (3 + math.sqrt(33)) / 12
 
@@ -12,30 +13,29 @@ A3 = (3 + math.sqrt(33)) / 12
 class TestOptimalState:
     def test_amplitude_on_00(self):
         ket = cglmp.optimal_state()
-        assert abs(ket.amplitudes[0] - 1 / math.sqrt(cglmp.NORMALIZATION)) < 1e-12
-        assert abs(abs(ket.amplitudes[0]) - 0.61685) < 1e-4
+        assert abs(ket[0] - 1 / math.sqrt(cglmp.NORMALIZATION)) < 1e-12
+        assert abs(abs(ket[0]) - 0.61685) < 1e-4
 
     def test_off_diagonal_amplitudes_vanish(self):
         ket = cglmp.optimal_state()
         for idx in range(9):
             if idx not in (0, 4, 8):
-                assert ket.amplitudes[idx] == 0.0
+                assert ket[idx] == 0.0
 
     def test_normalized(self):
-        assert abs(np.sum(np.abs(cglmp.optimal_state().amplitudes) ** 2) - 1.0) < 1e-12
+        assert abs(np.sum(np.abs(cglmp.optimal_state()) ** 2) - 1.0) < 1e-12
 
 
 class TestBases:
     def test_first_alice_vector_uniform(self):
         k = cglmp.alice_basis(0)[0]
-        assert np.max(np.abs(k.amplitudes - 1 / math.sqrt(3))) < 1e-12
+        assert np.max(np.abs(k - 1 / math.sqrt(3))) < 1e-12
 
     @pytest.mark.parametrize("side,setting", [("a", 0), ("a", 1), ("b", 0), ("b", 1)])
     def test_orthonormality(self, side, setting):
         basis = cglmp.alice_basis(setting) if side == "a" else cglmp.bob_basis(setting)
-        gram = np.array(
-            [[np.vdot(k1.amplitudes, k2.amplitudes) for k2 in basis] for k1 in basis]
-        )
+        assert basis.shape == (3, 3)
+        gram = np.array([[np.vdot(k1, k2) for k2 in basis] for k1 in basis])
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
     def test_bases_achieve_maximal_value(self):
@@ -109,7 +109,7 @@ class TestSteeredPreparations:
         # closed-form conditional operators vs the partial-trace construction:
         # steering a rank-1 effect |a><a| through sum_k gamma_k |kk> leaves
         # gamma_k gamma_j <a|k><j|a> / N on |k><j|
-        state = DensityMatrix.from_ket(cglmp.optimal_state())
+        state = pure_state(cglmp.optimal_state())
         _, steered = bellmap.preparations_from_entangled(
             state, [cglmp.alice_povm(0), cglmp.alice_povm(1)]
         )
@@ -130,7 +130,7 @@ class TestSteeredPreparations:
                 assert np.max(np.abs(steered[x, a] - expected)) < 1e-12
 
     def test_scaled_partial_trace_identity(self):
-        state = DensityMatrix.from_ket(cglmp.optimal_state())
+        state = pure_state(cglmp.optimal_state())
         povm = cglmp.alice_povm(0)
         _, steered = bellmap.preparations_from_entangled(state, [povm])
         for a in range(3):

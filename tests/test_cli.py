@@ -79,9 +79,12 @@ def test_bound_game_file_defaults_to_the_exact_program(capsys, tmp_path):
 
 
 def test_bound_messages_beyond_the_decoders(capsys):
+    # rac:2,2 has 2**2 = 4 decoding functions, so the oracle runs, and the
+    # report names, 4 messages
     code, report, _ = run_cli(capsys, "bound", "--game", "rac:2,2", "--messages", "100000")
     assert code == 0
     assert report["results"]["value"] == 0.75
+    assert report["inputs"] == {"game": "rac:2,2", "oracle": True, "messages": 4}
 
 
 def test_bound_oracle_above_the_desk_scale(capsys):

@@ -7,8 +7,8 @@ from oblivious_games import expdata
 from oblivious_games.cglmp import closed_form_prob
 from oblivious_games.games import (
     Behavior,
-    ClassicalStrategy,
-    behavior_from_classical,
+    behavior_from_quantum,
+    classical_strategy,
     make_rac_game,
     obliviousness_residual_behavior,
 )
@@ -332,7 +332,7 @@ class TestSecondaryData:
         dec = np.zeros((2, 2, 2))
         for m in range(2):
             dec[m, :, m] = 1.0
-        behavior = behavior_from_classical(ClassicalStrategy(enc, dec))
+        behavior = behavior_from_quantum(classical_strategy(enc, dec))
         assert obliviousness_residual_behavior(game, behavior) > 0.5
         weights, p_prime, s = secondary_weights(behavior.table, game.constraint_rows())
         assert np.min(weights) >= 0.0

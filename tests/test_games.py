@@ -9,13 +9,12 @@ from oblivious_games import cglmp
 from oblivious_games.bellmap import BellFunctional, NoSignalingBox
 from oblivious_games.games import (
     Behavior,
-    ClassicalStrategy,
     ObliviousGame,
     QuantumStrategy,
-    behavior_from_classical,
     behavior_from_quantum,
     cglmp3_targets,
     check_distribution,
+    classical_strategy,
     is_prime,
     load_game,
     make_cglmp3_game,
@@ -102,7 +101,7 @@ class TestRacGame:
             for m in range(d):
                 dec[m, 0, m] = 1.0
                 dec[m, 1:, :] = 1.0 / d
-            value = performance(game, behavior_from_classical(ClassicalStrategy(enc, dec)))
+            value = performance(game, behavior_from_quantum(classical_strategy(enc, dec)))
             assert abs(value - (n + d - 1) / (n * d)) < 1e-12
 
     def test_send_first_symbol_is_oblivious(self):
@@ -114,7 +113,7 @@ class TestRacGame:
         for m in range(3):
             dec[m, 0, m] = 1.0
             dec[m, 1, :] = 1.0 / 3
-        behavior = behavior_from_classical(ClassicalStrategy(enc, dec))
+        behavior = behavior_from_quantum(classical_strategy(enc, dec))
         assert obliviousness_residual_behavior(game, behavior) < 1e-12
 
 
@@ -456,12 +455,12 @@ def _game_without(field):
         ),
         pytest.param(lambda: NoSignalingBox(np.zeros((2, 0, 2, 2))), "box", id="box-no-inputs"),
         pytest.param(
-            lambda: ClassicalStrategy(np.zeros((0, 2)), np.full((2, 2, 2), 0.5)),
+            lambda: classical_strategy(np.zeros((0, 2)), np.full((2, 2, 2), 0.5)),
             "encoding",
             id="strategy-no-inputs",
         ),
         pytest.param(
-            lambda: ClassicalStrategy(np.zeros((2, 0)), np.zeros((0, 2, 2))),
+            lambda: classical_strategy(np.zeros((2, 0)), np.zeros((0, 2, 2))),
             "encoding",
             id="strategy-no-messages",
         ),
@@ -474,8 +473,8 @@ def test_empty_alphabet_rejected_by_name(build, field):
 
 
 def test_classical_strategy_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="shapes disagree"):
-        ClassicalStrategy(np.full((2, 3), 1 / 3), np.full((2, 2, 2), 0.5))
+    with pytest.raises(ValueError, match=r"shapes disagree: \(2, 3\) and \(2, 2, 2\)"):
+        classical_strategy(np.full((2, 3), 1 / 3), np.full((2, 2, 2), 0.5))
 
 
 def _strategy_arrays(d=2, n_alice=3, n_bob=2):

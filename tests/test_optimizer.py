@@ -5,11 +5,14 @@ import pytest
 
 from conftest import random_game
 from oblivious_games import optimizer
+from oblivious_games.bounds import pnc_bound_lp_oracle
 from oblivious_games.games import (
     QuantumStrategy,
+    behavior_from_quantum,
     make_cglmp3_game,
     make_rac_game,
     obliviousness_residual_quantum,
+    performance,
 )
 from oblivious_games.optimizer import (
     SearchConfig,
@@ -22,6 +25,8 @@ from oblivious_games.optimizer import (
     _random_rhos,
     search,
 )
+
+from test_bounds import WITNESS_GAMES, witness_strategy
 
 
 class TestConfig:
@@ -495,6 +500,24 @@ class TestRacSearch:
         print(f"three-symbol value {result.value:.4f} vs bound {5 / 9:.4f}")
         assert result.value > 5 / 9 + 0.02
         assert result.feasibility_residual < 1e-8
+
+
+@pytest.mark.parametrize("messages", [2, 3])
+@pytest.mark.parametrize("name", sorted(WITNESS_GAMES))
+def test_seesaw_cannot_leave_a_classical_optimum(name, messages):
+    # the simplex's optimal strategy over m messages, as diagonal states and
+    # effects in dimension m, is a point no seesaw step improves: the seesaw,
+    # independent code, settles there with at least the oracle's value
+    game = WITNESS_GAMES[name]()
+    result = pnc_bound_lp_oracle(game, messages)
+    start = witness_strategy(game, result)
+    rhos, effects, _, reasons, _ = optimizer._ascend(
+        game.weighted_payoff(), _Projector(game, messages), start.states[None],
+        start.effects[None], SearchConfig(dim=messages, restarts=1),
+    )
+    assert reasons.tolist() == ["settled"]
+    behavior = behavior_from_quantum(QuantumStrategy(rhos[0], effects[0]))
+    assert performance(game, behavior) >= result.value - 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -5,12 +5,18 @@ from hypothesis import strategies as st
 
 from oblivious_games.bellmap import preparations_from_entangled
 from oblivious_games.games import QuantumStrategy, behavior_from_quantum
-from oblivious_games.qmath import PROB_TOL, PSD_TOL, DensityMatrix, Ket, Povm, as_matrix, is_hermitian
+from oblivious_games.qmath import PROB_TOL, PSD_TOL, DensityMatrix, Povm, as_matrix, is_hermitian
 
 
 def random_ket(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return Ket(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+def pure_state(amplitudes):
+    """The density matrix of a ket, given as its amplitude vector."""
+    v = np.asarray(amplitudes, dtype=complex)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def random_density(rng, dim, rank=None):
@@ -83,7 +89,8 @@ class TestBornProb:
 
     def test_maximally_mixed(self):
         rng = np.random.default_rng(2)
-        proj = random_ket(rng, 3).projector()
+        ket = random_ket(rng, 3)
+        proj = np.outer(ket, ket.conj())
         effects = [proj, np.eye(3) - proj]
         table = behavior_from_quantum(quantum_strategy([np.eye(3) / 3], effects)).table
         assert abs(table[0, 0, 0] - 1 / 3) < 1e-12
@@ -131,12 +138,12 @@ class TestBornProb:
 
 class TestInvariantValidation:
     def test_ket_norm(self):
-        with pytest.raises(ValueError):
-            Ket([1.0, 1.0])
+        with pytest.raises(ValueError, match=r"trace \(2\+0j\) is not 1"):
+            pure_state([1.0, 1.0])
 
     def test_ket_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Ket([np.nan, 1.0])
+            pure_state([np.nan, 1.0])
 
     def test_density_trace(self):
         with pytest.raises(ValueError):
@@ -187,8 +194,8 @@ def test_povm_rejects(effects, message):
 
 
 def test_ket_without_amplitudes_rejected():
-    with pytest.raises(ValueError, match="at least one amplitude"):
-        Ket([])
+    with pytest.raises(ValueError, match=r"density matrix is empty: shape \(0, 0\)"):
+        pure_state([])
 
 
 def test_as_matrix_rejects_non_square():
