@@ -92,12 +92,12 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
     prunes decoders that cannot beat the incumbent.  Every decoder's program
     is over the same encoding polytope, so phase 1 runs once: each surviving
     decoder re-optimizes from the previous one's optimal basis, the start of
-    its ``lp.solve_many``.
+    its ``lp.solve``, and reads row 0 of that stack of one.
     The result counts the programs solved and their pivots, phase 1 included.
     """
     message_count = check_integer(message_count, "message count")
     if message_count < 1:
-        raise ValueError("need at least one message")
+        raise ValueError(f"need at least one message, got {message_count!r}")
     na, nb, no = game.n_alice, game.n_bob, game.n_outcomes
     message_count = min(message_count, no**nb)
     # Variable x * message_count + m is p(m|x): each encoding row is a
@@ -141,17 +141,17 @@ def pnc_bound_lp_oracle(game: ObliviousGame, message_count: int) -> BoundResult:
             if caps[c] <= best + 1e-12:
                 continue
             # objective coefficient of p(m|x) is the score of message m's decoder at x
-            solutions = lp.solve_many(lp.LinearProgram(scores[c].T.ravel(), a_eq, b_eq), start)
-            start, solution = solutions.basis[0], solutions[0]
+            solution = lp.solve(lp.LinearProgram(scores[c].T.ravel(), a_eq, b_eq), start)
+            start = solution.basis[0]
             programs += 1
-            pivots += solution.pivots
-            if solution.status != "optimal":  # pragma: no cover - uniform encodings are feasible
-                raise RuntimeError(f"encoding program reported {solution.status}")
-            if solution.objective_value > best + 1e-12:
-                best = solution.objective_value
+            pivots += int(solution.pivots[0])
+            if solution.status[0] != "optimal":  # pragma: no cover - uniform encodings are feasible
+                raise RuntimeError(f"encoding program reported {solution.status[0]}")
+            if solution.objective_value[0] > best + 1e-12:
+                best = float(solution.objective_value[0])
                 witness = {
                     "decoder": [list(decode_fns[i]) for i in block[c]],
-                    "encoding": solution.values.reshape(na, message_count).tolist(),
+                    "encoding": solution.values[0].reshape(na, message_count).tolist(),
                 }
     return BoundResult(
         value=best, method="lp-oracle", witness=witness, programs=programs, pivots=pivots

@@ -246,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--local-bound", action="store_true")
     group.add_argument("--value", action="store_true")
     p_bell.add_argument("--box", default=None, help="box file for --value")
-    p_bell.add_argument("--witness", action="store_true")
+    p_bell.add_argument(
+        "--witness", action="store_true", help="include the assignments; --local-bound only"
+    )
 
     p_map = sub.add_parser("map", help="verify the game value reproduces the Bell value")
     p_map.add_argument("--bell", required=True, help="functional file or cglmp3")
@@ -285,6 +287,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bell" and args.local_bound and args.box is not None:
         parser.error("argument --box: not allowed with argument --local-bound")
+    if args.command == "bell" and args.value and args.witness:
+        parser.error("argument --witness: not allowed with argument --value")
     if args.command == "exp" and args.seed is not None and args.mc is None:
         parser.error("argument --seed: not allowed without argument --mc")
     try:

@@ -357,16 +357,15 @@ def _secondary_result(solutions, stack: np.ndarray) -> tuple:
     """Weights, secondary tables and objective of each program's solution,
     stacked like the sets of tables in ``stack``.
 
-    ``solutions`` is the ``lp.LpSolutions`` of the stack's programs, or the
-    one ``lp.LpSolution`` of a stack of one.
+    ``solutions`` is the ``lp.LpSolutions`` of the stack's programs.
     """
     k, n = stack.shape[:2]
-    status = np.reshape(solutions.status, k)
+    status = solutions.status
     if (status != "optimal").any():  # pragma: no cover - uniform weights are feasible
         raise RuntimeError(f"secondary-data program reported {status[status != 'optimal'][0]}")
-    weights = np.reshape(solutions.values, (k, n, n))
+    weights = solutions.values.reshape(k, n, n)
     p_prime = (weights @ stack.reshape(k, n, -1)).reshape(stack.shape)
-    return weights, p_prime, np.reshape(solutions.objective_value, k)
+    return weights, p_prime, solutions.objective_value
 
 
 def _lab_rows(index: tuple) -> np.ndarray:
@@ -416,16 +415,17 @@ def mc_uncertainty(
     of the weights and the tables, and its primary and secondary scores are
     one ``games.performance`` call each.  Every program starts from the optimal
     basis of the unperturbed tables' program, solved once, and re-optimizes
-    from there with the dual simplex (``lp.solve_many`` with a start basis);
-    a program that basis cannot serve is solved cold in the same call.  The
-    call allocates two buffers, for a stack's equality matrices and for its
-    start tableaux (the ``work`` of ``lp.solve_many``), and every stack
-    builds into leading slices of them, reusing memory already faulted in
-    rather than faulting in its own; nothing is kept between calls.  The
-    draws continue one random stream, the lockstep solver keeps each program
-    on the pivot path it takes alone, and each kernel gives a sample the value
-    it has in a stack of one, so the chunk size does not change the result:
-    the sigmas are equal bit for bit at any chunk size.
+    from there with the dual simplex: each chunk is one ``lp.solve`` call
+    with that start basis, and a program the basis cannot serve is solved
+    cold in the same call.  The call allocates two buffers, for a stack's
+    equality matrices and for its start tableaux (the ``work`` of
+    ``lp.solve``), and every stack builds into leading slices of them,
+    reusing memory already faulted in rather than faulting in its own;
+    nothing is kept between calls.  The draws continue one random stream,
+    the lockstep solver keeps each program on the pivot path it takes alone,
+    and each kernel gives a sample the value it has in a stack of one, so the
+    chunk size does not change the result: the sigmas are equal bit for bit
+    at any chunk size.
     ``seed`` is None (fresh entropy) or a non-negative integer; anything else
     is a ``ValueError``, as is a draw whose row clamps to all zeros: the
     message names its lab state and basis.
@@ -441,7 +441,7 @@ def mc_uncertainty(
     a3_pri = np.empty(samples)
     a3_sec = np.empty(samples)
     program = _secondary_programs(data.normalized()[None], rows)
-    nominal = lp.solve_many(program).basis[0]
+    nominal = lp.solve(program).basis[0]
     # Every stack builds its equality matrices and start tableaux in leading
     # slices of these two buffers, held for the whole call.
     _, m, n = program.eq_matrix.shape
@@ -461,7 +461,7 @@ def mc_uncertainty(
             )
         tables = draw / sums
         programs = _secondary_programs(tables, rows, out=eq_matrices[:size])
-        solutions = lp.solve_many(programs, nominal, work=work[:size])
+        solutions = lp.solve(programs, nominal, work=work[:size])
         _, p_prime, _ = _secondary_result(solutions, tables)
         a3_pri[start : start + size] = _score(tables, index)
         a3_sec[start : start + size] = _score(p_prime, index)

@@ -10,9 +10,9 @@ behaved.
 
 A ``LinearProgram`` is a stack of programs of one shape: every field
 carries a leading stack axis, and a program given without one is the stack
-of one.  It is validated once per stack.  ``solve_many`` runs the simplex
-on a stack in lockstep: each step picks every running program's entering
-column and leaving row with array reductions and pivots them all with one
+of one.  It is validated once per stack.  ``solve`` runs the simplex on a
+stack in lockstep: each step picks every running program's entering column
+and leaving row with array reductions and pivots them all with one
 outer-product update.  On a row whose factor is zero that update subtracts
 an exact zero, so every program takes the pivots, and rounds every entry,
 exactly as it would alone.  Bland's ratio test takes the least ratio to
@@ -23,24 +23,24 @@ rather than deleted, which keeps the stack one shape.  One stacked
 residual checks every optimal vertex against its original system.  The
 result is one ``LpSolutions``, the solver's own arrays with a row or entry
 per program (NaN values where a program is not optimal).  Without a start
-basis, entry ``p`` is the ``LpSolution`` that ``solve`` gives for program
-``p``.  A caller that reads the arrays builds no per-program object.
+basis, row ``p`` of each array is what ``solve`` gives for program ``p``
+alone, as the stack of one.
 
-``solve_many`` can also start a stack from one basis, such as the optimal
-basis of a nearby program or the last basis of an earlier solve.  Each
-program's tableau in that basis is B^-1 [A | b] over its reduced costs, for
-B its basic columns; an artificial start index n + j marks row j as
-redundant there, and that row is dropped.  It is built in place, in a
-caller's ``work`` buffer when one is given, from one copy of the kept rows,
-one stacked inverse and one product.  Where that tableau is finite and well
+``solve`` can also start a stack from one basis, such as the optimal basis
+of a nearby program or the last basis of an earlier solve.  Each program's
+tableau in that basis is B^-1 [A | b] over its reduced costs, for B its
+basic columns; an artificial start index n + j marks row j as redundant
+there, and that row is dropped.  It is built in place, in a caller's
+``work`` buffer when one is given, from one copy of the kept rows, one
+stacked inverse and one product.  Where that tableau is finite and well
 posed, and dual feasible or primal feasible, the dual simplex (Lemke 1954)
 with Bland's rule pivots it, in lockstep, until it is primal feasible (from
 a primal feasible start it takes no step); its pivots keep the cost row
 current, so phase 2 prices it no second time.  Every other program, and
 any that the dual simplex proves infeasible, runs the two-phase simplex in
-the same call, and its entry equals ``solve``.  A program served warm
-reaches the optimum of ``solve`` to round-off, but perhaps on another
-optimal vertex, so its values need not equal those of ``solve``.
+the same call, as it would without a start.  A program served warm reaches
+the optimum of a cold solve to round-off, but perhaps on another optimal
+vertex, so its values need not equal those of a cold solve.
 
 Every pivot runs in ``_lockstep``, under one of four rules: phase 1 and
 phase 2 (``_bland``), the drive-out of the artificial variables phase 1
@@ -49,16 +49,16 @@ prices every cost row from a basis.  ``_feasible`` runs phase 1 and the
 drive-out, ``_warm`` builds a start tableau and ``_maximize`` runs phase 2
 from whatever basis it is given, pricing the programs whose cost row is
 stale; only a program with an improving column enters Bland's rule.
-``solve_many`` runs them on its stack, with ``_warm`` and the dual simplex
-in place of ``_feasible`` for each program that its start basis serves;
-``solve`` is its entry for a stack of one.  A step costs a few dozen numpy
-calls whatever the stack holds, which outweighs the arithmetic of a
-program of a dozen rows.  Such programs gain by taking fewer steps: a
-sequence of objectives over one polytope, each solved from the basis the
-last one ended in, pays for phase 1 once, and a warm phase 2 often takes a
-few pivots where a cold solve takes twenty.  A stack of programs close to
-one whose optimal basis is known skips phase 1, and the dual simplex from
-that basis takes a few pivots where a cold solve takes forty.
+``solve`` runs them on its stack, with ``_warm`` and the dual simplex in
+place of ``_feasible`` for each program that its start basis serves.  A
+step costs a few dozen numpy calls whatever the stack holds, which
+outweighs the arithmetic of a program of a dozen rows.  Such programs gain
+by taking fewer steps: a sequence of objectives over one polytope, each
+solved from the basis the last one ended in, pays for phase 1 once, and a
+warm phase 2 often takes a few pivots where a cold solve takes twenty.  A
+stack of programs close to one whose optimal basis is known skips phase 1,
+and the dual simplex from that basis takes a few pivots where a cold solve
+takes forty.
 """
 
 from __future__ import annotations
@@ -96,6 +96,8 @@ class LinearProgram:
             a, c, b = a[None], c.reshape(1, -1), b.reshape(1, -1)
         if a.ndim != 3 or c.shape != (len(a), a.shape[2]) or b.shape != a.shape[:2]:
             raise ValueError(f"inconsistent program: A {a.shape}, b {b.shape}, c {c.shape}")
+        if not a.shape[2]:
+            raise ValueError(f"program has no variables: A {a.shape}, b {b.shape}, c {c.shape}")
         if c.shape[1] > MAX_VARS or b.shape[1] > MAX_ROWS:
             raise ValueError(
                 f"program of {c.shape[1]} variables and {b.shape[1]} rows exceeds the "
@@ -109,21 +111,14 @@ class LinearProgram:
 
 
 @dataclass(frozen=True, eq=False)
-class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    values: np.ndarray | None = None
-    objective_value: float | None = None
-    pivots: int = 0  # over phase 1, the artificial drive-out and phase 2
-    phase1_pivots: int = 0  # the phase-1 and drive-out part of ``pivots``
-
-
-@dataclass(frozen=True, eq=False)
 class LpSolutions:
-    """The solutions of a stack of programs, one entry per program.
+    """The solutions of a stack of programs, one row or entry per program.
 
-    ``values`` is (k, n) and the other fields are (k,); the values and
-    objective value of a program that is not optimal are NaN.  Entry ``p``
-    is the ``LpSolution`` of program ``p``.
+    ``values`` is (k, n), ``basis`` (k, m) and the other fields are (k,); the
+    values and objective value of a program that is not optimal are NaN.
+    ``pivots`` counts each program's pivots over phase 1, the artificial
+    drive-out, the dual simplex and phase 2, and ``phase1_pivots`` the
+    phase-1 and drive-out part of them, 0 on a warm start.
     """
 
     status: np.ndarray  # of "optimal" | "infeasible" | "unbounded"
@@ -131,17 +126,7 @@ class LpSolutions:
     objective_value: np.ndarray
     pivots: np.ndarray
     phase1_pivots: np.ndarray
-    basis: np.ndarray  # (k, m), each program's last basis; see ``solve_many``
-
-    def __len__(self) -> int:
-        return len(self.status)
-
-    def __getitem__(self, p: int) -> LpSolution:
-        status = str(self.status[p])
-        counts = {"pivots": int(self.pivots[p]), "phase1_pivots": int(self.phase1_pivots[p])}
-        if status != "optimal":
-            return LpSolution(status, **counts)
-        return LpSolution(status, self.values[p], float(self.objective_value[p]), **counts)
+    basis: np.ndarray  # (k, m), each program's last basis; see ``solve``
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, k, row, col, column) -> None:
@@ -445,21 +430,22 @@ def _warm(lp: LinearProgram, start: np.ndarray, tableau: np.ndarray) -> tuple:
     return basis, posed & (dual | primal)
 
 
-def solve_many(programs: LinearProgram, start=None, work=None) -> LpSolutions:
-    """Simplex on a stacked ``LinearProgram``, in lockstep.
+def solve(programs: LinearProgram, start=None, work=None) -> LpSolutions:
+    """Simplex on a stacked ``LinearProgram``, in lockstep; infeasible and
+    unbounded programs are reported in ``status``, never raised.
 
-    Without ``start`` every program runs the two-phase simplex, and entry
-    ``p`` of the result equals ``solve`` of program ``p``: same status,
-    pivots and bit-equal values.  ``start`` is one row of an
-    ``LpSolutions.basis``, such as the optimal basis of a program close to
-    all of these, or of the same rows under another objective: m distinct
-    indices below n + m.  Each program that can start there (see ``_warm``)
-    runs the dual simplex, then phase 2 from the cost row the dual simplex
-    kept, and ends with ``phase1_pivots`` 0 and the status of ``solve``:
-    where optimal, at the optimum ``solve`` reaches, though perhaps on
-    another optimal vertex.  Every other program, and each
-    that the dual simplex proves infeasible, runs the two-phase simplex in
-    the same call, and its entry equals ``solve``.
+    Without ``start`` every program runs the two-phase simplex, and row
+    ``p`` of each result array equals that of program ``p`` solved alone as
+    the stack of one: same status, pivots, basis and bit-equal values.
+    ``start`` is one row of an ``LpSolutions.basis``, such as the optimal
+    basis of a program close to all of these, or of the same rows under
+    another objective: m distinct indices below n + m.  Each program that
+    can start there (see ``_warm``) runs the dual simplex, then phase 2 from
+    the cost row the dual simplex kept, and ends with ``phase1_pivots`` 0
+    and the status of a cold solve: where optimal, at the optimum a cold
+    solve reaches, though perhaps on another optimal vertex.  Every other
+    program, and each that the dual simplex proves infeasible, runs the
+    two-phase simplex in the same call, and its rows equal a cold solve's.
 
     ``work``, allowed only with ``start``, is a writeable C-contiguous
     float64 array of shape (k, m + 1, n + 1) in which the start tableaux are
@@ -515,13 +501,3 @@ def solve_many(programs: LinearProgram, start=None, work=None) -> LpSolutions:
         pivots[cold] = phase1[cold]
     return _maximize(work, basis, infeasible, phase1, programs, pivots, cold)
 
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex on one program (a stack of one); infeasible/unbounded
-    programs are reported, never raised.
-
-    This is entry 0 of ``solve_many`` on that program.
-    """
-    if len(lp.objective) != 1:
-        raise ValueError("solve takes one program, not a stack; solve_many takes a stack")
-    return solve_many(lp)[0]

@@ -221,9 +221,9 @@ def test_criterion_7_property_suites():
         prog = with_upper_bounds(c, a, b, np.full(10, 8.0))
         s1, s2 = lp.solve(prog), lp.solve(prog)
         lp_ok = (
-            s1.status == "optimal"
-            and s1.objective_value == s2.objective_value
-            and np.max(np.abs(a @ s1.values[:10] - b)) < 1e-8
+            s1.status[0] == "optimal"
+            and s1.objective_value[0] == s2.objective_value[0]
+            and np.max(np.abs(a @ s1.values[0, :10] - b)) < 1e-8
         )
 
         # performance linearity

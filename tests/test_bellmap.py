@@ -116,6 +116,30 @@ def test_game_from_bell_rejects(p_alice, p_g, message):
         game_from_bell(bell, p_g)
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda: bell_value(cglmp3(), deterministic_box((0, 1), (1, 0), d=2)),
+            "box shape does not match functional",
+        ),
+        (
+            # qubit measurements on both sides, a state of dimension 6, not 4
+            lambda: box_from_quantum(
+                DensityMatrix(np.eye(6) / 6),
+                [Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])],
+                [Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])],
+            ),
+            "state dimension does not factor over the measurements",
+        ),
+    ],
+    ids=["bell-value-box-shape", "quantum-box-dimension"],
+)
+def test_shapes_that_do_not_fit_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def _unnormalized_box():
     table = deterministic_box((0, 1), (1, 2)).table.copy()
     table[:, :, 0, 0] += 1e-9  # every input pair sums to 1 + 1e-9; no signaling

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import every_parity_rac_game, random_game
 
+from oblivious_games import bounds
 from oblivious_games.bellmap import BellFunctional, cglmp3, game_from_bell
 from oblivious_games.bounds import (
     BoundResult,
@@ -220,7 +221,7 @@ class TestLpOracle:
         assert beyond.value == exact.value == 0.75
         assert beyond.witness == exact.witness
 
-    @pytest.mark.parametrize("count", [True, 2.0, 2.5, "2"])
+    @pytest.mark.parametrize("count", [True, 2.0, 2.5, "2", 0])
     def test_message_count_must_be_an_integer(self, count):
         with pytest.raises(ValueError, match=re.escape(repr(count))):
             pnc_bound_lp_oracle(make_rac_game(2, 2), count)
@@ -256,6 +257,28 @@ def test_canonical_families_keep_the_oracle_value(n, d, messages):
     canonical = pnc_bound_lp_oracle(make_rac_game(n, d), messages)
     every = pnc_bound_lp_oracle(every_parity_rac_game(n, d), messages)
     assert abs(canonical.value - every.value) < 1e-12
+
+
+BLOCK_GAMES = {
+    "rac23": (lambda: make_rac_game(2, 3), 3),
+    "cglmp3": (make_cglmp3_game, 3),
+    "random": (random_game, 2),
+    "rac33": (lambda: make_rac_game(3, 3), 2),
+}
+
+
+@pytest.mark.parametrize("block", [1, 5])
+@pytest.mark.parametrize("name", sorted(BLOCK_GAMES))
+def test_oracle_does_not_depend_on_the_decoder_block(monkeypatch, name, block):
+    # the block only batches the pruning bounds: a decoder pruned or solved
+    # in one block size is pruned or solved in any, from the same start basis
+    make, messages = BLOCK_GAMES[name]
+    default = pnc_bound_lp_oracle(make(), messages)
+    monkeypatch.setattr(bounds, "_DECODER_BLOCK", block)
+    blocked = pnc_bound_lp_oracle(make(), messages)
+    assert blocked.value == default.value
+    assert blocked.witness == default.witness
+    assert (blocked.programs, blocked.pivots) == (default.programs, default.pivots)
 
 
 WITNESS_GAMES = {

@@ -217,6 +217,16 @@ def test_ignored_file_argument_exits_2(capsys, data_dir, argv):
     assert "not allowed with" in capsys.readouterr().err
 
 
+def test_bell_value_witness_exits_2(capsys, tmp_path):
+    # --value has no witness to print, so the flag would be silently ignored
+    box_path = tmp_path / "box.json"
+    bellmap.save_box(cglmp.optimal_box(), box_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["bell", "--bell", "cglmp3", "--value", "--box", str(box_path), "--witness"])
+    assert exc.value.code == 2
+    assert "argument --witness: not allowed with argument --value" in capsys.readouterr().err
+
+
 def test_exp_seed_without_mc_exits_2(capsys, data_dir):
     with pytest.raises(SystemExit) as exc:
         run(["exp", "--data", str(data_dir / "table2.csv"), "--seed", "4"])
@@ -303,6 +313,20 @@ def test_validation_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "bound", "--game", "rac:2,4")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bound", "--game", "rac:2,x"], "bad game spec 'rac:2,x'; expected rac:n,d"),
+        (["bell", "--bell", "cglmp3", "--value"], "--value needs --box <file>"),
+    ],
+    ids=["bound-bad-rac-spec", "bell-value-without-box"],
+)
+def test_bad_arguments_exit_2(capsys, argv, message):
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2 and report is None
+    assert message in err
 
 
 def _rac22_spec(drop=None, **changes):

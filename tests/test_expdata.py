@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import permutations, product
 
 import numpy as np
@@ -164,6 +165,44 @@ class TestLoading:
         with pytest.raises(ValueError, match="incomplete"):
             load_primary(bad)
 
+    @pytest.mark.parametrize(
+        "probabilities,sigmas,message",
+        [
+            (np.full((6, 2, 2), 0.5), np.zeros((6, 2, 2)), r"shape \(6, 2, 3\)"),
+            (np.full((6, 2, 3), 1 / 3) * [1.0, 1.0, 4.0], np.zeros((6, 2, 3)), r"\[0, 1\]"),
+            (np.full((6, 2, 3), 1 / 3), np.full((6, 2, 3), -0.01), "sigmas must be nonnegative"),
+        ],
+        ids=["shape", "probability-range", "negative-sigma"],
+    )
+    def test_primary_data_rejects(self, probabilities, sigmas, message):
+        with pytest.raises(ValueError, match=message):
+            PrimaryData(probabilities=probabilities, sigmas=sigmas)
+
+    @pytest.mark.parametrize(
+        "csv,message",
+        [
+            (None, "need at least one CSV path"),
+            ("state_j,state_k,basis,projector,probability\n1,1,1,1,0.5\n", "expected columns"),
+            ("3,1,1,1,0.5,0.01", r"bad.csv:2: unknown state \(3,1\)"),
+            ("1,1,6,1,0.5,0.01", "bad.csv:2: basis must be 1..5, got 6"),
+            ("1,1,0,1,0.5,0.01", "bad.csv:2: basis must be 1..5, got 0"),
+            ("1,1,1,4,0.5,0.01", r"bad.csv:2: projector must be 1..3"),
+            ("1,1,1,0,0.5,0.01", r"bad.csv:2: projector must be 1..3"),
+        ],
+        ids=["no-path", "missing-column", "unknown-state", "basis-6", "basis-0",
+             "projector-4", "projector-0"],
+    )
+    def test_csv_rejects(self, tmp_path, csv, message):
+        if csv is None:
+            with pytest.raises(ValueError, match=message):
+                load_primary()
+            return
+        bad = tmp_path / "bad.csv"
+        header = "state_j,state_k,basis,projector,probability,sigma\n"
+        bad.write_text(csv if csv.startswith("state_j") else header + csv + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_primary(bad)
+
     def test_row_sum_tolerance(self):
         p = np.full((6, 2, 3), 1 / 3)
         p[0, 0] = [0.4, 0.3, 0.4]  # sums to 1.1
@@ -254,6 +293,13 @@ class TestMappingFit:
                 state_map={**pin.state_map, (2, 3): (0, 2)},
                 basis_map=pin.basis_map,
                 outcome_map=pin.outcome_map,
+            )
+        # projectors 1 and 2 of basis 2 both map to outcome 0
+        with pytest.raises(ValueError, match="outcome map for basis 2 must be a bijection"):
+            LabelMapping(
+                state_map=pin.state_map,
+                basis_map=pin.basis_map,
+                outcome_map={**pin.outcome_map, 2: {1: 0, 2: 0, 3: 2}},
             )
 
 
@@ -386,7 +432,10 @@ class TestSecondaryKernels:
         _, p_prime, _ = expdata._secondary_result(solutions, stack)
         assert p_prime.shape == stack.shape
         for p in range(k):
-            _, alone, _ = expdata._secondary_result(solutions[p], stack[p : p + 1])
+            row = expdata.lp.LpSolutions(
+                *(getattr(solutions, f.name)[p : p + 1] for f in dataclasses.fields(solutions))
+            )
+            _, alone, _ = expdata._secondary_result(row, stack[p : p + 1])
             assert np.array_equal(alone[0], p_prime[p])
         reference = np.einsum("kts,ks...->kt...", weights, stack)
         assert np.max(np.abs(p_prime - reference)) <= 4 * np.finfo(float).eps
@@ -454,15 +503,15 @@ class TestMonteCarlo:
         assert all(r == results[1] for r in results.values()), results
 
     def test_stacks_reuse_one_buffer_per_call(self, bundled, monkeypatch):
-        solve_many = expdata.lp.solve_many
+        solve = expdata.lp.solve
         calls = []
 
         def recording(programs, start=None, work=None):
             if start is not None:
                 calls.append((programs.eq_matrix, work))
-            return solve_many(programs, start, work=work)
+            return solve(programs, start, work=work)
 
-        monkeypatch.setattr(expdata.lp, "solve_many", recording)
+        monkeypatch.setattr(expdata.lp, "solve", recording)
         buffers = []
         for samples in (300, 100):
             calls.clear()
@@ -484,24 +533,24 @@ class TestMonteCarlo:
     # zero and its row 1.7e-9 off unit sum, which a Behavior rejects.  Warm,
     # as the Monte Carlo solves them, and cold, every vertex must be exact.
     def test_secondary_programs_end_on_exact_vertices(self, bundled, monkeypatch):
-        solve_many = expdata.lp.solve_many
+        solve = expdata.lp.solve
         stacks = []
 
         def recording(programs, start=None, work=None):
-            solutions = solve_many(programs, start, work=work)
+            solutions = solve(programs, start, work=work)
             if start is not None:  # the stack's matrices live in a reused buffer
                 fields = (programs.objective, programs.eq_matrix, programs.eq_rhs)
                 stacks.append(([np.copy(f) for f in fields], solutions.values))
             return solutions
 
-        monkeypatch.setattr(expdata.lp, "solve_many", recording)
+        monkeypatch.setattr(expdata.lp, "solve", recording)
         sp, ss = mc_uncertainty(bundled, pinned_mapping(), 1100, seed=501013)
         assert 0.0 < sp < ss < 0.01
         programs = expdata.lp.LinearProgram(
             *(np.concatenate(field) for field in zip(*(fields for fields, _ in stacks)))
         )
         warm = np.concatenate([values for _, values in stacks])
-        for values in (warm, solve_many(programs).values):
+        for values in (warm, solve(programs).values):
             assert len(values) == 1100 and values.min() >= 0.0
             weights = values.reshape(-1, 6, 6)
             assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-13

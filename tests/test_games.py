@@ -326,6 +326,38 @@ def test_non_integer_partition_index_rejected():
     assert ObliviousGame(**fields).partitions == (((0,), (1,)),)
 
 
+def _game_with(**changes):
+    return ObliviousGame(**{**_valid_game_fields(), **changes})
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: _game_with(payoff=np.ones((2, 1, 3))), "do not match the alphabet sizes"),
+        (lambda: _game_with(partitions=(((0,), ()),)), "empty set inside a partition family"),
+        (lambda: _game_with(partitions=(((0,), (2,)),)), "partition index 2 out of range"),
+        (lambda: _game_with(partitions=(((0,), (0, 1)),)), "sets within one family must be"),
+        (
+            lambda: _game_with(p_alice=np.array([1.0, 0.0])),
+            "partition set has zero prior weight",
+        ),
+        (lambda: make_rac_game(1, 2), "need at least two symbols"),
+        (
+            # three states for rac:2,2's four inputs
+            lambda: obliviousness_residual_quantum(
+                make_rac_game(2, 2), QuantumStrategy(*_strategy_arrays())
+            ),
+            "strategy has wrong number of states",
+        ),
+    ],
+    ids=["payoff-shape", "empty-set", "index-range", "shared-index", "zero-weight",
+         "rac-one-symbol", "residual-state-count"],
+)
+def test_game_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_nan_behavior_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         Behavior(np.full((2, 2, 3), np.nan))

@@ -6,41 +6,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblivious_games import bellmap, bounds, expdata, games, lp
-from oblivious_games.lp import LinearProgram, LpSolution, solve, solve_many
+from oblivious_games.lp import LinearProgram, solve
 from conftest import every_parity_rac_game, random_game
 from slack_form import with_upper_bounds
 
 
 def test_fixed_variable_with_bounds():
     sol = solve(with_upper_bounds([1.0], [[1.0]], [0.5], [1.0]))
-    assert sol.status == "optimal"
-    assert abs(sol.objective_value - 0.5) < 1e-12
+    assert sol.status[0] == "optimal"
+    assert abs(sol.objective_value[0] - 0.5) < 1e-12
 
 
 def test_degenerate_optimum_terminates():
     sol = solve(LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0]))
-    assert sol.status == "optimal"
-    assert abs(sol.objective_value - 1.0) < 1e-12
+    assert sol.status[0] == "optimal"
+    assert abs(sol.objective_value[0] - 1.0) < 1e-12
 
 
 def test_infeasible_reported():
     sol = solve(LinearProgram([1.0], [[1.0], [1.0]], [1.0, 2.0]))
-    assert sol.status == "infeasible"
-    assert sol.values is None
+    assert sol.status[0] == "infeasible"
+    assert np.isnan(sol.values).all()
 
 
 def test_unbounded_reported():
     sol = solve(LinearProgram([1.0, 0.0], np.zeros((0, 2)), []))
-    assert sol.status == "unbounded"
+    assert sol.status[0] == "unbounded"
 
 
 def test_redundant_rows_handled():
     program = LinearProgram([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
     sol = solve(program)
-    assert sol.status == "optimal"
-    assert abs(sol.objective_value - 2.0) < 1e-12
+    assert sol.status[0] == "optimal"
+    assert abs(sol.objective_value[0] - 2.0) < 1e-12
     # the drive-out zeroes row 1 under its artificial index n + 1
-    assert solve_many(program).basis[0].tolist() == [1, 3]
+    assert sol.basis[0].tolist() == [1, 3]
 
 
 def test_row_redundant_to_the_pivot_tolerance_stays_dropped():
@@ -55,24 +55,24 @@ def test_row_redundant_to_the_pivot_tolerance_stays_dropped():
     kept = np.vstack([rng.normal(size=(3, 8)), np.ones(8)])
     a = np.vstack([kept, kept[0] + kept[1] + 5e-10 * rng.normal(size=8)])
     c = rng.normal(size=8)
-    solution = solve_many(LinearProgram(c, a, a @ x0))
+    solution = solve(LinearProgram(c, a, a @ x0))
     assert (solution.basis[0] >= 8).sum() == 1
     without = solve(LinearProgram(c, kept, kept @ x0))
-    assert abs(solution.objective_value[0] - without.objective_value) < 1e-9
+    assert abs(solution.objective_value[0] - without.objective_value[0]) < 1e-9
     assert abs(solution.objective_value[0] - 1.3720638231) < 1e-9
 
 
 def test_negative_rhs_rows():
     sol = solve(LinearProgram([1.0, 0.0], [[-1.0, -1.0]], [-1.0]))
-    assert sol.status == "optimal"
-    assert abs(sol.objective_value - 1.0) < 1e-12
+    assert sol.status[0] == "optimal"
+    assert abs(sol.objective_value[0] - 1.0) < 1e-12
 
 
 def test_upper_bound_binds():
     # maximize x + y with no equality rows, only the caps x, y <= 0.7
     sol = solve(with_upper_bounds([1.0, 1.0], np.zeros((0, 2)), [], [0.7, 0.7]))
-    assert sol.status == "optimal"
-    assert abs(sol.objective_value - 1.4) < 1e-12
+    assert sol.status[0] == "optimal"
+    assert abs(sol.objective_value[0] - 1.4) < 1e-12
 
 
 @pytest.mark.parametrize("part", ["objective", "eq_matrix", "eq_rhs"])
@@ -85,8 +85,8 @@ def test_nan_program_rejected(part):
 
 def test_infinite_upper_bound_means_unbounded_variable():
     sol = solve(with_upper_bounds([1.0, 2.0], [[1.0, 1.0]], [1.0], [np.inf, 0.25]))
-    assert sol.status == "optimal"
-    assert abs(sol.objective_value - 1.25) < 1e-12
+    assert sol.status[0] == "optimal"
+    assert abs(sol.objective_value[0] - 1.25) < 1e-12
 
 
 def test_only_the_equality_form():
@@ -106,8 +106,8 @@ def test_solution_satisfies_constraints():
     b = a @ x_feas
     c = rng.normal(size=9)
     sol = solve(with_upper_bounds(c, a, b, np.full(9, 5.0)))
-    assert sol.status == "optimal"
-    v = sol.values[:9]
+    assert sol.status[0] == "optimal"
+    v = sol.values[0, :9]
     assert np.max(np.abs(a @ v - b)) < 1e-8
     assert np.min(sol.values) >= -1e-10
     assert np.max(v) <= 5.0 + 1e-10
@@ -125,8 +125,8 @@ def test_weak_duality_on_random_feasible_programs(seed):
     b = a @ interior
     c = rng.normal(size=n)
     sol = solve(with_upper_bounds(c, a, b, np.full(n, 10.0)))
-    assert sol.status == "optimal"
-    assert sol.objective_value >= float(c @ interior) - 1e-9
+    assert sol.status[0] == "optimal"
+    assert sol.objective_value[0] >= float(c @ interior) - 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,8 +142,8 @@ def test_variable_permutation_invariance(seed):
     base = solve(with_upper_bounds(c, a, b, u))
     perm = rng.permutation(n)
     permuted = solve(with_upper_bounds(c[perm], a[:, perm], b, u[perm]))
-    assert base.status == permuted.status == "optimal"
-    assert abs(base.objective_value - permuted.objective_value) < 1e-9
+    assert base.status[0] == permuted.status[0] == "optimal"
+    assert abs(base.objective_value[0] - permuted.objective_value[0]) < 1e-9
 
 
 def test_deterministic_across_repeat_solves():
@@ -154,13 +154,15 @@ def test_deterministic_across_repeat_solves():
     program = with_upper_bounds(c, a, b, np.full(7, 3.0))
     first = solve(program)
     second = solve(program)
-    assert first.objective_value == second.objective_value
+    assert first.objective_value[0] == second.objective_value[0]
     assert np.array_equal(first.values, second.values)
 
 
 def test_solution_dataclass_fields():
-    sol = LpSolution(status="infeasible")
-    assert sol.values is None and sol.objective_value is None
+    sol = solve(LinearProgram([1.0], [[1.0], [1.0]], [1.0, 2.0]))
+    assert sol.status.tolist() == ["infeasible"]
+    assert sol.values.shape == (1, 1) and sol.objective_value.shape == (1,)
+    assert np.isnan(sol.values).all() and np.isnan(sol.objective_value).all()
 
 
 def _mixed_stack():
@@ -214,55 +216,29 @@ def test_one_program_is_the_stack_of_one():
     assert program.eq_rhs.shape == (1, 1)
 
 
-def test_stack_equals_each_program_alone():
-    programs, expected = zip(*_mixed_stack())
-    stacked = solve_many(_one_stack(programs))
-    assert [s.status for s in stacked] == list(expected)
-    for p, together in enumerate(stacked):
-        alone = solve(LinearProgram(*(getattr(programs[p], f)[0] for f in FIELDS)))
-        assert together.status == alone.status
-        assert together.pivots == alone.pivots
-        assert together.phase1_pivots == alone.phase1_pivots
-        assert together.objective_value == alone.objective_value
-        if alone.values is None:
-            assert together.values is None
-        else:
-            assert together.values.tobytes() == alone.values.tobytes()
-    assert stacked[6].objective_value == 0.3
-
-
 def test_stacked_fields_equal_each_program_alone():
-    programs, _ = zip(*_mixed_stack())
-    stacked = solve_many(_one_stack(programs))
+    programs, expected = zip(*_mixed_stack())
+    stacked = solve(_one_stack(programs))
     n = programs[0].objective.shape[1]
-    assert len(stacked) == len(programs)
+    assert stacked.status.tolist() == list(expected)
+    assert len(stacked.status) == len(programs)
     assert stacked.values.shape == (len(programs), n)
     for field in ("status", "objective_value", "pivots", "phase1_pivots"):
         assert getattr(stacked, field).shape == (len(programs),)
     for p, program in enumerate(programs):
-        alone = solve(program)
-        assert stacked.status[p] == alone.status
-        assert stacked.pivots[p] == alone.pivots
-        assert stacked.phase1_pivots[p] == alone.phase1_pivots
-        assert stacked.basis[p].tolist() == solve_many(program).basis[0].tolist()
-        if alone.values is None:
+        # each program given without a stack axis, which is the stack of one
+        alone = solve(LinearProgram(*(getattr(program, f)[0] for f in FIELDS)))
+        assert stacked.status[p] == alone.status[0]
+        assert stacked.pivots[p] == alone.pivots[0]
+        assert stacked.phase1_pivots[p] == alone.phase1_pivots[0]
+        assert stacked.basis[p].tolist() == alone.basis[0].tolist()
+        if alone.status[0] != "optimal":
+            assert np.isnan(alone.values).all() and np.isnan(alone.objective_value).all()
             assert np.isnan(stacked.values[p]).all() and np.isnan(stacked.objective_value[p])
         else:
-            assert stacked.values[p].tobytes() == alone.values.tobytes()
-            assert stacked.objective_value[p] == alone.objective_value
-
-
-def test_monte_carlo_builds_no_per_program_solution(monkeypatch, data_dir):
-    data = expdata.load_primary(
-        data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
-    )
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an LpSolution was constructed")
-
-    monkeypatch.setattr(lp, "LpSolution", forbidden)
-    sigmas = expdata.mc_uncertainty(data, expdata.pinned_mapping(), 300, seed=13)
-    assert all(np.isfinite(sigmas))
+            assert stacked.values[p].tobytes() == alone.values[0].tobytes()
+            assert stacked.objective_value[p] == alone.objective_value[0]
+    assert stacked.objective_value[6] == 0.3
 
 
 def _warm_start_stack():
@@ -275,7 +251,7 @@ def _warm_start_stack():
     # the last row repeats the first, so the drive-out zeroes one row
     eq = np.vstack([a, np.ones(n), a[0]])
     c = rng.normal(size=n)
-    start = solve_many(LinearProgram(c, eq, eq @ x0)).basis[0]
+    start = solve(LinearProgram(c, eq, eq @ x0)).basis[0]
     programs = []
     for _ in range(6):  # new right-hand sides leave the basis dual feasible
         x = rng.random(n) * (rng.random(n) < 0.5)
@@ -299,15 +275,15 @@ def test_warm_start_serves_dual_or_primal_feasible_bases():
     assert (start >= 8).sum() == 1
     programs, kinds = zip(*labelled)
     stack = _one_stack(programs)
-    warm = solve_many(stack, start)
-    cold = solve_many(stack)
+    warm = solve(stack, start)
+    cold = solve(stack)
     assert list(cold.status) == ["optimal"] * 8 + ["infeasible", "optimal"]
     assert warm.basis.shape == (len(programs), 4)
     for p, kind in enumerate(kinds):
         if kind == "dual feasible":
             assert warm.status[p] == "optimal" and warm.phase1_pivots[p] == 0
             assert abs(warm.objective_value[p] - cold.objective_value[p]) < 1e-12
-            alone = solve_many(programs[p], start)
+            alone = solve(programs[p], start)
             assert warm.values[p].tobytes() == alone.values[0].tobytes()
             assert warm.pivots[p] == alone.pivots[0]
         elif kind == "primal feasible":
@@ -331,7 +307,7 @@ def test_warm_restart_from_its_own_optimal_basis():
     a, b = _oracle_polytope(every_parity_rac_game(3, 3), 3)
     n = a.shape[1]
     program = LinearProgram(np.random.default_rng(0).normal(size=n), a, b)
-    cold = solve_many(program)
+    cold = solve(program)
     assert (cold.pivots[0], cold.phase1_pivots[0]) == (182, 128)
     basis = cold.basis[0]
     positions = np.flatnonzero(basis >= n)
@@ -340,7 +316,7 @@ def test_warm_restart_from_its_own_optimal_basis():
     columns = a[:, basis[basis < n]]
     assert np.linalg.matrix_rank(np.delete(columns, named, axis=0)) == columns.shape[1]
     assert np.linalg.matrix_rank(np.delete(columns, positions, axis=0)) < columns.shape[1]
-    warm = solve_many(program, cold.basis[0])
+    warm = solve(program, cold.basis[0])
     assert (warm.pivots[0], warm.phase1_pivots[0]) == (0, 0)
     assert abs(warm.objective_value[0] - cold.objective_value[0]) < 1e-12
 
@@ -353,8 +329,8 @@ def test_warm_start_chains_over_objectives():
     start, phase1, zeroed = None, [], []
     for _ in range(4):
         program = LinearProgram(rng.normal(size=a.shape[1]), a, b)
-        solution = solve_many(program, start)
-        assert abs(solution.objective_value[0] - solve(program).objective_value) < 1e-12
+        solution = solve(program, start)
+        assert abs(solution.objective_value[0] - solve(program).objective_value[0]) < 1e-12
         start = solution.basis[0]
         phase1.append(int(solution.phase1_pivots[0]))
         zeroed.append(int((start >= a.shape[1]).sum()))
@@ -366,11 +342,11 @@ def test_start_basis_checked():
     program = LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0])
     for bad in ([0, 1], [-1], [0.5], [[0]], "0", [3], [7]):
         with pytest.raises(ValueError, match="start"):
-            solve_many(program, bad)
+            solve(program, bad)
     two_rows = LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0])
     for bad in ([1, 1], [3, 3], [0, 4]):
         with pytest.raises(ValueError, match="start"):
-            solve_many(two_rows, bad)
+            solve(two_rows, bad)
 
 
 def _fields(solutions):
@@ -385,8 +361,8 @@ def test_work_buffer_changes_no_result():
     stack = _one_stack([program for program, _ in labelled])
     k, m, n = stack.eq_matrix.shape
     work = np.full((k, m + 1, n + 1), np.nan)
-    fresh = solve_many(stack, start)
-    buffered = solve_many(stack, start, work=work)
+    fresh = solve(stack, start)
+    buffered = solve(stack, start, work=work)
     before = _fields(buffered)
     assert before == _fields(fresh)
     assert not np.isnan(work).all()  # the tableaux were built there
@@ -411,9 +387,9 @@ def test_work_buffer_checked():
         np.empty((k, m + 1, n + 1)).tolist(),
     ):
         with pytest.raises(ValueError, match="work"):
-            solve_many(stack, start, work=bad)
+            solve(stack, start, work=bad)
     with pytest.raises(ValueError, match="work"):
-        solve_many(stack, work=np.empty((k, m + 1, n + 1)))
+        solve(stack, work=np.empty((k, m + 1, n + 1)))
 
 
 @pytest.mark.parametrize("samples,seed", [(500, 5), (333, 7), (1100, 501013)])
@@ -421,7 +397,7 @@ def test_monte_carlo_warm_objective_equals_cold(monkeypatch, data_dir, samples, 
     data = expdata.load_primary(
         data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
     )
-    original = lp.solve_many
+    original = lp.solve
     compared = []
 
     def both(programs, start=None, work=None):
@@ -431,7 +407,7 @@ def test_monte_carlo_warm_objective_equals_cold(monkeypatch, data_dir, samples, 
             compared.append((gap.size, float(gap.max())))
         return warm
 
-    monkeypatch.setattr(lp, "solve_many", both)
+    monkeypatch.setattr(lp, "solve", both)
     expdata.mc_uncertainty(data, expdata.pinned_mapping(), samples, seed=seed)
     assert sum(size for size, _ in compared) == samples
     assert max(gap for _, gap in compared) < 1e-12
@@ -439,17 +415,21 @@ def test_monte_carlo_warm_objective_equals_cold(monkeypatch, data_dir, samples, 
 
 def test_stack_needs_one_shape():
     empty = LinearProgram(np.zeros((0, 2)), np.zeros((0, 1, 2)), np.zeros((0, 1)))
-    assert len(solve_many(empty)) == 0
+    assert len(solve(empty).status) == 0
     ones = np.ones((2, 1, 2))
     with pytest.raises(ValueError):  # a three-variable objective over two-variable rows
         LinearProgram(np.ones((2, 3)), ones, np.ones((2, 1)))
+    # no variables, under one row (whatever its rhs) or none
+    for rows, rhs in ((1, [0.0]), (1, [1.0]), (0, [])):
+        with pytest.raises(ValueError, match=rf"no variables: A \(1, {rows}, 0\)"):
+            LinearProgram(np.zeros(0), np.zeros((rows, 0)), rhs)
 
 
-def test_solve_many_takes_one_stacked_program():
+def test_solve_takes_one_stacked_program():
     square = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0])
     for not_a_stack in ([square], [], (square, square)):
         with pytest.raises(TypeError, match="one stacked LinearProgram"):
-            solve_many(not_a_stack)
+            solve(not_a_stack)
 
 
 @pytest.mark.parametrize("part", FIELDS)
@@ -467,17 +447,15 @@ def test_mismatched_stack_axes_rejected():
     for part in FIELDS:
         with pytest.raises(ValueError):
             LinearProgram(**{**fields, part: fields[part][:-1]})
-    with pytest.raises(ValueError):
-        solve(stack)
 
 
 def _solutions_of(monkeypatch, run):
-    """Every LpSolution returned while ``run()`` executes."""
+    """Every ``LpSolutions`` returned while ``run()`` executes."""
     solutions = []
     original = lp.solve
 
-    def recording(program):
-        solutions.append(original(program))
+    def recording(programs, start=None, work=None):
+        solutions.append(original(programs, start, work=work))
         return solutions[-1]
 
     monkeypatch.setattr(lp, "solve", recording)
@@ -493,7 +471,7 @@ def test_pivots_of_the_bundled_secondary_program(monkeypatch, data_dir):
         data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
     )
     solutions = _solutions_of(monkeypatch, lambda: expdata.secondary_data(data))
-    assert [s.pivots for s in solutions] == [38]
+    assert [s.pivots.tolist() for s in solutions] == [[38]]
 
 
 def _oracle_polytope(game, messages):
@@ -529,15 +507,15 @@ def _cold_oracle(game, messages, decoders=combinations):
             continue
         program = LinearProgram(chosen.T.ravel(), a, b)
         solved.append((program, solve(program)))
-        if solved[-1][1].objective_value > best + 1e-12:
-            best, decoder = solved[-1][1].objective_value, [list(fns[i]) for i in combo]
+        if solved[-1][1].objective_value[0] > best + 1e-12:
+            best, decoder = solved[-1][1].objective_value[0], [list(fns[i]) for i in combo]
     return best, decoder, solved
 
 
 def test_pivots_of_the_rac23_oracle_programs():
     _, _, solved = _cold_oracle(games.make_rac_game(2, 3), 3)
     # the first set attains 2/3, and no other set's constraint-free bound exceeds it
-    assert [s.pivots for _, s in solved] == [25]
+    assert [s.pivots[0] for _, s in solved] == [25]
 
 
 def test_pivots_of_the_warm_rac23_oracle():
@@ -563,10 +541,10 @@ def test_warm_maximize_equals_cold_solve(name):
     best, decoder, solved = _cold_oracle(game, messages)
     start = None
     for program, cold in solved:
-        warm = solve_many(program, start)
+        warm = solve(program, start)
         start = warm.basis[0]
-        assert warm.status[0] == cold.status == "optimal"
-        assert abs(warm.objective_value[0] - cold.objective_value) < 1e-12
+        assert warm.status[0] == cold.status[0] == "optimal"
+        assert abs(warm.objective_value[0] - cold.objective_value[0]) < 1e-12
     result = bounds.pnc_bound_lp_oracle(game, messages)
     assert abs(result.value - best) < 1e-12
     assert result.witness["decoder"] == decoder
@@ -583,17 +561,17 @@ def test_decoder_sets_equal_decoder_multisets(name, messages):
 
 def test_warm_pivots_after_the_first():
     program = _mixed_stack()[0][0]
-    first = solve_many(program)
-    cold = solve(program)
-    assert (first.pivots[0], first.phase1_pivots[0]) == (cold.pivots, cold.phase1_pivots)
-    assert 0 < cold.phase1_pivots <= cold.pivots
-    assert first.values[0].tobytes() == cold.values.tobytes()
+    first = solve(program)
+    cold = solve(LinearProgram(*(getattr(program, f)[0] for f in FIELDS)))
+    assert (first.pivots[0], first.phase1_pivots[0]) == (cold.pivots[0], cold.phase1_pivots[0])
+    assert 0 < cold.phase1_pivots[0] <= cold.pivots[0]
+    assert first.values.tobytes() == cold.values.tobytes()
     # the same objective from the basis it ended in, which is optimal already;
     # the tableau is rebuilt there, so it rounds differently
-    again = solve_many(program, first.basis[0])
+    again = solve(program, first.basis[0])
     assert (again.pivots[0], again.phase1_pivots[0]) == (0, 0)
-    assert abs(again.objective_value[0] - cold.objective_value) < 1e-12
-    assert np.abs(again.values[0] - cold.values).max() < 1e-12
+    assert abs(again.objective_value[0] - cold.objective_value[0]) < 1e-12
+    assert np.abs(again.values[0] - cold.values[0]).max() < 1e-12
 
 
 def test_infeasible_polytope_stays_infeasible():
@@ -602,9 +580,9 @@ def test_infeasible_polytope_stays_infeasible():
     start = None
     # the slack of the capped variable costs nothing
     for objective in [program.objective[0], np.append(rng.normal(size=4), 0.0), np.zeros(5)]:
-        solutions = solve_many(
+        solutions = solve(
             LinearProgram(objective, program.eq_matrix[0], program.eq_rhs[0]), start
         )
         start = solutions.basis[0]
-        assert solutions[0].status == "infeasible"
-        assert solutions[0].values is None
+        assert solutions.status[0] == "infeasible"
+        assert np.isnan(solutions.values[0]).all()

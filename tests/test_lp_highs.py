@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oblivious_games import expdata
-from oblivious_games.lp import LinearProgram, solve, solve_many
+from oblivious_games.lp import LinearProgram, solve
 from slack_form import with_upper_bounds
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -16,16 +16,18 @@ linprog = pytest.importorskip("scipy.optimize").linprog
 STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def assert_agrees(c, a, b, upper=None, ours=None):
+def assert_agrees(c, a, b, upper=None, ours=None, row=0):
     """Same status as HiGHS and, when optimal, the same optimum to 1e-8 at a
     vertex of the slack form: no value below -1e-13, and A v = b to 1e-12
-    relative.
+    relative.  Returns the status.
 
-    ``ours`` is the solver's result when it was solved elsewhere, in a stack.
+    ``ours`` is the solver's result when it was solved elsewhere, in a
+    stack, and ``row`` the program's row in it.
     """
     slack = with_upper_bounds(c, a, b, upper)
     if ours is None:
         ours = solve(slack)
+    status, values = ours.status[row], ours.values[row]
     caps = np.full(len(c), np.inf) if upper is None else np.asarray(upper)
     bounds = [(0.0, None if np.isinf(u) else u) for u in caps]
     ref = linprog(
@@ -35,14 +37,14 @@ def assert_agrees(c, a, b, upper=None, ours=None):
         bounds=bounds,
         method="highs",
     )
-    assert ours.status == STATUS[ref.status]
-    if ours.status == "optimal":
-        assert abs(ours.objective_value - (-ref.fun)) < 1e-8 * max(1.0, abs(ref.fun))
-        assert ours.values.min() >= -1e-13
+    assert status == STATUS[ref.status]
+    if status == "optimal":
+        assert abs(ours.objective_value[row] - (-ref.fun)) < 1e-8 * max(1.0, abs(ref.fun))
+        assert values.min() >= -1e-13
         rhs = slack.eq_rhs[0]
-        residual = np.abs(slack.eq_matrix[0] @ ours.values - rhs).max(initial=0.0)
+        residual = np.abs(slack.eq_matrix[0] @ values - rhs).max(initial=0.0)
         assert residual <= 1e-12 * max(1.0, np.abs(rhs).max(initial=0.0))
-    return ours
+    return status
 
 
 def feasible_program(rng, m, n, support=None):
@@ -89,19 +91,19 @@ def capped_program(rng, n, capped):
 def test_random_feasible(seed):
     rng = np.random.default_rng(seed)
     c, a, b, _ = feasible_program(rng, 3 + seed % 4, 8 + seed)
-    assert assert_agrees(c, a, b).status == "optimal"
+    assert assert_agrees(c, a, b) == "optimal"
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_infeasible(seed):
     program = infeasible_program(np.random.default_rng(100 + seed), 5 + seed)
-    assert assert_agrees(*program).status == "infeasible"
+    assert assert_agrees(*program) == "infeasible"
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_unbounded(seed):
     program = unbounded_program(np.random.default_rng(200 + seed), 3 + seed)
-    assert assert_agrees(*program).status == "unbounded"
+    assert assert_agrees(*program) == "unbounded"
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -111,7 +113,7 @@ def test_random_degenerate(seed):
     c, a, b = degenerate_program(rng, n)
     zero_rows = rng.normal(size=(2, n))
     zero_rows[:, rng.permutation(n)[:5]] = 0.0
-    assert assert_agrees(c, a, b).status == "optimal"
+    assert assert_agrees(c, a, b) == "optimal"
     assert_agrees(c, np.vstack([np.ones((1, n)), np.abs(zero_rows)]), [1.0, 0.0, 0.0])
 
 
@@ -122,7 +124,7 @@ def test_random_upper_bounded(seed):
     c, a, b, x0 = feasible_program(rng, 3, n)
     upper = x0 + rng.random(n)
     upper[rng.permutation(n)[:3]] = np.inf
-    assert assert_agrees(c, a, b, upper).status == "optimal"
+    assert assert_agrees(c, a, b, upper) == "optimal"
     # upper bounds alone, no equalities
     assert_agrees(rng.normal(size=n), np.zeros((0, n)), [], rng.random(n))
 
@@ -142,12 +144,12 @@ def test_category_as_one_stack(category):
     programs = [STACKS[category](np.random.default_rng(500 + seed)) for seed in range(8)]
     slack = [with_upper_bounds(*program) for program in programs]
     fields = ("objective", "eq_matrix", "eq_rhs")
-    stacked = solve_many(
+    stacked = solve(
         LinearProgram(*(np.concatenate([getattr(p, f) for p in slack]) for f in fields))
     )
-    for program, alone, ours in zip(programs, slack, stacked):
-        assert_agrees(*program, ours=ours)
-        assert ours.pivots == solve(alone).pivots
+    for p, (program, alone) in enumerate(zip(programs, slack)):
+        assert_agrees(*program, ours=stacked, row=p)
+        assert stacked.pivots[p] == solve(alone).pivots[0]
 
 
 def secondary_program(tables, mapping):
@@ -174,8 +176,10 @@ def test_secondary_optimum_on_bundled_tables(data_dir):
         data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
     )
     mapping = expdata.pinned_mapping()
-    ours = assert_agrees(*secondary_program(data.normalized(), mapping))
-    assert abs(expdata.secondary_data(data, mapping).s - ours.objective_value) < 1e-12
+    program = secondary_program(data.normalized(), mapping)
+    ours = solve(LinearProgram(*program))
+    assert assert_agrees(*program, ours=ours) == "optimal"
+    assert abs(expdata.secondary_data(data, mapping).s - ours.objective_value[0]) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -186,18 +190,19 @@ def test_warm_started_perturbed_secondary_programs(data_dir, seed):
         data_dir / "table2.csv", data_dir / "table3.csv", data_dir / "table4.csv"
     )
     mapping = expdata.pinned_mapping()
-    start = solve_many(LinearProgram(*secondary_program(data.normalized(), mapping))).basis[0]
+    start = solve(LinearProgram(*secondary_program(data.normalized(), mapping))).basis[0]
     rng = np.random.default_rng(700 + seed)
     programs = []
     for _ in range(16):
         draw = np.clip(data.probabilities + rng.normal(size=(6, 2, 3)) * data.sigmas, 0.0, 1.0)
         programs.append(secondary_program(draw / draw.sum(axis=2, keepdims=True), mapping))
     stack = LinearProgram(*(np.stack(field) for field in zip(*programs)))
-    for program, ours in zip(programs, solve_many(stack, start)):
-        assert ours.status == "optimal" and ours.phase1_pivots == 0
+    ours = solve(stack, start)
+    for p, program in enumerate(programs):
+        assert ours.status[p] == "optimal" and ours.phase1_pivots[p] == 0
         ref = linprog(-program[0], A_eq=program[1], b_eq=program[2], method="highs")
         assert ref.status == 0
-        assert abs(ours.objective_value + ref.fun) < 1e-9
+        assert abs(ours.objective_value[p] + ref.fun) < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -216,11 +221,11 @@ def test_polytope_over_a_sequence_of_objectives(seed):
         c = rng.normal(size=9)
         c[-1] = 1.0 if step == 3 else -abs(c[-1])
         # the two slacks cost nothing
-        solutions = solve_many(
+        solutions = solve(
             LinearProgram(np.append(c, [0.0, 0.0]), slack.eq_matrix[0], slack.eq_rhs[0]), start
         )
-        start, ours = solutions.basis[0], solutions[0]
-        phase1.append(ours.phase1_pivots)
-        statuses.append(assert_agrees(c, a, b, upper, ours=ours).status)
+        start = solutions.basis[0]
+        phase1.append(int(solutions.phase1_pivots[0]))
+        statuses.append(assert_agrees(c, a, b, upper, ours=solutions))
     assert statuses == ["optimal"] * 3 + ["unbounded"] + ["optimal"] * 4
     assert phase1[0] > 0 and phase1[1:] == [0] * 7  # phase 1 runs once

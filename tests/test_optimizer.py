@@ -49,8 +49,9 @@ class TestConfig:
             {"restarts": True},
             {"max_iters": 2.5},
             {"max_iters": False},
+            {"restarts": 0},
         ],
-        ids=[f"field{k}" for k in (0, 9, 10, 11, 12, 13, 14)],
+        ids=[f"field{k}" for k in (0, 9, 10, 11, 12, 13, 14, 15)],
     )
     def test_settings_that_break_search_rejected(self, field):
         with pytest.raises(ValueError):
