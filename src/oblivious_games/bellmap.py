@@ -10,6 +10,7 @@ Bell value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +158,10 @@ def bell_value(bell: BellFunctional, box: NoSignalingBox) -> float:
     )
 
 
+@functools.cache
 def cglmp3() -> BellFunctional:
-    """Three-outcome facet functional with local bound 1/2 and quantum maximum (3+sqrt(33))/12.
+    """Three-outcome facet functional with local bound 1/2 and quantum maximum (3+sqrt(33))/12;
+    built once per process, as the functional is a frozen record of read-only arrays.
 
     The coefficients are the payoffs of ``games.make_cglmp3_game``: outcome a
     on input X plays the game's input (x0, x) = ((a + X) mod 3, X).  The

@@ -12,6 +12,7 @@ of the game apply verbatim.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -81,8 +82,10 @@ def a3_quantum() -> float:
     return total / (3.0 * NORMALIZATION)
 
 
+@functools.cache
 def optimal_box() -> bellmap.NoSignalingBox:
-    """Correlations of the optimal state and bases."""
+    """Correlations of the optimal state and bases; built once per process, as the
+    box is a frozen record of a read-only array."""
     return bellmap.box_from_quantum(
         DensityMatrix(_projectors(optimal_state())),
         [alice_povm(0), alice_povm(1)],
@@ -90,8 +93,10 @@ def optimal_box() -> bellmap.NoSignalingBox:
     )
 
 
+@functools.cache
 def game_strategy() -> QuantumStrategy:
-    """Qutrit strategy for ``games.make_cglmp3_game``.
+    """Qutrit strategy for ``games.make_cglmp3_game``; built once per process, as the
+    strategy is a frozen record of read-only arrays.
 
     States are the steered conditional states, reordered so that the game
     input (x0, x) holds the state for correlation outcome

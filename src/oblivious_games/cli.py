@@ -1,6 +1,12 @@
 """Command-line front end; machine-readable JSON on stdout, summary on stderr.
 
 Exit codes: 0 success, 2 validation error, 3 infeasibility flag.
+
+``_COMMANDS`` gives each subcommand its help, the function that adds its
+arguments, and its handler.  ``run`` adds the arguments of only the
+subcommand that its first token names; every subcommand is registered with
+its help all the same, so the usage line, every help text and every usage
+error read as they do from the full parser, ``build_parser()``.
 """
 
 from __future__ import annotations
@@ -223,67 +229,84 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _no_arguments(p: argparse.ArgumentParser) -> None:
+    pass
+
+
+def _bound_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--game", required=True, help="file path, rac:n,d, or cglmp3")
+    p.add_argument("--oracle", action="store_true", help="force the LP oracle")
+    p.add_argument("--messages", type=int, help="LP oracle messages; implies --oracle")
+    p.add_argument(
+        "--witness", action="store_true", help="include the optimal strategy; implies --oracle"
+    )
+
+
+def _bell_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--bell", default="cglmp3", help="functional file or cglmp3")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--local-bound", action="store_true")
+    group.add_argument("--value", action="store_true")
+    p.add_argument("--box", default=None, help="box file for --value")
+    p.add_argument(
+        "--witness", action="store_true", help="include the assignments; --local-bound only"
+    )
+
+
+def _map_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--bell", required=True, help="functional file or cglmp3")
+    p.add_argument("--box", required=True, help="box file")
+
+
+def _exp_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", nargs="+", required=True, help="CSV file(s)")
+    mapping = p.add_mutually_exclusive_group()
+    mapping.add_argument("--fit-mapping", action="store_true")
+    mapping.add_argument("--mapping", default=None, help="mapping JSON (default: pinned)")
+    p.add_argument("--secondary", action="store_true")
+    p.add_argument("--mc", type=int, default=None, help="Monte Carlo samples")
+    p.add_argument("--seed", type=int, default=None)
+
+
+def _optimize_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--game", required=True, help="file path, rac:n,d, or cglmp3")
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0)
+
+
+# Subcommand: (help, the function that adds its arguments, handler).
+_COMMANDS = {
+    "cglmp": ("quantum value, bound, and residual of the qutrit game", _no_arguments, _cmd_cglmp),
+    "bound": ("preparation-noncontextual bound of a game", _bound_arguments, _cmd_bound),
+    "bell": ("local bound or value of a correlation functional", _bell_arguments, _cmd_bell),
+    "map": ("verify the game value reproduces the Bell value", _map_arguments, _cmd_map),
+    "exp": ("analyze measured probability tables", _exp_arguments, _cmd_exp),
+    "optimize": ("heuristic search for quantum strategies", _optimize_arguments, _cmd_optimize),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered with its help,
+    so the usage line, the top-level help and an invalid choice read the same
+    whatever ``command`` is; arguments are added only to the subparser that
+    ``command`` names, and to every subparser when it is None."""
     parser = argparse.ArgumentParser(
         prog="oblivious-games",
         description="Oblivious communication games: bounds, quantum values, data analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("cglmp", help="quantum value, bound, and residual of the qutrit game")
-
-    p_bound = sub.add_parser("bound", help="preparation-noncontextual bound of a game")
-    p_bound.add_argument("--game", required=True, help="file path, rac:n,d, or cglmp3")
-    p_bound.add_argument("--oracle", action="store_true", help="force the LP oracle")
-    p_bound.add_argument("--messages", type=int, help="LP oracle messages; implies --oracle")
-    p_bound.add_argument(
-        "--witness", action="store_true", help="include the optimal strategy; implies --oracle"
-    )
-
-    p_bell = sub.add_parser("bell", help="local bound or value of a correlation functional")
-    p_bell.add_argument("--bell", default="cglmp3", help="functional file or cglmp3")
-    group = p_bell.add_mutually_exclusive_group(required=True)
-    group.add_argument("--local-bound", action="store_true")
-    group.add_argument("--value", action="store_true")
-    p_bell.add_argument("--box", default=None, help="box file for --value")
-    p_bell.add_argument(
-        "--witness", action="store_true", help="include the assignments; --local-bound only"
-    )
-
-    p_map = sub.add_parser("map", help="verify the game value reproduces the Bell value")
-    p_map.add_argument("--bell", required=True, help="functional file or cglmp3")
-    p_map.add_argument("--box", required=True, help="box file")
-
-    p_exp = sub.add_parser("exp", help="analyze measured probability tables")
-    p_exp.add_argument("--data", nargs="+", required=True, help="CSV file(s)")
-    mapping = p_exp.add_mutually_exclusive_group()
-    mapping.add_argument("--fit-mapping", action="store_true")
-    mapping.add_argument("--mapping", default=None, help="mapping JSON (default: pinned)")
-    p_exp.add_argument("--secondary", action="store_true")
-    p_exp.add_argument("--mc", type=int, default=None, help="Monte Carlo samples")
-    p_exp.add_argument("--seed", type=int, default=None)
-
-    p_opt = sub.add_parser("optimize", help="heuristic search for quantum strategies")
-    p_opt.add_argument("--game", required=True, help="file path, rac:n,d, or cglmp3")
-    p_opt.add_argument("--dim", type=int, required=True)
-    p_opt.add_argument("--restarts", type=int, default=64)
-    p_opt.add_argument("--iters", type=int, default=500)
-    p_opt.add_argument("--seed", type=int, default=0)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(subparser)
     return parser
 
 
-_HANDLERS = {
-    "cglmp": _cmd_cglmp,
-    "bound": _cmd_bound,
-    "bell": _cmd_bell,
-    "map": _cmd_map,
-    "exp": _cmd_exp,
-    "optimize": _cmd_optimize,
-}
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "bell" and args.local_bound and args.box is not None:
         parser.error("argument --box: not allowed with argument --local-bound")
@@ -292,7 +315,7 @@ def run(argv=None) -> int:
     if args.command == "exp" and args.seed is not None and args.mc is None:
         parser.error("argument --seed: not allowed without argument --mc")
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

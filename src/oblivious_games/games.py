@@ -15,6 +15,7 @@ average statistics of the sets in one family coincide.  Sets may overlap
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ from .qmath import PROB_TOL, PSD_TOL, _check_measurements, _check_states, readon
 
 DIST_TOL = 1e-12
 BEHAVIOR_TOL = 1e-10
+# Desk scale of a game: entries of its set-average array, partition sets x
+# inputs (80 MB of float64); its constraint rows and their copies come on top.
+GAME_GUARD = 10**7
 
 
 def is_prime(k: int) -> bool:
@@ -80,6 +84,15 @@ def load_record(path, from_dict):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def check_game_size(sets: int, inputs: int, name: str) -> None:
+    """Reject a game of more than ``GAME_GUARD`` set-average entries, ``sets`` x ``inputs``."""
+    if sets * inputs > GAME_GUARD:
+        raise ValueError(
+            f"{name} has {sets} partition sets over {inputs} inputs, {sets * inputs} "
+            f"set-average entries; the limit is {GAME_GUARD}"
+        )
+
+
 def check_integer(value, name: str) -> int:
     """``int(value)`` for an integral ``value``; a bool or any other value is a ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -117,9 +130,11 @@ class ObliviousGame:
             tuple(tuple(check_integer(i, "partition index") for i in subset) for subset in family)
             for family in self.partitions
         )
+        sets = sum(map(len, families))
+        check_game_size(sets, na, "the game")
         # Row k of ``averages`` is p_alice on set k over the set's weight;
         # ``pairs`` lists every two sets of one family, ``leading`` its first and another.
-        averages = np.zeros((sum(map(len, families)), na))
+        averages = np.zeros((sets, na))
         pairs, leading, k = [], [], 0
         for family in families:
             if not family:
@@ -356,8 +371,10 @@ def cglmp3_targets(x0: int, x: int, y: int) -> tuple:
     return tuple((x0 - ((-1) ** (x + y + k)) * k - x * y) % 3 for k in (0, 1))
 
 
+@functools.cache
 def make_cglmp3_game() -> ObliviousGame:
-    """Three-outcome game whose noncontextual bound is 1/2.
+    """Three-outcome game whose noncontextual bound is 1/2; built once per process,
+    as the game is a frozen record of read-only arrays.
 
     Alice holds (x0, x) in {0,1,2} x {0,1} uniformly, Bob holds y in {0,1};
     one partition family groups Alice's inputs by x.  The 1/12 prefactor of
@@ -399,6 +416,12 @@ def make_rac_game(n: int, d: int) -> ObliviousGame:
         raise ValueError("need at least two symbols")
     if not is_prime(d):
         raise ValueError(f"alphabet size {d} is not prime")
+    if n >= GAME_GUARD.bit_length():  # d**n >= 2**n > GAME_GUARD; d**n is not formed
+        raise ValueError(
+            f"rac:{n},{d} has {d}**{n} inputs, more than the limit of {GAME_GUARD} "
+            "set-average entries"
+        )
+    check_game_size((d**n - 1 - n * (d - 1)) // (d - 1) * d, d**n, f"rac:{n},{d}")
     alice = tuple(product(range(d), repeat=n))
     bob = tuple(range(1, n + 1))
     outcomes = tuple(range(d))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oblivious_games import bellmap, cglmp
+from oblivious_games import bellmap, cglmp, games
 
 from test_qmath import pure_state
 
@@ -137,3 +137,15 @@ class TestSteeredPreparations:
             op = np.kron(povm.elements[a], np.eye(3)) @ state.matrix
             direct = 3 * np.einsum("abac->bc", op.reshape(3, 3, 3, 3))
             assert np.max(np.abs(direct - steered[0, a])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "build",
+    [games.make_cglmp3_game, bellmap.cglmp3, cglmp.game_strategy, cglmp.optimal_box],
+    ids=lambda f: f.__name__,
+)
+def test_constant_constructors_build_once(build):
+    first = build()
+    assert build() is first
+    arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)

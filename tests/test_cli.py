@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 from conftest import REPO_ROOT, random_game
 
-from oblivious_games import bellmap, cglmp, expdata, games
+from oblivious_games import bellmap, cglmp, cli, expdata, games
 from oblivious_games.cli import run
+
+COMMANDS = ("cglmp", "bound", "bell", "map", "exp", "optimize")
 
 
 def run_cli(capsys, *argv):
@@ -320,8 +323,9 @@ def test_validation_error_exit_code(capsys):
     [
         (["bound", "--game", "rac:2,x"], "bad game spec 'rac:2,x'; expected rac:n,d"),
         (["bell", "--bell", "cglmp3", "--value"], "--value needs --box <file>"),
+        (["bound", "--game", "rac:6,5"], "rac:6,5 has 19500 partition sets over 15625 inputs"),
     ],
-    ids=["bound-bad-rac-spec", "bell-value-without-box"],
+    ids=["bound-bad-rac-spec", "bell-value-without-box", "bound-rac-above-the-game-guard"],
 )
 def test_bad_arguments_exit_2(capsys, argv, message):
     code, report, err = run_cli(capsys, *argv)
@@ -419,6 +423,39 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["cglmp", "--bogus"])
     assert exc.value.code == 2
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_of_one_command_gives_the_same_help(command):
+    full, lazy = cli.build_parser(), cli.build_parser(command)
+    assert lazy.format_help() == full.format_help()
+    assert list(_subparsers(lazy)) == list(_subparsers(full)) == list(COMMANDS)
+    assert _subparsers(lazy)[command].format_help() == _subparsers(full)[command].format_help()
+    for name, sub in _subparsers(lazy).items():
+        options = [s for a in sub._actions for s in a.option_strings]
+        full_options = [s for a in _subparsers(full)[name]._actions for s in a.option_strings]
+        assert options == (full_options if name == command else ["-h", "--help"])
+        assert len(full_options) > 2 or name == "cglmp"
+
+
+@pytest.mark.parametrize(
+    "argv,command",
+    [(["cglmp"], "cglmp"), (["map", "--bell"], "map"), (["--help"], None), (["nope"], None), ([], None)],
+    ids=["cglmp", "map-usage-error", "help", "invalid-choice", "no-arguments"],
+)
+def test_run_builds_only_the_command_it_runs(capsys, monkeypatch, argv, command):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or build(name))
+    try:
+        cli.run(argv)
+    except SystemExit:
+        pass
+    assert built == [command]
 
 
 def test_reports_are_deterministic(capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,30 @@ class TestRacGame:
         with pytest.raises(ValueError):
             make_rac_game(2, 4)
 
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [
+            (6, 5, "rac:6,5 has 19500 partition sets over 15625 inputs, 304687500"),
+            (5, 5, "rac:5,5 has 3880 partition sets over 3125 inputs, 12125000"),
+            (12, 2, "rac:12,2 has 8166 partition sets over 4096 inputs, 33447936"),
+            (40, 2, "rac:40,2 has 2**40 inputs"),
+        ],
+        ids=["rac6-5", "rac5-5", "rac12-2", "rac40-2"],
+    )
+    def test_above_the_game_guard_is_rejected_before_building(self, n, d, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message.replace("*", r"\*")):
+                make_rac_game(n, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_largest_game_in_use_is_within_the_guard(self):
+        # rac:8,2 has 494 sets over 256 inputs, 126464 set-average entries
+        assert make_rac_game(8, 2).constraint_rows().shape == (247, 256)
+
     def test_set_sizes_are_d_pow_n_minus_1(self):
         for n, d in ((2, 2), (2, 3), (3, 2), (3, 3)):
             game = make_rac_game(n, d)
@@ -115,6 +140,26 @@ class TestRacGame:
             dec[m, 1, :] = 1.0 / 3
         behavior = behavior_from_quantum(classical_strategy(enc, dec))
         assert obliviousness_residual_behavior(game, behavior) < 1e-12
+
+
+def test_game_above_the_guard_is_rejected_before_its_arrays():
+    # 5000 one-input sets over 4000 inputs: 2e7 set-average entries, from a
+    # dict of a few thousand numbers
+    spec = {
+        **make_rac_game(2, 2).to_dict(),
+        "alice_inputs": list(range(4000)),
+        "p_alice": [1 / 4000] * 4000,
+        "payoff": np.zeros((4000, 2, 2)).tolist(),
+        "partitions": [[[0], [1]]] * 2500,
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="5000 partition sets over 4000 inputs, 20000000"):
+            ObliviousGame.from_dict(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 class TestResiduals:
