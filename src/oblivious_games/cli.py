@@ -3,10 +3,14 @@
 Exit codes: 0 success, 2 validation error, 3 infeasibility flag.
 
 ``_COMMANDS`` gives each subcommand its help, the function that adds its
-arguments, and its handler.  ``run`` adds the arguments of only the
-subcommand that its first token names; every subcommand is registered with
-its help all the same, so the usage line, every help text and every usage
-error read as they do from the full parser, ``build_parser()``.
+arguments, and its handler.  When the first token names a subcommand, ``run``
+builds a parser with only that subparser, whose metavar lists every
+subcommand, so its usage line, the subcommand's help and every usage error
+read as they do from the full parser, ``build_parser()``.  Any other line
+(``--help``, no arguments, an unknown subcommand) is parsed by the full
+parser, the only one that can print the subcommand list or an invalid choice.
+Combinations that argparse cannot express are checked before any handler
+runs and reported by the subcommand's parser, as argparse reports its own.
 """
 
 from __future__ import annotations
@@ -118,8 +122,6 @@ def _cmd_bell(args) -> int:
             results["witness"] = result.witness
         summary = f"local bound {result.value:.6f}"
     else:
-        if not args.box:
-            raise ValueError("--value needs --box <file>")
         box = bellmap.load_box(args.box)
         value = bellmap.bell_value(bell, box)
         results = {"bell_value": value}
@@ -288,32 +290,42 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Every subcommand is registered with its help,
-    so the usage line, the top-level help and an invalid choice read the same
-    whatever ``command`` is; arguments are added only to the subparser that
-    ``command`` names, and to every subparser when it is None."""
+    """The command-line parser: every subcommand when ``command`` is None,
+    otherwise only the one it names, under the full parser's usage line.  Each
+    subparser leaves its own ``error`` in the namespace it parses."""
     parser = argparse.ArgumentParser(
         prog="oblivious-games",
         description="Oblivious communication games: bounds, quantum values, data analysis.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
         if command in (None, name):
+            subparser = sub.add_parser(name, help=help_text)
+            subparser.set_defaults(error=subparser.error)
             add_arguments(subparser)
     return parser
 
 
+def _conflict(args) -> str | None:
+    """The rule a parsed line breaks that argparse cannot express, if any."""
+    if args.command == "bell":
+        if args.local_bound and args.box is not None:
+            return "argument --box: not allowed with argument --local-bound"
+        if args.value and args.witness:
+            return "argument --witness: not allowed with argument --value"
+        if args.value and not args.box:
+            return "--value needs --box <file>"
+    if args.command == "exp" and args.seed is not None and args.mc is None:
+        return "argument --seed: not allowed without argument --mc"
+    return None
+
+
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
-    if args.command == "bell" and args.local_bound and args.box is not None:
-        parser.error("argument --box: not allowed with argument --local-bound")
-    if args.command == "bell" and args.value and args.witness:
-        parser.error("argument --witness: not allowed with argument --value")
-    if args.command == "exp" and args.seed is not None and args.mc is None:
-        parser.error("argument --seed: not allowed without argument --mc")
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    if conflict := _conflict(args):
+        args.error(conflict)
     try:
         return _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:

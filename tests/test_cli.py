@@ -1,4 +1,3 @@
-import argparse
 import json
 import re
 import shlex
@@ -18,6 +17,31 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out.strip() else None
     return code, report, captured.err
+
+
+def assert_usage_error(err, command, message):
+    """``err`` is argparse's error of the ``command`` subparser: its usage, then its prog."""
+    assert err.startswith(f"usage: oblivious-games {command} [-h]")
+    assert err.endswith(f"\noblivious-games {command}: error: {message}\n")
+
+
+def readme_lines():
+    """The argument lists of README.md's ``oblivious-games`` lines."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    return [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("oblivious-games ")
+    ]
+
+
+@pytest.fixture
+def readme_files(tmp_path, data_dir):
+    """The files that the README lines name, mapped to copies the tests can read."""
+    box_path = tmp_path / "box.json"
+    bellmap.save_box(cglmp.optimal_box(), box_path)
+    return {"box.json": str(box_path), "data/table2.csv": str(data_dir / "table2.csv")}
 
 
 def test_cglmp_report(capsys):
@@ -206,18 +230,24 @@ def test_exp_fit_mapping(capsys, data_dir):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["exp", "--data", "DATA", "--fit-mapping", "--mapping", "no_such_mapping.json"],
-        ["bell", "--bell", "cglmp3", "--local-bound", "--box", "no_such_box.json"],
+        (
+            ["exp", "--data", "DATA", "--fit-mapping", "--mapping", "no_such_mapping.json"],
+            "argument --mapping: not allowed with argument --fit-mapping",
+        ),
+        (
+            ["bell", "--bell", "cglmp3", "--local-bound", "--box", "no_such_box.json"],
+            "argument --box: not allowed with argument --local-bound",
+        ),
     ],
     ids=["exp-fit-and-mapping", "bell-local-bound-and-box"],
 )
-def test_ignored_file_argument_exits_2(capsys, data_dir, argv):
+def test_ignored_file_argument_exits_2(capsys, data_dir, argv, message):
     with pytest.raises(SystemExit) as exc:
         run([str(data_dir / "table2.csv") if a == "DATA" else a for a in argv])
     assert exc.value.code == 2
-    assert "not allowed with" in capsys.readouterr().err
+    assert_usage_error(capsys.readouterr().err, argv[0], message)
 
 
 def test_bell_value_witness_exits_2(capsys, tmp_path):
@@ -227,14 +257,27 @@ def test_bell_value_witness_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["bell", "--bell", "cglmp3", "--value", "--box", str(box_path), "--witness"])
     assert exc.value.code == 2
-    assert "argument --witness: not allowed with argument --value" in capsys.readouterr().err
+    message = "argument --witness: not allowed with argument --value"
+    assert_usage_error(capsys.readouterr().err, "bell", message)
+
+
+def test_bell_value_without_box_exits_2(capsys):
+    # checked before the functional is loaded, so a missing one is not reached
+    for bell in ("cglmp3", "no_such_functional.json"):
+        with pytest.raises(SystemExit) as exc:
+            run(["bell", "--bell", bell, "--value"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_usage_error(captured.err, "bell", "--value needs --box <file>")
 
 
 def test_exp_seed_without_mc_exits_2(capsys, data_dir):
     with pytest.raises(SystemExit) as exc:
         run(["exp", "--data", str(data_dir / "table2.csv"), "--seed", "4"])
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    message = "argument --seed: not allowed without argument --mc"
+    assert_usage_error(capsys.readouterr().err, "exp", message)
 
 
 def test_exp_mc_seed_reproducible(capsys, data_dir):
@@ -322,10 +365,9 @@ def test_validation_error_exit_code(capsys):
     "argv,message",
     [
         (["bound", "--game", "rac:2,x"], "bad game spec 'rac:2,x'; expected rac:n,d"),
-        (["bell", "--bell", "cglmp3", "--value"], "--value needs --box <file>"),
         (["bound", "--game", "rac:6,5"], "rac:6,5 has 19500 partition sets over 15625 inputs"),
     ],
-    ids=["bound-bad-rac-spec", "bell-value-without-box", "bound-rac-above-the-game-guard"],
+    ids=["bound-bad-rac-spec", "bound-rac-above-the-game-guard"],
 )
 def test_bad_arguments_exit_2(capsys, argv, message):
     code, report, err = run_cli(capsys, *argv)
@@ -425,28 +467,87 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def _subparsers(parser):
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+def test_invalid_choice_names_the_argument_and_lists_the_subcommands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: oblivious-games [-h] {cglmp,bound,bell,map,exp,optimize} ...\n")
+    assert "oblivious-games: error: argument command: invalid choice: 'nope' (choose from " in err
+    assert all(command in err.splitlines()[-1] for command in COMMANDS)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_parser_of_one_command_gives_the_same_help(command):
-    full, lazy = cli.build_parser(), cli.build_parser(command)
-    assert lazy.format_help() == full.format_help()
-    assert list(_subparsers(lazy)) == list(_subparsers(full)) == list(COMMANDS)
-    assert _subparsers(lazy)[command].format_help() == _subparsers(full)[command].format_help()
-    for name, sub in _subparsers(lazy).items():
-        options = [s for a in sub._actions for s in a.option_strings]
-        full_options = [s for a in _subparsers(full)[name]._actions for s in a.option_strings]
-        assert options == (full_options if name == command else ["-h", "--help"])
-        assert len(full_options) > 2 or name == "cglmp"
+# Per subcommand, lines a user can type: its help, a missing required argument,
+# an unknown flag after the required ones (which the top-level parser reports)
+# and each rule that ``run`` checks beyond argparse; each subcommand's README
+# lines are added to these.
+USER_LINES = {
+    "top-level": [["--help"], ["nope"], ["bo"], []],
+    "cglmp": [["cglmp", "-h"], ["cglmp", "--bogus"]],
+    "bound": [["bound", "-h"], ["bound"], ["bound", "--game", "rac:2,2", "--bogus"]],
+    "bell": [
+        ["bell", "-h"],
+        ["bell"],
+        ["bell", "--local-bound", "--bogus"],
+        ["bell", "--local-bound", "--box", "box.json"],
+        ["bell", "--value", "--box", "box.json", "--witness"],
+        ["bell", "--value"],
+    ],
+    "map": [
+        ["map", "-h"],
+        ["map", "--bell", "cglmp3"],
+        ["map", "--bell", "cglmp3", "--box", "box.json", "--bogus"],
+    ],
+    "exp": [
+        ["exp", "-h"],
+        ["exp"],
+        ["exp", "--data", "data/table2.csv", "--bogus"],
+        ["exp", "--data", "data/table2.csv", "--seed", "4"],
+    ],
+    "optimize": [
+        ["optimize", "-h"],
+        ["optimize", "--game", "rac:2,2"],
+        ["optimize", "--game", "rac:2,2", "--dim", "2", "--bogus"],
+    ],
+}
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout with the search's wall time masked, and stderr of one command line."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, re.sub(r'"wall_s": [^,\n]+', '"wall_s": 0', captured.out), captured.err
+
+
+@pytest.mark.parametrize("name", list(USER_LINES))
+def test_run_prints_what_the_full_parser_prints(capsys, monkeypatch, readme_files, name):
+    # the README search, cut to one short restart
+    small = ["--restarts", "1", "--iters", "5"] if name == "optimize" else []
+    lines = USER_LINES[name] + [argv + small for argv in readme_lines() if argv[0] == name]
+    lines = [[readme_files.get(a, a) for a in argv] for argv in lines]
+    lazy = [_outcome(capsys, argv) for argv in lines]
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert [_outcome(capsys, argv) for argv in lines] == lazy
+    # help and the README lines exit 0, every other line is a usage error
+    codes = [0 if argv[-1:] in (["-h"], ["--help"]) else 2 for argv in USER_LINES[name]]
+    assert [code for code, _, _ in lazy] == codes + [0] * (len(lines) - len(codes))
 
 
 @pytest.mark.parametrize(
     "argv,command",
-    [(["cglmp"], "cglmp"), (["map", "--bell"], "map"), (["--help"], None), (["nope"], None), ([], None)],
-    ids=["cglmp", "map-usage-error", "help", "invalid-choice", "no-arguments"],
+    [
+        (["cglmp"], "cglmp"),
+        (["map", "--bell"], "map"),
+        (["exp", "--data", "no_such_file.csv", "--seed", "4"], "exp"),
+        (["--help"], None),
+        (["nope"], None),
+        ([], None),
+    ],
+    ids=["cglmp", "map-usage-error", "exp-conflict", "help", "invalid-choice", "no-arguments"],
 )
 def test_run_builds_only_the_command_it_runs(capsys, monkeypatch, argv, command):
     built, build = [], cli.build_parser
@@ -464,25 +565,17 @@ def test_reports_are_deterministic(capsys):
     assert report1 == report2
 
 
-def test_readme_command_lines(capsys, tmp_path, data_dir):
+def test_readme_command_lines(capsys, readme_files):
     """Every README ``oblivious-games`` line but ``optimize`` exits 0, the
     ``rac:2,3`` oracle line reports the programs and pivots the README quotes,
     and the ``rac:3,3`` one the value and programs it quotes."""
     readme = (REPO_ROOT / "README.md").read_text()
-    box_path = tmp_path / "box.json"
-    bellmap.save_box(cglmp.optimal_box(), box_path)
-    fixtures = {"box.json": str(box_path), "data/table2.csv": str(data_dir / "table2.csv")}
-    lines = [
-        shlex.split(line)[1:]
-        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
-        for line in block.splitlines()
-        if line.startswith("oblivious-games ") and " optimize " not in line
-    ]
+    lines = [argv for argv in readme_lines() if argv[0] != "optimize"]
     assert len(lines) == 7
     quoted = re.search(r"On\s+`rac:2,3` with three messages these are (\d+) and (\d+)", readme)
     quoted33 = re.search(r"On\s+`rac:3,3`,\s+`--messages 2` gives 4/9\s+from (\d+) programs", readme)
     for argv in lines:
-        code, report, _ = run_cli(capsys, *(fixtures.get(a, a) for a in argv))
+        code, report, _ = run_cli(capsys, *(readme_files.get(a, a) for a in argv))
         assert code == 0, argv
         if "rac:2,3" in argv and "--messages" in argv:
             counts = (report["results"]["programs"], report["results"]["pivots"])
