@@ -11,10 +11,11 @@ as printed and renormalized before any analysis.
 The correspondence between lab labels (state psi_jk, basis, projector) and
 game labels ((x0, x), y, b) is not part of the data.  It is recovered by an
 exhaustive fit against the ideal closed-form distribution and pinned in
-``data/mapping.json``; ``pinned_mapping()`` returns the same mapping.  A
-mapping gathers the lab tables into a behavior of ``make_cglmp3_game()``,
-which ``games.performance`` scores; the obliviousness rows of the
-secondary-data program come from the same game.
+code: ``pinned_mapping()`` returns it, and a mapping file (``load_mapping``)
+has the form of ``LabelMapping.to_dict()``.  A mapping gathers the lab tables
+into a behavior of ``make_cglmp3_game()``, which ``games.performance``
+scores; the obliviousness rows of the secondary-data program come from the
+same game.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .games import (
     make_cglmp3_game,
     obliviousness_residual_behavior,
     performance,
-    save_record,
 )
 
 ROW_SUM_TOL = 2e-3
@@ -185,14 +185,28 @@ class LabelMapping:
     outcome_map: dict
 
     def __post_init__(self):
+        # Sets compare 1.0 and True equal to 1, so each label is checked to be
+        # an integer before the bijections are.
+        outcome_maps = self.outcome_map.values()
+        labels = (
+            [("lab state", i) for lab in self.state_map for i in lab]
+            + [("game input", i) for game in self.state_map.values() for i in game]
+            + [("lab basis", basis) for basis in (*self.basis_map, *self.outcome_map)]
+            + [("game measurement", y) for y in self.basis_map.values()]
+            + [("projector", p) for om in outcome_maps for p in om]
+            + [("game outcome", b) for om in outcome_maps for b in om.values()]
+        )
+        for name, label in labels:
+            check_integer(label, f"{name} label")
         game_states = set(self.state_map.values())
         if set(self.state_map) != set(STATES) or game_states != set(_GAME.alice_inputs):
             raise ValueError("state map must be a bijection onto the six game inputs")
         if set(self.basis_map) != {1, 2} or set(self.basis_map.values()) != {0, 1}:
             raise ValueError("basis map must be a bijection {1,2} -> {0,1}")
-        for basis in (1, 2):
-            om = self.outcome_map.get(basis)
-            if om is None or set(om) != {1, 2, 3} or set(om.values()) != {0, 1, 2}:
+        if set(self.outcome_map) != {1, 2}:
+            raise ValueError("outcome map must have lab bases 1 and 2 and no other")
+        for basis, om in self.outcome_map.items():
+            if set(om) != {1, 2, 3} or set(om.values()) != {0, 1, 2}:
                 raise ValueError(f"outcome map for basis {basis} must be a bijection")
 
     def game_index(self) -> tuple:
@@ -219,20 +233,31 @@ class LabelMapping:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LabelMapping":
+        outcome_maps = [
+            (basis, _unique_pairs(pairs, f"outcome map for basis {basis}"))
+            for basis, pairs in d["outcome_map"]
+        ]
         return cls(
-            state_map={tuple(lab): tuple(game) for lab, game in d["state_map"]},
-            basis_map={lab: game for lab, game in d["basis_map"]},
-            outcome_map={basis: dict(pairs) for basis, pairs in d["outcome_map"]},
+            state_map=_unique_pairs(
+                [(tuple(lab), tuple(game)) for lab, game in d["state_map"]], "state map"
+            ),
+            basis_map=_unique_pairs(d["basis_map"], "basis map"),
+            outcome_map=_unique_pairs(outcome_maps, "outcome map"),
         )
 
 
+def _unique_pairs(pairs, name: str) -> dict:
+    """``dict(pairs)``, where a repeated label is a ``ValueError``: ``dict``
+    would keep the last of its pairs."""
+    table = dict(pairs)
+    if len(table) != len(pairs):
+        raise ValueError(f"{name} repeats a lab label")
+    return table
+
+
 def pinned_mapping() -> LabelMapping:
-    """The mapping shipped with the bundled data (also in data/mapping.json)."""
+    """The mapping fitted on the bundled data, kept as a code constant."""
     return LabelMapping.from_dict(_PINNED_MAPPING_DICT)
-
-
-def save_mapping(mapping: LabelMapping, path) -> None:
-    save_record(mapping, path)
 
 
 def load_mapping(path) -> LabelMapping:

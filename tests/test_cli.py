@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import shlex
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import REPO_ROOT, random_game
 
-from oblivious_games import bellmap, cglmp, cli, expdata, games
+from oblivious_games import bellmap, bounds, cglmp, cli, expdata, games
 from oblivious_games.cli import run
 
 COMMANDS = ("cglmp", "bound", "bell", "map", "exp", "optimize")
@@ -25,6 +26,16 @@ def assert_usage_error(err, command, message):
     assert err.endswith(f"\noblivious-games {command}: error: {message}\n")
 
 
+def _exp_refs() -> dict:
+    """The benchmark's reference values for the bundled-data pipeline."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.EXP_REFS
+
+
 def readme_lines():
     """The argument lists of README.md's ``oblivious-games`` lines."""
     readme = (REPO_ROOT / "README.md").read_text()
@@ -41,7 +52,8 @@ def readme_files(tmp_path, data_dir):
     """The files that the README lines name, mapped to copies the tests can read."""
     box_path = tmp_path / "box.json"
     bellmap.save_box(cglmp.optimal_box(), box_path)
-    return {"box.json": str(box_path), "data/table2.csv": str(data_dir / "table2.csv")}
+    tables = {f"data/table{k}.csv": str(data_dir / f"table{k}.csv") for k in (2, 3, 4)}
+    return {"box.json": str(box_path), **tables}
 
 
 def test_cglmp_report(capsys):
@@ -209,9 +221,30 @@ def test_exp_secondary(capsys, data_dir):
     assert "S =" in err
 
 
-def test_exp_mapping_file_gives_the_pinned_run(capsys, data_dir):
+def test_exp_full_analysis(capsys, data_dir):
+    """The bundled-data analysis end to end: all three tables, the fitted mapping,
+    both scores and their Monte Carlo spread."""
+    tables = [str(data_dir / f"table{k}.csv") for k in (2, 3, 4)]
+    code, report, _ = run_cli(
+        capsys, "exp", "--data", *tables, "--fit-mapping", "--secondary", "--mc", "100", "--seed", "0"
+    )
+    assert code == 0
+    results = report["results"]
+    refs = _exp_refs()
+    for key, ref in (("a3_primary", "primary"), ("s", "s"), ("a3_secondary", "secondary")):
+        target, tol = refs[ref]
+        assert abs(results[key] - target) < tol, (key, results[key])
+    assert results["mapping"] == expdata.pinned_mapping().to_dict()
+    assert results["mc_samples"] == 100 and results["seed"] == 0
+
+
+def test_exp_mapping_file_gives_the_pinned_run(capsys, tmp_path, data_dir):
+    # a mapping file is the object that an exp report prints under results.mapping
     table = str(data_dir / "table2.csv")
-    mapping = str(data_dir / "mapping.json")
+    _, fitted, _ = run_cli(capsys, "exp", "--data", table, "--fit-mapping")
+    path = tmp_path / "mapping.json"
+    path.write_text(json.dumps(fitted["results"]["mapping"]))
+    mapping = str(path)
     code, report, _ = run_cli(capsys, "exp", "--data", table, "--mapping", mapping, "--secondary")
     _, pinned, _ = run_cli(capsys, "exp", "--data", table, "--secondary")
     assert code == 0
@@ -347,6 +380,23 @@ def test_optimize_small(capsys):
     assert per_restart[results["restart_index"]]["value"] == results["value"]
 
 
+def test_optimize_rac23_by_dimension(capsys):
+    # the (2,3) access code exceeds its noncontextual bound from dimension 4 on
+    values = {}
+    for dim in ("3", "4"):
+        code, report, _ = run_cli(
+            capsys, "optimize", "--game", "rac:2,3", "--dim", dim,
+            "--restarts", "1", "--iters", "30", "--seed", "0",
+        )
+        assert code == 0
+        results = report["results"]
+        assert 1 <= results["iterations_used"] <= 30
+        assert results["stop_reason"] in ("settled", "window", "max_iters")
+        assert results["feasibility_residual"] < 1e-8
+        values[dim] = results["value"]
+    assert values["4"] > bounds.rac_pnc_bound(2, 3)
+
+
 def test_optimize_reports_search_wall_time(capsys):
     code, report, _ = run_cli(
         capsys, "optimize", "--game", "rac:2,2", "--dim", "2", "--restarts", "1", "--iters", "5"
@@ -446,6 +496,73 @@ def test_nan_game_file_exit_code(capsys, tmp_path, data_dir, argv, content, mess
     assert code == 2
     assert str(path) in err
     assert message in err
+
+
+def _mapping_with(key, index, entry):
+    """The pinned mapping's dict with ``entry`` at ``index`` of its ``key`` list,
+    replacing the one there or, one past the end, appended."""
+    mapping = expdata.pinned_mapping().to_dict()
+    mapping[key][index : index + 1] = [entry]
+    return mapping
+
+
+# Sets compare 1.0 and True equal to 1, and dicts keep the last of two pairs
+# with one label, so these passed a set-only check.
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        pytest.param(
+            _mapping_with("outcome_map", 0, [1, [[1.0, 0], [2, 1], [3, 2]]]),
+            "projector label 1.0 is not an integer",
+            id="float-projector",
+        ),
+        pytest.param(
+            _mapping_with("outcome_map", 0, [1, [[True, 0], [2, 1], [3, 2]]]),
+            "projector label True is not an integer",
+            id="bool-projector",
+        ),
+        pytest.param(
+            _mapping_with("basis_map", 0, [1.0, 0]),
+            "lab basis label 1.0 is not an integer",
+            id="float-lab-basis",
+        ),
+        pytest.param(
+            _mapping_with("state_map", 0, [[1.0, 1], [0, 0]]),
+            "lab state label 1.0 is not an integer",
+            id="float-state",
+        ),
+        pytest.param(
+            _mapping_with("state_map", 0, [[1, 1], [0, 0.0]]),
+            "game input label 0.0 is not an integer",
+            id="float-game-input",
+        ),
+        pytest.param(
+            _mapping_with("outcome_map", 2, [3, [[1, 0], [2, 1], [3, 2]]]),
+            "outcome map must have lab bases 1 and 2 and no other",
+            id="third-basis",
+        ),
+        pytest.param(
+            _mapping_with("outcome_map", 2, [2, [[1, 2], [2, 1], [3, 0]]]),
+            "outcome map repeats a lab label",
+            id="repeated-basis",
+        ),
+        pytest.param(
+            _mapping_with("basis_map", 2, [1, 0]),
+            "basis map repeats a lab label",
+            id="repeated-basis-map-entry",
+        ),
+    ],
+)
+def test_malformed_mapping_file_exits_2(capsys, tmp_path, data_dir, content, message):
+    with pytest.raises(ValueError, match=message):
+        expdata.LabelMapping.from_dict(content)
+    path = tmp_path / "mapping.json"
+    path.write_text(json.dumps(content))
+    code, report, err = run_cli(
+        capsys, "exp", "--data", str(data_dir / "table2.csv"), "--mapping", str(path)
+    )
+    assert (code, report) == (2, None)
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_exp_same_file_twice_exit_code(capsys, data_dir):

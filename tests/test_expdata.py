@@ -12,6 +12,7 @@ from oblivious_games.games import (
     classical_strategy,
     make_rac_game,
     obliviousness_residual_behavior,
+    save_record,
 )
 from oblivious_games.expdata import (
     LabelMapping,
@@ -273,11 +274,8 @@ class TestMappingFit:
 
     def test_mapping_json_roundtrip(self, tmp_path):
         pin = pinned_mapping()
-        expdata.save_mapping(pin, tmp_path / "m.json")
+        save_record(pin, tmp_path / "m.json")
         assert load_mapping(tmp_path / "m.json").to_dict() == pin.to_dict()
-
-    def test_pinned_config_file_in_sync(self, data_dir):
-        assert load_mapping(data_dir / "mapping.json").to_dict() == pinned_mapping().to_dict()
 
     def test_non_bijective_mapping_rejected(self):
         pin = pinned_mapping()
