@@ -39,23 +39,33 @@ Brunner (PRA 98, 062307 (2018)):
 The measurement step solves every (restart, receiver input) problem of the
 stack in one call, each stopping on its own certificate, and the ADMM and
 the projection step each restart on its own residuals, so a restart follows
-the path it would follow alone, up to rounding.  ``RestartRecord.sweeps``
-counts the eigenvalue projections a restart spent, ADMM steps and
-projection sweeps together.
+the path it would follow alone, up to rounding, until it trails (below).
+``RestartRecord.sweeps`` counts the eigenvalue projections a restart spent,
+ADMM steps and projection sweeps together.
 
-A restart stops on the first of three rules to fire: ``"settled"`` at the
-first iteration it comes through with its states, measurements and ADMM
-iterate bit for bit unchanged (no candidate accepted and no ADMM step
-taken), since it would repeat that iteration until another rule fired;
-``"window"`` at the first window boundary (every 30 iterations) where the
-value gained less than 1e-8 over the window; and ``"max_iters"`` after
-``max_iters`` iterations.  When two rules fire at one iteration,
-``"settled"`` wins.  The rules only truncate the path: a run stopped at
+A restart stops on the first of four rules to fire (``STOP_REASONS``):
+``"settled"`` at the first iteration it comes through with its states,
+measurements and ADMM iterate bit for bit unchanged (no candidate accepted
+and no ADMM step taken), since it would repeat that iteration until another
+rule fired; ``"window"`` at the first window boundary (every 30 iterations
+before the cap) where the value gained less than 1e-8 over the window;
+``"trailing"`` at a window boundary where the value plus the window's gain
+for each window left before the cap is still more than 1e-9 below the
+stack's best value, the highest of the running values at that iteration
+and of the values restarts had when they stopped; and ``"max_iters"`` after
+``max_iters`` iterations.  When two rules fire at one iteration, the earlier
+in that list wins.  The trailing rule races the restarts, as multi-start
+and bandit methods stop their losing arms early (Rinnooy Kan and Timmer,
+Math. Prog. 39, 57 (1987); Li et al., JMLR 18, 185 (2018)).  It is a
+heuristic, not a bound: a restart's gain can grow again after a slow
+window, so a trailing restart might have overtaken the best.  A search with
+one restart never trails.  The rules only truncate the path: a run stopped at
 iteration ``n`` returns the strategy that a run capped at ``max_iters=n``
 returns, and for a settled restart the same record too.  On the (2,3)
-access code at dimension 4, two restarts at seed 0 settle at iterations
-138 and 42, and the better reaches 0.6875076; on the qutrit game, over
-seeds 0-29, every restart settles at iteration 6-8 within 2e-11 of
+access code at dimension 4, of two restarts at seed 0 the second settles
+at iteration 42 at 0.6875076, and the first trails at iteration 60 at
+0.6860389, on its way to the local optimum 0.6860390; on the qutrit game,
+over seeds 0-29, every restart settles at iteration 6-8 within 2e-11 of
 (3+sqrt(33))/12.
 
 Accepted values are non-decreasing within a restart, so results are honest
@@ -83,6 +93,9 @@ from .games import (
 _JRF_MAX_STEPS = 60
 _CONVERGENCE_WINDOW = 30
 _CONVERGENCE_GAIN = 1e-8
+# A restart trails when even its last window's gain, kept up to the cap,
+# leaves it this far below the stack's best value.
+_TRAILING_MARGIN = 1e-9
 _ACCEPT_MARGIN = 1e-14
 # A certificate gap is a difference of terms of size |Tr Y| + d lam + |score|,
 # and at an optimal measurement it rounds to at most about 15 ulps of that
@@ -134,14 +147,19 @@ class SearchResult:
     per_restart: tuple = ()
 
 
+# The rules that can stop a restart, in the order they take precedence.
+STOP_REASONS = ("settled", "window", "trailing", "max_iters")
+
+
 @dataclass(frozen=True)
 class RestartRecord:
     """How one restart of a search ended.
 
-    ``stop_reason`` is ``"settled"`` (an iteration changed nothing),
-    ``"window"`` (too little gain over a 30-iteration window) or
-    ``"max_iters"`` (the cap), and ``iterations_used`` is the number of
-    iterations the restart ran.
+    ``stop_reason`` is one of ``STOP_REASONS``: ``"settled"`` (an iteration
+    changed nothing), ``"window"`` (too little gain over a 30-iteration
+    window), ``"trailing"`` (at its last window's pace it would end below
+    the stack's best value) or ``"max_iters"`` (the cap), and
+    ``iterations_used`` is the number of iterations the restart ran.
     """
 
     value: float
@@ -152,6 +170,8 @@ class RestartRecord:
     # PSD projections spent on the restart: its ADMM steps and the sweeps of
     # every ``feasible`` call on its states.
     sweeps: int
+    # The restart's running value at each window boundary it reached.
+    window_values: tuple
 
 
 def _null_projector(rows: np.ndarray) -> np.ndarray:
@@ -396,11 +416,15 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     """Run every restart of the stack until its stop rule fires.
 
     Returns the final states and measurements of each restart with its
-    iteration count, stop reason and the PSD projections it spent.  The
-    running restarts form their own stack, which sheds each restart at the
-    iteration its first rule fires: ``"settled"`` when nothing changed in
-    it, ``"window"`` at a boundary with too little gain, or ``"max_iters"``
-    at the cap.
+    iteration count, stop reason, the PSD projections it spent and its
+    running value at each window boundary it reached.  The running restarts
+    form their own stack, which sheds each restart at the iteration its
+    first rule fires: ``"settled"`` when nothing changed in it, ``"window"``
+    at a boundary with too little gain, ``"trailing"`` at a boundary where
+    its value plus its last window's gain per window left stays below the
+    best value of the stack, running or stopped, or ``"max_iters"`` at the
+    cap.  The trailing rule is a heuristic, not a bound: it guesses that a
+    restart's gain does not grow.
     """
     tol = _TOLERANCE / 10
     restarts = len(rhos)
@@ -411,6 +435,8 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     index = np.arange(restarts)
     rhos = rhos.copy()
     z, u, res = rhos.copy(), np.zeros_like(rhos), np.full(restarts, np.inf)
+    window_values = [[] for _ in range(restarts)]
+    stopped_best = -np.inf
     value = _objective(weighted, rhos, effects)
     anchor = value
     for it in range(1, cfg.max_iters + 1):
@@ -442,13 +468,23 @@ def _ascend(weighted, projector, rhos, effects, cfg):
 
         settled = ~moved & (steps == 0)
         stop = settled.copy()
+        window = np.zeros_like(stop)
         if it % _CONVERGENCE_WINDOW == 0 and it < cfg.max_iters:
-            stop |= value - anchor < _CONVERGENCE_GAIN
+            for r, v in zip(index, value.tolist()):
+                window_values[r].append(v)
+            gain = value - anchor
+            window = gain < _CONVERGENCE_GAIN
+            left = (cfg.max_iters - it) / _CONVERGENCE_WINDOW
+            best = max(value.max(), stopped_best)
+            stop |= window | (value + gain * left < best - _TRAILING_MARGIN)
             anchor = value.copy()
         if stop.any():
             done = index[stop]
             iterations[done] = it
-            reasons[done] = np.where(settled[stop], "settled", "window")
+            reasons[done] = np.where(
+                settled[stop], "settled", np.where(window[stop], "window", "trailing")
+            )
+            stopped_best = max(stopped_best, value[stop].max())
             final_rhos[done], final_effects[done] = rhos[stop], effects[stop]
             index, rhos, effects, value, anchor, z, u, res = (
                 a[~stop] for a in (index, rhos, effects, value, anchor, z, u, res)
@@ -456,7 +492,7 @@ def _ascend(weighted, projector, rhos, effects, cfg):
             if not index.size:
                 break
     final_rhos[index], final_effects[index] = rhos, effects
-    return final_rhos, final_effects, iterations, reasons, sweeps
+    return final_rhos, final_effects, iterations, reasons, sweeps, window_values
 
 
 def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
@@ -466,7 +502,11 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     the first stop rule that fires for it (see the module docstring);
     ``SearchResult.stop_reason`` records which, and ``per_restart`` keeps
     every restart's record.  Each restart draws from its own generator and
-    follows the path it would follow alone, up to rounding.  The
+    follows the path it would follow alone, up to rounding, unless it
+    trails: a restart that, at its last window's pace, would end below the
+    best value another restart holds stops at that window boundary.  That
+    rule is a heuristic, not a bound: it cuts paths short, never changes
+    them, but a restart it cuts might have overtaken the best.  The
     measurement step runs each exchange until the optimality certificate
     closes, so a measurement it already certifies costs one certificate and
     is left unchanged.  A restart is feasible when the obliviousness
@@ -481,7 +521,7 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     projector = _Projector(game, cfg.dim)
     rhos, effects = _start(game, cfg, projector)
     start_sweeps = projector.sweeps
-    rhos, effects, iterations, reasons, sweeps = _ascend(
+    rhos, effects, iterations, reasons, sweeps, window_values = _ascend(
         weighted, projector, rhos, effects, cfg
     )
 
@@ -505,6 +545,7 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
                 feasibility_residual=residual,
                 feasible=residual < _TOLERANCE,
                 sweeps=int(sweeps[restart]),
+                window_values=tuple(window_values[restart]),
             )
         )
     pool = [r for r in range(cfg.restarts) if records[r].feasible] or range(cfg.restarts)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import REPO_ROOT, random_game
 
-from oblivious_games import bellmap, bounds, cglmp, cli, expdata, games
+from oblivious_games import bellmap, bounds, cglmp, cli, expdata, games, optimizer
 from oblivious_games.cli import run
 
 COMMANDS = ("cglmp", "bound", "bell", "map", "exp", "optimize")
@@ -375,7 +375,8 @@ def test_optimize_small(capsys):
     assert [(r["stop_reason"], r["iterations_used"]) for r in per_restart] == [("settled", 3)] * 2
     assert err.rstrip().endswith("feasible); restarts: 2 settled")
     assert set(per_restart[0]) == {
-        "value", "iterations_used", "stop_reason", "feasibility_residual", "feasible", "sweeps"
+        "value", "iterations_used", "stop_reason", "feasibility_residual", "feasible", "sweeps",
+        "window_values",
     }
     assert per_restart[results["restart_index"]]["value"] == results["value"]
 
@@ -391,7 +392,7 @@ def test_optimize_rac23_by_dimension(capsys):
         assert code == 0
         results = report["results"]
         assert 1 <= results["iterations_used"] <= 30
-        assert results["stop_reason"] in ("settled", "window", "max_iters")
+        assert results["stop_reason"] in optimizer.STOP_REASONS
         assert results["feasibility_residual"] < 1e-8
         values[dim] = results["value"]
     assert values["4"] > bounds.rac_pnc_bound(2, 3)

@@ -512,7 +512,7 @@ def test_seesaw_cannot_leave_a_classical_optimum(name, messages):
     game = WITNESS_GAMES[name]()
     result = pnc_bound_lp_oracle(game, messages)
     start = witness_strategy(game, result)
-    rhos, effects, _, reasons, _ = optimizer._ascend(
+    rhos, effects, _, reasons, *_ = optimizer._ascend(
         game.weighted_payoff(), _Projector(game, messages), start.states[None],
         start.effects[None], SearchConfig(dim=messages, restarts=1),
     )
@@ -696,7 +696,7 @@ class TestRestartStack:
     def test_rac23_d4_stops_are_pinned(self):
         result = search(make_rac_game(2, 3), SearchConfig(dim=4, restarts=2, seed=0))
         stops = [(r.stop_reason, r.iterations_used) for r in result.per_restart]
-        assert stops == [("settled", 138), ("settled", 42)]
+        assert stops == [("trailing", 60), ("settled", 42)]
 
     @pytest.mark.parametrize(
         "game", [make_rac_game(2, 3), make_cglmp3_game()], ids=["rac23-d3", "cglmp3-d3"]
@@ -727,3 +727,40 @@ class TestRestartStack:
         assert first.iterations_used == alone.iterations_used
         assert first.stop_reason == alone.stop_reason
         assert abs(first.value - alone.value) < 1e-9
+
+
+class TestTrailing:
+    """A restart that cannot catch the stack's best stops at a window boundary."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 8, 9])
+    def test_trailing_keeps_the_best_result(self, seed, monkeypatch):
+        game, cfg = make_rac_game(2, 3), SearchConfig(dim=4, restarts=2, seed=seed)
+        raced = search(game, cfg)
+        monkeypatch.setattr(optimizer, "_TRAILING_MARGIN", np.inf)
+        full = search(game, cfg)
+        trailed = [r for r, rec in enumerate(raced.per_restart) if rec.stop_reason == "trailing"]
+        assert trailed
+        assert not any(rec.stop_reason == "trailing" for rec in full.per_restart)
+        assert (raced.value, raced.restart_index) == (full.value, full.restart_index)
+        _assert_same_strategy(raced, full)
+        for r in trailed:
+            assert full.per_restart[r].value <= full.value - 1e-4
+        for rec in raced.per_restart:
+            assert len(rec.window_values) == rec.iterations_used // 30
+
+    def test_a_single_restart_never_trails(self):
+        # restart 0 of seed 0 trails at iteration 60 in a stack of two; alone
+        # its best is its own value, and it runs on until it settles
+        result = search(make_rac_game(2, 3), SearchConfig(dim=4, restarts=1, seed=0))
+        (record,) = result.per_restart
+        assert (record.stop_reason, record.iterations_used) == ("settled", 138)
+        assert len(record.window_values) == 4
+        assert list(record.window_values) == sorted(record.window_values)
+
+    @pytest.mark.slow
+    def test_criterion_6_losers_trail_and_winners_run_on(self):
+        result = search(make_rac_game(2, 3), SearchConfig(dim=4, restarts=64, seed=0))
+        records = result.per_restart
+        assert sum(r.value >= 0.6875076 for r in records) == 51
+        trailed = [r.value for r in records if r.stop_reason == "trailing"]
+        assert len(trailed) == 13 and max(trailed) < 0.687
