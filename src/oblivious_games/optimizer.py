@@ -25,11 +25,15 @@ Brunner (PRA 98, 062307 (2018)):
   factor over the input index) and the eigenvalue-simplex projection onto
   unit-trace positive matrices.  The ADMM is Douglas-Rachford splitting
   of those two projections with the objective as a shift, and one routine,
-  ``_Projector.douglas_rachford``, takes its steps.  The ADMM iterate and
-  its scaled dual carry over from one iteration to the next, each
-  iteration takes at most 25 steps, and a restart stops stepping once its
-  primal and dual residuals are below 1e-10; new measurements change the
-  objective, so they restart that count.  The iterate is then projected
+  ``_Projector.douglas_rachford``, takes its steps.  It steps the running
+  sets of a stack as a compacted stack of their own and writes a set back
+  only at the step it leaves, and the affine projection holds its
+  null-space projector as a complex matrix, so neither the gathers and
+  scatters of the whole stack nor a cast is paid at every step.  The ADMM
+  iterate and its scaled dual carry over from one iteration to the next,
+  each iteration takes at most 25 steps, and a restart stops stepping once
+  its primal and dual residuals are below 1e-10; new measurements change
+  the objective, so they restart that count.  The iterate is then projected
   onto the feasible set by the same routine with no shift, and kept only
   when it raises the value.  Each sweep of that projection ends with the
   eigenvalue projection and the loop stops once that output's residual,
@@ -110,6 +114,13 @@ _ADMM_TOL = 1e-10
 # A restart's strategy counts as feasible when its obliviousness residual is
 # below this; the projections stop a tenth below it.
 _TOLERANCE = 1e-8
+# The largest supported dimension, and the read-only constants the kernels
+# slice to a dimension: the simplex projection's divisors 1..d and the identity.
+_MAX_DIM = 8
+_DIVISORS = np.arange(1.0, _MAX_DIM + 1)
+_DIVISORS.setflags(write=False)
+_IDENTITY = np.eye(_MAX_DIM)
+_IDENTITY.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -124,8 +135,8 @@ class SearchConfig:
             check_integer(getattr(self, name), name)
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
-        if self.dim > 8:
-            raise ValueError("dimensions above 8 are not supported")
+        if self.dim > _MAX_DIM:
+            raise ValueError(f"dimensions above {_MAX_DIM} are not supported")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if self.max_iters < 1:
@@ -194,8 +205,7 @@ def _simplex_project(eigvals: np.ndarray) -> np.ndarray:
     projection and fall after it, so the threshold is their maximum.
     """
     u = eigvals[..., ::-1]
-    ks = np.arange(1, eigvals.shape[-1] + 1)
-    tau = ((u.cumsum(axis=-1) - 1.0) / ks).max(axis=-1)
+    tau = ((u.cumsum(axis=-1) - 1.0) / _DIVISORS[: eigvals.shape[-1]]).max(axis=-1)
     return np.maximum(eigvals - tau[..., None], 0.0)
 
 
@@ -205,22 +215,28 @@ class _Projector:
     Every method takes states of shape ``(..., n, d, d)``: the leading axes
     hold a stack of restarts, and one ``(n, d, d)`` set is the stack of one.
     After each ``feasible`` call, ``sweeps`` holds the sweeps (``psd`` calls)
-    each set took, with the stack's leading shape.
+    each set took, with the stack's leading shape.  ``null_p``, the projector
+    onto the null space of the obliviousness rows, is real but stored as a
+    complex matrix, the type of the states it multiplies.
     """
 
     def __init__(self, game: ObliviousGame, dim: int):
         self.game = game
-        self.null_p = _null_projector(game.constraint_rows())
+        # Complex once here, as the matmul with complex states would cast it
+        # on every call.
+        self.null_p = _null_projector(game.constraint_rows()).astype(complex)
         self.dim = dim
-        self.eye = np.eye(dim)
 
     def affine(self, rhos: np.ndarray) -> np.ndarray:
         # The obliviousness rows annihilate constant trace shifts, so the
         # exact projection splits: project every entry along the input index,
-        # then pin every trace back to one.
-        out = (self.null_p @ rhos.reshape(*rhos.shape[:-2], -1)).reshape(rhos.shape)
+        # then pin every trace back to one, on the diagonal of the product
+        # (every (d + 1)-th entry of a flattened matrix).
+        flat = self.null_p @ rhos.reshape(*rhos.shape[:-2], -1)
+        out = flat.reshape(rhos.shape)
         traces = np.trace(out, axis1=-2, axis2=-1).real
-        return out + ((1.0 - traces) / self.dim)[..., None, None] * self.eye
+        flat[..., :: self.dim + 1] += ((1.0 - traces) / self.dim)[..., None]
+        return out
 
     def psd(self, rhos: np.ndarray) -> np.ndarray:
         """Nearest unit-trace positive matrices to Hermitian ``rhos``.
@@ -246,19 +262,35 @@ class _Projector:
         to ``residual(X, Z, Z+)``, so a set leaves once it falls below ``tol``
         or after ``max_steps`` steps, where it would leave alone.  Returns the
         steps each set took.
+
+        The running sets step as their own compacted stack, with their slice
+        of ``shift``: a set's ``Z``, ``U``, residual and step count are written
+        back to ``z``, ``u``, ``res`` and the returned steps at the step it
+        leaves, and those of the sets still running once the steps run out.
         """
         steps = np.zeros(len(z), dtype=int)
         index = np.flatnonzero(res >= tol)
-        for _ in range(max_steps):
+        zs, us, r = z[index], u[index], res[index]
+        if shift is not None:
+            shift = shift[index]
+        for step in range(1, max_steps + 1):
             if not index.size:
                 break
-            z_in, u_in = z[index], u[index]
-            x = self.affine(z_in - u_in if shift is None else z_in - u_in + shift[index])
-            z_out = self.psd(x + u_in)
-            z[index], u[index] = z_out, u_in + x - z_out
-            res[index] = residual(x, z_in, z_out)
-            steps[index] += 1
-            index = index[res[index] >= tol]
+            x = self.affine(zs - us if shift is None else zs - us + shift)
+            z_out = self.psd(x + us)
+            us += x
+            us -= z_out
+            r = residual(x, zs, z_out)
+            zs = z_out
+            going = r >= tol
+            if not going.all():
+                done = ~going
+                leave = index[done]
+                z[leave], u[leave], res[leave], steps[leave] = zs[done], us[done], r[done], step
+                index, zs, us, r = index[going], zs[going], us[going], r[going]
+                if shift is not None:
+                    shift = shift[going]
+        z[index], u[index], res[index], steps[index] = zs, us, r, max_steps
         return steps
 
     def feasible(self, rhos: np.ndarray, tol: float, max_sweeps: int = 200) -> np.ndarray:
@@ -298,7 +330,8 @@ def _complete(parts: np.ndarray) -> np.ndarray:
     vh = np.conj(np.swapaxes(v, -1, -2))
     scale = np.where(support, 1.0 / np.sqrt(np.where(support, w, 1.0)), 0.0)
     inv_sqrt = ((v * scale[..., None, :]) @ vh)[..., None, :, :]
-    complement = np.eye(w.shape[-1]) - (v * support[..., None, :]) @ vh
+    d = w.shape[-1]
+    complement = _IDENTITY[:d, :d] - (v * support[..., None, :]) @ vh
     out = inv_sqrt @ parts @ inv_sqrt + complement[..., None, :, :] / parts.shape[-3]
     return _herm(out)
 
@@ -345,25 +378,31 @@ def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.nda
     shape = effects.shape
     gram = gram.reshape(-1, *shape[-3:])
     shift = np.minimum(0.0, np.linalg.eigvalsh(gram).min(axis=(-2, -1)))
-    g = gram - (shift - 1e-9)[:, None, None, None] * np.eye(shape[-1])
+    d = shape[-1]
+    g = gram - (shift - 1e-9)[:, None, None, None] * _IDENTITY[:d, :d]
     m = effects.reshape(gram.shape)
     index = np.arange(len(gram))
-    d = shape[-1]
     out = None
     for _ in range(max_steps):
         trace, lam = _certificate(gram, m)
         score = _score(gram, m)
-        floor = _GAP_ROUNDING * (np.abs(trace) + d * lam + np.abs(score))
-        going = trace + d * lam - score >= floor
+        d_lam = d * lam
+        floor = _GAP_ROUNDING * (np.abs(trace) + d_lam + np.abs(score))
+        going = trace + d_lam - score >= floor
         if not going.all():
+            # The problems that leave keep the iterate of their last step.
+            if out is not None:
+                out[index[~going]] = m[~going]
             index, gram, g, m = index[going], gram[going], g[going], m[going]
             if not index.size:
                 break
         if out is None:
             out = effects.reshape(-1, *shape[-3:]).copy()
         m = _complete(g @ m @ g)
-        out[index] = m
-    return effects if out is None else out.reshape(shape)
+    if out is None:
+        return effects
+    out[index] = m
+    return out.reshape(shape)
 
 
 def _random_rhos(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -372,17 +411,22 @@ def _random_rhos(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return np.einsum("xi,xj->xij", kets, np.conj(kets))
 
 
-def _random_povm(rng: np.random.Generator, n_out: int, dim: int) -> np.ndarray:
+def _random_parts(rng: np.random.Generator, n_out: int, dim: int) -> np.ndarray:
+    """``n_out`` random positive operators, the draw of ``_random_povm``."""
     g = rng.normal(size=(n_out, dim, dim)) + 1j * rng.normal(size=(n_out, dim, dim))
-    effects = np.einsum("bij,bkj->bik", g, np.conj(g))
-    return _normalize_povm(effects)
+    return np.einsum("bij,bkj->bik", g, np.conj(g))
+
+
+def _random_povm(rng: np.random.Generator, n_out: int, dim: int) -> np.ndarray:
+    return _normalize_povm(_random_parts(rng, n_out, dim))
 
 
 def _start(game, cfg, projector):
     """The starting states and measurements of every restart, stacked.
 
     Restart ``r`` draws from its own generator, seeded ``[seed, r]``; the
-    drawn states are projected as one stack.
+    drawn states are projected as one stack, and the drawn effects are
+    completed to POVMs as one stack.
     """
     d = cfg.dim
     rhos = np.empty((cfg.restarts, game.n_alice, d, d), dtype=complex)
@@ -390,8 +434,8 @@ def _start(game, cfg, projector):
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         rhos[restart] = _random_rhos(rng, game.n_alice, d)
-        effects[restart] = [_random_povm(rng, game.n_outcomes, d) for _ in range(game.n_bob)]
-    return projector.feasible(rhos, _TOLERANCE / 10), effects
+        effects[restart] = [_random_parts(rng, game.n_outcomes, d) for _ in range(game.n_bob)]
+    return projector.feasible(rhos, _TOLERANCE / 10), _normalize_povm(effects)
 
 
 def _admm(projector, grad, z, u, res) -> np.ndarray:
@@ -404,8 +448,13 @@ def _admm(projector, grad, z, u, res) -> np.ndarray:
     ``|Z+ - Z|``.  Returns the steps each restart took.
     """
     def residual(x, z_in, z_out):
-        norms = [np.linalg.norm(a.reshape(len(a), -1), axis=1) for a in (x - z_out, z_out - z_in)]
-        return np.maximum(*norms)
+        # The larger of the two Frobenius norms, as ``np.linalg.norm(a, axis=1)``
+        # computes them; the square root is monotone, so it is taken once.
+        squares = [
+            np.add.reduce((a.conj() * a).real, axis=1)
+            for a in ((x - z_out).reshape(len(x), -1), (z_out - z_in).reshape(len(x), -1))
+        ]
+        return np.sqrt(np.maximum(*squares))
 
     return projector.douglas_rachford(
         z, u, res, _ADMM_TOL, _ADMM_STEPS, residual, grad / _ADMM_SIGMA

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from oblivious_games import games
+from oblivious_games.optimizer import SearchConfig, search
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
@@ -14,6 +16,20 @@ DATA_DIR = REPO_ROOT / "data"
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture(scope="session")
+def criterion_6_search():
+    """Acceptance criterion 6's search, run once per session: the result and its wall time.
+
+    The (2,3) access code at dimension 4 with 64 restarts, 500 iterations
+    and seed 0; the time is that of the ``search`` call alone.
+    """
+    start = time.perf_counter()
+    result = search(
+        games.make_rac_game(2, 3), SearchConfig(dim=4, restarts=64, max_iters=500, seed=0)
+    )
+    return result, time.perf_counter() - start
 
 
 def random_game():

@@ -184,6 +184,34 @@ def test_jrf_problem_takes_the_same_steps_alone_and_stacked(n_out, dim, monkeypa
     assert sizes == [sum(n >= k for n in alone) for k in range(1, max(alone) + 1)]
 
 
+@pytest.mark.parametrize("max_steps", [3, 2000])
+@pytest.mark.parametrize("n_out,dim", [(2, 2), (3, 3), (3, 4)])
+def test_jrf_output_equals_the_per_step_scatter(n_out, dim, max_steps, monkeypatch):
+    # bit for bit: problems that leave at different steps keep the iterate of
+    # their last step, a certified one its input, and at a cap of 3 steps
+    # every other problem is still running when the steps run out
+    rng = np.random.default_rng(n_out * 10 + dim)
+    grams = np.stack([_random_scores(rng, n_out, dim) for _ in range(6)])
+    starts = np.stack([_random_povm(rng, n_out, dim) for _ in range(6)])
+    starts[4] = _jrf_update(grams[4], starts[4], 2000)
+    shape = (2, 3, n_out, dim, dim)
+    want = _reference_jrf_update(grams.reshape(shape), starts.reshape(shape), max_steps)
+    sizes = []
+    complete = optimizer._complete
+
+    def counted(parts):
+        sizes.append(len(parts))
+        return complete(parts)
+
+    monkeypatch.setattr(optimizer, "_complete", counted)
+    got = _jrf_update(grams.reshape(shape), starts.reshape(shape), max_steps)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if max_steps == 3:
+        assert sizes == [5, 5, 5]
+    else:
+        assert sizes[0] == 5 and len(set(sizes)) == 5 and len(sizes) < max_steps
+
+
 PROJECTOR_CASES = [
     pytest.param(make_rac_game(2, 2), 4, id="rac22-d4"),
     pytest.param(make_rac_game(2, 3), 4, id="rac23-d4"),
@@ -241,6 +269,84 @@ def _reference_feasible(projector, rhos, tol, max_sweeps=200):
         if projector.residual(z) < tol:
             break
     return z, sweeps
+
+
+def _reference_douglas_rachford(projector, z, u, res, tol, max_steps, residual, shift=None):
+    """``_Projector.douglas_rachford`` as a gather and scatter of the whole stack per step.
+
+    Every step gathers the running sets from ``z``, ``u`` and ``shift`` and
+    scatters ``Z``, ``U``, the residuals and the step counts back.
+    """
+    steps = np.zeros(len(z), dtype=int)
+    index = np.flatnonzero(res >= tol)
+    for _ in range(max_steps):
+        if not index.size:
+            break
+        z_in, u_in = z[index], u[index]
+        x = projector.affine(z_in - u_in if shift is None else z_in - u_in + shift[index])
+        z_out = projector.psd(x + u_in)
+        z[index], u[index] = z_out, u_in + x - z_out
+        res[index] = residual(x, z_in, z_out)
+        steps[index] += 1
+        index = index[res[index] >= tol]
+    return steps
+
+
+def _reference_jrf_update(gram, effects, max_steps):
+    """``_jrf_update`` with the stack's iterates scattered into its output at every step."""
+    shape = effects.shape
+    gram = gram.reshape(-1, *shape[-3:])
+    shift = np.minimum(0.0, np.linalg.eigvalsh(gram).min(axis=(-2, -1)))
+    g = gram - (shift - 1e-9)[:, None, None, None] * np.eye(shape[-1])
+    m = effects.reshape(gram.shape)
+    index = np.arange(len(gram))
+    d = shape[-1]
+    out = None
+    for _ in range(max_steps):
+        trace, lam = _certificate(gram, m)
+        score = optimizer._score(gram, m)
+        floor = optimizer._GAP_ROUNDING * (np.abs(trace) + d * lam + np.abs(score))
+        going = trace + d * lam - score >= floor
+        if not going.all():
+            index, gram, g, m = index[going], gram[going], g[going], m[going]
+            if not index.size:
+                break
+        if out is None:
+            out = effects.reshape(-1, *shape[-3:]).copy()
+        m = optimizer._complete(g @ m @ g)
+        out[index] = m
+    return effects if out is None else out.reshape(shape)
+
+
+def _douglas_rachford_calls(projector, run):
+    """Run ``run()`` and return every ``douglas_rachford`` call it made on ``projector``.
+
+    Each call is ``(inputs, outputs)``: copies of ``z``, ``u`` and ``res``
+    with ``tol``, ``max_steps``, ``residual`` and ``shift`` as they came in,
+    and ``z``, ``u``, ``res`` and the returned steps as the call left them.
+    """
+    calls = []
+    method = projector.douglas_rachford
+
+    def recorded(z, u, res, tol, max_steps, residual, shift=None):
+        inputs = (z.copy(), u.copy(), res.copy(), tol, max_steps, residual, shift)
+        steps = method(z, u, res, tol, max_steps, residual, shift)
+        calls.append((inputs, (z.copy(), u.copy(), res.copy(), steps)))
+        return steps
+
+    projector.douglas_rachford = recorded
+    run()
+    del projector.douglas_rachford
+    return calls
+
+
+def _assert_each_call_matches_the_reference(projector, calls):
+    """Replay every recorded call through the gather-and-scatter loop; all bits agree."""
+    for (z, u, res, *args), got in calls:
+        steps = _reference_douglas_rachford(projector, z, u, res, *args)
+        for want, have in zip((z, u, res, steps), got):
+            assert want.shape == have.shape
+            assert np.array_equal(want, have)
 
 
 @pytest.mark.parametrize(
@@ -379,6 +485,27 @@ class TestProjector:
         stacked = projector.feasible(trials, 1e-9)
         assert np.max(np.abs(stacked - np.stack([ref for ref, _ in want]))) < 1e-12
 
+    @pytest.mark.parametrize("max_sweeps", [3, 200])
+    def test_compacted_loop_equals_the_gather_and_scatter_loop(self, game, dim, max_sweeps):
+        # bit for bit, with no shift: the sets leave at different sweeps, one
+        # feasible set after the first, and at a cap of 3 sweeps the others
+        # are still running when the sweeps run out
+        projector = _Projector(game, dim)
+        rng = np.random.default_rng(11)
+        trials = np.stack([_trial_states(game, projector, rng) for _ in range(5)])
+        trials[2] = projector.feasible(trials[2], 1e-13)
+        calls = _douglas_rachford_calls(
+            projector, lambda: projector.feasible(trials, 1e-9, max_sweeps)
+        )
+        ((inputs, (*_, steps)),) = calls
+        assert inputs[-1] is None
+        assert np.array_equal(projector.sweeps, steps)
+        if max_sweeps == 3:
+            assert steps.tolist() == [3, 3, 1, 3, 3]
+        else:
+            assert steps[2] == 1 and len(set(steps.tolist())) >= 3
+        _assert_each_call_matches_the_reference(projector, calls)
+
 
 @pytest.mark.parametrize(
     "game,dim",
@@ -467,6 +594,32 @@ def test_admm_stack_equals_each_set_alone(game, dim):
         assert np.max(np.abs(z[k] - z_k[0])) < 1e-12
         assert np.max(np.abs(u[k] - u_k[0])) < 1e-12
     assert (res < optimizer._ADMM_TOL).all()
+
+
+@pytest.mark.parametrize("game,dim", PROJECTOR_CASES)
+def test_admm_compacted_loop_equals_the_gather_and_scatter_loop(game, dim):
+    # bit for bit, with the shift, on every call of an ADMM brought to rest:
+    # sets leave inside a call at different steps, and set 2 enters below
+    # the tolerance with a dual that is not zero, so it never steps
+    projector = _Projector(game, dim)
+    rng = np.random.default_rng(10)
+    sets = 4
+    effects = np.stack(
+        [[_random_povm(rng, game.n_outcomes, dim) for _ in range(game.n_bob)] for _ in range(sets)]
+    )
+    weighted = game.payoff * game.p_alice[:, None, None] * game.p_bob[None, :, None]
+    grad = _herm(np.einsum("xyb,rybij->rxij", weighted, effects))
+    rhos = np.stack([_random_rhos(rng, game.n_alice, dim) for _ in range(sets)])
+    z = projector.feasible(rhos, 1e-12)
+    u, res = np.zeros_like(z), np.full(sets, np.inf)
+    u[2], res[2] = 0.1 * _random_scores(rng, game.n_alice, dim), 0.5 * optimizer._ADMM_TOL
+    calls = _douglas_rachford_calls(projector, lambda: _admm_to_rest(projector, grad, z, u, res))
+    assert all(inputs[-1] is not None for inputs, _ in calls)
+    steps = np.array([out[-1] for _, out in calls])
+    assert not steps[:, 2].any()
+    cap = optimizer._ADMM_STEPS
+    assert any(((0 < s) & (s < cap)).any() and (s == cap).any() for s in steps)
+    _assert_each_call_matches_the_reference(projector, calls)
 
 
 class TestRacSearch:
@@ -758,8 +911,9 @@ class TestTrailing:
         assert list(record.window_values) == sorted(record.window_values)
 
     @pytest.mark.slow
-    def test_criterion_6_losers_trail_and_winners_run_on(self):
-        result = search(make_rac_game(2, 3), SearchConfig(dim=4, restarts=64, seed=0))
+    def test_criterion_6_losers_trail_and_winners_run_on(self, criterion_6_search):
+        # the acceptance suite's search, shared through the session fixture
+        result, _ = criterion_6_search
         records = result.per_restart
         assert sum(r.value >= 0.6875076 for r in records) == 51
         trailed = [r.value for r in records if r.stop_reason == "trailing"]
