@@ -53,24 +53,25 @@ measurements and ADMM iterate bit for bit unchanged (no candidate accepted
 and no ADMM step taken), since it would repeat that iteration until another
 rule fired; ``"window"`` at the first window boundary (every 30 iterations
 before the cap) where the value gained less than 1e-8 over the window;
-``"trailing"`` at a window boundary where the value plus the window's gain
-for each window left before the cap is still more than 1e-9 below the
-stack's best value, the highest of the running values at that iteration
-and of the values restarts had when they stopped; and ``"max_iters"`` after
-``max_iters`` iterations.  When two rules fire at one iteration, the earlier
-in that list wins.  The trailing rule races the restarts, as multi-start
-and bandit methods stop their losing arms early (Rinnooy Kan and Timmer,
-Math. Prog. 39, 57 (1987); Li et al., JMLR 18, 185 (2018)).  It is a
-heuristic, not a bound: a restart's gain can grow again after a slow
-window, so a trailing restart might have overtaken the best.  A search with
-one restart never trails.  The rules only truncate the path: a run stopped at
-iteration ``n`` returns the strategy that a run capped at ``max_iters=n``
-returns, and for a settled restart the same record too.  On the (2,3)
-access code at dimension 4, of two restarts at seed 0 the second settles
-at iteration 42 at 0.6875076, and the first trails at iteration 60 at
-0.6860389, on its way to the local optimum 0.6860390; on the qutrit game,
+``"trailing"`` at a race boundary (every 10 iterations before the cap, so
+three per window) where the value plus the gain of the last 10 iterations,
+once for each 10 iterations left before the cap, is still more than 1e-9
+below the stack's best value, the highest of the running values at that
+iteration and of the values restarts had when they stopped; and
+``"max_iters"`` after ``max_iters`` iterations.  When two rules fire at one
+iteration, the earlier in that list wins.  The trailing rule races the
+restarts, as multi-start and bandit methods stop their losing arms early
+(Rinnooy Kan and Timmer, Math. Prog. 39, 57 (1987); Li et al., JMLR 18, 185
+(2018)).  It is a heuristic, not a bound: a restart's gain can grow again
+after a slow stretch, so a trailing restart might have overtaken the best.
+A search with one restart never trails.  The rules only truncate the path: a
+run stopped at iteration ``n`` returns the strategy that a run capped at
+``max_iters=n`` returns, and for a settled restart the same record too.  On
+the (2,3) access code at dimension 4, of two restarts at seed 0 the second
+settles at iteration 42 at 0.6875076, and the first trails at iteration 30
+at 0.6860340, on its way to the local optimum 0.6860390; on the qutrit game,
 over seeds 0-29, every restart settles at iteration 6-8 within 2e-11 of
-(3+sqrt(33))/12.
+(3+sqrt(33))/12, before the first race boundary.
 
 Accepted values are non-decreasing within a restart, so results are honest
 lower bounds on the quantum optimum; nothing here certifies optimality.
@@ -97,8 +98,10 @@ from .games import (
 _JRF_MAX_STEPS = 60
 _CONVERGENCE_WINDOW = 30
 _CONVERGENCE_GAIN = 1e-8
-# A restart trails when even its last window's gain, kept up to the cap,
-# leaves it this far below the stack's best value.
+# The restarts race on a shorter clock than the window rule: a restart trails
+# when even its gain over the last race window, kept up to the cap, leaves it
+# this far below the stack's best value.
+_RACE_WINDOW = 10
 _TRAILING_MARGIN = 1e-9
 _ACCEPT_MARGIN = 1e-14
 # A certificate gap is a difference of terms of size |Tr Y| + d lam + |score|,
@@ -168,9 +171,10 @@ class RestartRecord:
 
     ``stop_reason`` is one of ``STOP_REASONS``: ``"settled"`` (an iteration
     changed nothing), ``"window"`` (too little gain over a 30-iteration
-    window), ``"trailing"`` (at its last window's pace it would end below
-    the stack's best value) or ``"max_iters"`` (the cap), and
-    ``iterations_used`` is the number of iterations the restart ran.
+    window), ``"trailing"`` (at a 10-iteration race boundary, at the pace of
+    its last 10 iterations it would end below the stack's best value) or
+    ``"max_iters"`` (the cap), and ``iterations_used`` is the number of
+    iterations the restart ran.
     """
 
     value: float
@@ -181,7 +185,8 @@ class RestartRecord:
     # PSD projections spent on the restart: its ADMM steps and the sweeps of
     # every ``feasible`` call on its states.
     sweeps: int
-    # The restart's running value at each window boundary it reached.
+    # The restart's running value at each 30-iteration window boundary it
+    # reached; race boundaries add none.
     window_values: tuple
 
 
@@ -233,10 +238,11 @@ class _Projector:
         # then pin every trace back to one, on the diagonal of the product
         # (every (d + 1)-th entry of a flattened matrix).
         flat = self.null_p @ rhos.reshape(*rhos.shape[:-2], -1)
-        out = flat.reshape(rhos.shape)
-        traces = np.trace(out, axis1=-2, axis2=-1).real
-        flat[..., :: self.dim + 1] += ((1.0 - traces) / self.dim)[..., None]
-        return out
+        diagonal = flat[..., :: self.dim + 1]
+        # The reduction ``np.trace`` makes, without its wrapper: bit-equal.
+        traces = np.add.reduce(diagonal, axis=-1).real
+        diagonal += ((1.0 - traces) / self.dim)[..., None]
+        return flat.reshape(rhos.shape)
 
     def psd(self, rhos: np.ndarray) -> np.ndarray:
         """Nearest unit-trace positive matrices to Hermitian ``rhos``.
@@ -367,22 +373,22 @@ def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.nda
 
     ``gram`` holds one positive score operator per outcome; adding a common
     multiple of the identity to all of them shifts the objective by a
-    constant, so the operators are shifted positive first.  Every step
-    completes the effects to a POVM.  Leading axes hold a stack of problems
-    that step together: before every step each problem forms its
-    certificate and leaves the stack once its gap is below the rounding
+    constant, so the operators are shifted positive before the first step.
+    Every step completes the effects to a POVM.  Leading axes hold a stack
+    of problems that step together: before every step each problem forms
+    its certificate and leaves the stack once its gap is below the rounding
     floor of the terms it is a difference of, and all stop after
-    ``max_steps`` steps.  The last iterates are
-    returned, which is ``effects`` itself when no problem took a step.
+    ``max_steps`` steps.  The shift is computed only for the problems the
+    first certificate leaves stepping, so a stack it certifies whole costs
+    one certificate.  The last iterates are returned, which is ``effects``
+    itself when no problem took a step.
     """
     shape = effects.shape
-    gram = gram.reshape(-1, *shape[-3:])
-    shift = np.minimum(0.0, np.linalg.eigvalsh(gram).min(axis=(-2, -1)))
     d = shape[-1]
-    g = gram - (shift - 1e-9)[:, None, None, None] * _IDENTITY[:d, :d]
+    gram = gram.reshape(-1, *shape[-3:])
     m = effects.reshape(gram.shape)
     index = np.arange(len(gram))
-    out = None
+    out = g = None
     for _ in range(max_steps):
         trace, lam = _certificate(gram, m)
         score = _score(gram, m)
@@ -393,11 +399,14 @@ def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.nda
             # The problems that leave keep the iterate of their last step.
             if out is not None:
                 out[index[~going]] = m[~going]
-            index, gram, g, m = index[going], gram[going], g[going], m[going]
+                g = g[going]
+            index, gram, m = index[going], gram[going], m[going]
             if not index.size:
                 break
         if out is None:
             out = effects.reshape(-1, *shape[-3:]).copy()
+            shift = np.minimum(0.0, np.linalg.eigvalsh(gram).min(axis=(-2, -1)))
+            g = gram - (shift - 1e-9)[:, None, None, None] * _IDENTITY[:d, :d]
         m = _complete(g @ m @ g)
     if out is None:
         return effects
@@ -469,11 +478,13 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     running value at each window boundary it reached.  The running restarts
     form their own stack, which sheds each restart at the iteration its
     first rule fires: ``"settled"`` when nothing changed in it, ``"window"``
-    at a boundary with too little gain, ``"trailing"`` at a boundary where
-    its value plus its last window's gain per window left stays below the
-    best value of the stack, running or stopped, or ``"max_iters"`` at the
-    cap.  The trailing rule is a heuristic, not a bound: it guesses that a
-    restart's gain does not grow.
+    at a 30-iteration window boundary with too little gain, ``"trailing"``
+    at a 10-iteration race boundary where its value plus its last 10
+    iterations' gain per 10 iterations left stays below the best value of
+    the stack, running or stopped, or ``"max_iters"`` at the cap.  Each rule
+    keeps its own anchor, the value at its last boundary.  The trailing rule
+    is a heuristic, not a bound: it guesses that a restart's gain does not
+    grow.
     """
     tol = _TOLERANCE / 10
     restarts = len(rhos)
@@ -487,7 +498,7 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     window_values = [[] for _ in range(restarts)]
     stopped_best = -np.inf
     value = _objective(weighted, rhos, effects)
-    anchor = value
+    anchor = race_anchor = value
     for it in range(1, cfg.max_iters + 1):
         # Measurement step: one warm-started candidate per receiver input.
         gram = _herm(np.einsum("xyb,rxij->rybij", weighted, rhos))
@@ -518,14 +529,17 @@ def _ascend(weighted, projector, rhos, effects, cfg):
         settled = ~moved & (steps == 0)
         stop = settled.copy()
         window = np.zeros_like(stop)
+        if it % _RACE_WINDOW == 0 and it < cfg.max_iters:
+            gain = value - race_anchor
+            left = (cfg.max_iters - it) / _RACE_WINDOW
+            best = max(value.max(), stopped_best)
+            stop |= value + gain * left < best - _TRAILING_MARGIN
+            race_anchor = value.copy()
         if it % _CONVERGENCE_WINDOW == 0 and it < cfg.max_iters:
             for r, v in zip(index, value.tolist()):
                 window_values[r].append(v)
-            gain = value - anchor
-            window = gain < _CONVERGENCE_GAIN
-            left = (cfg.max_iters - it) / _CONVERGENCE_WINDOW
-            best = max(value.max(), stopped_best)
-            stop |= window | (value + gain * left < best - _TRAILING_MARGIN)
+            window = value - anchor < _CONVERGENCE_GAIN
+            stop |= window
             anchor = value.copy()
         if stop.any():
             done = index[stop]
@@ -535,8 +549,8 @@ def _ascend(weighted, projector, rhos, effects, cfg):
             )
             stopped_best = max(stopped_best, value[stop].max())
             final_rhos[done], final_effects[done] = rhos[stop], effects[stop]
-            index, rhos, effects, value, anchor, z, u, res = (
-                a[~stop] for a in (index, rhos, effects, value, anchor, z, u, res)
+            index, rhos, effects, value, anchor, race_anchor, z, u, res = (
+                a[~stop] for a in (index, rhos, effects, value, anchor, race_anchor, z, u, res)
             )
             if not index.size:
                 break
@@ -552,10 +566,11 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     ``SearchResult.stop_reason`` records which, and ``per_restart`` keeps
     every restart's record.  Each restart draws from its own generator and
     follows the path it would follow alone, up to rounding, unless it
-    trails: a restart that, at its last window's pace, would end below the
-    best value another restart holds stops at that window boundary.  That
-    rule is a heuristic, not a bound: it cuts paths short, never changes
-    them, but a restart it cuts might have overtaken the best.  The
+    trails: a restart that, at the pace of its last 10 iterations, would end
+    below the best value another restart holds stops at that race boundary,
+    one every 10 iterations.  That rule is a heuristic, not a bound: it cuts
+    paths short, never changes them, but a restart it cuts might have
+    overtaken the best.  The
     measurement step runs each exchange until the optimality certificate
     closes, so a measurement it already certifies costs one certificate and
     is left unchanged.  A restart is feasible when the obliviousness

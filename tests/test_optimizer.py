@@ -139,7 +139,7 @@ class TestCertificate:
 
 
 @pytest.mark.parametrize("n_out,dim", [(2, 2), (3, 3), (3, 4)])
-def test_jrf_stack_equals_each_problem_alone(n_out, dim):
+def test_jrf_stack_equals_each_problem_alone(n_out, dim, monkeypatch):
     rng = np.random.default_rng(n_out * 10 + dim)
     grams = np.stack([_random_scores(rng, n_out, dim) for _ in range(6)])
     starts = np.stack([_random_povm(rng, n_out, dim) for _ in range(6)])
@@ -150,9 +150,19 @@ def test_jrf_stack_equals_each_problem_alone(n_out, dim):
     stacked = _jrf_update(grams.reshape(shape), starts.reshape(shape), 60)
     assert stacked.shape == shape
     assert np.max(np.abs(stacked.reshape(alone.shape) - alone)) < 1e-12
-    # a stack with no problem left to step returns its input
+    # a stack with no problem left to step returns its input, after one
+    # certificate and no shift: a single eigvalsh call
     fixed = _jrf_update(grams, starts, 2000)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert _jrf_update(grams, fixed, 60) is fixed
+    assert len(calls) == 1
 
 
 
@@ -412,6 +422,21 @@ class TestProjector:
         v = rng.normal(size=size) + 1j * rng.normal(size=size)
         shifted = projector.affine(x + (rows.T @ v).reshape(x.shape))
         assert np.max(np.abs(shifted - projector.affine(x))) < 1e-12
+
+    def test_affine_equals_its_np_trace_form(self, game, dim):
+        # bit for bit: ``affine`` reduces the strided diagonal as np.trace does
+        def reference(rhos):
+            flat = projector.null_p @ rhos.reshape(*rhos.shape[:-2], -1)
+            out = flat.reshape(rhos.shape)
+            traces = np.trace(out, axis1=-2, axis2=-1).real
+            flat[..., :: dim + 1] += ((1.0 - traces) / dim)[..., None]
+            return out
+
+        projector = _Projector(game, dim)
+        rng = np.random.default_rng(4)
+        for scale in (1e-6, 1.0, 1e2):
+            x = scale * np.stack([_random_scores(rng, game.n_alice, dim) for _ in range(50)])
+            assert np.array_equal(projector.affine(x), reference(x))
 
     def test_psd_matches_eigenvalue_simplex_reference(self, game, dim):
         projector = _Projector(game, dim)
@@ -849,7 +874,7 @@ class TestRestartStack:
     def test_rac23_d4_stops_are_pinned(self):
         result = search(make_rac_game(2, 3), SearchConfig(dim=4, restarts=2, seed=0))
         stops = [(r.stop_reason, r.iterations_used) for r in result.per_restart]
-        assert stops == [("trailing", 60), ("settled", 42)]
+        assert stops == [("trailing", 30), ("settled", 42)]
 
     @pytest.mark.parametrize(
         "game", [make_rac_game(2, 3), make_cglmp3_game()], ids=["rac23-d3", "cglmp3-d3"]
@@ -883,16 +908,28 @@ class TestRestartStack:
 
 
 class TestTrailing:
-    """A restart that cannot catch the stack's best stops at a window boundary."""
+    """A restart that cannot catch the stack's best stops at a race boundary.
 
-    @pytest.mark.parametrize("seed", [0, 5, 8, 9])
-    def test_trailing_keeps_the_best_result(self, seed, monkeypatch):
-        game, cfg = make_rac_game(2, 3), SearchConfig(dim=4, restarts=2, seed=seed)
+    The restarts race every ``_RACE_WINDOW`` (10) iterations, three times per
+    30-iteration window of the window rule.
+    """
+
+    # At d = 5 restarts 0 and 1 trail at iterations 20 and 30, between and on
+    # window boundaries, and without the race they run to the 200-iteration cap.
+    @pytest.mark.parametrize(
+        "dim,restarts,max_iters,seed",
+        [(4, 2, 500, 0), (4, 2, 500, 5), (4, 2, 500, 8), (4, 2, 500, 9), (5, 3, 200, 3)],
+        ids=["0", "5", "8", "9", "d5-3"],
+    )
+    def test_trailing_keeps_the_best_result(self, dim, restarts, max_iters, seed, monkeypatch):
+        game = make_rac_game(2, 3)
+        cfg = SearchConfig(dim=dim, restarts=restarts, max_iters=max_iters, seed=seed)
         raced = search(game, cfg)
         monkeypatch.setattr(optimizer, "_TRAILING_MARGIN", np.inf)
         full = search(game, cfg)
         trailed = [r for r, rec in enumerate(raced.per_restart) if rec.stop_reason == "trailing"]
         assert trailed
+        assert all(raced.per_restart[r].iterations_used % optimizer._RACE_WINDOW == 0 for r in trailed)
         assert not any(rec.stop_reason == "trailing" for rec in full.per_restart)
         assert (raced.value, raced.restart_index) == (full.value, full.restart_index)
         _assert_same_strategy(raced, full)
@@ -902,7 +939,7 @@ class TestTrailing:
             assert len(rec.window_values) == rec.iterations_used // 30
 
     def test_a_single_restart_never_trails(self):
-        # restart 0 of seed 0 trails at iteration 60 in a stack of two; alone
+        # restart 0 of seed 0 trails at iteration 30 in a stack of two; alone
         # its best is its own value, and it runs on until it settles
         result = search(make_rac_game(2, 3), SearchConfig(dim=4, restarts=1, seed=0))
         (record,) = result.per_restart
