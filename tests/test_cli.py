@@ -370,9 +370,9 @@ def test_optimize_small(capsys):
     assert report["results"]["feasible"] is True
     assert report["results"]["value"] > 0.7
     results = report["results"]
-    assert (results["stop_reason"], results["iterations_used"]) == ("settled", 3)
+    assert (results["stop_reason"], results["iterations_used"]) == ("settled", 6)
     per_restart = results["per_restart"]
-    assert [(r["stop_reason"], r["iterations_used"]) for r in per_restart] == [("settled", 3)] * 2
+    assert [(r["stop_reason"], r["iterations_used"]) for r in per_restart] == [("settled", 6)] * 2
     assert err.rstrip().endswith("feasible); restarts: 2 settled")
     assert set(per_restart[0]) == {
         "value", "iterations_used", "stop_reason", "feasibility_residual", "feasible", "sweeps",
