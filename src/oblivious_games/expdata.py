@@ -426,7 +426,7 @@ def mc_uncertainty(
     data: PrimaryData,
     mapping: LabelMapping,
     samples: int,
-    seed: int | None = None,
+    seed: int,
 ) -> tuple:
     """Monte Carlo spread (sigma_primary, sigma_secondary) of the two scores.
 
@@ -451,14 +451,14 @@ def mc_uncertainty(
     and each kernel gives a sample the value it has in a stack of one, so the
     chunk size does not change the result: the sigmas are equal bit for bit
     at any chunk size.
-    ``seed`` is None (fresh entropy) or a non-negative integer; anything else
-    is a ``ValueError``, as is a draw whose row clamps to all zeros: the
-    message names its lab state and basis.
+    ``seed`` is a non-negative integer; anything else is a ``ValueError``, as
+    is a draw whose row clamps to all zeros: the message names its lab state
+    and basis.
     """
     samples = check_integer(samples, "sample count")
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    if seed is not None and check_integer(seed, "seed") < 0:
+    if check_integer(seed, "seed") < 0:
         raise ValueError(f"seed {seed!r} is negative")
     rng = np.random.default_rng(seed)
     index = mapping.game_index()

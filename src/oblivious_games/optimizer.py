@@ -46,9 +46,10 @@ Brunner (PRA 98, 062307 (2018)):
   a noncontextual bound by more than rounding.
 
 The measurement step solves every (restart, receiver input) problem of the
-stack in one call, each stopping on its own certificate, and the ADMM and
-the projection step each restart on its own residuals, so a restart follows
-the path it would follow alone, up to rounding, until it trails (below).
+stack in one call, each stopping on its own certificate, the ADMM and the
+projection step each restart on its own residuals, and every kernel gives a
+problem the bits it gets alone, so a restart follows the path it would
+follow alone, bit for bit, until it trails (below).
 ``RestartRecord.sweeps`` counts the eigenvalue projections a restart spent,
 ADMM steps and projection sweeps together.
 
@@ -331,10 +332,6 @@ class _Projector:
         return z.reshape(shape)
 
 
-def _objective(weighted: np.ndarray, rhos: np.ndarray, effects: np.ndarray):
-    return np.einsum("xyb,...ybij,...xji->...", weighted, effects, rhos).real
-
-
 def _herm(ops: np.ndarray) -> np.ndarray:
     return (ops + np.conj(np.swapaxes(ops, -1, -2))) / 2
 
@@ -367,7 +364,17 @@ def _normalize_povm(effects: np.ndarray) -> np.ndarray:
 
 
 def _score(gram: np.ndarray, effects: np.ndarray):
-    return np.einsum("...bij,...bji->...", effects, gram).real
+    """``sum_b Tr(M_b G_b)`` per problem, one reduction of its (b, i, j) products.
+
+    A problem gets the bits it gets alone, in a stack of any size.
+    """
+    products = effects * np.swapaxes(gram, -1, -2)
+    return np.add.reduce(products.reshape(*products.shape[:-3], -1), axis=-1).real
+
+
+def _gram(weighted: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """The score operators ``G_yb = herm(sum_x w_xyb rho_x)`` of every restart."""
+    return _herm(np.einsum("xyb,rxij->rybij", weighted, rhos))
 
 
 def _certificate(gram: np.ndarray, effects: np.ndarray):
@@ -395,17 +402,15 @@ def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.nda
     of problems that step together: before every step each problem forms
     its certificate and leaves the stack once its gap is below the rounding
     floor of the terms it is a difference of, and all stop after
-    ``max_steps`` steps.  The shift is computed only for the problems the
-    first certificate leaves stepping, so a stack it certifies whole costs
-    one certificate.  The last iterates are returned, which is ``effects``
-    itself when no problem took a step.
+    ``max_steps`` steps.  Returns a new array of the last iterates.
     """
     shape = effects.shape
     d = shape[-1]
     gram = gram.reshape(-1, *shape[-3:])
-    m = effects.reshape(gram.shape)
+    shift = np.minimum(0.0, np.linalg.eigvalsh(gram).min(axis=(-2, -1)))
+    g = gram - (shift - 1e-9)[:, None, None, None] * _IDENTITY[:d, :d]
+    m = out = effects.reshape(gram.shape).copy()
     index = np.arange(len(gram))
-    out = g = None
     for _ in range(max_steps):
         trace, lam = _certificate(gram, m)
         score = _score(gram, m)
@@ -414,19 +419,11 @@ def _jrf_update(gram: np.ndarray, effects: np.ndarray, max_steps: int) -> np.nda
         going = trace + d_lam - score >= floor
         if not going.all():
             # The problems that leave keep the iterate of their last step.
-            if out is not None:
-                out[index[~going]] = m[~going]
-                g = g[going]
-            index, gram, m = index[going], gram[going], m[going]
+            out[index[~going]] = m[~going]
+            index, gram, g, m = index[going], gram[going], g[going], m[going]
             if not index.size:
                 break
-        if out is None:
-            out = effects.reshape(-1, *shape[-3:]).copy()
-            shift = np.minimum(0.0, np.linalg.eigvalsh(gram).min(axis=(-2, -1)))
-            g = gram - (shift - 1e-9)[:, None, None, None] * _IDENTITY[:d, :d]
         m = _complete(g @ m @ g)
-    if out is None:
-        return effects
     out[index] = m
     return out.reshape(shape)
 
@@ -495,12 +492,13 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     Returns the final states and measurements of each restart with its
     iteration count, stop reason, the PSD projections it spent and its
     running value at each window boundary it reached.  The running restarts
-    form their own stack, which sheds each restart at the iteration its
-    first rule fires: ``"settled"`` when nothing changed in it, ``"window"``
-    at a 30-iteration window boundary with too little gain, ``"trailing"``
-    at a 10-iteration race boundary where its value plus its last 10
-    iterations' gain per 10 iterations left stays below the best value of
-    the stack, running or stopped, or ``"max_iters"`` at the cap.  Each rule
+    form their own stack, in which each follows its solo path bit for bit,
+    and which sheds each restart at the iteration its first rule fires:
+    ``"settled"`` when nothing changed in it, ``"window"`` at a 30-iteration
+    window boundary with too little gain, ``"trailing"`` at a 10-iteration
+    race boundary where its value plus its last 10 iterations' gain per 10
+    iterations left stays below the best value of the stack, running or
+    stopped, or ``"max_iters"`` at the cap.  Each rule
     keeps its own anchor, the value at its last boundary.  The trailing rule
     is a heuristic, not a bound: it guesses that a restart's gain does not
     grow.
@@ -516,18 +514,17 @@ def _ascend(weighted, projector, rhos, effects, cfg):
     z, u, res = rhos.copy(), np.zeros_like(rhos), np.full(restarts, np.inf)
     window_values = [[] for _ in range(restarts)]
     stopped_best = -np.inf
-    value = _objective(weighted, rhos, effects)
+    value = _score(_gram(weighted, rhos), effects).sum(axis=-1)
     anchor = race_anchor = value
     for it in range(1, cfg.max_iters + 1):
         # Measurement step: one warm-started candidate per receiver input.
-        gram = _herm(np.einsum("xyb,rxij->rybij", weighted, rhos))
+        gram = _gram(weighted, rhos)
         cand = _jrf_update(gram, effects, _JRF_MAX_STEPS)
-        moved = np.zeros(index.size, dtype=bool)
-        if cand is not effects:
-            better = _score(gram, cand) > _score(gram, effects) + _ACCEPT_MARGIN
-            effects = np.where(better[..., None, None, None], cand, effects)
-            moved = better.any(axis=1)
-        value = _objective(weighted, rhos, effects)
+        scores, cand_scores = _score(gram, effects), _score(gram, cand)
+        better = cand_scores > scores + _ACCEPT_MARGIN
+        effects = np.where(better[..., None, None, None], cand, effects)
+        moved = better.any(axis=1)
+        value = np.where(better, cand_scores, scores).sum(axis=-1)
 
         # Preparation step: ADMM on the state program at these measurements,
         # then the exact projection of its iterate.  New measurements change
@@ -540,7 +537,7 @@ def _ascend(weighted, projector, rhos, effects, cfg):
         if stepped.size:
             trial = projector.feasible(z[stepped], tol)
             sweeps[index[stepped]] += projector.sweeps
-            trial_val = _objective(weighted, trial, effects[stepped])
+            trial_val = _score(_gram(weighted, trial), effects[stepped]).sum(axis=-1)
             better = trial_val > value[stepped] + _ACCEPT_MARGIN
             up = stepped[better]
             rhos[up], value[up], moved[up] = trial[better], trial_val[better], True
@@ -587,7 +584,7 @@ def search(game: ObliviousGame, cfg: SearchConfig) -> SearchResult:
     the first stop rule that fires for it (see the module docstring);
     ``SearchResult.stop_reason`` records which, and ``per_restart`` keeps
     every restart's record.  Each restart draws from its own generator and
-    follows the path it would follow alone, up to rounding, unless it
+    follows the path it would follow alone, bit for bit, unless it
     trails: a restart that, at the pace of its last 10 iterations, would end
     below the best value another restart holds stops at that race boundary,
     one every 10 iterations.  That rule is a heuristic, not a bound: it cuts

@@ -473,7 +473,7 @@ class TestMonteCarlo:
             bundled, pin, 100, seed=3
         )
 
-    @pytest.mark.parametrize("seed", [1.5, True, "5", -1, np.float64(5.0)])
+    @pytest.mark.parametrize("seed", [1.5, True, "5", -1, np.float64(5.0), None])
     def test_seed_checked(self, bundled, seed):
         with pytest.raises(ValueError, match="seed"):
             mc_uncertainty(bundled, pinned_mapping(), 100, seed=seed)

@@ -111,12 +111,22 @@ class TestCertificate:
         assert -1e-12 <= gap < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_certified_povm_returned_unchanged(self, seed):
+    def test_certified_povm_returned_unchanged(self, seed, monkeypatch):
+        # a certified POVM takes no step: no completion, and the same bits back
         rng = np.random.default_rng(seed)
         n_out, dim = 2 + seed % 2, 2 + seed % 3
         gram = _random_scores(rng, n_out, dim)
         fixed = _jrf_update(gram, _random_povm(rng, n_out, dim), 2000)
-        assert _jrf_update(gram, fixed, 60) is fixed
+        steps = []
+        complete = optimizer._complete
+
+        def counted(parts):
+            steps.append(1)
+            return complete(parts)
+
+        monkeypatch.setattr(optimizer, "_complete", counted)
+        assert np.array_equal(_jrf_update(gram, fixed, 60), fixed)
+        assert not steps
 
     @pytest.mark.parametrize("seed", range(5))
     def test_stops_on_certificate_before_the_cap(self, seed, monkeypatch):
@@ -139,7 +149,7 @@ class TestCertificate:
 
 
 @pytest.mark.parametrize("n_out,dim", [(2, 2), (3, 3), (3, 4)])
-def test_jrf_stack_equals_each_problem_alone(n_out, dim, monkeypatch):
+def test_jrf_stack_equals_each_problem_alone(n_out, dim):
     rng = np.random.default_rng(n_out * 10 + dim)
     grams = np.stack([_random_scores(rng, n_out, dim) for _ in range(6)])
     starts = np.stack([_random_povm(rng, n_out, dim) for _ in range(6)])
@@ -149,20 +159,35 @@ def test_jrf_stack_equals_each_problem_alone(n_out, dim, monkeypatch):
     shape = (2, 3, n_out, dim, dim)
     stacked = _jrf_update(grams.reshape(shape), starts.reshape(shape), 60)
     assert stacked.shape == shape
-    assert np.max(np.abs(stacked.reshape(alone.shape) - alone)) < 1e-12
-    # a stack with no problem left to step returns its input, after one
-    # certificate and no shift: a single eigvalsh call
-    fixed = _jrf_update(grams, starts, 2000)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+    assert np.array_equal(stacked.reshape(alone.shape), alone)
 
-    def counted(a):
-        calls.append(1)
-        return eigvalsh(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    assert _jrf_update(grams, fixed, 60) is fixed
-    assert len(calls) == 1
+def _random_stack(seed):
+    """Score operators and POVMs of 1-16 random problems, at d = 2-6 with 2-4 outcomes."""
+    rng = np.random.default_rng(seed)
+    size, dim, n_out = 1 + seed % 16, 2 + seed % 5, 2 + seed % 3
+    grams = np.stack([_random_scores(rng, n_out, dim) for _ in range(size)])
+    starts = np.stack([_random_povm(rng, n_out, dim) for _ in range(size)])
+    return grams, starts
+
+
+# Bit for bit, on 308 problems in all: as an einsum the score gave 221 of them
+# other bits in their stack than alone, and through it the exchange returned
+# other bits for problem 0 of seed 36's stack.
+@pytest.mark.parametrize("seed", range(40))
+def test_score_gives_each_problem_its_bits_alone(seed):
+    grams, starts = _random_stack(seed)
+    stacked = optimizer._score(grams, starts)
+    for k, (g, m) in enumerate(zip(grams, starts)):
+        assert np.array_equal(stacked[k], optimizer._score(g, m))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_jrf_gives_each_problem_its_bits_alone(seed):
+    grams, starts = _random_stack(seed)
+    stacked = _jrf_update(grams, starts, 60)
+    for k, (g, m) in enumerate(zip(grams, starts)):
+        assert np.array_equal(stacked[k], _jrf_update(g, m, 60))
 
 
 
@@ -481,7 +506,7 @@ class TestProjector:
         stacked = projector.feasible(trials, 1e-9)
         assert len(sweeps) == max(counts)
         assert min(counts) == 1 < max(counts)
-        assert np.max(np.abs(stacked - np.stack(alone))) < 1e-12
+        assert np.array_equal(stacked, np.stack(alone))
         assert (projector.residual(stacked) < 1e-9).all()
 
     def test_mixing_halves_the_plain_sweeps(self, game, dim):
@@ -623,8 +648,7 @@ def test_admm_stack_equals_each_set_alone(game, dim):
         alone = _admm_to_rest(projector, grad[one], z_k, u_k, res_k)[:, 0]
         assert np.array_equal(stacked[: len(alone), k], alone)
         assert not stacked[len(alone) :, k].any()
-        assert np.max(np.abs(z[k] - z_k[0])) < 1e-12
-        assert np.max(np.abs(u[k] - u_k[0])) < 1e-12
+        assert np.array_equal(z[k], z_k[0]) and np.array_equal(u[k], u_k[0])
     assert (res < optimizer._ADMM_TOL).all()
 
 
@@ -917,10 +941,24 @@ class TestRestartStack:
     def test_restart_zero_matches_a_single_restart(self, game, dim, restarts):
         stacked = search(game, SearchConfig(dim=dim, restarts=restarts, seed=0))
         alone = search(game, SearchConfig(dim=dim, restarts=1, seed=0))
-        first = stacked.per_restart[0]
-        assert first.iterations_used == alone.iterations_used
-        assert first.stop_reason == alone.stop_reason
-        assert abs(first.value - alone.value) < 1e-9
+        assert stacked.per_restart[0] == alone.per_restart[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_restart_is_its_solo_run(self, seed, monkeypatch):
+        # bit for bit, with the trailing rule off, the one rule that reads the
+        # other restarts; at seed 3 restart 2 once parted from its solo path
+        monkeypatch.setattr(optimizer, "_TRAILING_MARGIN", np.inf)
+        game, cfg = make_cglmp3_game(), SearchConfig(dim=3, restarts=8, max_iters=60, seed=seed)
+        weighted, projector = game.weighted_payoff(), _Projector(game, cfg.dim)
+        rhos, effects = optimizer._start(game, cfg, projector)
+        stacked = optimizer._ascend(weighted, projector, rhos, effects, cfg)
+        for r in range(cfg.restarts):
+            one = slice(r, r + 1)
+            alone = optimizer._ascend(weighted, projector, rhos[one], effects[one], cfg)
+            # states, effects, iterations, stop reasons, sweeps and window values
+            for got, want in zip(stacked[:5], alone[:5]):
+                assert np.array_equal(got[one], want)
+            assert stacked[5][r] == alone[5][0]
 
 
 class TestTrailing:
